@@ -3,8 +3,9 @@
 Subcommands: simulate, validate, braess, classify, gen, sweep, reproduce,
 export-plotdata.  All numeric input and output is exact ("p/q" strings);
 JSON output is deterministic byte-for-byte.  Exit codes: 0 success / checks
-pass, 1 an assertion or validation failed, 2 usage or input error, 3
-internal error.
+pass, 1 an assertion or validation failed, 2 usage or input error (including
+an input with no source-sink path or beyond a size or phase cap), 3 internal
+error.
 """
 
 from __future__ import annotations
@@ -18,7 +19,16 @@ from fractions import Fraction
 
 from . import braess as braess_mod
 from . import core, dynamics, equilibrium, gen, reproduce, topology
-from .core import INF, FotError, ParameterError, format_scalar, parse_scalar
+from .core import (
+    INF,
+    FotError,
+    NoPathError,
+    ParameterError,
+    PhaseCapError,
+    SizeCapError,
+    format_scalar,
+    parse_scalar,
+)
 from .pwl import PiecewiseLinear
 
 USAGE_ERROR, ASSERTION_ERROR, INTERNAL_ERROR = 2, 1, 3
@@ -253,9 +263,16 @@ def read_csv(stream) -> object:
 # -- shared I/O helpers -----------------------------------------------------------
 
 
-def _read_json(path: str) -> dict:
+def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _read_object(path: str) -> dict:
+    obj = _read_json(path)
+    if not isinstance(obj, dict):
+        raise ParameterError(f"{path} holds a JSON {type(obj).__name__}, not an object")
+    return obj
 
 
 def _emit(obj, args) -> None:
@@ -275,15 +292,14 @@ def _emit(obj, args) -> None:
 
 
 def _load_instance(path: str) -> core.Instance:
-    obj = _read_json(path)
+    obj = _read_object(path)
     if not core.is_instance_obj(obj):
         raise ParameterError(f"{path} holds a bare network; an instance is needed")
     return core.instance_from_obj(obj)
 
 
 def _load_network(path: str) -> core.Network:
-    obj = _read_json(path)
-    return core.network_from_obj(obj)
+    return core.network_from_obj(_read_object(path))
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -305,7 +321,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_validate(args) -> int:
     inst = _load_instance(args.instance)
-    flow = dynamics.flow_from_obj(_read_json(args.flow))
+    flow = dynamics.flow_from_obj(_read_object(args.flow))
     grid = [parse_scalar(p) for p in args.grid.split(",")] if args.grid else []
     report = dynamics.validate_feasible(inst, flow, sample_grid=grid)
     result = {"feasible": report.ok, "violations": violations_to_obj(report)}
@@ -404,7 +420,7 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_export_plotdata(args) -> int:
-    run_obj = _read_json(args.run)
+    run_obj = _read_object(args.run)
     rows = [("series", "name", "x", "value")]
     for node in sorted(run_obj["labels"]):
         curve = run_obj["labels"][node]
@@ -538,6 +554,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ParameterError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
         print(f"fot: input error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except (NoPathError, SizeCapError, PhaseCapError) as exc:
+        # Properties of the input, not faults of the program.
+        print(f"fot: input error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except FotError as exc:
         print(f"fot: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -12,9 +12,12 @@ Phases end when an idle edge becomes competitive or a queue empties.  Both
 event times are exact roots of affine functions, so the whole run is exact.
 
 The derivative system is solved by exhaustive enumeration of support and
-tightness patterns with exact linear solves (the interesting instances have
-well under a dozen competitive edges), and every accepted solution is
-re-verified against the full axiom list by an independent checker.
+tightness patterns (the interesting instances have well under a dozen
+competitive edges).  Each pattern is a linear system whose rows are built
+as sparse integer rows, multiplied through by their denominators, and solved
+by fraction-free Gauss-Jordan elimination; rationals appear only in the
+solution vector.  Every accepted solution is re-verified against the full
+axiom list by an independent checker.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import gcd
 from typing import Mapping, Optional, Sequence
 
 from .core import (
@@ -37,7 +41,7 @@ from .core import (
     format_scalar,
 )
 from .dynamics import FlowOverTime, certify_nash, derive_sink_cumulative, validate_feasible
-from .pwl import ONE, ZERO, PiecewiseLinear
+from .pwl import ZERO, PiecewiseLinear
 
 MAX_ACTIVE_EDGES = 16
 
@@ -45,38 +49,79 @@ MAX_ACTIVE_EDGES = 16
 # -- exact linear algebra ------------------------------------------------------
 
 
-def solve_exact(rows: list[tuple[list[Fraction], Fraction]], n: int):
-    """Gauss-Jordan over rationals.
+def solve_exact(rows: list[tuple[Mapping[int, int], int]], n: int):
+    """Fraction-free Gauss-Jordan elimination on sparse integer rows.
 
-    Returns ("unique", vector), ("inconsistent", None) or
-    ("underdetermined", None).
+    Each row is ``(coeffs, rhs)``: ``coeffs`` maps a column in ``range(n)``
+    to an integer coefficient (absent columns are zero) and ``rhs`` is an
+    integer; a rational system enters multiplied through by its
+    denominators.  Elimination touches only rows with a nonzero in the pivot
+    column, combines them by cross-multiplication and divides each result by
+    the gcd of its entries, so no rational arises until the single division
+    per unknown at the end.
+
+    Returns ("unique", vector of Fractions) when rank A = rank [A|b] = n,
+    otherwise ("inconsistent", None) when rank [A|b] > rank A, otherwise
+    ("underdetermined", None).  The input rows are not modified.
     """
-    mat = [list(coeffs) + [rhs] for coeffs, rhs in rows]
-    pivot_cols: list[int] = []
-    r = 0
+    # The right-hand side rides along as column n.
+    pending: list[dict[int, int]] = []
+    for coeffs, rhs in rows:
+        row = {c: a for c, a in coeffs.items() if a}
+        if rhs:
+            if not row:
+                return "inconsistent", None
+            row[n] = rhs
+        if row:
+            pending.append(row)
+    pivots: list[tuple[int, dict[int, int]]] = []
     for c in range(n):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if piv is None:
+        # The shortest candidate keeps fill-in down.
+        best = -1
+        for i, row in enumerate(pending):
+            if c in row and (best < 0 or len(row) < len(pending[best])):
+                best = i
+        if best < 0:
             continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = mat[r][c]
-        mat[r] = [v / inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    for i in range(r, len(mat)):
-        if mat[i][n] != 0:
-            return "inconsistent", None
-    if r < n:
+        pivot = pending.pop(best)
+        p = pivot[c]
+        pivot_items = list(pivot.items())
+        for row in pending + [row for _, row in pivots]:
+            a = row.get(c)
+            if a is None:
+                continue
+            # row <- (p*row - a*pivot) / g, with the common factor of p and
+            # a taken out first and the row's own gcd after.
+            g = gcd(p, a)
+            mp, ma = p // g, a // g
+            if mp != 1:
+                for k in row:
+                    row[k] *= mp
+            for k, v in pivot_items:
+                w = row.get(k, 0) - ma * v
+                if w:
+                    row[k] = w
+                else:
+                    del row[k]
+            if row:
+                g = gcd(*row.values())
+                if g > 1:
+                    for k in row:
+                        row[k] //= g
+        pivots.append((c, pivot))
+        # Rows left with no unknown are 0 = 0 (dropped) or 0 = b != 0.
+        kept = []
+        for row in pending:
+            if row:
+                if len(row) == 1 and n in row:
+                    return "inconsistent", None
+                kept.append(row)
+        pending = kept
+    if len(pivots) < n:
         return "underdetermined", None
     sol = [ZERO] * n
-    for i, c in enumerate(pivot_cols):
-        sol[c] = mat[i][n]
+    for c, row in pivots:
+        sol[c] = Fraction(row.get(n, 0), row[c])
     return "unique", sol
 
 
@@ -188,10 +233,12 @@ def thin_flow(net: Network, active: frozenset[str], resetting: frozenset[str],
     Patterns (which edges carry flow; for each flow edge whether the capacity
     term or the tail slope pins the head; for each flow-free node which
     in-edge attains its minimum) are enumerated in a fixed order and each one
-    is solved exactly; the first solution passing `verify_thin_flow` wins,
-    which makes the support choice the lexicographically smallest valid one.
-    Patterns whose linear system is degenerate are skipped: their solution
-    sets are faces whose corners other patterns pin down.
+    is solved exactly by `solve_exact`; the first solution passing
+    `verify_thin_flow` wins, which makes the support choice the
+    lexicographically smallest valid one.  The order does not depend on how
+    a system is solved, so the flow split is a function of the pattern order
+    alone.  Patterns whose linear system is degenerate are skipped: their
+    solution sets are faces whose corners other patterns pin down.
     """
     for tf in enumerate_thin_flows(net, active, resetting, capacity, supply):
         return tf
@@ -242,6 +289,16 @@ def enumerate_thin_flows(net: Network, active: frozenset[str],
     for eid in edge_order:
         in_active[by_id[eid].head].append(eid)
 
+    # Rows are sparse integer rows (column -> coefficient, rhs) for
+    # `solve_exact`; columns are the node labels, then the support rates.
+    # A flow-free node takes its label from the chosen in-edge:
+    # l_v - l_tail = 0, or l_v = 0 when that edge has a queue.
+    source_col = node_index[net.source]
+    argmin_rows = {
+        (v, eid): ({node_index[v]: 1} if eid in resetting
+                   else {node_index[v]: 1, node_index[by_id[eid].tail]: -1}, 0)
+        for v in nodes for eid in in_active[v]}
+
     for support_mask in product((0, 1), repeat=len(edge_order)):
         support = [eid for eid, bit in zip(edge_order, support_mask) if bit]
         if not _support_is_path_closed(support, by_id, net.source, net.sink):
@@ -250,56 +307,44 @@ def enumerate_thin_flows(net: Network, active: frozenset[str],
         x_index = {eid: len(nodes) + i for i, eid in enumerate(support)}
         n = len(nodes) + len(support)
 
-        base_rows: list[tuple[list[Fraction], Fraction]] = []
-
-        def row() -> list[Fraction]:
-            return [ZERO] * n
-
-        r = row()
-        r[node_index[net.source]] = ONE
-        base_rows.append((r, ONE))
+        # Label slope one at the source; inflow minus outflow is -supply at
+        # the source (scaled by the supply's denominator) and zero at every
+        # other non-sink node.
+        base_rows: list[tuple[dict[int, int], int]] = [({source_col: 1}, 1)]
         for v in nodes:
             if v == net.sink:
                 continue
-            r = row()
+            scale = supply.denominator if v == net.source else 1
+            r: dict[int, int] = {}
             for eid in support:
                 e = by_id[eid]
                 if e.head == v:
-                    r[x_index[eid]] += ONE
-                if e.tail == v:
-                    r[x_index[eid]] -= ONE
-            base_rows.append((r, -supply if v == net.source else ZERO))
+                    r[x_index[eid]] = scale
+                elif e.tail == v:
+                    r[x_index[eid]] = -scale
+            base_rows.append((r, -supply.numerator if v == net.source else 0))
 
+        # Per flow edge: the capacity row p*l_head - q*x_e = 0 for capacity
+        # p/q, or the label row l_head - l_tail = 0.
         branch_options = []
         for eid in support:
+            e = by_id[eid]
+            cap = capacity[eid]
+            cap_row = ({node_index[e.head]: cap.numerator,
+                        x_index[eid]: -cap.denominator}, 0)
             if eid in resetting:
-                branch_options.append(("cap",))
+                branch_options.append((cap_row,))
             else:
-                branch_options.append(("cap", "label"))
+                label_row = ({node_index[e.head]: 1, node_index[e.tail]: -1}, 0)
+                branch_options.append((cap_row, label_row))
         flowless = [v for v in nodes
                     if v != net.source and not (set(in_active[v]) & support_set)]
-        argmin_options = [tuple(in_active[v]) for v in flowless]
+        argmin_options = [tuple(argmin_rows[v, eid] for eid in in_active[v])
+                          for v in flowless]
 
-        for branches in product(*branch_options):
-            for argmins in product(*argmin_options):
-                rows = list(base_rows)
-                for eid, branch in zip(support, branches):
-                    e = by_id[eid]
-                    r = row()
-                    if branch == "cap":
-                        r[node_index[e.head]] = ONE
-                        r[x_index[eid]] = -ONE / capacity[eid]
-                    else:
-                        r[node_index[e.head]] = ONE
-                        r[node_index[e.tail]] = -ONE
-                    rows.append((r, ZERO))
-                for v, eid in zip(flowless, argmins):
-                    e = by_id[eid]
-                    r = row()
-                    r[node_index[v]] = ONE
-                    if eid not in resetting:
-                        r[node_index[e.tail]] = -ONE
-                    rows.append((r, ZERO))
+        for branch_rows in product(*branch_options):
+            for chosen_rows in product(*argmin_options):
+                rows = [*base_rows, *branch_rows, *chosen_rows]
                 status, sol = solve_exact(rows, n)
                 if status != "unique":
                     continue

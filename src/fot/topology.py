@@ -441,19 +441,3 @@ def classify(net: Network, node_cap: int = 15, edge_cap: int = 25) -> Classifica
         forward_paradox=forward,
         either_direction_paradox=either,
     )
-
-
-def _assert_variant_is_crossover() -> None:
-    # The second four-node variant and the crossover network are the same
-    # graph up to renaming; both directions must embed with equal sizes.
-    variant = PATTERNS["M3DoublePrime"]
-    crossover = PATTERNS["Wheatstone"]
-    one = find_subdivision(crossover, variant)
-    other = find_subdivision(variant, crossover)
-    if one is None or other is None:
-        raise InternalConsistencyError("four-node variant is not the crossover network")
-    if {len(p) for p in one.edge_paths.values()} != {1}:
-        raise InternalConsistencyError("variant embeds only as a proper subdivision")
-
-
-_assert_variant_is_crossover()

@@ -8,7 +8,7 @@ from fot.gen import MnParams, geometric_alphas, make_mn
 
 from fractions import Fraction
 
-from helpers import two_link_all_on_slow_flow, two_link_base_instance
+from helpers import build_instance, two_link_all_on_slow_flow, two_link_base_instance
 
 F = Fraction
 
@@ -175,6 +175,40 @@ def test_exit_codes(tmp_path, capsys):
     bad.write_text("{not json")
     code, _, _ = run_cli(capsys, "simulate", str(bad))
     assert code == 2
+
+
+def test_non_object_json_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "array.json"
+    path.write_text("[]")
+    for command in ("classify", "simulate", "braess"):
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 2 and out == "", command
+        assert "input error" in err and "not an object" in err, command
+
+
+def test_no_path_is_an_input_error(tmp_path, capsys):
+    inst = build_instance([("e1", "s", "v", 1, 1), ("e2", "t", "v", 1, 1)],
+                          source="s", sink="t", supply=1)
+    code, _, err = run_cli(capsys, "simulate", write_instance(tmp_path, inst))
+    assert code == 2
+    assert "input error" in err and "NoPathError" in err
+
+
+def test_size_cap_is_an_input_error(tmp_path, capsys):
+    path = write_instance(tmp_path, two_link_base_instance())
+    code, _, err = run_cli(capsys, "braess", path, "--cap", "1")
+    assert code == 2
+    assert "input error" in err and "SizeCapError" in err
+    code, _, err = run_cli(capsys, "classify", path, "--node-cap", "1")
+    assert code == 2
+    assert "input error" in err and "SizeCapError" in err
+
+
+def test_phase_cap_is_an_input_error(tmp_path, capsys):
+    path = write_instance(tmp_path, two_link_base_instance())
+    code, _, err = run_cli(capsys, "simulate", path, "--phase-cap", "1")
+    assert code == 2
+    assert "input error" in err and "PhaseCapError" in err
 
 
 def test_export_plotdata(tmp_path, capsys):

@@ -99,11 +99,14 @@ def test_transposed_ladder_has_no_forward_pattern():
 
 
 def test_crossover_and_second_variant_are_isomorphic():
+    # The second four-node variant and the crossover network are the same
+    # graph up to renaming: each embeds in the other, with no edge subdivided.
     emb = find_subdivision(pattern_network("Wheatstone"), "M3DoublePrime")
     assert emb is not None
     assert all(len(p) == 1 for p in emb.edge_paths.values())
     back = find_subdivision(pattern_network("M3DoublePrime"), "Wheatstone")
     assert back is not None
+    assert all(len(p) == 1 for p in back.edge_paths.values())
 
 
 def test_variant_prime_is_self_transpose():
