@@ -205,14 +205,12 @@ def default_transpose_m3_grid() -> list[tuple[str, Instance]]:
     F = Fraction
     points: list[tuple[str, Instance]] = []
 
-    from .gen import MnParams, geometric_alphas, make_mn
+    from .gen import make_ladder
     from .core import transpose
 
     for eps_denom in (10, 100):
         for j in (1, 2):
-            params = MnParams(n=3, horizon=F(1),
-                              alphas=geometric_alphas(3, F(1, eps_denom), j))
-            inst = transpose(make_mn(params))
+            inst = transpose(make_ladder(3, F(1, eps_denom), j))
             points.append((f"ladder-eps=1/{eps_denom}-j={j}", inst))
 
     transit_cases = [

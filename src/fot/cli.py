@@ -21,7 +21,9 @@ from . import braess as braess_mod
 from . import core, dynamics, equilibrium, gen, reproduce, topology
 from .core import (
     INF,
+    DomainError,
     FotError,
+    MalformedFlowError,
     NoPathError,
     ParameterError,
     PhaseCapError,
@@ -29,16 +31,11 @@ from .core import (
     format_scalar,
     parse_scalar,
 )
-from .pwl import PiecewiseLinear
 
 USAGE_ERROR, ASSERTION_ERROR, INTERNAL_ERROR = 2, 1, 3
 
 
 # -- serialization helpers -----------------------------------------------------
-
-
-def _scalar_obj(x) -> str:
-    return format_scalar(x)
 
 
 def _label_obj(label) -> object:
@@ -49,37 +46,34 @@ def _label_obj(label) -> object:
 
 def run_to_obj(run: equilibrium.EquilibriumRun) -> dict:
     inst = run.instance
-    queues = {}
-    for eid in inst.edge_ids:
-        shifted = run.flow.outflow[eid].compose(
-            PiecewiseLinear.affine(Fraction(1), inst.transit[eid]))
-        queues[eid] = dynamics.pwl_to_obj(run.flow.inflow[eid] - shifted)
+    queues = {eid: dynamics.pwl_to_obj(dynamics._edge_curves(inst, run.flow, eid).queue)
+              for eid in inst.edge_ids}
     return {
         "instance": core.instance_to_obj(inst),
         "phases": [
             {
-                "start": _scalar_obj(p.start),
-                "end": _scalar_obj(p.end),
+                "start": format_scalar(p.start),
+                "end": format_scalar(p.end),
                 "active": list(p.active),
                 "resetting": list(p.resetting),
-                "label_slopes": {v: _scalar_obj(s) for v, s in p.label_slopes.items()},
-                "edge_rates": {e: _scalar_obj(r) for e, r in p.edge_rates.items()},
+                "label_slopes": {v: format_scalar(s) for v, s in p.label_slopes.items()},
+                "edge_rates": {e: format_scalar(r) for e, r in p.edge_rates.items()},
             }
             for p in run.phases
         ],
         "events": [
             {
-                "time": _scalar_obj(e.time),
+                "time": format_scalar(e.time),
                 "activations": list(e.activations),
                 "depletions": list(e.depletions),
-                "tail_arrival": {k: _scalar_obj(v) for k, v in e.tail_arrival.items()},
+                "tail_arrival": {k: format_scalar(v) for k, v in e.tail_arrival.items()},
             }
             for e in run.events
         ],
         "labels": {v: _label_obj(lab) for v, lab in run.labels.items()},
         "queues": queues,
         "flow": dynamics.flow_to_obj(run.flow),
-        "social_cost": _scalar_obj(run.social_cost),
+        "social_cost": format_scalar(run.social_cost),
         "steady": run.steady,
         "diverging": run.diverging,
     }
@@ -88,13 +82,13 @@ def run_to_obj(run: equilibrium.EquilibriumRun) -> dict:
 def braess_to_obj(report: braess_mod.BraessReport) -> dict:
     return {
         "label": report.label,
-        "full_cost": _scalar_obj(report.full_cost),
-        "ratio": _scalar_obj(report.ratio),
+        "full_cost": format_scalar(report.full_cost),
+        "ratio": format_scalar(report.ratio),
         "argmax": list(report.argmax),
         "paradox": report.paradox,
         "note": report.note,
         "entries": [
-            {"kept": list(e.kept), "cost": _scalar_obj(e.cost),
+            {"kept": list(e.kept), "cost": format_scalar(e.cost),
              **({"error": e.error} if e.error else {})}
             for e in report.entries
         ],
@@ -104,12 +98,12 @@ def braess_to_obj(report: braess_mod.BraessReport) -> dict:
 def sweep_to_obj(report: braess_mod.SweepReport) -> dict:
     return {
         "description": report.description,
-        "max_ratio": None if report.max_ratio is None else _scalar_obj(report.max_ratio),
+        "max_ratio": None if report.max_ratio is None else format_scalar(report.max_ratio),
         "any_paradox": report.any_paradox,
         "note": report.note,
         "points": [
             {"label": p.label,
-             "ratio": None if p.ratio is None else _scalar_obj(p.ratio),
+             "ratio": None if p.ratio is None else format_scalar(p.ratio),
              "paradox": p.paradox,
              **({"error": p.error} if p.error else {})}
             for p in report.points
@@ -146,9 +140,9 @@ def violations_to_obj(report: dynamics.ViolationReport) -> list:
         {
             "condition": v.condition,
             "where": v.where,
-            "at": None if v.at is None else _scalar_obj(v.at),
-            "lhs": _scalar_obj(v.lhs),
-            "rhs": _scalar_obj(v.rhs),
+            "at": None if v.at is None else format_scalar(v.at),
+            "lhs": format_scalar(v.lhs),
+            "rhs": format_scalar(v.rhs),
             "detail": v.detail,
         }
         for v in report.violations
@@ -323,7 +317,11 @@ def _cmd_validate(args) -> int:
     inst = _load_instance(args.instance)
     flow = dynamics.flow_from_obj(_read_object(args.flow))
     grid = [parse_scalar(p) for p in args.grid.split(",")] if args.grid else []
-    report = dynamics.validate_feasible(inst, flow, sample_grid=grid)
+    try:
+        report = dynamics.validate_feasible(inst, flow, sample_grid=grid)
+    except (DomainError, MalformedFlowError) as exc:
+        # A negative probe time or a malformed flow file is a fault of the input.
+        raise ParameterError(f"{type(exc).__name__}: {exc}") from exc
     result = {"feasible": report.ok, "violations": violations_to_obj(report)}
     ok = report.ok
     if report.ok:
@@ -372,10 +370,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_gen(args) -> int:
     if args.family == "mn":
-        alphas_fn = gen.integer_alphas if args.integer else gen.geometric_alphas
-        alphas = alphas_fn(args.n, args.eps, args.j)
-        inst = gen.make_mn(gen.MnParams(n=args.n, horizon=args.T, alphas=alphas))
-        obj = core.instance_to_obj(inst)
+        obj = core.instance_to_obj(
+            gen.make_ladder(args.n, args.eps, args.j, args.T, integer=args.integer))
         if args.integer:
             obj["_meta"] = {
                 "cost_target": format_scalar(

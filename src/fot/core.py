@@ -98,10 +98,6 @@ INF = _PosInfinity()
 Scalar = Union[Fraction, _PosInfinity]
 
 
-def is_finite(x: Scalar) -> bool:
-    return x is not INF
-
-
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?\Z")
 
 
@@ -352,12 +348,25 @@ def network_to_obj(net: Network) -> dict:
     }
 
 
+_JSON_TYPE_NAMES = {list: "a list", dict: "an object", str: "a string"}
+
+
+def _typed(value, kind: type, field: str):
+    if not isinstance(value, kind):
+        raise ParameterError(f"field {field!r} must be {_JSON_TYPE_NAMES[kind]}, "
+                             f"not {type(value).__name__}")
+    return value
+
+
 def network_from_obj(obj: dict) -> Network:
+    nodes = _typed(obj["nodes"], list, "nodes")
+    edges = [_typed(d, dict, "edges") for d in _typed(obj["edges"], list, "edges")]
     return Network(
-        nodes=tuple(obj["nodes"]),
-        edges=tuple(Edge(d["id"], d["tail"], d["head"]) for d in obj["edges"]),
-        source=obj["source"],
-        sink=obj["sink"],
+        nodes=tuple(_typed(v, str, "nodes") for v in nodes),
+        edges=tuple(Edge(*(_typed(d[k], str, f"edges.{k}") for k in ("id", "tail", "head")))
+                    for d in edges),
+        source=_typed(obj["source"], str, "source"),
+        sink=_typed(obj["sink"], str, "sink"),
     )
 
 

@@ -3,20 +3,23 @@
 The deterministic queueing model: flow entering an edge faster than its
 capacity waits in a point queue at the tail; total edge delay is queue wait
 plus free-flow transit.  Given a flow (cumulative in/outflow per edge plus
-cumulative sink arrivals), this module derives waiting times and earliest
-arrival labels, validates the four feasibility conditions, checks both
-equilibrium characterizations (flow only on currently shortest paths; no
-particle overtakes another), and evaluates the social cost.
+cumulative sink arrivals), `_edge_curves` is the one derivation of an edge's
+transit-shifted outflow, queue, wait and exit map.  On these rest the
+earliest-arrival labels, the four feasibility conditions, both equilibrium
+characterizations (flow only on currently shortest paths; no particle
+overtakes another) and the social cost; each such call derives an edge's
+curves once and reuses them for all of its checks and probes.
 
 Everything here is an independent check: it never trusts the phase engine
-that produced a flow, only the curves themselves.
+that produced a flow, only the curves themselves.  `validate_feasible` and
+`certify_nash` share nothing; each derives its curves from the flow given.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .core import (
     ContractError,
@@ -26,6 +29,7 @@ from .core import (
     InternalConsistencyError,
     MalformedFlowError,
     Scalar,
+    as_fraction,
     format_scalar,
 )
 from .pwl import ONE, ZERO, PiecewiseLinear, minimum
@@ -70,13 +74,25 @@ def derive_sink_cumulative(inst: Instance,
 # -- queueing primitives -----------------------------------------------------
 
 
+class _EdgeCurves(NamedTuple):
+    """An edge's queueing curves, as functions of queue-entry time."""
+    shifted_out: PiecewiseLinear  # cumulative outflow one transit later
+    queue: PiecewiseLinear  # cumulative inflow minus shifted_out
+    wait: PiecewiseLinear  # queue over capacity
+    exit_map: PiecewiseLinear  # entry + transit + wait
+
+
+def _edge_curves(inst: Instance, flow: FlowOverTime, edge_id: str) -> _EdgeCurves:
+    shift = PiecewiseLinear.affine(ONE, inst.transit[edge_id])  # entry + transit
+    shifted_out = flow.outflow[edge_id].compose(shift)
+    queue = flow.inflow[edge_id] - shifted_out
+    wait = queue.scale(ONE / inst.capacity[edge_id])
+    return _EdgeCurves(shifted_out, queue, wait, shift + wait)
+
+
 def waiting_curve(inst: Instance, flow: FlowOverTime, edge_id: str) -> PiecewiseLinear:
-    """Waiting time in the edge queue as a function of queue-entry time:
-    (cumulative inflow now minus cumulative outflow one transit later) over
-    capacity."""
-    tau = inst.transit[edge_id]
-    shifted = flow.outflow[edge_id].compose(PiecewiseLinear.affine(ONE, tau))
-    return (flow.inflow[edge_id] - shifted).scale(ONE / inst.capacity[edge_id])
+    """Waiting time in the edge queue as a function of queue-entry time."""
+    return _edge_curves(inst, flow, edge_id).wait
 
 
 def waiting_time(inst: Instance, flow: FlowOverTime, edge_id: str,
@@ -89,8 +105,7 @@ def waiting_time(inst: Instance, flow: FlowOverTime, edge_id: str,
 def exit_curve(inst: Instance, flow: FlowOverTime, edge_id: str) -> PiecewiseLinear:
     """Head-arrival time for a particle entering the edge queue at a given
     time: entry + wait + transit."""
-    wait = waiting_curve(inst, flow, edge_id)
-    return PiecewiseLinear.identity().add_constant(inst.transit[edge_id]) + wait
+    return _edge_curves(inst, flow, edge_id).exit_map
 
 
 def labels(inst: Instance, flow: FlowOverTime) -> dict[str, PiecewiseLinear | object]:
@@ -102,12 +117,17 @@ def labels(inst: Instance, flow: FlowOverTime) -> dict[str, PiecewiseLinear | ob
     Restricted to acyclic networks (the recursion follows a topological
     order).
     """
+    return _labels(inst, {eid: exit_curve(inst, flow, eid) for eid in inst.edge_ids})[0]
+
+
+def _labels(inst: Instance, exit_maps: Mapping[str, PiecewiseLinear]) -> tuple[dict, dict]:
+    """The labels, and the head-arrival curve (tail label pushed through the
+    exit map) of every edge whose tail is reachable."""
     net = inst.network
-    order = net.topological_order()
     reachable = net.reachable_from(net.source)
     out: dict[str, PiecewiseLinear | object] = {}
-    exit_curves = {eid: exit_curve(inst, flow, eid) for eid in inst.edge_ids}
-    for v in order:
+    arrivals: dict[str, PiecewiseLinear] = {}
+    for v in net.topological_order():
         if v not in reachable:
             out[v] = INF
             continue
@@ -119,9 +139,10 @@ def labels(inst: Instance, flow: FlowOverTime) -> dict[str, PiecewiseLinear | ob
             tail_label = out[e.tail]
             if tail_label is INF:
                 continue
-            candidates.append(exit_curves[e.id].compose(tail_label))
+            arrivals[e.id] = exit_maps[e.id].compose(tail_label)
+            candidates.append(arrivals[e.id])
         out[v] = minimum(*candidates)
-    return out
+    return out, arrivals
 
 
 def node_latency(inst: Instance, flow: FlowOverTime, v: str, at: Fraction) -> Scalar:
@@ -197,7 +218,6 @@ def _check_structure(inst: Instance, flow: FlowOverTime) -> None:
     if gamma.xs[0] != 0 or gamma.ys[0] != 0 or not gamma.is_nondecreasing():
         raise MalformedFlowError("sink arrivals must be nondecreasing from (0, 0)")
     if flow.paths is not None:
-        net = inst.network
         total = PiecewiseLinear.constant(ZERO)
         for path, curve in flow.paths.items():
             _check_path_shape(inst, path)
@@ -231,11 +251,10 @@ def validate_feasible(inst: Instance, flow: FlowOverTime,
     """
     _check_structure(inst, flow)
     found: list[Violation] = []
-    ident = PiecewiseLinear.identity()
+    exit_maps: dict[str, PiecewiseLinear] = {}
 
     for eid in inst.edge_ids:
         cap = inst.capacity[eid]
-        tau = inst.transit[eid]
         outflow = flow.outflow[eid]
         inflow = flow.inflow[eid]
 
@@ -245,8 +264,8 @@ def validate_feasible(inst: Instance, flow: FlowOverTime,
                 found.append(Violation(CAPACITY, eid, a, slope, cap,
                                        "outflow rate above capacity"))
 
-        wait = waiting_curve(inst, flow, eid)
-        exit_map = ident.add_constant(tau) + wait
+        shifted_out, _, wait, exit_map = _edge_curves(inst, flow, eid)
+        exit_maps[eid] = exit_map
 
         # (4a) waiting times are never negative
         neg_at = _first_below_zero(wait)
@@ -271,10 +290,8 @@ def validate_feasible(inst: Instance, flow: FlowOverTime,
                                    "cumulative in/outflow mismatch"))
 
         # (4b) a nonempty queue drains at full capacity
-        shifted_out = outflow.compose(ident.add_constant(tau))
         grid = sorted(set(wait.xs) | set(shifted_out.xs))
-        for i, a in enumerate(grid):
-            b = grid[i + 1] if i + 1 < len(grid) else None
+        for a, b in zip(grid, [*grid[1:], None]):
             wait_positive = wait(a) > 0 or (b is not None and wait(b) > 0) or (
                 b is None and wait.slope_right(a) > 0)
             if not wait_positive:
@@ -307,9 +324,10 @@ def validate_feasible(inst: Instance, flow: FlowOverTime,
                                    "flow conservation broken"))
 
     for at in sample_grid:
+        if at < 0:
+            raise DomainError("waiting time is defined for nonnegative times only")
         for eid in inst.edge_ids:
-            wait_at = waiting_time(inst, flow, eid, at)
-            exit_at = at + wait_at + inst.transit[eid]
+            exit_at = exit_maps[eid](at)
             if flow.inflow[eid](at) != flow.outflow[eid](exit_at):
                 found.append(Violation(LINK_CONSERVATION, eid, at,
                                        flow.inflow[eid](at), flow.outflow[eid](exit_at),
@@ -344,7 +362,12 @@ def certify_nash(inst: Instance, flow: FlowOverTime) -> tuple[bool, ViolationRep
     The two verdicts must coincide for feasible flows; a disagreement is an
     internal bug, not a property of the input.
     """
-    lab = labels(inst, flow)
+    return _certify_nash(inst, flow)[:2]
+
+
+def _certify_nash(inst: Instance, flow: FlowOverTime) -> tuple[bool, ViolationReport, dict]:
+    """`certify_nash`, also returning the labels it certified."""
+    lab, arrivals = _labels(inst, {eid: exit_curve(inst, flow, eid) for eid in inst.edge_ids})
     net = inst.network
     found: list[Violation] = []
 
@@ -356,12 +379,10 @@ def certify_nash(inst: Instance, flow: FlowOverTime) -> tuple[bool, ViolationRep
                 found.append(Violation(SHORTEST_PATHS, e.id, None, ZERO, ZERO,
                                        "flow on an edge unreachable from the source"))
             continue
-        via_edge = exit_curve(inst, flow, e.id).compose(tail_label)
-        gap = via_edge - head_label
+        gap = arrivals[e.id] - head_label
         pushed = flow.inflow[e.id].compose(tail_label)
         grid = sorted(set(gap.xs) | set(pushed.xs))
-        for i, a in enumerate(grid):
-            b = grid[i + 1] if i + 1 < len(grid) else None
+        for a, b in zip(grid, [*grid[1:], None]):
             if b is None:
                 slower = gap(a) > 0 or gap.final_slope > 0
             else:
@@ -392,7 +413,7 @@ def certify_nash(inst: Instance, flow: FlowOverTime) -> tuple[bool, ViolationRep
         raise InternalConsistencyError(
             "shortest-path and no-overtaking characterizations disagree: "
             f"{sent_shortest} vs {overtake_free}")
-    return sent_shortest, ViolationReport(tuple(found))
+    return sent_shortest, ViolationReport(tuple(found)), lab
 
 
 # -- social cost -------------------------------------------------------------
@@ -401,9 +422,13 @@ def certify_nash(inst: Instance, flow: FlowOverTime) -> tuple[bool, ViolationRep
 def path_latency_curve(inst: Instance, flow: FlowOverTime, path: Path) -> PiecewiseLinear:
     """Travel time along a path as a function of the entry time into its
     first queue: chain the exit maps, then subtract the entry time."""
+    return _path_latency({eid: exit_curve(inst, flow, eid) for eid in path}, path)
+
+
+def _path_latency(exit_maps: Mapping[str, PiecewiseLinear], path: Path) -> PiecewiseLinear:
     arrival = PiecewiseLinear.identity()
     for eid in path:
-        arrival = exit_curve(inst, flow, eid).compose(arrival)
+        arrival = exit_maps[eid].compose(arrival)
     return arrival - PiecewiseLinear.identity()
 
 
@@ -417,12 +442,13 @@ def social_cost(inst: Instance, flow: FlowOverTime) -> Scalar:
     """
     if flow.paths is not None:
         _check_structure(inst, flow)
+        on_paths = {eid for path in flow.paths for eid in path}
+        exit_maps = {eid: exit_curve(inst, flow, eid) for eid in on_paths}
         best: Scalar = ZERO
         for path, cumulative in flow.paths.items():
-            latency = path_latency_curve(inst, flow, path)
+            latency = _path_latency(exit_maps, path)
             grid = sorted(set(latency.xs) | set(cumulative.xs))
-            for i, a in enumerate(grid):
-                b = grid[i + 1] if i + 1 < len(grid) else None
+            for a, b in zip(grid, [*grid[1:], None]):
                 rate = cumulative.slope_right(a)
                 if rate <= 0:
                     continue
@@ -432,17 +458,15 @@ def social_cost(inst: Instance, flow: FlowOverTime) -> Scalar:
                     candidate = latency(a)
                 else:
                     candidate = max(latency(a), latency(b))
-                if best is not INF and candidate > best:
-                    best = candidate
+                best = max(best, candidate)
         return best
 
-    ok, report = certify_nash(inst, flow)
+    ok, report, lab = _certify_nash(inst, flow)
     if not ok:
         raise ContractError(
             "social cost of a non-equilibrium flow needs an explicit path "
             f"decomposition; certification failed:\n{report}")
-    sink_label = labels(inst, flow)[inst.network.sink]
-    latency = sink_label - PiecewiseLinear.identity()
+    latency = lab[inst.network.sink] - PiecewiseLinear.identity()
     return latency.supremum()
 
 
@@ -462,7 +486,6 @@ def pwl_to_obj(curve: PiecewiseLinear) -> dict:
 
 
 def pwl_from_obj(obj: dict) -> PiecewiseLinear:
-    from .core import as_fraction
     points = [(as_fraction(x), as_fraction(y)) for x, y in obj["breakpoints"]]
     return PiecewiseLinear.from_points(points, as_fraction(obj["final_slope"]))
 
@@ -472,7 +495,6 @@ def _rates_to_obj(curve: PiecewiseLinear) -> list[list[str]]:
 
 
 def _rates_from_obj(pairs) -> PiecewiseLinear:
-    from .core import as_fraction
     return PiecewiseLinear.from_rate_segments(
         [(as_fraction(x), as_fraction(r)) for x, r in pairs])
 

@@ -173,12 +173,6 @@ class PiecewiseLinear:
             return INF
         return max(self.ys)
 
-    def minimum_value(self) -> Scalar | None:
-        """Exact infimum; None means unbounded below."""
-        if self.final_slope < 0:
-            return None
-        return min(self.ys)
-
     # -- arithmetic ------------------------------------------------------------
 
     def _merged_grid(self, other: "PiecewiseLinear") -> list[Fraction]:

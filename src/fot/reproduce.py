@@ -14,7 +14,8 @@ from typing import Callable, Mapping
 from .braess import braess_ratio
 from .core import ParameterError, Scalar, format_scalar, transpose
 from .equilibrium import nash_flow
-from .gen import MnParams, embed_paradox_instance, geometric_alphas, make_mn, random_dag
+from .gen import (MnParams, embed_paradox_instance, geometric_alphas, make_ladder, make_mn,
+                  random_dag)
 from .pwl import PiecewiseLinear
 from .topology import classify, find_subdivision
 
@@ -98,8 +99,7 @@ def _preset_lemma1(n: int = 3, eps: Fraction = F(1, 10), j: int = 1,
 
 def _preset_theorem1(n: int = 3, eps: Fraction = F(1, 100), j: int = 1,
                      horizon: Fraction = F(1)) -> PresetResult:
-    alphas = geometric_alphas(n, eps, j)
-    inst = make_mn(MnParams(n=n, horizon=horizon, alphas=alphas))
+    inst = make_ladder(n, eps, j, horizon)
     report = braess_ratio(inst, label=f"ladder-{n}")
     reduced = tuple(eid for eid in inst.edge_ids if eid != f"e{n - 1}")
     reduced_cost = next(e.cost for e in report.entries if e.kept == reduced)
@@ -137,8 +137,7 @@ def _preset_theorem1(n: int = 3, eps: Fraction = F(1, 100), j: int = 1,
 
 def _preset_lemma2(n: int = 3, eps: Fraction = F(1, 10), j: int = 1,
                    horizon: Fraction = F(1)) -> PresetResult:
-    inst = transpose(make_mn(MnParams(n=n, horizon=horizon,
-                                      alphas=geometric_alphas(n, eps, j))))
+    inst = transpose(make_ladder(n, eps, j, horizon))
     report = braess_ratio(inst, label=f"transposed-ladder-{n}")
     assertions = [
         Assertion(
@@ -189,8 +188,7 @@ def _preset_lemma3(samples: int = 500, seed: int = 1, nodes: int = 8,
 def _preset_theorem5(eps: Fraction = F(1, 100), j: int = 1,
                      horizon: Fraction = F(1)) -> PresetResult:
     alphas = geometric_alphas(3, eps, j)
-    host = make_mn(MnParams(n=4, horizon=horizon,
-                            alphas=geometric_alphas(4, eps, j))).network
+    host = make_ladder(4, eps, j, horizon).network
     embedding = find_subdivision(host, "M3")
     if embedding is None:
         raise ParameterError("host unexpectedly lacks the three-level pattern")

@@ -1,10 +1,13 @@
 import io
 import json
 
+import pytest
+
 from fot.cli import flatten, main, read_csv, unflatten, write_csv
 from fot.core import dumps, instance_to_obj, loads
 from fot.dynamics import flow_to_obj
 from fot.gen import MnParams, geometric_alphas, make_mn
+from fot.reproduce import PRESETS
 
 from fractions import Fraction
 
@@ -114,6 +117,48 @@ def test_validate_cli(tmp_path, capsys):
     assert report["nash_violations"]
 
 
+def _engine_flow_obj(capsys, inst_path):
+    code, out, _ = run_cli(capsys, "simulate", inst_path)
+    assert code == 0
+    return loads(out)["flow"]
+
+
+def test_validate_negative_probe_time_is_an_input_error(tmp_path, capsys):
+    inst_path = write_instance(tmp_path, two_link_base_instance())
+    flow_path = tmp_path / "flow.json"
+    flow_path.write_text(dumps(_engine_flow_obj(capsys, inst_path)))
+    code, out, err = run_cli(capsys, "validate", inst_path, str(flow_path),
+                             "--grid=-1/2")
+    assert code == 2 and out == ""
+    assert "input error" in err and "DomainError" in err
+
+
+def test_validate_malformed_flow_is_an_input_error(tmp_path, capsys):
+    inst_path = write_instance(tmp_path, two_link_base_instance())
+    missing_edge = _engine_flow_obj(capsys, inst_path)
+    del missing_edge["inflow"]["f1"]
+    decreasing = _engine_flow_obj(capsys, inst_path)
+    decreasing["inflow"]["e1"] = [["0", "1"], ["1", "-1"]]
+    for flow in (missing_edge, decreasing):
+        flow_path = tmp_path / "flow.json"
+        flow_path.write_text(dumps(flow))
+        code, out, err = run_cli(capsys, "validate", inst_path, str(flow_path))
+        assert code == 2 and out == ""
+        assert "input error" in err and "MalformedFlowError" in err
+
+
+def test_fields_of_the_wrong_type_are_input_errors(tmp_path, capsys):
+    for field, value in (("edges", 5), ("nodes", "v1v2")):
+        obj = instance_to_obj(two_link_base_instance())
+        obj[field] = value
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(obj))
+        for command in ("simulate", "classify"):
+            code, out, err = run_cli(capsys, command, str(path))
+            assert code == 2 and out == "", (field, command)
+            assert "input error" in err and repr(field) in err, (field, command)
+
+
 def test_braess_cli(tmp_path, capsys):
     from fot.core import transpose
 
@@ -163,6 +208,13 @@ def test_sweep_cli_with_grid_file(tmp_path, capsys):
 def test_reproduce_cli(capsys):
     code, out, _ = run_cli(capsys, "reproduce", "lemma2", "--n", "3")
     assert code == 0
+    assert loads(out)["ok"] is True
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_every_preset_passes_at_its_defaults(preset, capsys):
+    code, out, err = run_cli(capsys, "reproduce", preset)
+    assert code == 0, err
     assert loads(out)["ok"] is True
 
 

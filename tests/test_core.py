@@ -157,3 +157,25 @@ def test_network_json_without_attributes():
     assert not is_instance_obj(obj)
     net = network_from_obj(obj)
     assert net == inst.network
+
+
+@pytest.mark.parametrize("field, value", [
+    ("nodes", "st"),
+    ("nodes", [["s"], "t"]),
+    ("edges", 5),
+    ("edges", [5]),
+    ("source", 0),
+])
+def test_json_fields_of_the_wrong_type_are_parameter_errors(field, value):
+    obj = instance_to_obj(two_link_instance())
+    obj[field] = value
+    for load in (network_from_obj, instance_from_obj):
+        with pytest.raises(ParameterError, match=repr(field)):
+            load(obj)
+
+
+def test_json_edge_fields_of_the_wrong_type_are_parameter_errors():
+    obj = instance_to_obj(two_link_instance())
+    obj["edges"][1]["tail"] = None
+    with pytest.raises(ParameterError, match="'edges.tail'"):
+        instance_from_obj(obj)

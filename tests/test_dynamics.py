@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from fot import dynamics
 from fot.core import ContractError, INF, MalformedFlowError
 from fot.dynamics import (
     CAPACITY,
@@ -71,7 +72,7 @@ def test_labels_two_link_run():
     assert lab["v2"] == PiecewiseLinear.from_points([(F(0), F(0)), (F(1), F(2))], F(1))
 
 
-def test_labels_unreachable_node_is_infinite():
+def _unreachable_tail_case():
     inst = build_instance(
         [("a", "v1", "v2", 1, 0), ("b", "v3", "v2", 1, 0)],
         source="v1", sink="v2", supply=1)
@@ -80,6 +81,11 @@ def test_labels_unreachable_node_is_infinite():
         outflow={"a": rates((0, 1)), "b": rates()},
         sink_cumulative=rates((0, 1)),
     )
+    return inst, flow
+
+
+def test_labels_unreachable_node_is_infinite():
+    inst, flow = _unreachable_tail_case()
     assert labels(inst, flow)["v3"] is INF
     assert node_latency(inst, flow, "v3", F(0)) is INF
 
@@ -212,3 +218,30 @@ def test_flow_json_and_csv_roundtrip():
     rows = flow_to_csv_rows(flow)
     assert ("inflow", "f1", "0", "0", "2") in rows
     assert all(len(row) == 5 for row in rows)
+
+
+@pytest.mark.parametrize("check", [
+    certify_nash,
+    lambda inst, flow: validate_feasible(inst, flow,
+                                         sample_grid=[F(0), F(1, 3), F(1), F(5)]),
+    social_cost,
+], ids=["certify_nash", "validate_feasible", "social_cost"])
+def test_checkers_derive_each_edge_curves_once(monkeypatch, check):
+    # One call derives each edge's shifted outflow, queue, wait and exit map
+    # once, however many probes, labels or certificates then use them.
+    derived = []
+    derive = dynamics._edge_curves
+
+    def counted(inst, flow, edge_id):
+        derived.append(edge_id)
+        return derive(inst, flow, edge_id)
+
+    monkeypatch.setattr(dynamics, "_edge_curves", counted)
+    for inst, flow in [
+        (two_link_base_instance(), two_link_equilibrium_flow()),
+        (ladder3_minus_middle_instance(), ladder3_minus_middle_flow()),
+        _unreachable_tail_case(),
+    ]:
+        derived.clear()
+        check(inst, flow)
+        assert sorted(derived) == sorted(inst.edge_ids)

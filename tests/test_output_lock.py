@@ -1,4 +1,5 @@
-"""Byte-identity lock on `fot simulate` output, flow split included.
+"""Byte-identity lock on `fot simulate`, `fot validate` and `fot braess`
+output, flow split included.
 
 Labels are unique, but the flow split of a phase (`phases[*].edge_rates`)
 is whichever verified derivative pattern comes first in the fixed pattern
@@ -8,14 +9,19 @@ purpose, with the digests re-recorded.
 """
 
 import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from fot.braess import default_transpose_m3_grid
 from fot.cli import main
 from fot.core import Instance, dumps, instance_to_obj, transpose
+from fot.dynamics import FlowOverTime, flow_to_obj
 from fot.gen import make_ladder, random_dag
+
+from helpers import rates, two_link_base_instance
 
 F = Fraction
 EPS = F(1, 1000)
@@ -54,3 +60,71 @@ def test_simulate_stdout_is_pinned(name, tmp_path, capsys):
     assert main(["simulate", str(path)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == SHA256[name]
+
+
+# -- validate and braess ------------------------------------------------------
+#
+# The checkers' verdicts, violation order and witness times, and the
+# subset-by-subset Braess costs, pinned the same way.
+
+GRID = "0,1/3,1,5/2,1000,1000000000000"
+
+
+def _violating_two_link_flow():
+    # On the two-link instance: e1 drains faster than its capacity (a
+    # negative queue), f1 keeps a queue that drains below its capacity, and
+    # the source sends more than the supply.
+    return FlowOverTime(
+        inflow={"e1": rates((0, 2)), "f1": rates((0, 1))},
+        outflow={"e1": rates((0, 3)), "f1": rates((2, 1))},
+        sink_cumulative=rates((0, 3), (2, 4)),
+    )
+
+
+def _validate_engine_flow(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(dumps(instance_to_obj(make_ladder(3, EPS))))
+    assert main(["simulate", str(inst_path)]) == 0
+    flow_path = tmp_path / "flow.json"
+    flow_path.write_text(dumps(json.loads(capsys.readouterr().out)["flow"]))
+    return main(["validate", str(inst_path), str(flow_path), "--nash",
+                 "--grid", GRID])
+
+
+def _validate_violating_flow(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(dumps(instance_to_obj(two_link_base_instance())))
+    flow_path = tmp_path / "flow.json"
+    flow_path.write_text(dumps(flow_to_obj(_violating_two_link_flow())))
+    return main(["validate", str(inst_path), str(flow_path), "--grid", GRID])
+
+
+def _braess(inst):
+    def run(tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        path.write_text(dumps(instance_to_obj(inst())))
+        return main(["braess", str(path)])
+    return run
+
+
+COMMANDS = {
+    "validate-ladder-n3-grid": (_validate_engine_flow, 0),
+    "validate-violating-grid": (_validate_violating_flow, 1),
+    "braess-ladder-n3": (_braess(lambda: make_ladder(3, EPS)), 0),
+    "braess-transpose-m3-grid42": (_braess(lambda: default_transpose_m3_grid()[42][1]), 0),
+}
+
+COMMAND_SHA256 = {
+    "validate-ladder-n3-grid": "18c45fc2e6b0f396425c8a13cd1bf46db5f6998cc1a6eb49d6b2050d7fefe841",
+    "validate-violating-grid": "c2575827b452fbc75541c21ca4835c6ea12321e7cf896eb8d0b3affca961da10",
+    "braess-ladder-n3": "4bfb10c35f9eb2dc0cdff85b530dd45e22a226470c745ced33bb5ab88d8fb011",
+    "braess-transpose-m3-grid42": "2abaace18ac97489ce0e0b8c7a8fc538966d4651d175a7fb10326ae419df266d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_command_stdout_is_pinned(name, tmp_path, capsys):
+    command, exit_code = COMMANDS[name]
+    assert command(tmp_path, capsys) == exit_code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == COMMAND_SHA256[name]
