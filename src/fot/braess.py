@@ -8,6 +8,14 @@ the paradox: some deletion helps.
 
 Costs refer to the canonical computed equilibrium of each subnetwork; every
 report carries that caveat explicitly.
+
+A subset's cost depends only on its s-t core (`fot.core.st_core`): the kept
+edges on some source-sink path of kept edges.  An in-edge (u,v) of a core
+node v with u reachable from the source is on such a path, so it is in the
+core; thin-flow supports are path-closed, so no flow leaves the core, and
+the labels at core nodes, hence the sink cost, equal those of the core
+alone.  `braess_ratio` therefore solves each distinct core once per call and
+reuses its cost, or its error, for every subset with that core.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from .core import (
     Scalar,
     SizeCapError,
     restrict,
+    st_core,
 )
 from .equilibrium import social_cost_ne
 from .topology import classify
@@ -65,18 +74,17 @@ class BraessReport:
     note: str = CANONICAL_NOTE
 
 
-def _subgraph_cost(inst: Instance, kept: tuple[str, ...], phase_cap: int,
-                   self_check: bool) -> SubgraphCost:
-    sub = restrict(inst, kept)
-    if not sub.has_st_path:
-        return SubgraphCost(kept, INF)  # unbounded by convention
+def _core_cost(inst: Instance, core: frozenset[str], phase_cap: int,
+               self_check: bool) -> tuple[Scalar, Optional[str]]:
+    """Cost of the sub-instance on an s-t core, with the error string of a
+    failed run (recorded per core, never fatal)."""
     try:
-        cost = social_cost_ne(sub, phase_cap=phase_cap, self_check=self_check)
+        return social_cost_ne(restrict(inst, core), phase_cap=phase_cap,
+                              self_check=self_check), None
     except NoPathError:
-        return SubgraphCost(kept, INF)
-    except FotError as exc:  # recorded per subset, never fatal
-        return SubgraphCost(kept, INF, error=f"{type(exc).__name__}: {exc}")
-    return SubgraphCost(kept, cost)
+        return INF, None
+    except FotError as exc:
+        return INF, f"{type(exc).__name__}: {exc}"
 
 
 def braess_ratio(inst: Instance, subsets: Optional[Sequence[Sequence[str]]] = None,
@@ -84,6 +92,10 @@ def braess_ratio(inst: Instance, subsets: Optional[Sequence[Sequence[str]]] = No
                  self_check: bool = True) -> BraessReport:
     """Evaluate the equilibrium cost of every kept-edge subset and take the
     worst cost ratio against the full network.
+
+    A subset without a source-sink path costs INF.  Every other subset takes
+    the cost of its s-t core (`st_core`), and the engine runs once per
+    distinct core in this call.
 
     Without an explicit subset list all 2^|E| subsets are enumerated, so
     instances above `cap` edges are refused rather than silently sampled.
@@ -108,8 +120,15 @@ def braess_ratio(inst: Instance, subsets: Optional[Sequence[Sequence[str]]] = No
 
     entries = []
     full_cost: Scalar = INF
+    by_core: dict[frozenset[str], tuple[Scalar, Optional[str]]] = {}
     for kept in subsets:
-        entry = _subgraph_cost(inst, kept, phase_cap, self_check)
+        core = st_core(inst.network, kept)
+        if core is None:
+            entry = SubgraphCost(kept, INF)  # unbounded by convention
+        else:
+            if core not in by_core:
+                by_core[core] = _core_cost(inst, core, phase_cap, self_check)
+            entry = SubgraphCost(kept, *by_core[core])
         entries.append(entry)
         if set(kept) == set(edge_ids):
             full_cost = entry.cost

@@ -28,6 +28,7 @@ from .core import (
     ParameterError,
     PhaseCapError,
     SizeCapError,
+    _typed,
     format_scalar,
     parse_scalar,
 )
@@ -317,6 +318,8 @@ def _cmd_validate(args) -> int:
     inst = _load_instance(args.instance)
     flow = dynamics.flow_from_obj(_read_object(args.flow))
     grid = [parse_scalar(p) for p in args.grid.split(",")] if args.grid else []
+    if INF in grid:
+        raise ParameterError("field '--grid' must hold finite probe times, not inf")
     try:
         report = dynamics.validate_feasible(inst, flow, sample_grid=grid)
     except (DomainError, MalformedFlowError) as exc:
@@ -338,7 +341,9 @@ def _cmd_braess(args) -> int:
     inst = _load_instance(args.instance)
     subsets = None
     if args.subsets:
-        subsets = [tuple(entry) for entry in _read_json(args.subsets)]
+        entries = _typed(_read_json(args.subsets), list, "subsets")
+        subsets = [tuple(_typed(eid, str, "subsets") for eid in _typed(entry, list, "subsets"))
+                   for entry in entries]
     report = braess_mod.braess_ratio(inst, subsets=subsets, cap=args.cap,
                                      phase_cap=args.phase_cap)
     _emit(braess_to_obj(report), args)
@@ -358,9 +363,11 @@ def _cmd_sweep(args) -> int:
     points = None
     if args.grid:
         points = []
-        for entry in _read_json(args.grid):
-            points.append((entry["label"],
-                           core.instance_from_obj(entry["instance"])))
+        for entry in _typed(_read_json(args.grid), list, "grid"):
+            entry = _typed(entry, dict, "grid")
+            points.append((_typed(entry["label"], str, "grid.label"),
+                           core.instance_from_obj(_typed(entry["instance"], dict,
+                                                         "grid.instance"))))
     report = braess_mod.sweep_transpose_m3(points, phase_cap=args.phase_cap)
     _emit(sweep_to_obj(report), args)
     if report.any_paradox or report.failures:

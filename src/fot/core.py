@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Optional, Union
 
 
 class FotError(Exception):
@@ -306,6 +306,12 @@ def transpose(inst: Instance) -> Instance:
     )
 
 
+def _sub_network(net: Network, keep_set: set[str]) -> Network:
+    return Network(nodes=net.nodes,
+                   edges=tuple(e for e in net.edges if e.id in keep_set),
+                   source=net.source, sink=net.sink)
+
+
 def restrict(inst: Instance, keep: Iterable[str]) -> Instance:
     """Sub-instance on the given edge ids; nodes and terminals unchanged.
 
@@ -316,18 +322,28 @@ def restrict(inst: Instance, keep: Iterable[str]) -> Instance:
     unknown = keep_set - set(inst.edge_ids)
     if unknown:
         raise ParameterError(f"unknown edge ids: {sorted(unknown)}")
-    net = Network(
-        nodes=inst.network.nodes,
-        edges=tuple(e for e in inst.network.edges if e.id in keep_set),
-        source=inst.network.source,
-        sink=inst.network.sink,
-    )
     return Instance(
-        network=net,
+        network=_sub_network(inst.network, keep_set),
         capacity={eid: inst.capacity[eid] for eid in keep_set},
         transit={eid: inst.transit[eid] for eid in keep_set},
         supply=inst.supply,
     )
+
+
+def st_core(net: Network, keep: Iterable[str]) -> Optional[frozenset[str]]:
+    """The kept edges that lie on some source-sink path of kept edges, or
+    None when the kept edges hold no such path.
+
+    An equilibrium on the kept edges sends no flow off its s-t core, so a
+    subnetwork's cost depends on its core alone.
+    """
+    sub = _sub_network(net, set(keep))
+    from_source = sub.reachable_from(sub.source)
+    if sub.sink not in from_source:
+        return None
+    to_sink = sub.reaching_to(sub.sink)
+    return frozenset(e.id for e in sub.edges
+                     if e.tail in from_source and e.head in to_sink)
 
 
 # --- JSON interchange -------------------------------------------------------

@@ -28,7 +28,9 @@ from .core import (
     Instance,
     InternalConsistencyError,
     MalformedFlowError,
+    ParameterError,
     Scalar,
+    _typed,
     as_fraction,
     format_scalar,
 )
@@ -247,7 +249,8 @@ def validate_feasible(inst: Instance, flow: FlowOverTime,
     Within a segment of the piecewise-linear curves every condition is
     affine, so exact curve identities plus per-segment slope checks decide
     the universally quantified statements; the optional `sample_grid` adds
-    redundant pointwise probes on top.
+    redundant pointwise probes on top.  A probe whose exit time falls before
+    time 0, which only a negative queue can cause, is skipped.
     """
     _check_structure(inst, flow)
     found: list[Violation] = []
@@ -328,6 +331,8 @@ def validate_feasible(inst: Instance, flow: FlowOverTime,
             raise DomainError("waiting time is defined for nonnegative times only")
         for eid in inst.edge_ids:
             exit_at = exit_maps[eid](at)
+            if exit_at < 0:
+                continue  # a negative queue, reported above; no outflow yet
             if flow.inflow[eid](at) != flow.outflow[eid](exit_at):
                 found.append(Violation(LINK_CONSERVATION, eid, at,
                                        flow.inflow[eid](at), flow.outflow[eid](exit_at),
@@ -494,9 +499,17 @@ def _rates_to_obj(curve: PiecewiseLinear) -> list[list[str]]:
     return [[format_scalar(x), format_scalar(r)] for x, r in curve.rate_pairs()]
 
 
-def _rates_from_obj(pairs) -> PiecewiseLinear:
+def _rates_from_obj(pairs, field: str) -> PiecewiseLinear:
+    pairs = _typed(pairs, list, field)
+    if not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
+        raise ParameterError(f"field {field!r} must hold [time, rate] pairs")
     return PiecewiseLinear.from_rate_segments(
         [(as_fraction(x), as_fraction(r)) for x, r in pairs])
+
+
+def _curves_from_obj(obj, field: str) -> dict[str, PiecewiseLinear]:
+    return {key: _rates_from_obj(pairs, f"{field}.{key}")
+            for key, pairs in _typed(obj, dict, field).items()}
 
 
 def flow_to_obj(flow: FlowOverTime) -> dict:
@@ -514,12 +527,12 @@ def flow_to_obj(flow: FlowOverTime) -> dict:
 def flow_from_obj(obj: dict) -> FlowOverTime:
     paths = None
     if "paths" in obj:
-        paths = {tuple(key.split(",")): _rates_from_obj(pairs)
-                 for key, pairs in obj["paths"].items()}
+        paths = {tuple(key.split(",")): curve
+                 for key, curve in _curves_from_obj(obj["paths"], "paths").items()}
     return FlowOverTime(
-        inflow={eid: _rates_from_obj(p) for eid, p in obj["inflow"].items()},
-        outflow={eid: _rates_from_obj(p) for eid, p in obj["outflow"].items()},
-        sink_cumulative=pwl_from_obj(obj["sink"]),
+        inflow=_curves_from_obj(obj["inflow"], "inflow"),
+        outflow=_curves_from_obj(obj["outflow"], "outflow"),
+        sink_cumulative=pwl_from_obj(_typed(obj["sink"], dict, "sink")),
         paths=paths,
     )
 

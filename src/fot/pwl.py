@@ -64,12 +64,15 @@ class PiecewiseLinear:
         for a, b in zip(self.xs, self.xs[1:]):
             if a >= b:
                 raise ContractError("breakpoints must be strictly increasing")
-        # Canonical form: consecutive segments never share a slope.
-        slopes = [(self.ys[i + 1] - self.ys[i]) / (self.xs[i + 1] - self.xs[i])
-                  for i in range(len(self.xs) - 1)] + [self.final_slope]
+        # Canonical form: consecutive segments never share a slope.  The
+        # slopes are kept (outside the dataclass fields, so equality and hash
+        # stay on xs, ys and final_slope) for evaluation.
+        slopes = tuple((self.ys[i + 1] - self.ys[i]) / (self.xs[i + 1] - self.xs[i])
+                       for i in range(len(self.xs) - 1)) + (self.final_slope,)
         for a, b in zip(slopes, slopes[1:]):
             if a == b:
                 raise ContractError("non-canonical representation (collinear segments)")
+        object.__setattr__(self, "_slopes", slopes)
 
     # -- construction helpers -------------------------------------------------
 
@@ -122,11 +125,7 @@ class PiecewiseLinear:
         if x < self.xs[0]:
             raise DomainError(f"{x} is left of the domain start {self.xs[0]}")
         i = self._segment_index(x)
-        if i == len(self.xs) - 1:
-            return self.ys[-1] + self.final_slope * (x - self.xs[-1])
-        t = x - self.xs[i]
-        slope = (self.ys[i + 1] - self.ys[i]) / (self.xs[i + 1] - self.xs[i])
-        return self.ys[i] + slope * t
+        return self.ys[i] + self._slopes[i] * (x - self.xs[i])
 
     def _segment_index(self, x: Fraction) -> int:
         lo, hi = 0, len(self.xs) - 1
@@ -142,20 +141,14 @@ class PiecewiseLinear:
         """Slope on the segment immediately to the right of x."""
         if x < self.xs[0]:
             raise DomainError(f"{x} is left of the domain start {self.xs[0]}")
-        i = self._segment_index(x)
-        if i == len(self.xs) - 1:
-            return self.final_slope
-        return (self.ys[i + 1] - self.ys[i]) / (self.xs[i + 1] - self.xs[i])
+        return self._slopes[self._segment_index(x)]
 
     def segments(self) -> Iterator[tuple[Fraction, Scalar, Fraction, Fraction]]:
         """Yield (a, b, value_at_a, slope) covering the domain; last b is INF."""
-        for i in range(len(self.xs) - 1):
-            slope = (self.ys[i + 1] - self.ys[i]) / (self.xs[i + 1] - self.xs[i])
-            yield self.xs[i], self.xs[i + 1], self.ys[i], slope
-        yield self.xs[-1], INF, self.ys[-1], self.final_slope
+        yield from zip(self.xs, (*self.xs[1:], INF), self.ys, self._slopes)
 
     def slopes(self) -> tuple[Fraction, ...]:
-        return tuple(s for _, _, _, s in self.segments())
+        return self._slopes
 
     def rate_pairs(self) -> list[tuple[Fraction, Fraction]]:
         """The derivative as (start_time, rate) pairs; inverse of integration."""

@@ -1,7 +1,10 @@
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from fot import equilibrium
 from fot.braess import (
     braess_ratio,
     conjecture_search,
@@ -11,8 +14,18 @@ from fot.braess import (
     sweep_transpose_m3,
     transposed_ladder3_instance,
 )
-from fot.core import INF, Instance, ParameterError, SizeCapError, transpose
-from fot.gen import MnParams, geometric_alphas, make_chain, make_mn
+from fot.core import (
+    INF,
+    Instance,
+    NoPathError,
+    ParameterError,
+    SizeCapError,
+    restrict,
+    st_core,
+    transpose,
+)
+from fot.equilibrium import social_cost_ne
+from fot.gen import MnParams, geometric_alphas, make_chain, make_ladder, make_mn, random_dag
 from fot.topology import pattern_network
 
 from helpers import two_link_base_instance
@@ -85,6 +98,66 @@ def test_braess_cap_and_explicit_subsets():
     assert report.ratio == report.full_cost  # the reduced network costs 1
     with pytest.raises(ParameterError):
         braess_ratio(inst, subsets=[("nope",)])
+
+
+def _random_dag_instance(nodes, edges, seed):
+    net = random_dag(nodes, edges, seed)
+    rng = random.Random(seed)
+    return Instance(net,
+                    capacity={e.id: F(rng.randint(1, 3)) for e in net.edges},
+                    transit={e.id: F(rng.randint(0, 2)) for e in net.edges},
+                    supply=F(rng.randint(2, 5)))
+
+
+def _core_corpus():
+    grid = default_transpose_m3_grid()
+    corpus = [pytest.param(make_ladder(n, F(1, 1000)), id=f"ladder-n{n}") for n in (3, 4)]
+    corpus += [pytest.param(grid[i][1], id=grid[i][0]) for i in (0, 3, 20, 45)]
+    # Each of these DAGs has dead-end or unreachable edges.
+    corpus += [pytest.param(_random_dag_instance(*shape), id=f"dag-{shape}")
+               for shape in ((5, 6, 0), (5, 6, 3), (6, 7, 3), (5, 7, 1), (6, 7, 9))]
+    return corpus
+
+
+def _cost(inst):
+    try:
+        return social_cost_ne(inst)
+    except NoPathError:
+        return INF
+
+
+@pytest.mark.parametrize("inst", _core_corpus())
+def test_every_subset_costs_what_its_st_core_costs(inst):
+    ids = inst.edge_ids
+    core_costs = {}
+    proper_cores = 0
+    for mask in product((0, 1), repeat=len(ids)):
+        kept = tuple(eid for eid, bit in zip(ids, mask) if bit)
+        cost = _cost(restrict(inst, kept))
+        core = st_core(inst.network, kept)
+        if core is None:
+            assert cost is INF, kept
+            continue
+        assert core <= set(kept)
+        if core not in core_costs:
+            core_costs[core] = _cost(restrict(inst, core))
+        assert cost == core_costs[core], kept
+        proper_cores += core != set(kept)
+    assert proper_cores > 0  # some subset has edges off its core
+
+
+def test_braess_ratio_runs_the_engine_once_per_distinct_core(monkeypatch):
+    runs = []
+    nash_flow = equilibrium.nash_flow
+
+    def counted(inst, *args, **kwargs):
+        runs.append(frozenset(inst.edge_ids))
+        return nash_flow(inst, *args, **kwargs)
+
+    monkeypatch.setattr(equilibrium, "nash_flow", counted)
+    report = braess_ratio(make_ladder(4, F(1, 1000)))
+    assert len(report.entries) == 64
+    assert len(runs) == len(set(runs)) == 15
 
 
 def test_braess_report_carries_equilibrium_caveat():

@@ -159,6 +159,63 @@ def test_fields_of_the_wrong_type_are_input_errors(tmp_path, capsys):
             assert "input error" in err and repr(field) in err, (field, command)
 
 
+def test_validate_reports_a_negative_queue_probed_before_time_zero(tmp_path, capsys):
+    # Outflow three times faster than inflow: a negative queue, whose exit
+    # map sends the probe at time 1 to time -1, before any outflow.
+    inst_path = write_instance(tmp_path, build_instance(
+        [("e1", "v1", "v2", 1, 0)], source="v1", sink="v2", supply=1))
+    flow_path = tmp_path / "flow.json"
+    flow_path.write_text(json.dumps({"inflow": {"e1": [["0", "1"]]},
+                                     "outflow": {"e1": [["0", "3"]]},
+                                     "sink": {"breakpoints": [["0", "0"]],
+                                              "final_slope": "3"}}))
+    code, out, err = run_cli(capsys, "validate", inst_path, str(flow_path), "--grid", "1")
+    assert code == 1 and err == ""
+    report = loads(out)
+    assert not report["feasible"]
+    assert [v["detail"] for v in report["violations"]] == [
+        "outflow rate above capacity", "negative queue"]
+
+
+def _assert_input_error(capsys, field, *argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "", argv
+    assert "input error" in err and repr(field) in err, err
+
+
+def test_flow_fields_of_the_wrong_type_are_input_errors(tmp_path, capsys):
+    inst_path = write_instance(tmp_path, two_link_base_instance())
+    flow = _engine_flow_obj(capsys, inst_path)
+    flow["inflow"] = 5
+    flow_path = tmp_path / "flow.json"
+    flow_path.write_text(json.dumps(flow))
+    _assert_input_error(capsys, "inflow", "validate", inst_path, str(flow_path))
+
+
+def test_validate_infinite_probe_time_is_an_input_error(tmp_path, capsys):
+    inst_path = write_instance(tmp_path, two_link_base_instance())
+    flow_path = tmp_path / "flow.json"
+    flow_path.write_text(dumps(_engine_flow_obj(capsys, inst_path)))
+    _assert_input_error(capsys, "--grid", "validate", inst_path, str(flow_path),
+                        "--grid", "inf")
+
+
+def test_sweep_grid_entries_of_the_wrong_type_are_input_errors(tmp_path, capsys):
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps([5]))
+    _assert_input_error(capsys, "grid", "sweep", "--preset", "transpose-m3",
+                        "--grid", str(grid_path))
+
+
+def test_braess_subsets_of_the_wrong_type_are_input_errors(tmp_path, capsys):
+    inst_path = write_instance(tmp_path, two_link_base_instance())
+    subsets_path = tmp_path / "subsets.json"
+    for subsets in ([5], ["e1f1"], [[5]]):
+        subsets_path.write_text(json.dumps(subsets))
+        _assert_input_error(capsys, "subsets", "braess", inst_path,
+                            "--subsets", str(subsets_path))
+
+
 def test_braess_cli(tmp_path, capsys):
     from fot.core import transpose
 
