@@ -74,13 +74,12 @@ class BraessReport:
     note: str = CANONICAL_NOTE
 
 
-def _core_cost(inst: Instance, core: frozenset[str], phase_cap: int,
-               self_check: bool) -> tuple[Scalar, Optional[str]]:
+def _core_cost(inst: Instance, core: frozenset[str],
+               phase_cap: int) -> tuple[Scalar, Optional[str]]:
     """Cost of the sub-instance on an s-t core, with the error string of a
     failed run (recorded per core, never fatal)."""
     try:
-        return social_cost_ne(restrict(inst, core), phase_cap=phase_cap,
-                              self_check=self_check), None
+        return social_cost_ne(restrict(inst, core), phase_cap=phase_cap), None
     except NoPathError:
         return INF, None
     except FotError as exc:
@@ -88,8 +87,7 @@ def _core_cost(inst: Instance, core: frozenset[str], phase_cap: int,
 
 
 def braess_ratio(inst: Instance, subsets: Optional[Sequence[Sequence[str]]] = None,
-                 cap: int = 16, label: str = "", phase_cap: int = 200,
-                 self_check: bool = True) -> BraessReport:
+                 cap: int = 16, label: str = "", phase_cap: int = 200) -> BraessReport:
     """Evaluate the equilibrium cost of every kept-edge subset and take the
     worst cost ratio against the full network.
 
@@ -127,7 +125,7 @@ def braess_ratio(inst: Instance, subsets: Optional[Sequence[Sequence[str]]] = No
             entry = SubgraphCost(kept, INF)  # unbounded by convention
         else:
             if core not in by_core:
-                by_core[core] = _core_cost(inst, core, phase_cap, self_check)
+                by_core[core] = _core_cost(inst, core, phase_cap)
             entry = SubgraphCost(kept, *by_core[core])
         entries.append(entry)
         if set(kept) == set(edge_ids):
@@ -175,14 +173,13 @@ class SweepReport:
 
 
 def sweep(description: str, points: Sequence[tuple[str, Instance]],
-          phase_cap: int = 200, self_check: bool = True) -> SweepReport:
+          phase_cap: int = 200) -> SweepReport:
     out = []
     max_ratio: Optional[Scalar] = None
     any_paradox = False
     for point_label, inst in points:
         try:
-            report = braess_ratio(inst, label=point_label, phase_cap=phase_cap,
-                                  self_check=self_check)
+            report = braess_ratio(inst, label=point_label, phase_cap=phase_cap)
         except FotError as exc:
             out.append(SweepPoint(point_label, None, False,
                                   error=f"{type(exc).__name__}: {exc}"))
@@ -264,7 +261,7 @@ def default_transpose_m3_grid() -> list[tuple[str, Instance]]:
 
 
 def sweep_transpose_m3(points: Optional[Sequence[tuple[str, Instance]]] = None,
-                       phase_cap: int = 200, self_check: bool = True) -> SweepReport:
+                       phase_cap: int = 200) -> SweepReport:
     """Braess ratios across instances on the transposed three-level ladder.
 
     Every point must report ratio one; a larger ratio would contradict the
@@ -278,8 +275,7 @@ def sweep_transpose_m3(points: Optional[Sequence[tuple[str, Instance]]] = None,
         got = {(e.tail, e.head) for e in inst.network.edges}
         if got != shape:
             raise ParameterError(f"point {label!r} is not on the transposed ladder")
-    return sweep("transposed three-level ladder grid", points,
-                 phase_cap=phase_cap, self_check=self_check)
+    return sweep("transposed three-level ladder grid", points, phase_cap=phase_cap)
 
 
 # -- conjecture harness ------------------------------------------------------------
@@ -303,7 +299,7 @@ class ConjectureReport:
 
 def conjecture_search(family: Sequence[tuple[str, Network]],
                       instances_for: Callable[[Network], Sequence[tuple[str, Instance]]],
-                      phase_cap: int = 200, self_check: bool = True) -> ConjectureReport:
+                      phase_cap: int = 200) -> ConjectureReport:
     """Search instance grids for paradox hits, network by network.
 
     Each network is classified first; hits on networks lacking all three
@@ -313,8 +309,7 @@ def conjecture_search(family: Sequence[tuple[str, Network]],
     candidates = []
     for name, net in family:
         report = classify(net)
-        result = sweep(f"conjecture grid on {name}", instances_for(net),
-                       phase_cap=phase_cap, self_check=self_check)
+        result = sweep(f"conjecture grid on {name}", instances_for(net), phase_cap=phase_cap)
         hits = tuple(p.label for p in result.points if p.paradox)
         entries.append(ConjectureEntry(
             name=name,

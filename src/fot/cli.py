@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -28,6 +29,7 @@ from .core import (
     ParameterError,
     PhaseCapError,
     SizeCapError,
+    _pairs,
     _typed,
     format_scalar,
     parse_scalar,
@@ -425,15 +427,15 @@ def _cmd_reproduce(args) -> int:
 def _cmd_export_plotdata(args) -> int:
     run_obj = _read_object(args.run)
     rows = [("series", "name", "x", "value")]
-    for node in sorted(run_obj["labels"]):
-        curve = run_obj["labels"][node]
-        if curve == "inf":
-            continue
-        for x, y in curve["breakpoints"]:
-            rows.append(("label", node, x, y))
-    for eid in sorted(run_obj["queues"]):
-        for x, y in run_obj["queues"][eid]["breakpoints"]:
-            rows.append(("queue", eid, x, y))
+    for series, field in (("label", "labels"), ("queue", "queues")):
+        curves = _typed(run_obj[field], dict, field)
+        for name in sorted(curves):
+            if series == "label" and curves[name] == "inf":
+                continue
+            where = f"{field}.{name}"
+            points = _pairs(_typed(curves[name], dict, where)["breakpoints"],
+                            f"{where}.breakpoints")
+            rows.extend((series, name, x, y) for x, y in points)
     out = sys.stdout
     if args.output:
         out = open(args.output, "w", encoding="utf-8", newline="")
@@ -449,6 +451,7 @@ def _cmd_export_plotdata(args) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fot",

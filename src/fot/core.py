@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Union
+from typing import AbstractSet, Iterable, Mapping, Optional, Union
 
 
 class FotError(Exception):
@@ -222,27 +222,28 @@ class Network:
         except UnsupportedTopologyError:
             return False
 
-    def reachable_from(self, start: str) -> frozenset[str]:
+    def _closure(self, start: str, forward: bool,
+                 edge_ids: Optional[AbstractSet[str]]) -> frozenset[str]:
+        """Nodes reached from `start` along edges (against them unless
+        `forward`), using only the edges in `edge_ids` when it is given."""
+        table = self.out_edges if forward else self.in_edges
         seen = {start}
         stack = [start]
         while stack:
-            v = stack.pop()
-            for e in self.out_edges[v]:
-                if e.head not in seen:
-                    seen.add(e.head)
-                    stack.append(e.head)
+            for e in table[stack.pop()]:
+                w = e.head if forward else e.tail
+                if w not in seen and (edge_ids is None or e.id in edge_ids):
+                    seen.add(w)
+                    stack.append(w)
         return frozenset(seen)
 
-    def reaching_to(self, goal: str) -> frozenset[str]:
-        seen = {goal}
-        stack = [goal]
-        while stack:
-            v = stack.pop()
-            for e in self.in_edges[v]:
-                if e.tail not in seen:
-                    seen.add(e.tail)
-                    stack.append(e.tail)
-        return frozenset(seen)
+    def reachable_from(self, start: str,
+                       edge_ids: Optional[AbstractSet[str]] = None) -> frozenset[str]:
+        return self._closure(start, True, edge_ids)
+
+    def reaching_to(self, goal: str,
+                    edge_ids: Optional[AbstractSet[str]] = None) -> frozenset[str]:
+        return self._closure(goal, False, edge_ids)
 
     def has_path(self, u: str, v: str) -> bool:
         return v in self.reachable_from(u)
@@ -335,15 +336,16 @@ def st_core(net: Network, keep: Iterable[str]) -> Optional[frozenset[str]]:
     None when the kept edges hold no such path.
 
     An equilibrium on the kept edges sends no flow off its s-t core, so a
-    subnetwork's cost depends on its core alone.
+    subnetwork's cost depends on its core alone; and the thin flow of a
+    phase may only use a support that is its own core.
     """
-    sub = _sub_network(net, set(keep))
-    from_source = sub.reachable_from(sub.source)
-    if sub.sink not in from_source:
+    keep = frozenset(keep)
+    from_source = net.reachable_from(net.source, keep)
+    if net.sink not in from_source:
         return None
-    to_sink = sub.reaching_to(sub.sink)
-    return frozenset(e.id for e in sub.edges
-                     if e.tail in from_source and e.head in to_sink)
+    to_sink = net.reaching_to(net.sink, keep)
+    return frozenset(e.id for e in net.edges
+                     if e.id in keep and e.tail in from_source and e.head in to_sink)
 
 
 # --- JSON interchange -------------------------------------------------------
@@ -372,6 +374,13 @@ def _typed(value, kind: type, field: str):
         raise ParameterError(f"field {field!r} must be {_JSON_TYPE_NAMES[kind]}, "
                              f"not {type(value).__name__}")
     return value
+
+
+def _pairs(value, field: str) -> list:
+    pairs = _typed(value, list, field)
+    if not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
+        raise ParameterError(f"field {field!r} must be a list of [x, y] pairs")
+    return pairs
 
 
 def network_from_obj(obj: dict) -> Network:

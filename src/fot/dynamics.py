@@ -28,8 +28,8 @@ from .core import (
     Instance,
     InternalConsistencyError,
     MalformedFlowError,
-    ParameterError,
     Scalar,
+    _pairs,
     _typed,
     as_fraction,
     format_scalar,
@@ -424,13 +424,9 @@ def _certify_nash(inst: Instance, flow: FlowOverTime) -> tuple[bool, ViolationRe
 # -- social cost -------------------------------------------------------------
 
 
-def path_latency_curve(inst: Instance, flow: FlowOverTime, path: Path) -> PiecewiseLinear:
+def _path_latency(exit_maps: Mapping[str, PiecewiseLinear], path: Path) -> PiecewiseLinear:
     """Travel time along a path as a function of the entry time into its
     first queue: chain the exit maps, then subtract the entry time."""
-    return _path_latency({eid: exit_curve(inst, flow, eid) for eid in path}, path)
-
-
-def _path_latency(exit_maps: Mapping[str, PiecewiseLinear], path: Path) -> PiecewiseLinear:
     arrival = PiecewiseLinear.identity()
     for eid in path:
         arrival = exit_maps[eid].compose(arrival)
@@ -500,11 +496,8 @@ def _rates_to_obj(curve: PiecewiseLinear) -> list[list[str]]:
 
 
 def _rates_from_obj(pairs, field: str) -> PiecewiseLinear:
-    pairs = _typed(pairs, list, field)
-    if not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
-        raise ParameterError(f"field {field!r} must hold [time, rate] pairs")
     return PiecewiseLinear.from_rate_segments(
-        [(as_fraction(x), as_fraction(r)) for x, r in pairs])
+        [(as_fraction(x), as_fraction(r)) for x, r in _pairs(pairs, field)])
 
 
 def _curves_from_obj(obj, field: str) -> dict[str, PiecewiseLinear]:

@@ -13,11 +13,14 @@ event times are exact roots of affine functions, so the whole run is exact.
 
 The derivative system is solved by exhaustive enumeration of support and
 tightness patterns (the interesting instances have well under a dozen
-competitive edges).  Each pattern is a linear system whose rows are built
-as sparse integer rows, multiplied through by their denominators, and solved
-by fraction-free Gauss-Jordan elimination; rationals appear only in the
-solution vector.  Every accepted solution is re-verified against the full
-axiom list by an independent checker.
+competitive edges).  A support qualifies only if every one of its edges lies
+on a source-sink path inside it, that is, if it is its own s-t core
+(`fot.core.st_core`, the predicate the Braess search uses too).  Each
+pattern is a linear system whose rows are built as sparse integer rows,
+multiplied through by their denominators, and solved by fraction-free
+Gauss-Jordan elimination; rationals appear only in the solution vector.
+Every accepted solution is re-verified against the full axiom list by an
+independent checker.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .core import (
     ContractError,
@@ -39,6 +42,7 @@ from .core import (
     Scalar,
     SizeCapError,
     format_scalar,
+    st_core,
 )
 from .dynamics import FlowOverTime, certify_nash, derive_sink_cumulative, validate_feasible
 from .pwl import ZERO, PiecewiseLinear
@@ -193,52 +197,20 @@ def verify_thin_flow(net: Network, active: frozenset[str], resetting: frozenset[
     return None
 
 
-def _support_is_path_closed(support: Sequence[str], by_id, source: str, sink: str) -> bool:
-    """Every support edge must lie on a source-sink route inside the support."""
-    if not support:
-        return False
-    heads: dict[str, list[str]] = {}
-    tails: dict[str, list[str]] = {}
-    for eid in support:
-        e = by_id[eid]
-        heads.setdefault(e.tail, []).append(e.head)
-        tails.setdefault(e.head, []).append(e.tail)
-
-    def closure(start: str, table: dict[str, list[str]]) -> set[str]:
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in table.get(v, ()):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
-
-    from_source = closure(source, heads)
-    to_sink = closure(sink, tails)
-    if sink not in from_source:
-        return False
-    for eid in support:
-        e = by_id[eid]
-        if e.tail not in from_source or e.head not in to_sink:
-            return False
-    return True
-
-
 def thin_flow(net: Network, active: frozenset[str], resetting: frozenset[str],
               capacity: Mapping[str, Fraction], supply: Fraction) -> ThinFlow:
     """Solve the per-phase derivative system on the competitive edge set.
 
-    Patterns (which edges carry flow; for each flow edge whether the capacity
-    term or the tail slope pins the head; for each flow-free node which
-    in-edge attains its minimum) are enumerated in a fixed order and each one
-    is solved exactly by `solve_exact`; the first solution passing
-    `verify_thin_flow` wins, which makes the support choice the
-    lexicographically smallest valid one.  The order does not depend on how
-    a system is solved, so the flow split is a function of the pattern order
-    alone.  Patterns whose linear system is degenerate are skipped: their
-    solution sets are faces whose corners other patterns pin down.
+    Patterns (which edges carry flow, a support that is its own `st_core`;
+    for each flow edge whether the capacity term or the tail slope pins the
+    head; for each flow-free node which in-edge attains its minimum) are
+    enumerated in a fixed order and each one is solved exactly by
+    `solve_exact`; the first solution passing `verify_thin_flow` wins, which
+    makes the support choice the lexicographically smallest valid one.  The
+    order does not depend on how a system is solved, so the flow split is a
+    function of the pattern order alone.  Patterns whose linear system is
+    degenerate are skipped: their solution sets are faces whose corners
+    other patterns pin down.
     """
     for tf in enumerate_thin_flows(net, active, resetting, capacity, supply):
         return tf
@@ -265,18 +237,7 @@ def enumerate_thin_flows(net: Network, active: frozenset[str],
         raise SizeCapError(f"more than {MAX_ACTIVE_EDGES} competitive edges")
 
     # Reachability inside the competitive subgraph defines the node set.
-    reach = {net.source}
-    frontier = [net.source]
-    adjacency: dict[str, list[str]] = {}
-    for eid in edge_order:
-        adjacency.setdefault(by_id[eid].tail, []).append(eid)
-    while frontier:
-        v = frontier.pop()
-        for eid in adjacency.get(v, ()):
-            w = by_id[eid].head
-            if w not in reach:
-                reach.add(w)
-                frontier.append(w)
+    reach = net.reachable_from(net.source, active)
     for eid in edge_order:
         if by_id[eid].tail not in reach:
             raise ContractError(f"competitive edge {eid} is unreachable from the source")
@@ -285,9 +246,7 @@ def enumerate_thin_flows(net: Network, active: frozenset[str],
 
     nodes = [v for v in net.nodes if v in reach]
     node_index = {v: i for i, v in enumerate(nodes)}
-    in_active: dict[str, list[str]] = {v: [] for v in nodes}
-    for eid in edge_order:
-        in_active[by_id[eid].head].append(eid)
+    in_active = {v: [e.id for e in net.in_edges[v] if e.id in active] for v in nodes}
 
     # Rows are sparse integer rows (column -> coefficient, rhs) for
     # `solve_exact`; columns are the node labels, then the support rates.
@@ -301,9 +260,9 @@ def enumerate_thin_flows(net: Network, active: frozenset[str],
 
     for support_mask in product((0, 1), repeat=len(edge_order)):
         support = [eid for eid, bit in zip(edge_order, support_mask) if bit]
-        if not _support_is_path_closed(support, by_id, net.source, net.sink):
+        support_set = frozenset(support)
+        if st_core(net, support_set) != support_set:
             continue
-        support_set = set(support)
         x_index = {eid: len(nodes) + i for i, eid in enumerate(support)}
         n = len(nodes) + len(support)
 
@@ -338,23 +297,21 @@ def enumerate_thin_flows(net: Network, active: frozenset[str],
                 label_row = ({node_index[e.head]: 1, node_index[e.tail]: -1}, 0)
                 branch_options.append((cap_row, label_row))
         flowless = [v for v in nodes
-                    if v != net.source and not (set(in_active[v]) & support_set)]
+                    if v != net.source and support_set.isdisjoint(in_active[v])]
         argmin_options = [tuple(argmin_rows[v, eid] for eid in in_active[v])
                           for v in flowless]
 
-        for branch_rows in product(*branch_options):
-            for chosen_rows in product(*argmin_options):
-                rows = [*base_rows, *branch_rows, *chosen_rows]
-                status, sol = solve_exact(rows, n)
-                if status != "unique":
-                    continue
-                label_slopes = {v: sol[node_index[v]] for v in nodes}
-                edge_rates = {eid: ZERO for eid in edge_order}
-                for eid in support:
-                    edge_rates[eid] = sol[x_index[eid]]
-                if verify_thin_flow(net, active, resetting, capacity, supply,
-                                    label_slopes, edge_rates) is None:
-                    yield ThinFlow(label_slopes, edge_rates)
+        for pattern_rows in product(*branch_options, *argmin_options):
+            status, sol = solve_exact([*base_rows, *pattern_rows], n)
+            if status != "unique":
+                continue
+            label_slopes = {v: sol[node_index[v]] for v in nodes}
+            edge_rates = {eid: ZERO for eid in edge_order}
+            for eid in support:
+                edge_rates[eid] = sol[x_index[eid]]
+            if verify_thin_flow(net, active, resetting, capacity, supply,
+                                label_slopes, edge_rates) is None:
+                yield ThinFlow(label_slopes, edge_rates)
 
 
 # -- phase engine ---------------------------------------------------------------
@@ -589,7 +546,6 @@ def nash_flow(inst: Instance, phase_cap: int = 200, self_check: bool = True) -> 
     return run
 
 
-def social_cost_ne(inst: Instance, phase_cap: int = 200,
-                   self_check: bool = True) -> Scalar:
-    """Social cost of the canonical computed equilibrium."""
-    return nash_flow(inst, phase_cap=phase_cap, self_check=self_check).social_cost
+def social_cost_ne(inst: Instance, phase_cap: int = 200) -> Scalar:
+    """Social cost of the canonical computed equilibrium, self-checked."""
+    return nash_flow(inst, phase_cap=phase_cap).social_cost

@@ -260,6 +260,8 @@ def random_dag(nodes: int, edges: int, seed: int) -> Network:
     if nodes < 2:
         raise ParameterError("need at least two nodes")
     pairs = [(i, j) for i in range(nodes) for j in range(i + 1, nodes)]
+    if edges < 0:
+        raise ParameterError("edge count must be nonnegative")
     if edges > len(pairs):
         raise ParameterError(f"at most {len(pairs)} edges fit on {nodes} nodes")
     rng = random.Random(seed)

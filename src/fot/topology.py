@@ -363,43 +363,20 @@ def smooth(inst: Instance) -> Instance:
 
 def series_parallel(net: Network) -> bool:
     """Two-terminal series-parallel test by exhaustive reduction: repeatedly
-    merge parallel edges and splice out internal degree-(1,1) nodes; succeed
+    splice out internal degree-(1,1) nodes and merge parallel edges; succeed
     iff a single source-sink edge remains.  Isolated nodes are ignored."""
     if not net.is_acyclic():
         raise UnsupportedTopologyError("series-parallel test is restricted to acyclic networks")
     s, t = net.source, net.sink
-    edges = [(e.tail, e.head) for e in net.edges]
-    changed = True
-    while changed:
-        changed = False
-        deduped = []
-        seen = set()
-        for pair in edges:
-            if pair in seen:
-                changed = True
-                continue
-            seen.add(pair)
-            deduped.append(pair)
-        edges = deduped
-        indeg: dict[str, list[tuple[str, str]]] = {}
-        outdeg: dict[str, list[tuple[str, str]]] = {}
-        for pair in edges:
-            outdeg.setdefault(pair[0], []).append(pair)
-            indeg.setdefault(pair[1], []).append(pair)
-        for w in list(indeg):
-            if w in (s, t):
-                continue
-            if len(indeg.get(w, ())) == 1 and len(outdeg.get(w, ())) == 1:
-                before = indeg[w][0]
-                after = outdeg[w][0]
-                if before[0] == after[1]:
-                    continue  # would create a loop; cannot happen on a DAG
-                edges.remove(before)
-                edges.remove(after)
-                edges.append((before[0], after[1]))
-                changed = True
-                break
-    return edges == [(s, t)]
+    # Positional ids, so that no joined id can collide with an original one.
+    nodes = list(net.nodes)
+    edges = [Edge(str(i), e.tail, e.head) for i, e in enumerate(net.edges)]
+    while True:
+        nodes, edges, _ = _smooth_edges(nodes, edges, {s, t})
+        merged = list({(e.tail, e.head): e for e in edges}.values())
+        if len(merged) == len(edges):
+            return [(e.tail, e.head) for e in edges] == [(s, t)]
+        edges = merged
 
 
 # -- classification -----------------------------------------------------------------

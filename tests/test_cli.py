@@ -332,3 +332,23 @@ def test_export_plotdata(tmp_path, capsys):
     assert lines[0] == "series,name,x,value"
     assert any(line.startswith("label,v2") for line in lines)
     assert any(line.startswith("queue,e1") for line in lines)
+
+
+def test_gen_random_negative_edge_count_is_an_input_error(capsys):
+    code, out, err = run_cli(capsys, "gen", "random", "--nodes", "4", "--edges", "-1",
+                             "--seed", "0")
+    assert code == 2 and out == ""
+    assert "input error" in err and "nonnegative" in err
+
+
+def test_export_plotdata_label_of_the_wrong_type_is_an_input_error(tmp_path, capsys):
+    run_path = tmp_path / "run.json"
+    run_path.write_text(json.dumps({"labels": {"v": 5}, "queues": {}}))
+    _assert_input_error(capsys, "labels.v", "export-plotdata", str(run_path))
+
+
+def test_export_plotdata_breakpoint_that_is_no_pair_is_an_input_error(tmp_path, capsys):
+    run_path = tmp_path / "run.json"
+    run_path.write_text(json.dumps({"labels": {},
+                                    "queues": {"e1": {"breakpoints": [["0", "0"], [1]]}}}))
+    _assert_input_error(capsys, "queues.e1.breakpoints", "export-plotdata", str(run_path))

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -21,8 +22,10 @@ from fot.core import (
     network_from_obj,
     parse_scalar,
     restrict,
+    st_core,
     transpose,
 )
+from fot.gen import make_ladder, random_dag
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=50)
 
@@ -179,3 +182,48 @@ def test_json_edge_fields_of_the_wrong_type_are_parameter_errors():
     obj["edges"][1]["tail"] = None
     with pytest.raises(ParameterError, match="'edges.tail'"):
         instance_from_obj(obj)
+
+
+def _on_simple_st_paths(net, kept):
+    """Edges of `kept` on some simple source-sink path of `kept` edges, by
+    exhaustive depth-first search."""
+    found: set[str] = set()
+
+    def walk(v, visited, path):
+        if v == net.sink:
+            found.update(path)
+            return
+        for e in net.out_edges[v]:
+            if e.id in kept and e.head not in visited:
+                walk(e.head, visited | {e.head}, path + [e.id])
+
+    walk(net.source, {net.source}, [])
+    return found
+
+
+def _unit_instance(net):
+    ones = {e.id: Fraction(1) for e in net.edges}
+    return Instance(net, ones, dict(ones), Fraction(1))
+
+
+@pytest.mark.parametrize("inst", [
+    make_ladder(3, Fraction(1, 10)),
+    make_ladder(4, Fraction(1, 10)),
+    # Random DAGs with many s-t path unions; the last has dead-end edges.
+    *(_unit_instance(random_dag(nodes, edges, seed))
+      for nodes, edges, seed in ((5, 8, 24), (5, 8, 29), (6, 8, 3), (6, 8, 14))),
+], ids=["ladder3", "ladder4", "dag-5-8-24", "dag-5-8-29", "dag-6-8-3", "dag-6-8-14"])
+def test_st_core_and_filtered_reachability_on_every_edge_subset(inst):
+    net = inst.network
+    ids = [e.id for e in net.edges]
+    for size in range(len(ids) + 1):
+        for kept in map(frozenset, combinations(ids, size)):
+            on_paths = _on_simple_st_paths(net, kept)
+            core = st_core(net, kept)
+            # The empty set holds no source-sink path, so it is not its own core.
+            assert (core == kept) == (bool(kept) and on_paths == kept), sorted(kept)
+            assert core == (frozenset(on_paths) if on_paths else None), sorted(kept)
+            sub = restrict(inst, kept).network
+            for v in net.nodes:
+                assert net.reachable_from(v, kept) == sub.reachable_from(v)
+                assert net.reaching_to(v, kept) == sub.reaching_to(v)
