@@ -93,7 +93,8 @@ def braess_ratio(inst: Instance, subsets: Optional[Sequence[Sequence[str]]] = No
 
     A subset without a source-sink path costs INF.  Every other subset takes
     the cost of its s-t core (`st_core`), and the engine runs once per
-    distinct core in this call.
+    distinct core in this call.  A failed run is recorded in its subsets'
+    entries, but that of the full network, which leaves no ratio, is raised.
 
     Without an explicit subset list all 2^|E| subsets are enumerated, so
     instances above `cap` edges are refused rather than silently sampled.
@@ -119,6 +120,10 @@ def braess_ratio(inst: Instance, subsets: Optional[Sequence[Sequence[str]]] = No
     entries = []
     full_cost: Scalar = INF
     by_core: dict[frozenset[str], tuple[Scalar, Optional[str]]] = {}
+    full_core = st_core(inst.network, edge_ids)
+    if full_core is not None:  # run outside `_core_cost`, so a failure is raised
+        cost = social_cost_ne(restrict(inst, full_core), phase_cap=phase_cap)
+        by_core[full_core] = cost, None
     for kept in subsets:
         core = st_core(inst.network, kept)
         if core is None:

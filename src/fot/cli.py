@@ -4,8 +4,8 @@ Subcommands: simulate, validate, braess, classify, gen, sweep, reproduce,
 export-plotdata.  All numeric input and output is exact ("p/q" strings);
 JSON output is deterministic byte-for-byte.  Exit codes: 0 success / checks
 pass, 1 an assertion or validation failed, 2 usage or input error (including
-an input with no source-sink path or beyond a size or phase cap), 3 internal
-error.
+a cyclic input, one with no source-sink path or one beyond a size or phase
+cap), 3 internal error.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from . import braess as braess_mod
 from . import core, dynamics, equilibrium, gen, reproduce, topology
 from .core import (
     INF,
+    ContractError,
     DomainError,
     FotError,
     MalformedFlowError,
@@ -29,6 +30,7 @@ from .core import (
     ParameterError,
     PhaseCapError,
     SizeCapError,
+    UnsupportedTopologyError,
     _pairs,
     _typed,
     format_scalar,
@@ -318,7 +320,11 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_validate(args) -> int:
     inst = _load_instance(args.instance)
-    flow = dynamics.flow_from_obj(_read_object(args.flow))
+    try:
+        flow = dynamics.flow_from_obj(_read_object(args.flow))
+    except ContractError as exc:
+        # Breakpoints out of order make no curve: a fault of the flow file.
+        raise ParameterError(f"{args.flow}: {exc}") from exc
     grid = [parse_scalar(p) for p in args.grid.split(",")] if args.grid else []
     if INF in grid:
         raise ParameterError("field '--grid' must hold finite probe times, not inf")
@@ -561,7 +567,7 @@ def main(argv=None) -> int:
     except (ParameterError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
         print(f"fot: input error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (NoPathError, SizeCapError, PhaseCapError) as exc:
+    except (NoPathError, SizeCapError, PhaseCapError, UnsupportedTopologyError) as exc:
         # Properties of the input, not faults of the program.
         print(f"fot: input error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -8,7 +8,10 @@ transit-shifted outflow, queue, wait and exit map.  On these rest the
 earliest-arrival labels, the four feasibility conditions, both equilibrium
 characterizations (flow only on currently shortest paths; no particle
 overtakes another) and the social cost; each such call derives an edge's
-curves once and reuses them for all of its checks and probes.
+curves once and reuses them for all of its checks and probes.  Every test
+that runs over two curves piece by piece (curve identity, a queue draining
+at capacity, flow only on shortest edges, path latency) walks them together
+with `pwl.joint_segments`, never evaluating a curve point by point.
 
 Everything here is an independent check: it never trusts the phase engine
 that produced a flow, only the curves themselves.  `validate_feasible` and
@@ -34,7 +37,7 @@ from .core import (
     as_fraction,
     format_scalar,
 )
-from .pwl import ONE, ZERO, PiecewiseLinear, minimum
+from .pwl import ONE, ZERO, PiecewiseLinear, joint_segments, minimum
 
 Path = tuple[str, ...]
 
@@ -64,13 +67,13 @@ def derive_sink_cumulative(inst: Instance,
                            outflow: Mapping[str, PiecewiseLinear]) -> PiecewiseLinear:
     """Sink arrivals implied by the edge curves: inflow to the sink node minus
     what leaves it again."""
-    total = PiecewiseLinear.constant(ZERO)
-    t = inst.network.sink
-    for e in inst.network.in_edges[t]:
-        total = total + outflow[e.id]
-    for e in inst.network.out_edges[t]:
-        total = total - inflow[e.id]
-    return total
+    net = inst.network
+    return (_total(outflow[e.id] for e in net.in_edges[net.sink])
+            - _total(inflow[e.id] for e in net.out_edges[net.sink]))
+
+
+def _total(curves) -> PiecewiseLinear:
+    return sum(curves, PiecewiseLinear.constant(ZERO))
 
 
 # -- queueing primitives -----------------------------------------------------
@@ -200,9 +203,9 @@ def _first_difference(f: PiecewiseLinear, g: PiecewiseLinear) -> Optional[Fracti
         return None
     if f.xs[0] != g.xs[0]:
         return max(f.xs[0], g.xs[0])
-    for x in sorted(set(f.xs) | set(g.xs)):
-        if f(x) != g(x):
-            return x
+    for a, _, fa, _, ga, _ in joint_segments(f, g):
+        if fa != ga:
+            return a
     return max(f.xs[-1], g.xs[-1])  # values agree; final slopes differ
 
 
@@ -220,13 +223,11 @@ def _check_structure(inst: Instance, flow: FlowOverTime) -> None:
     if gamma.xs[0] != 0 or gamma.ys[0] != 0 or not gamma.is_nondecreasing():
         raise MalformedFlowError("sink arrivals must be nondecreasing from (0, 0)")
     if flow.paths is not None:
-        total = PiecewiseLinear.constant(ZERO)
         for path, curve in flow.paths.items():
             _check_path_shape(inst, path)
             if not curve.is_nondecreasing() or curve.ys[0] != 0:
                 raise MalformedFlowError(f"path curve for {path} malformed")
-            total = total + curve
-        if total != PiecewiseLinear.affine(inst.supply, ZERO):
+        if _total(flow.paths.values()) != PiecewiseLinear.affine(inst.supply, ZERO):
             raise MalformedFlowError("path decomposition must sum to the supply")
 
 
@@ -292,27 +293,18 @@ def validate_feasible(inst: Instance, flow: FlowOverTime,
                                    inflow(witness), composed(witness),
                                    "cumulative in/outflow mismatch"))
 
-        # (4b) a nonempty queue drains at full capacity
-        grid = sorted(set(wait.xs) | set(shifted_out.xs))
-        for a, b in zip(grid, [*grid[1:], None]):
-            wait_positive = wait(a) > 0 or (b is not None and wait(b) > 0) or (
-                b is None and wait.slope_right(a) > 0)
-            if not wait_positive:
-                continue
-            rate = shifted_out.slope_right(a)
-            if rate != cap:
+        # (4b) a nonempty queue drains at full capacity; the wait is never
+        # negative here, so it is positive on a piece iff it starts or rises so
+        for a, _, wait_a, wait_slope, _, rate in joint_segments(wait, shifted_out):
+            if (wait_a > 0 or wait_slope > 0) and rate != cap:
                 found.append(Violation(QUEUE_DISCIPLINE, eid, a, rate, cap,
                                        "queued edge not draining at capacity"))
 
     # (3) node conservation, with source and sink exceptions
     net = inst.network
     for v in net.nodes:
-        into = PiecewiseLinear.constant(ZERO)
-        for e in net.in_edges[v]:
-            into = into + flow.outflow[e.id]
-        outof = PiecewiseLinear.constant(ZERO)
-        for e in net.out_edges[v]:
-            outof = outof + flow.inflow[e.id]
+        into = _total(flow.outflow[e.id] for e in net.in_edges[v])
+        outof = _total(flow.inflow[e.id] for e in net.out_edges[v])
         if v == net.source:
             expected = into + PiecewiseLinear.affine(inst.supply, ZERO)
             witness = _first_difference(outof, expected)
@@ -384,17 +376,13 @@ def _certify_nash(inst: Instance, flow: FlowOverTime) -> tuple[bool, ViolationRe
                 found.append(Violation(SHORTEST_PATHS, e.id, None, ZERO, ZERO,
                                        "flow on an edge unreachable from the source"))
             continue
+        # The head label is the minimum over its in-edges, so the gap is never
+        # negative: the edge is slower on a piece iff the gap starts or rises so.
         gap = arrivals[e.id] - head_label
         pushed = flow.inflow[e.id].compose(tail_label)
-        grid = sorted(set(gap.xs) | set(pushed.xs))
-        for a, b in zip(grid, [*grid[1:], None]):
-            if b is None:
-                slower = gap(a) > 0 or gap.final_slope > 0
-            else:
-                slower = gap(a) > 0 or gap(b) > 0
-            rate = pushed.slope_right(a)
-            if slower and rate > 0:
-                found.append(Violation(SHORTEST_PATHS, e.id, a, gap(a), ZERO,
+        for a, _, gap_a, gap_slope, _, rate in joint_segments(gap, pushed):
+            if (gap_a > 0 or gap_slope > 0) and rate > 0:
+                found.append(Violation(SHORTEST_PATHS, e.id, a, gap_a, ZERO,
                                        "inflow on a currently non-shortest edge"))
     sent_shortest = not found
 
@@ -448,17 +436,15 @@ def social_cost(inst: Instance, flow: FlowOverTime) -> Scalar:
         best: Scalar = ZERO
         for path, cumulative in flow.paths.items():
             latency = _path_latency(exit_maps, path)
-            grid = sorted(set(latency.xs) | set(cumulative.xs))
-            for a, b in zip(grid, [*grid[1:], None]):
-                rate = cumulative.slope_right(a)
+            for a, b, value, slope, _, rate in joint_segments(latency, cumulative):
                 if rate <= 0:
                     continue
-                if b is None:
-                    if latency.final_slope > 0:
+                if b is INF:
+                    if slope > 0:
                         return INF
-                    candidate = latency(a)
+                    candidate = value
                 else:
-                    candidate = max(latency(a), latency(b))
+                    candidate = max(value, value + slope * (b - a))
                 best = max(best, candidate)
         return best
 
@@ -487,7 +473,8 @@ def pwl_to_obj(curve: PiecewiseLinear) -> dict:
 
 
 def pwl_from_obj(obj: dict) -> PiecewiseLinear:
-    points = [(as_fraction(x), as_fraction(y)) for x, y in obj["breakpoints"]]
+    points = [(as_fraction(x), as_fraction(y))
+              for x, y in _pairs(obj["breakpoints"], "breakpoints")]
     return PiecewiseLinear.from_points(points, as_fraction(obj["final_slope"]))
 
 
@@ -531,13 +518,14 @@ def flow_from_obj(obj: dict) -> FlowOverTime:
 
 
 def flow_to_csv_rows(flow: FlowOverTime) -> list[tuple[str, str, str, str, str]]:
-    """One row per (curve, breakpoint): kind, name, x, value, slope_right."""
+    """One row per (curve, breakpoint): kind, name, x, value, and the slope
+    of the segment starting there."""
     rows = []
 
     def emit(kind: str, name: str, curve: PiecewiseLinear) -> None:
-        for x in curve.xs:
-            rows.append((kind, name, format_scalar(x), format_scalar(curve(x)),
-                         format_scalar(curve.slope_right(x))))
+        for x, _, value, slope in curve.segments():
+            rows.append((kind, name, format_scalar(x), format_scalar(value),
+                         format_scalar(slope)))
 
     for eid, curve in sorted(flow.inflow.items()):
         emit("inflow", eid, curve)

@@ -5,6 +5,9 @@ finitely many breakpoints and a final slope that extends the last segment
 forever.  The representation is canonical (no two adjacent segments share a
 slope), so structural equality is semantic equality.  All arithmetic is over
 `fractions.Fraction`; crossing points and preimages are computed exactly.
+Sum, minimum and the piecewise tests in `fot.dynamics` walk two curves'
+breakpoint lists at once (`joint_segments`); `compose` walks inner segments
+and outer breakpoints at once.
 
 These functions carry every curve in the package: cumulative edge in/outflows,
 queue sizes, node arrival-time labels, and sink arrivals.
@@ -117,14 +120,15 @@ class PiecewiseLinear:
 
     # -- basic queries ---------------------------------------------------------
 
-    @property
-    def start(self) -> Fraction:
-        return self.xs[0]
-
     def __call__(self, x: Fraction) -> Fraction:
         if x < self.xs[0]:
             raise DomainError(f"{x} is left of the domain start {self.xs[0]}")
-        i = self._segment_index(x)
+        return self._value(self._segment_index(x), x)
+
+    def _value(self, i: int, x: Fraction) -> Fraction:
+        """Value at x, which must lie on segment i."""
+        if x == self.xs[i]:
+            return self.ys[i]
         return self.ys[i] + self._slopes[i] * (x - self.xs[i])
 
     def _segment_index(self, x: Fraction) -> int:
@@ -136,12 +140,6 @@ class PiecewiseLinear:
             else:
                 hi = mid - 1
         return lo
-
-    def slope_right(self, x: Fraction) -> Fraction:
-        """Slope on the segment immediately to the right of x."""
-        if x < self.xs[0]:
-            raise DomainError(f"{x} is left of the domain start {self.xs[0]}")
-        return self._slopes[self._segment_index(x)]
 
     def segments(self) -> Iterator[tuple[Fraction, Scalar, Fraction, Fraction]]:
         """Yield (a, b, value_at_a, slope) covering the domain; last b is INF."""
@@ -168,16 +166,8 @@ class PiecewiseLinear:
 
     # -- arithmetic ------------------------------------------------------------
 
-    def _merged_grid(self, other: "PiecewiseLinear") -> list[Fraction]:
-        start = max(self.xs[0], other.xs[0])
-        grid = {start}
-        grid.update(x for x in self.xs if x >= start)
-        grid.update(x for x in other.xs if x >= start)
-        return sorted(grid)
-
     def __add__(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
-        grid = self._merged_grid(other)
-        points = [(x, self(x) + other(x)) for x in grid]
+        points = [(a, fa + ga) for a, _, fa, _, ga, _ in joint_segments(self, other)]
         return PiecewiseLinear.from_points(points, self.final_slope + other.final_slope)
 
     def __sub__(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
@@ -192,24 +182,27 @@ class PiecewiseLinear:
         return PiecewiseLinear(self.xs, tuple(y + c for y in self.ys), self.final_slope)
 
     def compose(self, inner: "PiecewiseLinear") -> "PiecewiseLinear":
-        """Exact composition self(inner(x)); inner must be nondecreasing."""
+        """Exact composition self(inner(x)); inner must be nondecreasing.
+        Each outer breakpoint that a rising piece of inner passes adds its
+        exact preimage as a breakpoint."""
         if not inner.is_nondecreasing():
             raise ContractError("inner function of a composition must be nondecreasing")
         if inner.ys[0] < self.xs[0]:
             raise DomainError("inner function leaves the outer domain")
-        candidates = {x for x in inner.xs}
-        # Preimages of outer breakpoints under each affine piece of inner.
+        xs, last = self.xs, len(self.xs) - 1
+        k = 0  # the outer segment holding the current inner value
+        points = []
         for a, b, v, s in inner.segments():
+            while k < last and xs[k + 1] <= v:
+                k += 1
+            points.append((a, self._value(k, v)))
             if s == 0:
                 continue
-            for bp in self.xs:
-                t = a + (bp - v) / s
-                if t >= a and (b is INF or t <= b):
-                    candidates.add(t)
-        grid = sorted(candidates)
-        points = [(x, self(inner(x))) for x in grid]
-        final = self.slope_right(inner(grid[-1])) * inner.final_slope
-        return PiecewiseLinear.from_points(points, final)
+            end = INF if b is INF else v + s * (b - a)
+            while k < last and xs[k + 1] < end:
+                k += 1
+                points.append((a + (xs[k] - v) / s, self.ys[k]))
+        return PiecewiseLinear.from_points(points, self.final_slope * inner.final_slope)
 
     def inverse(self) -> "PiecewiseLinear":
         """Exact inverse; defined on the range, requires strict increase."""
@@ -229,29 +222,34 @@ def minimum(*funcs: PiecewiseLinear) -> PiecewiseLinear:
 
 
 def _min2(f: PiecewiseLinear, g: PiecewiseLinear) -> PiecewiseLinear:
-    grid = f._merged_grid(g)
-    candidates = set(grid)
-    for a, b in zip(grid, grid[1:]):
-        da = f(a) - g(a)
-        db = f(b) - g(b)
-        if (da > 0 and db < 0) or (da < 0 and db > 0):
-            slope = (db - da) / (b - a)
-            candidates.add(a - da / slope)
-    # A final-ray crossing beyond the last grid point.
-    last = grid[-1]
-    d_last = f(last) - g(last)
-    d_slope = f.slope_right(last) - g.slope_right(last)
-    if d_last != 0 and d_slope != 0:
-        t = last - d_last / d_slope
-        if t > last:
-            candidates.add(t)
-    xs = sorted(candidates)
-    points = [(x, min(f(x), g(x))) for x in xs]
-    end = xs[-1]
-    if f(end) < g(end):
-        final = f.slope_right(end)
-    elif g(end) < f(end):
-        final = g.slope_right(end)
-    else:
-        final = min(f.slope_right(end), g.slope_right(end))
-    return PiecewiseLinear.from_points(points, final)
+    points = []
+    for a, b, fa, f_slope, ga, g_slope in joint_segments(f, g):
+        points.append((a, min(fa, ga)))
+        if f_slope != g_slope:
+            t = a - (fa - ga) / (f_slope - g_slope)  # where the two pieces cross
+            if a < t and (b is INF or t < b):
+                points.append((t, fa + f_slope * (t - a)))
+    # Far out, the curve with the smaller final slope is the lower one.
+    return PiecewiseLinear.from_points(points, min(f.final_slope, g.final_slope))
+
+
+def joint_segments(f: PiecewiseLinear, g: PiecewiseLinear) -> Iterator[
+        tuple[Fraction, Scalar, Fraction, Fraction, Fraction, Fraction]]:
+    """Walk two curves together from the later start over the union of their
+    breakpoints: yield (a, b, f(a), slope of f, g(a), slope of g) for each
+    piece [a, b] on which both are affine, the last b being INF.  Values and
+    slopes come from the breakpoint arrays, with no search per point."""
+    a = max(f.xs[0], g.xs[0])
+    i, j = f._segment_index(a), g._segment_index(a)
+    while True:
+        f_next = f.xs[i + 1] if i + 1 < len(f.xs) else INF
+        g_next = g.xs[j + 1] if j + 1 < len(g.xs) else INF
+        b = min(f_next, g_next)
+        yield a, b, f._value(i, a), f._slopes[i], g._value(j, a), g._slopes[j]
+        if b is INF:
+            return
+        if f_next == b:
+            i += 1
+        if g_next == b:
+            j += 1
+        a = b

@@ -287,7 +287,9 @@ def is_chain_of_parallel_links(net: Network, u: str, v: str) -> bool:
 
 def _smooth_edges(nodes: list[str], edges: list[Edge], protect: set[str]):
     """Graph-level smoothing to a fixpoint: merge every unprotected node with
-    exactly one in-edge and one out-edge; merged edges get joined ids."""
+    exactly one in-edge and one out-edge.  A merged edge keeps the id of its
+    first (source-side) edge, so each original id survives in at most one
+    edge and no two ids can collide; `merged` maps an id to its parts."""
     merged: dict[str, tuple[str, ...]] = {e.id: (e.id,) for e in edges}
     while True:
         in_table: dict[str, list[Edge]] = {n: [] for n in nodes}
@@ -306,8 +308,8 @@ def _smooth_edges(nodes: list[str], edges: list[Edge], protect: set[str]):
             return nodes, edges, merged
         first = in_table[target][0]
         second = out_table[target][0]
-        joined = Edge(f"{first.id}+{second.id}", first.tail, second.head)
-        merged[joined.id] = merged.pop(first.id) + merged.pop(second.id)
+        joined = Edge(first.id, first.tail, second.head)
+        merged[first.id] += merged.pop(second.id)
         nodes = [n for n in nodes if n != target]
         edges = [e for e in edges if e.id not in (first.id, second.id)] + [joined]
 
@@ -342,8 +344,9 @@ def uses_only_chains(net: Network):
 
 def smooth(inst: Instance) -> Instance:
     """Merge internal degree-(1,1) nodes to a fixpoint; a merged edge takes
-    the summed transit time and the minimum capacity.  Terminals are never
-    smoothed away."""
+    the summed transit time and the minimum capacity, and keeps the id of its
+    first (source-side) original edge, so merged ids never collide.
+    Terminals are never smoothed away."""
     net = inst.network
     protect = {net.source, net.sink}
     nodes, edges, merged = _smooth_edges(list(net.nodes), list(net.edges), protect)
@@ -368,9 +371,7 @@ def series_parallel(net: Network) -> bool:
     if not net.is_acyclic():
         raise UnsupportedTopologyError("series-parallel test is restricted to acyclic networks")
     s, t = net.source, net.sink
-    # Positional ids, so that no joined id can collide with an original one.
-    nodes = list(net.nodes)
-    edges = [Edge(str(i), e.tail, e.head) for i, e in enumerate(net.edges)]
+    nodes, edges = list(net.nodes), list(net.edges)
     while True:
         nodes, edges, _ = _smooth_edges(nodes, edges, {s, t})
         merged = list({(e.tail, e.head): e for e in edges}.values())

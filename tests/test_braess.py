@@ -19,6 +19,7 @@ from fot.core import (
     Instance,
     NoPathError,
     ParameterError,
+    PhaseCapError,
     SizeCapError,
     restrict,
     st_core,
@@ -201,6 +202,13 @@ def test_sweep_records_point_failures():
     capped = sweep("capped", [("fails", two_phase)], phase_cap=1)
     assert len(capped.failures) == 1
     assert capped.points[0].error is not None
+
+
+def test_failed_run_of_the_full_network_is_raised_not_a_paradox():
+    # Lemma 2: the transposed ladder's ratio is exactly 1.  With one phase
+    # allowed, the full network's own run fails, so no ratio exists at all.
+    with pytest.raises(PhaseCapError):
+        braess_ratio(transpose(make_ladder(3, F(1, 10))), phase_cap=1)
 
 
 def ladder_parameter_grid_for(net):

@@ -320,6 +320,44 @@ def test_phase_cap_is_an_input_error(tmp_path, capsys):
     assert "input error" in err and "PhaseCapError" in err
 
 
+def test_braess_phase_cap_on_the_full_network_is_an_input_error(tmp_path, capsys):
+    path = write_instance(tmp_path, make_mn(MnParams(
+        n=3, horizon=F(1), alphas=geometric_alphas(3, F(1, 10), 1))))
+    code, out, err = run_cli(capsys, "braess", path, "--phase-cap", "1")
+    assert code == 2 and out == ""
+    assert "input error" in err and "PhaseCapError" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "classify", "braess"])
+def test_cycle_is_an_input_error(command, tmp_path, capsys):
+    inst = build_instance(
+        [("a", "s", "x", 1, 1), ("b", "x", "s", 1, 1), ("c", "x", "t", 1, 1)],
+        source="s", sink="t", supply=1)
+    code, out, err = run_cli(capsys, command, write_instance(tmp_path, inst))
+    assert code == 2 and out == ""
+    assert "input error" in err and "UnsupportedTopologyError" in err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("inflow", [["-1", "1"]], "nondecreasing"),
+    ("sink", [["0", "0"], ["0", "0"]], "strictly increasing"),
+    ("sink", [[1]], "'breakpoints' must be a list of [x, y] pairs"),
+], ids=["rate-before-time-zero", "repeated-sink-breakpoint", "sink-breakpoint-no-pair"])
+def test_validate_curve_that_is_no_curve_is_an_input_error(field, value, message,
+                                                           tmp_path, capsys):
+    inst_path = write_instance(tmp_path, two_link_base_instance())
+    flow = _engine_flow_obj(capsys, inst_path)
+    if field == "inflow":
+        flow["inflow"]["e1"] = value
+    else:
+        flow["sink"]["breakpoints"] = value
+    flow_path = tmp_path / "flow.json"
+    flow_path.write_text(json.dumps(flow))
+    code, out, err = run_cli(capsys, "validate", inst_path, str(flow_path))
+    assert code == 2 and out == ""
+    assert "input error" in err and message in err
+
+
 def test_export_plotdata(tmp_path, capsys):
     inst = two_link_base_instance()
     inst_path = write_instance(tmp_path, inst)

@@ -177,6 +177,38 @@ def test_certify_nash_rejects_all_on_slow_link():
     assert SHORTEST_PATHS in conditions and NO_OVERTAKING in conditions
 
 
+def test_certify_nash_rejects_inflow_as_the_edge_turns_slower():
+    # Everything rides the fast link: its wait grows as t and overtakes the
+    # slow link's transit 1 at time 1.  From there the gap of the fast link
+    # starts at zero and rises while it still takes inflow.
+    inst = two_link_base_instance()
+    flow = FlowOverTime(
+        inflow={"e1": rates((0, 2)), "f1": rates()},
+        outflow={"e1": rates((0, 1)), "f1": rates()},
+        sink_cumulative=rates((0, 1)),
+    )
+    assert validate_feasible(inst, flow).ok
+    ok, report = certify_nash(inst, flow)
+    assert not ok
+    first = report.violations[0]
+    assert (first.condition, first.where, first.at, first.lhs) == (SHORTEST_PATHS, "e1", 1, 0)
+
+
+def test_social_cost_takes_the_latency_peak_at_the_end_of_a_piece():
+    # The fast path carries rate 2 on [0, 1) only; its wait rises to 1 at
+    # time 1, when that path stops, while the other path takes 1/2.
+    inst = build_instance([("e1", "v1", "v2", 1, 0), ("f1", "v1", "v2", 2, F(1, 2))],
+                          source="v1", sink="v2", supply=2)
+    flow = FlowOverTime(
+        inflow={"e1": rates((0, 2), (1, 0)), "f1": rates((1, 2))},
+        outflow={"e1": rates((0, 1), (2, 0)), "f1": rates((F(3, 2), 2))},
+        sink_cumulative=rates((0, 1), (F(3, 2), 3), (2, 2)),
+        paths={("e1",): rates((0, 2), (1, 0)), ("f1",): rates((1, 2))},
+    )
+    assert validate_feasible(inst, flow).ok
+    assert social_cost(inst, flow) == 1
+
+
 def test_social_cost_of_equilibria():
     assert social_cost(two_link_base_instance(), two_link_equilibrium_flow()) == 1
     assert social_cost(ladder3_minus_middle_instance(),

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fot.core import ContractError, DomainError, INF
+from fot.dynamics import _first_difference
 from fot.pwl import PiecewiseLinear, minimum
 
 F = Fraction
@@ -15,15 +16,15 @@ positive_fractions = st.fractions(min_value=F(1, 12), max_value=8, max_denominat
 
 @st.composite
 def pwl_functions(draw, monotone=False, strictly_increasing=False):
-    start = F(0)
+    start = draw(st.one_of(st.just(F(0)), small_fractions))
     n = draw(st.integers(min_value=0, max_value=4))
     xs = [start]
     for _ in range(n):
         xs.append(xs[-1] + draw(positive_fractions))
     if strictly_increasing:
         slope_strategy = positive_fractions
-    elif monotone:
-        slope_strategy = st.fractions(min_value=0, max_value=8, max_denominator=12)
+    elif monotone:  # flat pieces are frequent
+        slope_strategy = st.one_of(st.just(F(0)), positive_fractions)
     else:
         slope_strategy = small_fractions
     y = draw(small_fractions)
@@ -188,3 +189,149 @@ def test_inverse_roundtrip(f):
     assert inv.compose(f) == PiecewiseLinear.identity(f.xs[0])
     for y in sample_grid(inv):
         assert f(inv(y)) == y
+
+
+# -- differential tests against the point-wise reference ---------------------
+#
+# The reference versions evaluate both curves at every point of the merged
+# breakpoint grid, one binary search per point; the library walks the two
+# breakpoint lists together.  Both must give the same canonical curve.
+
+
+def _slope_right(f, x):
+    return f.slopes()[f._segment_index(x)]
+
+
+def _merged_grid(f, g):
+    start = max(f.xs[0], g.xs[0])
+    return sorted({start} | {x for x in f.xs + g.xs if x >= start})
+
+
+def reference_add(f, g):
+    points = [(x, f(x) + g(x)) for x in _merged_grid(f, g)]
+    return PiecewiseLinear.from_points(points, f.final_slope + g.final_slope)
+
+
+def reference_minimum(f, g):
+    grid = _merged_grid(f, g)
+    candidates = set(grid)
+    for a, b in zip(grid, grid[1:]):
+        da = f(a) - g(a)
+        db = f(b) - g(b)
+        if (da > 0 and db < 0) or (da < 0 and db > 0):
+            slope = (db - da) / (b - a)
+            candidates.add(a - da / slope)
+    last = grid[-1]
+    d_last = f(last) - g(last)
+    d_slope = _slope_right(f, last) - _slope_right(g, last)
+    if d_last != 0 and d_slope != 0:
+        t = last - d_last / d_slope
+        if t > last:
+            candidates.add(t)
+    xs = sorted(candidates)
+    points = [(x, min(f(x), g(x))) for x in xs]
+    end = xs[-1]
+    if f(end) < g(end):
+        final = _slope_right(f, end)
+    elif g(end) < f(end):
+        final = _slope_right(g, end)
+    else:
+        final = min(_slope_right(f, end), _slope_right(g, end))
+    return PiecewiseLinear.from_points(points, final)
+
+
+def reference_compose(outer, inner):
+    candidates = set(inner.xs)
+    for a, b, v, s in inner.segments():
+        if s == 0:
+            continue
+        for bp in outer.xs:
+            t = a + (bp - v) / s
+            if t >= a and (b is INF or t <= b):
+                candidates.add(t)
+    grid = sorted(candidates)
+    points = [(x, outer(inner(x))) for x in grid]
+    final = _slope_right(outer, inner(grid[-1])) * inner.final_slope
+    return PiecewiseLinear.from_points(points, final)
+
+
+def reference_first_difference(f, g):
+    if f == g:
+        return None
+    if f.xs[0] != g.xs[0]:
+        return max(f.xs[0], g.xs[0])
+    for x in sorted(set(f.xs) | set(g.xs)):
+        if f(x) != g(x):
+            return x
+    return max(f.xs[-1], g.xs[-1])
+
+
+nonzero_fractions = small_fractions.filter(lambda k: k != 0)
+
+
+@st.composite
+def curve_pairs(draw):
+    """Two curves, often in a relation that meets the walk's corner cases:
+    equal, touching without crossing, crossing exactly at a breakpoint, or
+    crossing only on the final ray."""
+    f = draw(pwl_functions())
+    start = f.xs[0]
+    kind = draw(st.sampled_from(["independent", "equal", "touching",
+                                 "crossing at a breakpoint", "crossing on the final ray"]))
+    if kind == "independent":
+        g = draw(pwl_functions())
+    elif kind == "equal":
+        g = f
+    elif kind == "touching":
+        # f plus a V-shaped bump k|x - c|, which is zero only at c
+        c = draw(st.sampled_from(f.xs)) + draw(st.sampled_from([F(0), F(1, 2)]))
+        k = draw(positive_fractions)
+        bump = PiecewiseLinear.affine(k, -k * c, start)  # rises through zero at c
+        if c > start:
+            bump = PiecewiseLinear.from_points([(start, k * (c - start)), (c, F(0))], k)
+        g = f + bump.scale(draw(st.sampled_from([F(1), F(-1)])))
+    else:
+        # f plus k(x - c), which changes sign exactly at c
+        if kind == "crossing at a breakpoint":
+            c = draw(st.sampled_from(f.xs))
+        else:
+            c = f.xs[-1] + draw(positive_fractions)
+        k = draw(nonzero_fractions)
+        g = f + PiecewiseLinear.affine(k, -k * c, start)
+    return (g, f) if draw(st.booleans()) else (f, g)
+
+
+@st.composite
+def compose_pairs(draw):
+    """An outer curve and a nondecreasing inner curve in its domain; the
+    inner values either drift freely or land exactly on outer breakpoints,
+    with flat pieces often."""
+    outer = draw(pwl_functions())
+    if draw(st.booleans()):
+        inner = draw(pwl_functions(monotone=True))
+        lift = draw(st.one_of(st.just(F(0)), positive_fractions))
+        return outer, inner.add_constant(outer.xs[0] - inner.ys[0] + lift)
+    values = sorted(draw(st.lists(st.sampled_from(outer.xs), min_size=1, max_size=6)))
+    x = draw(small_fractions)
+    points = []
+    for v in values:
+        points.append((x, v))
+        x += draw(positive_fractions)
+    final = draw(st.one_of(st.just(F(0)), positive_fractions))
+    return outer, PiecewiseLinear.from_points(points, final)
+
+
+@settings(max_examples=200)
+@given(curve_pairs())
+def test_two_curve_operations_match_the_pointwise_reference(pair):
+    f, g = pair
+    assert f + g == reference_add(f, g)
+    assert minimum(f, g) == reference_minimum(f, g)
+    assert _first_difference(f, g) == reference_first_difference(f, g)
+
+
+@settings(max_examples=200)
+@given(compose_pairs())
+def test_compose_matches_the_pointwise_reference(pair):
+    outer, inner = pair
+    assert outer.compose(inner) == reference_compose(outer, inner)

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from fot.core import ContractError, Edge, Instance, Network, SizeCapError
+from fot.cli import main
+from fot.core import ContractError, Edge, Instance, Network, SizeCapError, dumps, instance_to_obj
 from fot.gen import MnParams, geometric_alphas, make_mn, random_dag
 from fot.topology import (
     PATTERN_IDS,
@@ -237,6 +238,31 @@ def test_smooth_collapses_subdivided_chain():
         return sorted(paths)
 
     assert path_profile(inst) == path_profile(out)
+
+
+@pytest.mark.parametrize("nodes, edges, smoothed", [
+    # a path whose last edge is named like the join of the first two
+    (("s", "x", "y", "t"), (("a", "s", "x"), ("b", "x", "y"), ("a+b", "y", "t")),
+     {"a": (F(1), F(6))}),
+    # a smoothed path parallel to an edge named like the join
+    (("s", "x", "t"), (("a", "s", "x"), ("b", "x", "t"), ("a+b", "s", "t")),
+     {"a": (F(1), F(3)), "a+b": (F(3), F(3))}),
+], ids=["path", "parallel"])
+def test_smoothing_keeps_the_first_edge_id(nodes, edges, smoothed, tmp_path, capsys):
+    # (capacity, transit) per smoothed edge: edge i has both equal to i + 1
+    net = Network(nodes, tuple(Edge(*e) for e in edges), "s", "t")
+    inst = Instance(net, capacity={eid: F(i + 1) for i, (eid, _, _) in enumerate(edges)},
+                    transit={eid: F(i + 1) for i, (eid, _, _) in enumerate(edges)},
+                    supply=F(1))
+    out = smooth(inst)
+    assert {e.id: (e.tail, e.head) for e in out.network.edges} == {
+        eid: ("s", "t") for eid in smoothed}
+    assert {eid: (out.capacity[eid], out.transit[eid]) for eid in smoothed} == smoothed
+    assert uses_only_chains(net) == (True, None)
+    path = tmp_path / "net.json"
+    path.write_text(dumps(instance_to_obj(inst)))
+    assert main(["classify", str(path)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 # -- series-parallel and classification -----------------------------------------------
