@@ -11,16 +11,25 @@ competitive edges, and only edges attaining it may carry flow.
 Phases end when an idle edge becomes competitive or a queue empties.  Both
 event times are exact roots of affine functions, so the whole run is exact.
 
-The derivative system is solved by exhaustive enumeration of support and
-tightness patterns (the interesting instances have well under a dozen
-competitive edges).  A support qualifies only if every one of its edges lies
-on a source-sink path inside it, that is, if it is its own s-t core
-(`fot.core.st_core`, the predicate the Braess search uses too).  Each
-pattern is a linear system whose rows are built as sparse integer rows,
-multiplied through by their denominators, and solved by fraction-free
-Gauss-Jordan elimination; rationals appear only in the solution vector.
-Every accepted solution is re-verified against the full axiom list by an
-independent checker.
+The derivative system is solved by enumerating support and tightness
+patterns in a fixed order; the first pattern whose solution verifies wins,
+which makes the computed equilibrium canonical.  A support qualifies only if
+every one of its edges lies on a source-sink path inside it, that is, if it
+is its own s-t core (`fot.core.st_core`, the predicate the Braess search
+uses too).  Each pattern is a linear system whose rows are built as sparse
+integer rows, multiplied through by their denominators, and solved by
+fraction-free Gauss-Jordan elimination; rationals appear only in the
+solution vector.  Every accepted solution is re-verified against the full
+axiom list by an independent checker.
+
+The label slopes of the system are unique, so the search learns them first:
+one pass filtered by the guess "slope one everywhere" either verifies a
+pattern, whose slopes are then the true ones, or falls back to the full
+search.  Known slopes force the edges that must carry flow into every
+support and rule out the rows they contradict, without changing the order
+of the patterns that remain, so the winner is the same pattern the full
+search would pick (`thin_flow` has the argument).  `MAX_ACTIVE_EDGES`
+bounds the free edges, those the slopes leave open, of the search that runs.
 """
 
 from __future__ import annotations
@@ -45,8 +54,10 @@ from .core import (
     st_core,
 )
 from .dynamics import FlowOverTime, certify_nash, derive_sink_cumulative, validate_feasible
-from .pwl import ZERO, PiecewiseLinear
+from .pwl import ONE, ZERO, PiecewiseLinear
 
+# The most free edges (competitive edges the label slopes do not force into
+# the support) of one pattern search: it visits up to 2**16 supports.
 MAX_ACTIVE_EDGES = 16
 
 
@@ -201,18 +212,45 @@ def thin_flow(net: Network, active: frozenset[str], resetting: frozenset[str],
               capacity: Mapping[str, Fraction], supply: Fraction) -> ThinFlow:
     """Solve the per-phase derivative system on the competitive edge set.
 
-    Patterns (which edges carry flow, a support that is its own `st_core`;
-    for each flow edge whether the capacity term or the tail slope pins the
-    head; for each flow-free node which in-edge attains its minimum) are
-    enumerated in a fixed order and each one is solved exactly by
-    `solve_exact`; the first solution passing `verify_thin_flow` wins, which
-    makes the support choice the lexicographically smallest valid one.  The
-    order does not depend on how a system is solved, so the flow split is a
-    function of the pattern order alone.  Patterns whose linear system is
-    degenerate are skipped: their solution sets are faces whose corners
-    other patterns pin down.
+    The answer is the first verified solution in the canonical pattern order
+    of `enumerate_thin_flows`, the one its unfiltered search yields first,
+    so the flow split is a function of the pattern order alone.  To reach it
+    with few solves the label slopes l' come first:
+
+    1. Guess l' = 1 on every reachable node (the slopes of every steady
+       phase) and run the search filtered by the guess.
+    2. If that pass verifies a pattern, its slopes are the true l': the
+       slopes of a thin flow with resetting (Koch & Skutella, ToCS 2011) are
+       unique (Cominetti, Correa & Larre, Oper. Res. 2015).  Every verified
+       pattern passes the filter of the true l' (see `enumerate_thin_flows`)
+       and the filter keeps the canonical order, so the first verified
+       pattern of the search filtered by the true l' is the first of the
+       full search.  If the slopes equal the guess, pass 1 was that search
+       and its pattern is the answer; otherwise the search reruns filtered
+       by the true slopes, and finds at least the pattern of pass 1.
+    3. If pass 1 verifies nothing, the guess was wrong and the unfiltered
+       search runs.  Pass 1 admits every pattern whose support holds all
+       resetting edges, and a resetting edge whose head reaches the sink
+       through competitive edges carries flow in every thin flow, so the
+       fallback runs only when a queue feeds a node with no such path (never
+       in a run of `nash_flow`, where flow reaches every queue's head on its
+       way to the sink).
+
+    `MAX_ACTIVE_EDGES` bounds the free edges of the pass that runs: pass 1
+    is skipped when the guess leaves more free edges, and the other passes
+    raise `SizeCapError` beyond it.
     """
-    for tf in enumerate_thin_flows(net, active, resetting, capacity, supply):
+    search = _PatternSearch(net, active, resetting, capacity, supply)
+    guess = {v: ONE for v in search.nodes}
+    if len(search.free_edges(guess)) <= MAX_ACTIVE_EDGES:
+        for tf in search.solutions(guess):
+            if tf.label_slopes == guess:
+                return tf
+            for exact in search.solutions(tf.label_slopes):
+                return exact
+            raise InternalConsistencyError(
+                "a verified pattern fails the filter of its own label slopes")
+    for tf in search.solutions():
         return tf
     raise InternalConsistencyError(
         "no valid derivative pattern found (this should be impossible for a "
@@ -222,96 +260,166 @@ def thin_flow(net: Network, active: frozenset[str], resetting: frozenset[str],
 def enumerate_thin_flows(net: Network, active: frozenset[str],
                          resetting: frozenset[str],
                          capacity: Mapping[str, Fraction],
-                         supply: Fraction):
+                         supply: Fraction,
+                         labels: Optional[Mapping[str, Fraction]] = None):
     """Yield every verified pattern solution in deterministic order.
+
+    Patterns (which edges carry flow, a support that is its own `st_core`;
+    for each flow edge whether the capacity term or the tail slope pins the
+    head; for each flow-free node which in-edge attains its minimum) are
+    enumerated in a fixed order and each one is solved exactly by
+    `solve_exact`; a solution is yielded when `verify_thin_flow` accepts it.
+    Supports come in lexicographic order of their edge masks, so the first
+    one is the lexicographically smallest valid support.  Patterns whose
+    linear system is degenerate are skipped: their solution sets are faces
+    whose corners other patterns pin down.
 
     Different patterns may realize different flow splits, but their label
     slopes all agree (labels are the unique observable); the test suite
     asserts that agreement by exhausting this generator on small systems.
+
+    With `labels` (a slope per reachable node) only the patterns those
+    slopes allow are visited.  Write rho_e(l_v, x) for the drain ratio of
+    edge e = (v, w) (x / capacity when e is resetting, the larger of l_v
+    and x / capacity otherwise); rho_e(l_v, 0) is 0 or l_v.  A verified
+    solution with slopes l' satisfies l'_w <= rho_e(l'_v, x_e) on every
+    competitive edge, and every row of its pattern.  So, when `labels` are
+    the true slopes:
+
+    - an edge with l'_w > rho_e(l'_v, 0) carries flow, and a pattern whose
+      support leaves it out (rate zero) cannot verify: the edge is forced
+      into every support and only the other, free, edges are enumerated;
+    - the label row l_w = l_v and the argmin row of e, which says
+      l_w = rho_e(l_v, 0), hold at l', so a row that fails there cannot
+      belong to a verified pattern and is not offered.
+
+    Fixing the forced bits of a mask keeps the lexicographic order of the
+    rest, so the filtered search yields exactly the unfiltered sequence.
+    With other slopes it yields a subsequence, possibly empty; any solution
+    it yields is still verified, and so carries the true slopes.
     """
-    if not resetting <= active:
-        raise ContractError("resetting edges must be competitive")
-    by_id = net.edge_by_id
-    edge_order = [e.id for e in net.edges if e.id in active]
-    if len(edge_order) > MAX_ACTIVE_EDGES:
-        raise SizeCapError(f"more than {MAX_ACTIVE_EDGES} competitive edges")
+    yield from _PatternSearch(net, active, resetting, capacity, supply).solutions(labels)
 
-    # Reachability inside the competitive subgraph defines the node set.
-    reach = net.reachable_from(net.source, active)
-    for eid in edge_order:
-        if by_id[eid].tail not in reach:
-            raise ContractError(f"competitive edge {eid} is unreachable from the source")
-    if net.sink not in reach:
-        raise NoPathError("sink not reachable through competitive edges")
 
-    nodes = [v for v in net.nodes if v in reach]
-    node_index = {v: i for i, v in enumerate(nodes)}
-    in_active = {v: [e.id for e in net.in_edges[v] if e.id in active] for v in nodes}
+class _PatternSearch:
+    """The tables of one derivative system (nodes, competitive in-edges and
+    the rows that do not depend on the support), built once and shared by
+    every filtered or unfiltered pass over its patterns.
 
-    # Rows are sparse integer rows (column -> coefficient, rhs) for
-    # `solve_exact`; columns are the node labels, then the support rates.
-    # A flow-free node takes its label from the chosen in-edge:
-    # l_v - l_tail = 0, or l_v = 0 when that edge has a queue.
-    source_col = node_index[net.source]
-    argmin_rows = {
-        (v, eid): ({node_index[v]: 1} if eid in resetting
-                   else {node_index[v]: 1, node_index[by_id[eid].tail]: -1}, 0)
-        for v in nodes for eid in in_active[v]}
+    Rows are sparse integer rows (column -> coefficient, rhs) for
+    `solve_exact`; columns are the node labels, then the support rates.
+    """
 
-    for support_mask in product((0, 1), repeat=len(edge_order)):
-        support = [eid for eid, bit in zip(edge_order, support_mask) if bit]
-        support_set = frozenset(support)
-        if st_core(net, support_set) != support_set:
-            continue
-        x_index = {eid: len(nodes) + i for i, eid in enumerate(support)}
-        n = len(nodes) + len(support)
+    def __init__(self, net: Network, active: frozenset[str],
+                 resetting: frozenset[str], capacity: Mapping[str, Fraction],
+                 supply: Fraction):
+        if not resetting <= active:
+            raise ContractError("resetting edges must be competitive")
+        by_id = net.edge_by_id
+        self.net, self.active, self.resetting = net, active, resetting
+        self.capacity, self.supply = capacity, supply
+        self.edge_order = [e.id for e in net.edges if e.id in active]
 
-        # Label slope one at the source; inflow minus outflow is -supply at
-        # the source (scaled by the supply's denominator) and zero at every
-        # other non-sink node.
-        base_rows: list[tuple[dict[int, int], int]] = [({source_col: 1}, 1)]
-        for v in nodes:
+        # Reachability inside the competitive subgraph defines the node set.
+        reach = net.reachable_from(net.source, active)
+        for eid in self.edge_order:
+            if by_id[eid].tail not in reach:
+                raise ContractError(f"competitive edge {eid} is unreachable from the source")
+        if net.sink not in reach:
+            raise NoPathError("sink not reachable through competitive edges")
+
+        self.nodes = [v for v in net.nodes if v in reach]
+        index = {v: i for i, v in enumerate(self.nodes)}
+        self.in_active = {v: [e.id for e in net.in_edges[v] if e.id in active]
+                          for v in self.nodes}
+        self.ends = {eid: (by_id[eid].tail, by_id[eid].head) for eid in self.edge_order}
+
+        # Label slope one at the source.  Conservation: inflow minus outflow
+        # is -supply at the source (scaled by the supply's denominator) and
+        # zero at every other non-sink node; per node, the incident edges
+        # with their coefficients, and the right-hand side.
+        self.source_row = ({index[net.source]: 1}, 1)
+        self.incidence = []
+        for v in self.nodes:
             if v == net.sink:
                 continue
             scale = supply.denominator if v == net.source else 1
-            r: dict[int, int] = {}
-            for eid in support:
-                e = by_id[eid]
-                if e.head == v:
-                    r[x_index[eid]] = scale
-                elif e.tail == v:
-                    r[x_index[eid]] = -scale
-            base_rows.append((r, -supply.numerator if v == net.source else 0))
+            self.incidence.append((
+                [(eid, scale if head == v else -scale)
+                 for eid, (tail, head) in self.ends.items() if v in (tail, head)],
+                -supply.numerator if v == net.source else 0))
+        # The idle row of edge e = (v, w) says l_w = rho_e(l_v, 0): l_w = l_v,
+        # or l_w = 0 when e has a queue.  A flow edge takes the capacity row
+        # p*l_w - q*x_e = 0 for capacity p/q (kept here as its head column
+        # and p, q) or, without a queue, its idle row; a flow-free node takes
+        # the idle row of the in-edge attaining its minimum.
+        self.capacity_terms = {eid: (index[head], capacity[eid].numerator,
+                                     capacity[eid].denominator)
+                               for eid, (tail, head) in self.ends.items()}
+        self.idle_rows = {eid: ({index[head]: 1} if eid in resetting
+                                else {index[head]: 1, index[tail]: -1}, 0)
+                          for eid, (tail, head) in self.ends.items()}
 
-        # Per flow edge: the capacity row p*l_head - q*x_e = 0 for capacity
-        # p/q, or the label row l_head - l_tail = 0.
-        branch_options = []
-        for eid in support:
-            e = by_id[eid]
-            cap = capacity[eid]
-            cap_row = ({node_index[e.head]: cap.numerator,
-                        x_index[eid]: -cap.denominator}, 0)
-            if eid in resetting:
-                branch_options.append((cap_row,))
-            else:
-                label_row = ({node_index[e.head]: 1, node_index[e.tail]: -1}, 0)
-                branch_options.append((cap_row, label_row))
-        flowless = [v for v in nodes
-                    if v != net.source and support_set.isdisjoint(in_active[v])]
-        argmin_options = [tuple(argmin_rows[v, eid] for eid in in_active[v])
-                          for v in flowless]
+    def _idle_ratio(self, eid: str, labels: Mapping[str, Fraction]) -> Fraction:
+        """rho_e(l_tail, 0) for e = `eid` at the given slopes."""
+        return ZERO if eid in self.resetting else labels[self.ends[eid][0]]
 
-        for pattern_rows in product(*branch_options, *argmin_options):
-            status, sol = solve_exact([*base_rows, *pattern_rows], n)
-            if status != "unique":
+    def free_edges(self, labels: Optional[Mapping[str, Fraction]]) -> list[str]:
+        """The competitive edges that `labels` do not force into the support."""
+        if labels is None:
+            return list(self.edge_order)
+        return [eid for eid in self.edge_order
+                if labels[self.ends[eid][1]] <= self._idle_ratio(eid, labels)]
+
+    def solutions(self, labels: Optional[Mapping[str, Fraction]] = None):
+        """The generator behind `enumerate_thin_flows`."""
+        net, nodes, edge_order = self.net, self.nodes, self.edge_order
+        free = self.free_edges(labels)
+        if len(free) > MAX_ACTIVE_EDGES:
+            raise SizeCapError(
+                f"more than {MAX_ACTIVE_EDGES} free edges in a thin-flow pattern search")
+        forced = frozenset(edge_order).difference(free)
+        # Edges whose idle row `labels` satisfy (all of them without labels).
+        idle_ok = frozenset(eid for eid in free if labels is None
+                            or labels[self.ends[eid][1]] == self._idle_ratio(eid, labels))
+        argmin_options = {v: tuple(self.idle_rows[eid] for eid in self.in_active[v]
+                                   if eid in idle_ok)
+                          for v in nodes}
+
+        for free_mask in product((0, 1), repeat=len(free)):
+            chosen = forced.union(eid for eid, bit in zip(free, free_mask) if bit)
+            support = [eid for eid in edge_order if eid in chosen]
+            support_set = frozenset(support)
+            if st_core(net, support_set) != support_set:
                 continue
-            label_slopes = {v: sol[node_index[v]] for v in nodes}
-            edge_rates = {eid: ZERO for eid in edge_order}
+            x_index = {eid: len(nodes) + i for i, eid in enumerate(support)}
+            n = len(nodes) + len(support)
+
+            base_rows: list[tuple[dict[int, int], int]] = [self.source_row]
+            for incident, rhs in self.incidence:
+                base_rows.append(({x_index[eid]: c for eid, c in incident
+                                   if eid in x_index}, rhs))
+            branch_options = []
             for eid in support:
-                edge_rates[eid] = sol[x_index[eid]]
-            if verify_thin_flow(net, active, resetting, capacity, supply,
-                                label_slopes, edge_rates) is None:
-                yield ThinFlow(label_slopes, edge_rates)
+                head_col, p, q = self.capacity_terms[eid]
+                options = [({head_col: p, x_index[eid]: -q}, 0)]
+                if eid not in self.resetting and eid in idle_ok:
+                    options.append(self.idle_rows[eid])
+                branch_options.append(options)
+            flowless = [argmin_options[v] for v in nodes
+                        if v != net.source and support_set.isdisjoint(self.in_active[v])]
+
+            for pattern_rows in product(*branch_options, *flowless):
+                status, sol = solve_exact([*base_rows, *pattern_rows], n)
+                if status != "unique":
+                    continue
+                label_slopes = {v: sol[i] for i, v in enumerate(nodes)}
+                edge_rates = {eid: ZERO for eid in edge_order}
+                for eid in support:
+                    edge_rates[eid] = sol[x_index[eid]]
+                if verify_thin_flow(net, self.active, self.resetting, self.capacity,
+                                    self.supply, label_slopes, edge_rates) is None:
+                    yield ThinFlow(label_slopes, edge_rates)
 
 
 # -- phase engine ---------------------------------------------------------------

@@ -25,8 +25,10 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def _canonical(points: Sequence[tuple[Fraction, Fraction]],
-               final_slope: Fraction) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...], Fraction]:
+def _canonical(points: Sequence[tuple[Fraction, Fraction]], final_slope: Fraction
+               ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Breakpoints with collinear interior points merged, and the slope of
+    each remaining segment (the last one being `final_slope`)."""
     if not points:
         raise ContractError("a piecewise-linear function needs at least one breakpoint")
     xs = [points[0][0]]
@@ -37,20 +39,21 @@ def _canonical(points: Sequence[tuple[Fraction, Fraction]],
         xs.append(x)
         ys.append(y)
     # Merge collinear interior breakpoints, walking from the right so the
-    # final slope can absorb redundant trailing points.
+    # final slope can absorb redundant trailing points.  `slopes` collects
+    # the kept segments' slopes from the right.
     i = len(xs) - 1
-    slope_after = final_slope
+    slopes = [final_slope]
     keep = [True] * len(xs)
     while i >= 1:
         slope_before = (ys[i] - ys[i - 1]) / (xs[i] - xs[i - 1])
-        if slope_before == slope_after:
+        if slope_before == slopes[-1]:
             keep[i] = False
         else:
-            slope_after = slope_before
+            slopes.append(slope_before)
         i -= 1
     xs = [x for x, k in zip(xs, keep) if k]
     ys = [y for y, k in zip(ys, keep) if k]
-    return tuple(xs), tuple(ys), final_slope
+    return tuple(xs), tuple(ys), tuple(reversed(slopes))
 
 
 @dataclass(frozen=True)
@@ -82,8 +85,15 @@ class PiecewiseLinear:
     @classmethod
     def from_points(cls, points: Iterable[tuple[Fraction, Fraction]],
                     final_slope: Fraction) -> "PiecewiseLinear":
-        xs, ys, fs = _canonical(sorted(points), final_slope)
-        return cls(xs, ys, fs)
+        # `_canonical` has checked the order and derived every slope, so the
+        # curve skips the constructor's checks and keeps those slopes.
+        xs, ys, slopes = _canonical(sorted(points), final_slope)
+        curve = object.__new__(cls)
+        object.__setattr__(curve, "xs", xs)
+        object.__setattr__(curve, "ys", ys)
+        object.__setattr__(curve, "final_slope", final_slope)
+        object.__setattr__(curve, "_slopes", slopes)
+        return curve
 
     @classmethod
     def constant(cls, value: Fraction, start: Fraction = ZERO) -> "PiecewiseLinear":

@@ -311,6 +311,12 @@ def test_size_cap_is_an_input_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "classify", path, "--node-cap", "1")
     assert code == 2
     assert "input error" in err and "SizeCapError" in err
+    # 17 parallel links of equal transit: all 17 edges are free in the
+    # thin-flow pattern search.
+    links = build_instance([(f"e{k}", "s", "t", 1, 1) for k in range(17)], "s", "t", 1)
+    code, out, err = run_cli(capsys, "simulate", write_instance(tmp_path, links, "links.json"))
+    assert code == 2 and out == ""
+    assert "input error" in err and "SizeCapError" in err and "free edges" in err
 
 
 def test_phase_cap_is_an_input_error(tmp_path, capsys):

@@ -2,7 +2,8 @@
 
 The engine is validated against checkers it does not share code with: the
 exact feasibility conditions, both equilibrium certificates, the uniqueness
-of per-phase label slopes across all solver patterns, and the structural
+of per-phase label slopes across all solver patterns, the unfiltered pattern
+search as the oracle of the label-filtered one, and the structural
 guarantee that networks using only chains of parallel paths never benefit
 from deletions.
 """
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from fot.braess import braess_ratio
 from fot.core import Edge, Instance, Network, NoPathError
 from fot.dynamics import certify_nash, validate_feasible
-from fot.equilibrium import enumerate_thin_flows, nash_flow
+from fot.equilibrium import enumerate_thin_flows, nash_flow, thin_flow
 from fot.gen import random_dag
 from fot.topology import uses_only_chains
 
@@ -83,6 +84,50 @@ def test_label_slopes_agree_across_all_solver_patterns(inst):
         reference = solutions[0].label_slopes
         for other in solutions[1:]:
             assert other.label_slopes == reference
+
+
+@st.composite
+def tied_instances(draw):
+    """Degenerate ties: a path through every node plus parallel copies and
+    shortcuts, with transits that are potential differences (often zero) so
+    that many routes share a free-flow time, a late unit on some edges so
+    that activations coincide, and capacities and supplies from a small set."""
+    n = draw(st.integers(min_value=3, max_value=5))
+    names = tuple(f"v{i}" for i in range(n))
+    potential = sorted(draw(st.lists(st.integers(min_value=0, max_value=2),
+                                     min_size=n, max_size=n)))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = [(i, i + 1) for i in range(n - 1)]
+    chosen += draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=5))
+    edges = tuple(Edge(f"e{k}", names[i], names[j]) for k, (i, j) in enumerate(chosen))
+    few = st.sampled_from([F(1, 2), F(1), F(3, 2), F(2)])
+    late = st.sampled_from([0, 0, 1])
+    return Instance(Network(names, edges, names[0], names[-1]),
+                    {e.id: draw(few) for e in edges},
+                    {e.id: F(potential[j] - potential[i] + draw(late))
+                     for e, (i, j) in zip(edges, chosen)},
+                    draw(st.sampled_from([F(1), F(2), F(5, 2), F(4)])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(random_instances(), tied_instances()))
+def test_label_filtered_search_matches_the_unfiltered_oracle(inst):
+    # Filtered by the true label slopes, the search yields the oracle's
+    # verified solutions in the oracle's order, and thin_flow returns the
+    # first of them.
+    if not inst.has_st_path:
+        return
+    try:
+        run = nash_flow(inst, phase_cap=400, self_check=False)
+    except NoPathError:
+        return
+    for phase in run.phases:
+        args = (inst.network, frozenset(phase.active), frozenset(phase.resetting),
+                inst.capacity, inst.supply)
+        oracle = list(enumerate_thin_flows(*args))
+        assert oracle
+        assert list(enumerate_thin_flows(*args, labels=oracle[0].label_slopes)) == oracle
+        assert thin_flow(*args) == oracle[0]
 
 
 def subdivided_chain_instance(rng):

@@ -8,12 +8,15 @@ from fot.core import (
     INF,
     NoPathError,
     PhaseCapError,
+    SizeCapError,
     UnsupportedTopologyError,
     restrict,
     transpose,
 )
 from fot.dynamics import certify_nash, validate_feasible
 from fot.equilibrium import (
+    MAX_ACTIVE_EDGES,
+    enumerate_thin_flows,
     nash_flow,
     next_event,
     social_cost_ne,
@@ -71,6 +74,19 @@ def test_verify_thin_flow_rejects_tampering():
     bad_rates["e1"], bad_rates["f1"] = F(2), F(0)
     assert verify_thin_flow(inst.network, active, resetting, inst.capacity,
                             inst.supply, good.label_slopes, bad_rates) is not None
+
+
+def test_thin_flow_falls_back_when_the_unit_guess_verifies_nothing():
+    # A queued edge q into the dead end d carries no flow, so d's slope is 0.
+    # The pass guessing slope 1 everywhere forces q into every support, and
+    # no support holding q is its own s-t core; the unfiltered search runs.
+    inst = build_instance([("e", "s", "t", 1, 1), ("q", "s", "d", 1, 1)], "s", "t", 2)
+    args = (inst.network, frozenset({"e", "q"}), frozenset({"q"}),
+            inst.capacity, inst.supply)
+    assert list(enumerate_thin_flows(*args, labels={"s": 1, "t": 1, "d": 1})) == []
+    oracle = list(enumerate_thin_flows(*args))
+    assert oracle[0].label_slopes == {"s": 1, "t": 2, "d": 0}
+    assert thin_flow(*args) == oracle[0]
 
 
 def test_next_event_two_link_first_phase():
@@ -169,6 +185,22 @@ def test_ladder4_bypass_arrival_times_match_closed_form():
     assert seen == expected
     assert run.steady
     assert run.social_cost > (1 - 2 * 4 * eps) * 3  # strict exact comparison
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_long_ladders_meet_the_lemma1_bound(n):
+    # More competitive edges than the cap, but the label slopes leave at
+    # most n - 1 of them free.
+    eps = F(1, 1000)
+    run = nash_flow(ladder(n, eps))
+    assert max(len(p.active) for p in run.phases) > MAX_ACTIVE_EDGES
+    assert run.social_cost > (1 - 2 * n * eps) * (n - 1)
+
+
+def test_seventeen_parallel_links_exceed_the_free_edge_cap():
+    inst = build_instance([(f"e{k}", "s", "t", 1, 1) for k in range(17)], "s", "t", 1)
+    with pytest.raises(SizeCapError, match="free edges"):
+        nash_flow(inst)
 
 
 def test_ladder_chain_queues_never_drain():

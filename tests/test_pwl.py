@@ -136,6 +136,22 @@ def test_canonical_form_merges_collinear_points():
         PiecewiseLinear((F(0), F(1)), (F(0), F(1)), F(1))  # collinear, non-canonical
 
 
+@settings(max_examples=150)
+@given(st.lists(st.tuples(positive_fractions, st.sampled_from([F(0), F(1), F(-1, 2)])),
+                max_size=6),
+       small_fractions, st.sampled_from([F(0), F(1), F(-1, 2)]))
+def test_from_points_matches_the_checked_constructor(steps, y0, final):
+    # Few distinct slopes make collinear runs, which from_points must merge.
+    points = [(F(0), y0)]
+    for dx, slope in steps:
+        x, y = points[-1]
+        points.append((x + dx, y + slope * dx))
+    f = PiecewiseLinear.from_points(reversed(points), final)
+    checked = PiecewiseLinear(f.xs, f.ys, f.final_slope)
+    assert f == checked
+    assert f._slopes == checked._slopes
+
+
 def test_supremum_and_rate_pairs():
     f = PiecewiseLinear.from_points([(F(0), F(0)), (F(1), F(2))], F(-1))
     assert f.supremum() == F(2)
