@@ -143,6 +143,18 @@ def find_subdivision(host: Network, pattern: Union[str, Network],
     them); pattern edges are routed one by one as internally disjoint host
     paths over unused edges.  Returns the first embedding in deterministic
     order, or None.  Hosts over the size caps are refused loudly.
+
+    A failed parallel edge is not retried: when routing from `here`
+    through an out-edge to `nxt` has failed, the later out-edges of `here`
+    that also end at `nxt` are skipped.  Such a copy is unused and off the
+    current path, as the failed edge was, and routes and branch images
+    depend only on nodes.  Swapping the two edges is therefore a host
+    automorphism that fixes the rest of the search state, and it maps any
+    completion through the copy to one through the failed edge.  None
+    exists: the search below the failed edge was exhaustive, since by
+    induction the cut drops only branches without a completion.  So only
+    failing branches are cut, and the first embedding found is the same as
+    without the cut.
     """
     if isinstance(pattern, str):
         pattern = pattern_network(pattern)
@@ -188,8 +200,9 @@ def find_subdivision(host: Network, pattern: Union[str, Network],
                     used_internal.discard(host.edge_by_id[eid].head)
                 del paths[pe.id]
                 return False
+            failed_heads: set[str] = set()
             for e in host.out_edges[here]:
-                if e.id in used_edges or e.id in path:
+                if e.id in used_edges or e.id in path or e.head in failed_heads:
                     continue
                 nxt = e.head
                 if nxt != goal and (nxt in branch_images or nxt in used_internal
@@ -201,6 +214,7 @@ def find_subdivision(host: Network, pattern: Union[str, Network],
                 if dfs(nxt, path):
                     return True
                 path.pop()
+                failed_heads.add(nxt)
             return False
 
         return dfs(start, [])

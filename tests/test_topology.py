@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from fot.cli import main
 from fot.core import ContractError, Edge, Instance, Network, SizeCapError, dumps, instance_to_obj
-from fot.gen import MnParams, geometric_alphas, make_mn, random_dag
+from fot.gen import MnParams, geometric_alphas, make_chain, make_mn, random_dag
 from fot.topology import (
     PATTERN_IDS,
     PATTERN_TRANSPOSE,
@@ -150,6 +151,139 @@ def test_verify_embedding_rejects_defects():
                               dict(emb.edge_paths))
     with pytest.raises(ContractError):
         verify_embedding(host, not_injective)
+
+
+# -- the parallel-edge cut against the unpruned search ---------------------------
+
+
+def reference_find_subdivision(host: Network, pattern_id: str):
+    """`find_subdivision` without the parallel-edge cut: every out-edge is
+    tried, parallel copies included.  Exponential on parallel links; the
+    oracle the cut search must match embedding for embedding."""
+    pattern = pattern_network(pattern_id)
+    p_nodes = list(pattern.nodes)
+    p_in = {v: len(pattern.in_edges[v]) for v in p_nodes}
+    p_out = {v: len(pattern.out_edges[v]) for v in p_nodes}
+    h_in = {v: len(host.in_edges[v]) for v in host.nodes}
+    h_out = {v: len(host.out_edges[v]) for v in host.nodes}
+    reach = {v: host.reachable_from(v) for v in host.nodes}
+    candidates = {
+        v: [h for h in host.nodes if h_in[h] >= p_in[v] and h_out[h] >= p_out[v]]
+        for v in p_nodes
+    }
+    pattern_edges = list(pattern.edges)
+
+    def route(edge_index, images, used_edges, used_internal, paths):
+        if edge_index == len(pattern_edges):
+            return True
+        pe = pattern_edges[edge_index]
+        start, goal = images[pe.tail], images[pe.head]
+        branch_images = set(images.values())
+
+        def dfs(here, path):
+            if here == goal:
+                paths[pe.id] = tuple(path)
+                for eid in path:
+                    used_edges.add(eid)
+                for eid in path[:-1]:
+                    used_internal.add(host.edge_by_id[eid].head)
+                if route(edge_index + 1, images, used_edges, used_internal, paths):
+                    return True
+                for eid in path:
+                    used_edges.discard(eid)
+                for eid in path[:-1]:
+                    used_internal.discard(host.edge_by_id[eid].head)
+                del paths[pe.id]
+                return False
+            for e in host.out_edges[here]:
+                if e.id in used_edges or e.id in path:
+                    continue
+                nxt = e.head
+                if nxt != goal and (nxt in branch_images or nxt in used_internal
+                                    or goal not in reach[nxt]):
+                    continue
+                if nxt != goal and any(host.edge_by_id[eid].head == nxt for eid in path):
+                    continue
+                path.append(e.id)
+                if dfs(nxt, path):
+                    return True
+                path.pop()
+            return False
+
+        return dfs(start, [])
+
+    def assign(index, images, taken):
+        if index == len(p_nodes):
+            paths = {}
+            if route(0, images, set(), set(), paths):
+                return Embedding(pattern, dict(images), dict(paths))
+            return None
+        v = p_nodes[index]
+        for h in candidates[v]:
+            if h in taken:
+                continue
+            images[v] = h
+            if all(images[pe.head] in reach[images[pe.tail]] for pe in pattern.edges
+                   if pe.tail in images and pe.head in images):
+                taken.add(h)
+                found = assign(index + 1, images, taken)
+                if found is not None:
+                    return found
+                taken.discard(h)
+            del images[v]
+        return None
+
+    return assign(0, {}, set())
+
+
+def unit_chain(sections, links):
+    """Pattern-free host: `sections` bundles of `links` parallel links."""
+    return make_chain([[(F(1), F(1))] * links] * sections, F(1)).network
+
+
+def with_twins(net: Network, doubled) -> Network:
+    """Add a parallel copy right after every edge whose id is in `doubled`."""
+    edges = []
+    for e in net.edges:
+        edges.append(e)
+        if e.id in doubled:
+            edges.append(Edge(f"{e.id}_twin", e.tail, e.head))
+    return Network(net.nodes, tuple(edges), net.source, net.sink)
+
+
+def differential_hosts():
+    for sections, links in [(5, 3), (4, 5), (10, 2)]:
+        yield f"chain-{sections}x{links}", unit_chain(sections, links)
+    for seed in range(100):
+        nodes = 6 + seed % 4
+        dag = random_dag(nodes, min(nodes * (nodes - 1) // 2, nodes + 2 + seed % 7), seed)
+        # Every other host gets parallel twins on four seeded edges.
+        ids = [e.id for e in dag.edges]
+        doubled = set(random.Random(seed).sample(ids, 4)) if seed % 2 else set()
+        yield f"dag-{seed}", with_twins(dag, doubled)
+    for n in (3, 4, 5):
+        for name, net in ((f"ladder-{n}", ladder_net(n)),
+                          (f"tladder-{n}", ladder_net(n).transposed())):
+            yield f"{name}-doubled", with_twins(net, {e.id for e in net.edges})
+
+
+def test_parallel_edge_cut_matches_the_unpruned_search():
+    for name, host in differential_hosts():
+        for pid in PATTERN_IDS:
+            got = find_subdivision(host, pid)
+            want = reference_find_subdivision(host, pid)
+            assert (got is None) == (want is None), (name, pid)
+            if got is not None:
+                assert dict(got.node_images) == dict(want.node_images), (name, pid)
+                assert dict(got.edge_paths) == dict(want.edge_paths), (name, pid)
+
+
+@pytest.mark.parametrize("sections, links", [(12, 2), (8, 3), (5, 5)])
+def test_classify_pattern_free_chains_at_the_cap(sections, links):
+    # Without the parallel-edge cut the 12x2 chain alone takes seconds.
+    report = classify(unit_chain(sections, links))
+    assert all(emb is None for emb in report.minors.values())
+    assert report.uses_only_chains and report.series_parallel
 
 
 # -- chains ------------------------------------------------------------------------
