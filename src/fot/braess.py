@@ -36,9 +36,11 @@ from .core import (
     SizeCapError,
     restrict,
     st_core,
+    transpose,
 )
 from .equilibrium import social_cost_ne
-from .topology import classify
+from .gen import make_ladder
+from .topology import classify, pattern_network
 
 CANONICAL_NOTE = ("costs are those of the canonical computed equilibrium of "
                   "each subnetwork")
@@ -203,8 +205,6 @@ def sweep(description: str, points: Sequence[tuple[str, Instance]],
 
 
 def transposed_ladder3_network() -> Network:
-    from .topology import pattern_network
-
     return pattern_network("M3T")
 
 
@@ -225,10 +225,6 @@ def default_transpose_m3_grid() -> list[tuple[str, Instance]]:
     the network capacity, and the alternative terminal placements."""
     F = Fraction
     points: list[tuple[str, Instance]] = []
-
-    from .gen import make_ladder
-    from .core import transpose
-
     for eps_denom in (10, 100):
         for j in (1, 2):
             inst = transpose(make_ladder(3, F(1, eps_denom), j))

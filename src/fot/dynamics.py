@@ -516,23 +516,3 @@ def flow_from_obj(obj: dict) -> FlowOverTime:
         paths=paths,
     )
 
-
-def flow_to_csv_rows(flow: FlowOverTime) -> list[tuple[str, str, str, str, str]]:
-    """One row per (curve, breakpoint): kind, name, x, value, and the slope
-    of the segment starting there."""
-    rows = []
-
-    def emit(kind: str, name: str, curve: PiecewiseLinear) -> None:
-        for x, _, value, slope in curve.segments():
-            rows.append((kind, name, format_scalar(x), format_scalar(value),
-                         format_scalar(slope)))
-
-    for eid, curve in sorted(flow.inflow.items()):
-        emit("inflow", eid, curve)
-    for eid, curve in sorted(flow.outflow.items()):
-        emit("outflow", eid, curve)
-    emit("sink", "sink", flow.sink_cumulative)
-    if flow.paths is not None:
-        for path, curve in sorted(flow.paths.items()):
-            emit("path", ",".join(path), curve)
-    return rows

@@ -22,14 +22,11 @@ fraction-free Gauss-Jordan elimination; rationals appear only in the
 solution vector.  Every accepted solution is re-verified against the full
 axiom list by an independent checker.
 
-The label slopes of the system are unique, so the search learns them first:
-one pass filtered by the guess "slope one everywhere" either verifies a
-pattern, whose slopes are then the true ones, or falls back to the full
-search.  Known slopes force the edges that must carry flow into every
-support and rule out the rows they contradict, without changing the order
-of the patterns that remain, so the winner is the same pattern the full
-search would pick (`thin_flow` has the argument).  `MAX_ACTIVE_EDGES`
-bounds the free edges, those the slopes leave open, of the search that runs.
+A queued edge whose head reaches the sink through competitive edges carries
+flow in every solution, so every support holds it and only the other, free,
+edges are enumerated; fixing those mask bits keeps the order of the
+patterns left (`enumerate_thin_flows` has the argument).
+`MAX_ACTIVE_EDGES` bounds the free edges.
 """
 
 from __future__ import annotations
@@ -54,10 +51,10 @@ from .core import (
     st_core,
 )
 from .dynamics import FlowOverTime, certify_nash, derive_sink_cumulative, validate_feasible
-from .pwl import ONE, ZERO, PiecewiseLinear
+from .pwl import ZERO, PiecewiseLinear
 
-# The most free edges (competitive edges the label slopes do not force into
-# the support) of one pattern search: it visits up to 2**16 supports.
+# The most free edges (competitive edges not forced into every support) of
+# one pattern search: it visits up to 2**16 supports.
 MAX_ACTIVE_EDGES = 16
 
 
@@ -210,47 +207,10 @@ def verify_thin_flow(net: Network, active: frozenset[str], resetting: frozenset[
 
 def thin_flow(net: Network, active: frozenset[str], resetting: frozenset[str],
               capacity: Mapping[str, Fraction], supply: Fraction) -> ThinFlow:
-    """Solve the per-phase derivative system on the competitive edge set.
-
-    The answer is the first verified solution in the canonical pattern order
-    of `enumerate_thin_flows`, the one its unfiltered search yields first,
-    so the flow split is a function of the pattern order alone.  To reach it
-    with few solves the label slopes l' come first:
-
-    1. Guess l' = 1 on every reachable node (the slopes of every steady
-       phase) and run the search filtered by the guess.
-    2. If that pass verifies a pattern, its slopes are the true l': the
-       slopes of a thin flow with resetting (Koch & Skutella, ToCS 2011) are
-       unique (Cominetti, Correa & Larre, Oper. Res. 2015).  Every verified
-       pattern passes the filter of the true l' (see `enumerate_thin_flows`)
-       and the filter keeps the canonical order, so the first verified
-       pattern of the search filtered by the true l' is the first of the
-       full search.  If the slopes equal the guess, pass 1 was that search
-       and its pattern is the answer; otherwise the search reruns filtered
-       by the true slopes, and finds at least the pattern of pass 1.
-    3. If pass 1 verifies nothing, the guess was wrong and the unfiltered
-       search runs.  Pass 1 admits every pattern whose support holds all
-       resetting edges, and a resetting edge whose head reaches the sink
-       through competitive edges carries flow in every thin flow, so the
-       fallback runs only when a queue feeds a node with no such path (never
-       in a run of `nash_flow`, where flow reaches every queue's head on its
-       way to the sink).
-
-    `MAX_ACTIVE_EDGES` bounds the free edges of the pass that runs: pass 1
-    is skipped when the guess leaves more free edges, and the other passes
-    raise `SizeCapError` beyond it.
-    """
-    search = _PatternSearch(net, active, resetting, capacity, supply)
-    guess = {v: ONE for v in search.nodes}
-    if len(search.free_edges(guess)) <= MAX_ACTIVE_EDGES:
-        for tf in search.solutions(guess):
-            if tf.label_slopes == guess:
-                return tf
-            for exact in search.solutions(tf.label_slopes):
-                return exact
-            raise InternalConsistencyError(
-                "a verified pattern fails the filter of its own label slopes")
-    for tf in search.solutions():
+    """Solve the per-phase derivative system on the competitive edge set: the
+    first verified solution of `enumerate_thin_flows`, so the flow split is
+    a function of the pattern order alone."""
+    for tf in enumerate_thin_flows(net, active, resetting, capacity, supply):
         return tf
     raise InternalConsistencyError(
         "no valid derivative pattern found (this should be impossible for a "
@@ -260,8 +220,7 @@ def thin_flow(net: Network, active: frozenset[str], resetting: frozenset[str],
 def enumerate_thin_flows(net: Network, active: frozenset[str],
                          resetting: frozenset[str],
                          capacity: Mapping[str, Fraction],
-                         supply: Fraction,
-                         labels: Optional[Mapping[str, Fraction]] = None):
+                         supply: Fraction):
     """Yield every verified pattern solution in deterministic order.
 
     Patterns (which edges carry flow, a support that is its own `st_core`;
@@ -278,148 +237,113 @@ def enumerate_thin_flows(net: Network, active: frozenset[str],
     slopes all agree (labels are the unique observable); the test suite
     asserts that agreement by exhausting this generator on small systems.
 
-    With `labels` (a slope per reachable node) only the patterns those
-    slopes allow are visited.  Write rho_e(l_v, x) for the drain ratio of
-    edge e = (v, w) (x / capacity when e is resetting, the larger of l_v
-    and x / capacity otherwise); rho_e(l_v, 0) is 0 or l_v.  A verified
-    solution with slopes l' satisfies l'_w <= rho_e(l'_v, x_e) on every
-    competitive edge, and every row of its pattern.  So, when `labels` are
-    the true slopes:
-
-    - an edge with l'_w > rho_e(l'_v, 0) carries flow, and a pattern whose
-      support leaves it out (rate zero) cannot verify: the edge is forced
-      into every support and only the other, free, edges are enumerated;
-    - the label row l_w = l_v and the argmin row of e, which says
-      l_w = rho_e(l_v, 0), hold at l', so a row that fails there cannot
-      belong to a verified pattern and is not offered.
-
-    Fixing the forced bits of a mask keeps the lexicographic order of the
-    rest, so the filtered search yields exactly the unfiltered sequence.
-    With other slopes it yields a subsequence, possibly empty; any solution
-    it yields is still verified, and so carries the true slopes.
-    """
-    yield from _PatternSearch(net, active, resetting, capacity, supply).solutions(labels)
-
-
-class _PatternSearch:
-    """The tables of one derivative system (nodes, competitive in-edges and
-    the rows that do not depend on the support), built once and shared by
-    every filtered or unfiltered pass over its patterns.
+    Every support holds the forced edges: the resetting edges whose head
+    reaches the sink through competitive edges.  Only the other, free,
+    edges are enumerated, and `MAX_ACTIVE_EDGES` bounds them.  Skipping the
+    supports that leave out a forced edge skips no verified solution.  Write
+    rho_e(l_v, x) for the drain ratio of edge e = (v, w): x / capacity when
+    e is resetting, the larger of l_v and x / capacity otherwise.  Suppose a
+    verified solution has x_e = 0 on a forced edge e = (v, w).  Then
+    l'_w <= rho_e(l'_v, 0) = 0.  A node u other than s with l'_u = 0 has
+    no inflow, because a flow edge into u attains u's minimum with a ratio
+    of at least x / capacity > 0; by conservation it has no outflow either,
+    so every competitive out-edge (u, y) gives l'_y <= rho(l'_u, 0) = 0.
+    Following w's competitive path to the sink gives l'_t = 0, but the sink
+    receives supply > 0 over flow edges, each with a positive ratio (and a
+    path through s would give l'_s = 0, not 1).  Fixing the forced bits of a
+    mask keeps the lexicographic order of the rest, so the sequence is
+    exactly that of the search over all competitive edges.
 
     Rows are sparse integer rows (column -> coefficient, rhs) for
     `solve_exact`; columns are the node labels, then the support rates.
     """
+    if not resetting <= active:
+        raise ContractError("resetting edges must be competitive")
+    by_id = net.edge_by_id
+    edge_order = [e.id for e in net.edges if e.id in active]
 
-    def __init__(self, net: Network, active: frozenset[str],
-                 resetting: frozenset[str], capacity: Mapping[str, Fraction],
-                 supply: Fraction):
-        if not resetting <= active:
-            raise ContractError("resetting edges must be competitive")
-        by_id = net.edge_by_id
-        self.net, self.active, self.resetting = net, active, resetting
-        self.capacity, self.supply = capacity, supply
-        self.edge_order = [e.id for e in net.edges if e.id in active]
+    # Reachability inside the competitive subgraph defines the node set.
+    reach = net.reachable_from(net.source, active)
+    for eid in edge_order:
+        if by_id[eid].tail not in reach:
+            raise ContractError(f"competitive edge {eid} is unreachable from the source")
+    if net.sink not in reach:
+        raise NoPathError("sink not reachable through competitive edges")
 
-        # Reachability inside the competitive subgraph defines the node set.
-        reach = net.reachable_from(net.source, active)
-        for eid in self.edge_order:
-            if by_id[eid].tail not in reach:
-                raise ContractError(f"competitive edge {eid} is unreachable from the source")
-        if net.sink not in reach:
-            raise NoPathError("sink not reachable through competitive edges")
+    to_sink = net.reaching_to(net.sink, active)
+    free = [eid for eid in edge_order
+            if eid not in resetting or by_id[eid].head not in to_sink]
+    if len(free) > MAX_ACTIVE_EDGES:
+        raise SizeCapError(
+            f"more than {MAX_ACTIVE_EDGES} free edges in a thin-flow pattern search")
+    forced = frozenset(edge_order).difference(free)
 
-        self.nodes = [v for v in net.nodes if v in reach]
-        index = {v: i for i, v in enumerate(self.nodes)}
-        self.in_active = {v: [e.id for e in net.in_edges[v] if e.id in active]
-                          for v in self.nodes}
-        self.ends = {eid: (by_id[eid].tail, by_id[eid].head) for eid in self.edge_order}
+    nodes = [v for v in net.nodes if v in reach]
+    index = {v: i for i, v in enumerate(nodes)}
+    in_active = {v: [e.id for e in net.in_edges[v] if e.id in active] for v in nodes}
+    ends = {eid: (by_id[eid].tail, by_id[eid].head) for eid in edge_order}
 
-        # Label slope one at the source.  Conservation: inflow minus outflow
-        # is -supply at the source (scaled by the supply's denominator) and
-        # zero at every other non-sink node; per node, the incident edges
-        # with their coefficients, and the right-hand side.
-        self.source_row = ({index[net.source]: 1}, 1)
-        self.incidence = []
-        for v in self.nodes:
-            if v == net.sink:
+    # Label slope one at the source.  Conservation: inflow minus outflow is
+    # -supply at the source (scaled by the supply's denominator) and zero at
+    # every other non-sink node; per node, the incident edges with their
+    # coefficients, and the right-hand side.
+    source_row = ({index[net.source]: 1}, 1)
+    incidence = []
+    for v in nodes:
+        if v == net.sink:
+            continue
+        scale = supply.denominator if v == net.source else 1
+        incidence.append((
+            [(eid, scale if head == v else -scale)
+             for eid, (tail, head) in ends.items() if v in (tail, head)],
+            -supply.numerator if v == net.source else 0))
+    # The idle row of edge e = (v, w) says l_w = rho_e(l_v, 0): l_w = l_v, or
+    # l_w = 0 when e has a queue.  A flow edge takes the capacity row
+    # p*l_w - q*x_e = 0 for capacity p/q (kept here as its head column and
+    # p, q) or, without a queue, its idle row; a flow-free node takes the
+    # idle row of the in-edge attaining its minimum.
+    capacity_terms = {eid: (index[head], capacity[eid].numerator,
+                            capacity[eid].denominator)
+                      for eid, (tail, head) in ends.items()}
+    idle_rows = {eid: ({index[head]: 1} if eid in resetting
+                       else {index[head]: 1, index[tail]: -1}, 0)
+                 for eid, (tail, head) in ends.items()}
+    argmin_options = {v: tuple(idle_rows[eid] for eid in in_active[v]) for v in nodes}
+
+    for free_mask in product((0, 1), repeat=len(free)):
+        chosen = forced.union(eid for eid, bit in zip(free, free_mask) if bit)
+        support = [eid for eid in edge_order if eid in chosen]
+        support_set = frozenset(support)
+        if st_core(net, support_set) != support_set:
+            continue
+        x_index = {eid: len(nodes) + i for i, eid in enumerate(support)}
+        n = len(nodes) + len(support)
+
+        base_rows: list[tuple[dict[int, int], int]] = [source_row]
+        for incident, rhs in incidence:
+            base_rows.append(({x_index[eid]: c for eid, c in incident
+                               if eid in x_index}, rhs))
+        branch_options = []
+        for eid in support:
+            head_col, p, q = capacity_terms[eid]
+            options = [({head_col: p, x_index[eid]: -q}, 0)]
+            if eid not in resetting:
+                options.append(idle_rows[eid])
+            branch_options.append(options)
+        flowless = [argmin_options[v] for v in nodes
+                    if v != net.source and support_set.isdisjoint(in_active[v])]
+
+        for pattern_rows in product(*branch_options, *flowless):
+            status, sol = solve_exact([*base_rows, *pattern_rows], n)
+            if status != "unique":
                 continue
-            scale = supply.denominator if v == net.source else 1
-            self.incidence.append((
-                [(eid, scale if head == v else -scale)
-                 for eid, (tail, head) in self.ends.items() if v in (tail, head)],
-                -supply.numerator if v == net.source else 0))
-        # The idle row of edge e = (v, w) says l_w = rho_e(l_v, 0): l_w = l_v,
-        # or l_w = 0 when e has a queue.  A flow edge takes the capacity row
-        # p*l_w - q*x_e = 0 for capacity p/q (kept here as its head column
-        # and p, q) or, without a queue, its idle row; a flow-free node takes
-        # the idle row of the in-edge attaining its minimum.
-        self.capacity_terms = {eid: (index[head], capacity[eid].numerator,
-                                     capacity[eid].denominator)
-                               for eid, (tail, head) in self.ends.items()}
-        self.idle_rows = {eid: ({index[head]: 1} if eid in resetting
-                                else {index[head]: 1, index[tail]: -1}, 0)
-                          for eid, (tail, head) in self.ends.items()}
-
-    def _idle_ratio(self, eid: str, labels: Mapping[str, Fraction]) -> Fraction:
-        """rho_e(l_tail, 0) for e = `eid` at the given slopes."""
-        return ZERO if eid in self.resetting else labels[self.ends[eid][0]]
-
-    def free_edges(self, labels: Optional[Mapping[str, Fraction]]) -> list[str]:
-        """The competitive edges that `labels` do not force into the support."""
-        if labels is None:
-            return list(self.edge_order)
-        return [eid for eid in self.edge_order
-                if labels[self.ends[eid][1]] <= self._idle_ratio(eid, labels)]
-
-    def solutions(self, labels: Optional[Mapping[str, Fraction]] = None):
-        """The generator behind `enumerate_thin_flows`."""
-        net, nodes, edge_order = self.net, self.nodes, self.edge_order
-        free = self.free_edges(labels)
-        if len(free) > MAX_ACTIVE_EDGES:
-            raise SizeCapError(
-                f"more than {MAX_ACTIVE_EDGES} free edges in a thin-flow pattern search")
-        forced = frozenset(edge_order).difference(free)
-        # Edges whose idle row `labels` satisfy (all of them without labels).
-        idle_ok = frozenset(eid for eid in free if labels is None
-                            or labels[self.ends[eid][1]] == self._idle_ratio(eid, labels))
-        argmin_options = {v: tuple(self.idle_rows[eid] for eid in self.in_active[v]
-                                   if eid in idle_ok)
-                          for v in nodes}
-
-        for free_mask in product((0, 1), repeat=len(free)):
-            chosen = forced.union(eid for eid, bit in zip(free, free_mask) if bit)
-            support = [eid for eid in edge_order if eid in chosen]
-            support_set = frozenset(support)
-            if st_core(net, support_set) != support_set:
-                continue
-            x_index = {eid: len(nodes) + i for i, eid in enumerate(support)}
-            n = len(nodes) + len(support)
-
-            base_rows: list[tuple[dict[int, int], int]] = [self.source_row]
-            for incident, rhs in self.incidence:
-                base_rows.append(({x_index[eid]: c for eid, c in incident
-                                   if eid in x_index}, rhs))
-            branch_options = []
+            label_slopes = {v: sol[i] for i, v in enumerate(nodes)}
+            edge_rates = {eid: ZERO for eid in edge_order}
             for eid in support:
-                head_col, p, q = self.capacity_terms[eid]
-                options = [({head_col: p, x_index[eid]: -q}, 0)]
-                if eid not in self.resetting and eid in idle_ok:
-                    options.append(self.idle_rows[eid])
-                branch_options.append(options)
-            flowless = [argmin_options[v] for v in nodes
-                        if v != net.source and support_set.isdisjoint(self.in_active[v])]
-
-            for pattern_rows in product(*branch_options, *flowless):
-                status, sol = solve_exact([*base_rows, *pattern_rows], n)
-                if status != "unique":
-                    continue
-                label_slopes = {v: sol[i] for i, v in enumerate(nodes)}
-                edge_rates = {eid: ZERO for eid in edge_order}
-                for eid in support:
-                    edge_rates[eid] = sol[x_index[eid]]
-                if verify_thin_flow(net, self.active, self.resetting, self.capacity,
-                                    self.supply, label_slopes, edge_rates) is None:
-                    yield ThinFlow(label_slopes, edge_rates)
+                edge_rates[eid] = sol[x_index[eid]]
+            if verify_thin_flow(net, active, resetting, capacity, supply,
+                                label_slopes, edge_rates) is None:
+                yield ThinFlow(label_slopes, edge_rates)
 
 
 # -- phase engine ---------------------------------------------------------------
@@ -513,13 +437,13 @@ def next_event(inst: Instance, arrival: Mapping[str, Fraction],
     return best, tuple(activations), tuple(depletions)
 
 
-def nash_flow(inst: Instance, phase_cap: int = 200, self_check: bool = True) -> EquilibriumRun:
+def nash_flow(inst: Instance, phase_cap: int = 200) -> EquilibriumRun:
     """Compute the equilibrium of an acyclic instance with constant supply.
 
     The run terminates with a final phase in which either all labels grow at
     unit speed (steady) or the sink label grows faster forever (diverging,
-    unbounded cost).  With `self_check` the resulting flow is re-validated by
-    the independent feasibility and equilibrium checkers.
+    unbounded cost).  The resulting flow is re-validated by the independent
+    feasibility and equilibrium checkers.
     """
     net = inst.network
     order = net.topological_order()
@@ -644,13 +568,12 @@ def nash_flow(inst: Instance, phase_cap: int = 200, self_check: bool = True) -> 
         steady=steady,
         diverging=diverging,
     )
-    if self_check:
-        report = validate_feasible(inst, flow)
-        if not report.ok:
-            raise InternalConsistencyError(f"engine flow is infeasible:\n{report}")
-        ok, nash_report = certify_nash(inst, flow)
-        if not ok:
-            raise InternalConsistencyError(f"engine flow is not an equilibrium:\n{nash_report}")
+    report = validate_feasible(inst, flow)
+    if not report.ok:
+        raise InternalConsistencyError(f"engine flow is infeasible:\n{report}")
+    ok, nash_report = certify_nash(inst, flow)
+    if not ok:
+        raise InternalConsistencyError(f"engine flow is not an equilibrium:\n{nash_report}")
     return run
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from .braess import braess_ratio
-from .core import ParameterError, Scalar, format_scalar, transpose
+from .core import ParameterError, format_scalar, transpose
 from .equilibrium import nash_flow
 from .gen import (MnParams, embed_paradox_instance, geometric_alphas, make_ladder, make_mn,
                   random_dag)
@@ -48,10 +48,6 @@ class PresetResult:
         return None
 
 
-def _fmt(x: Scalar) -> str:
-    return format_scalar(x)
-
-
 def _preset_lemma1(n: int = 3, eps: Fraction = F(1, 10), j: int = 1,
                    horizon: Fraction = F(1)) -> PresetResult:
     alphas = geometric_alphas(n, eps, j)
@@ -62,28 +58,28 @@ def _preset_lemma1(n: int = 3, eps: Fraction = F(1, 10), j: int = 1,
     bound = (1 - 2 * n * eps) * (n - 1) * horizon
 
     assertions = [Assertion(
-        description=f"sink latency at entry time {_fmt(probe)} exceeds the bound",
-        required=f"> {_fmt(bound)}",
-        observed=_fmt(latency),
+        description=f"sink latency at entry time {format_scalar(probe)} exceeds the bound",
+        required=f"> {format_scalar(bound)}",
+        observed=format_scalar(latency),
         holds=latency > bound,
     )]
-    values = {"probe": _fmt(probe), "sink_latency": _fmt(latency),
-              "bound": _fmt(bound), "social_cost": _fmt(run.social_cost)}
+    values = {"probe": format_scalar(probe), "sink_latency": format_scalar(latency),
+              "bound": format_scalar(bound), "social_cost": format_scalar(run.social_cost)}
 
     seen: dict[str, Fraction] = {}
     for event in run.events:
         for eid in event.activations:
             seen[eid] = event.tail_arrival[eid]
-            values[f"activation_entry_{eid}"] = _fmt(event.time)
-            values[f"activation_tail_arrival_{eid}"] = _fmt(event.tail_arrival[eid])
+            values[f"activation_entry_{eid}"] = format_scalar(event.time)
+            values[f"activation_tail_arrival_{eid}"] = format_scalar(event.tail_arrival[eid])
     for k in range(1, n):
         expected = horizon * alphas[n - 1] / (alphas[k - 1] - alphas[n - 1])
         got = seen.get(f"f{k}")
         assertions.append(Assertion(
             description=f"bypass f{k} becomes competitive when its tail clock "
                         f"reads the closed-form time",
-            required=_fmt(expected),
-            observed="never" if got is None else _fmt(got),
+            required=format_scalar(expected),
+            observed="never" if got is None else format_scalar(got),
             holds=got == expected,
         ))
     assertions.append(Assertion(
@@ -91,7 +87,8 @@ def _preset_lemma1(n: int = 3, eps: Fraction = F(1, 10), j: int = 1,
         required="steady", observed=str(run.steady), holds=run.steady))
     return PresetResult(
         preset="lemma1",
-        parameters={"n": str(n), "eps": _fmt(eps), "j": str(j), "T": _fmt(horizon)},
+        parameters={"n": str(n), "eps": format_scalar(eps), "j": str(j),
+                    "T": format_scalar(horizon)},
         assertions=tuple(assertions),
         values=values,
     )
@@ -113,23 +110,25 @@ def _preset_theorem1(n: int = 3, eps: Fraction = F(1, 100), j: int = 1,
         ),
         Assertion(
             description="the reduced network costs exactly the bypass transit time",
-            required=_fmt(horizon),
-            observed=_fmt(reduced_cost),
+            required=format_scalar(horizon),
+            observed=format_scalar(reduced_cost),
             holds=reduced_cost == horizon,
         ),
         Assertion(
             description="cost ratio exceeds (1 - eps)(n - 1)",
-            required=f"> {_fmt(target)}",
-            observed=_fmt(report.ratio),
+            required=f"> {format_scalar(target)}",
+            observed=format_scalar(report.ratio),
             holds=report.ratio > target,
         ),
     ]
-    values = {"full_cost": _fmt(report.full_cost), "ratio": _fmt(report.ratio),
-              "reduced_cost": _fmt(reduced_cost),
+    values = {"full_cost": format_scalar(report.full_cost),
+              "ratio": format_scalar(report.ratio),
+              "reduced_cost": format_scalar(reduced_cost),
               "subsets_evaluated": str(len(report.entries))}
     return PresetResult(
         preset="theorem1",
-        parameters={"n": str(n), "eps": _fmt(eps), "j": str(j), "T": _fmt(horizon)},
+        parameters={"n": str(n), "eps": format_scalar(eps), "j": str(j),
+                    "T": format_scalar(horizon)},
         assertions=tuple(assertions),
         values=values,
     )
@@ -142,17 +141,19 @@ def _preset_lemma2(n: int = 3, eps: Fraction = F(1, 10), j: int = 1,
     assertions = [
         Assertion(
             description="full subgraph enumeration yields ratio exactly one",
-            required="1", observed=_fmt(report.ratio), holds=report.ratio == 1),
+            required="1", observed=format_scalar(report.ratio), holds=report.ratio == 1),
         Assertion(
             description="the full network costs exactly the bypass transit time",
-            required=_fmt(horizon), observed=_fmt(report.full_cost),
+            required=format_scalar(horizon), observed=format_scalar(report.full_cost),
             holds=report.full_cost == horizon),
     ]
-    values = {"ratio": _fmt(report.ratio), "full_cost": _fmt(report.full_cost),
+    values = {"ratio": format_scalar(report.ratio),
+              "full_cost": format_scalar(report.full_cost),
               "subsets_evaluated": str(len(report.entries))}
     return PresetResult(
         preset="lemma2",
-        parameters={"n": str(n), "eps": _fmt(eps), "j": str(j), "T": _fmt(horizon)},
+        parameters={"n": str(n), "eps": format_scalar(eps), "j": str(j),
+                    "T": format_scalar(horizon)},
         assertions=tuple(assertions),
         values=values,
     )
@@ -202,8 +203,8 @@ def _preset_theorem5(eps: Fraction = F(1, 100), j: int = 1,
     assertions = [
         Assertion(
             description="ratio of the embedded instance reaches 2(1 - eps)",
-            required=f">= {_fmt(target)}",
-            observed=_fmt(report.ratio),
+            required=f">= {format_scalar(target)}",
+            observed=format_scalar(report.ratio),
             holds=report.ratio >= target,
         ),
         Assertion(
@@ -213,12 +214,13 @@ def _preset_theorem5(eps: Fraction = F(1, 100), j: int = 1,
             holds=unused,
         ),
     ]
-    values = {"ratio": _fmt(report.ratio), "full_cost": _fmt(report.full_cost),
+    values = {"ratio": format_scalar(report.ratio),
+              "full_cost": format_scalar(report.full_cost),
               "priced_out_edges": ",".join(priced_out),
               "embedding_nodes": str(dict(embedding.node_images))}
     return PresetResult(
         preset="theorem5",
-        parameters={"eps": _fmt(eps), "j": str(j), "T": _fmt(horizon)},
+        parameters={"eps": format_scalar(eps), "j": str(j), "T": format_scalar(horizon)},
         assertions=tuple(assertions),
         values=values,
     )

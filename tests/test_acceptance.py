@@ -152,9 +152,9 @@ def test_criterion_7_embedded_ladder_in_host():
 
 def test_criterion_8_self_oracle_on_headline_runs():
     # The equilibrium runs behind criteria 1-5 and 7 all pass the independent
-    # validators: the engine runs them internally (self_check=True raises on
-    # any violation, and criteria 3-5 enumerate subsets under that regime);
-    # here the headline runs are re-validated explicitly and exactly.
+    # validators: the engine runs them on every flow it returns and raises on
+    # any violation, criteria 3-5's subset runs included; here the headline
+    # runs are re-validated explicitly and exactly.
     cases = [
         make_mn(MnParams(n=2, horizon=F(1), alphas=(F(2), F(1)))),
         ladder(3, F(1, 10)),
@@ -169,7 +169,7 @@ def test_criterion_8_self_oracle_on_headline_runs():
     cases.append(embed_paradox_instance(host, embedding, F(1),
                                         geometric_alphas(3, F(1, 100), 1)))
     for inst in cases:
-        run = nash_flow(inst, self_check=False)
+        run = nash_flow(inst)
         self_oracle(inst, run)
     announce(8, f"{len(cases)} headline runs re-validated: feasibility "
                 "conditions empty, both equilibrium certificates exact")

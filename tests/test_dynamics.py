@@ -12,7 +12,6 @@ from fot.dynamics import (
     FlowOverTime,
     certify_nash,
     flow_from_obj,
-    flow_to_csv_rows,
     flow_to_obj,
     labels,
     node_latency,
@@ -240,16 +239,13 @@ def test_path_decomposition_must_sum_to_supply():
         social_cost(inst, bad)
 
 
-def test_flow_json_and_csv_roundtrip():
+def test_flow_json_roundtrip():
     flow = two_link_all_on_slow_flow(paths=True)
     again = flow_from_obj(flow_to_obj(flow))
     assert again.inflow == dict(flow.inflow)
     assert again.outflow == dict(flow.outflow)
     assert again.sink_cumulative == flow.sink_cumulative
     assert again.paths == dict(flow.paths)
-    rows = flow_to_csv_rows(flow)
-    assert ("inflow", "f1", "0", "0", "2") in rows
-    assert all(len(row) == 5 for row in rows)
 
 
 @pytest.mark.parametrize("check", [

@@ -2,22 +2,33 @@
 
 The engine is validated against checkers it does not share code with: the
 exact feasibility conditions, both equilibrium certificates, the uniqueness
-of per-phase label slopes across all solver patterns, the unfiltered pattern
-search as the oracle of the label-filtered one, and the structural
+of per-phase label slopes across all solver patterns, the pattern search
+over every support as the oracle of the one with forced edges, and the structural
 guarantee that networks using only chains of parallel paths never benefit
 from deletions.
 """
 
 import random
 from fractions import Fraction
+from itertools import product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fot.braess import braess_ratio
-from fot.core import Edge, Instance, Network, NoPathError
+from fot.core import (ContractError, Edge, FotError, Instance, Network, NoPathError,
+                      SizeCapError, st_core)
 from fot.dynamics import certify_nash, validate_feasible
-from fot.equilibrium import enumerate_thin_flows, nash_flow, thin_flow
+from fot.equilibrium import (
+    MAX_ACTIVE_EDGES,
+    ThinFlow,
+    enumerate_thin_flows,
+    nash_flow,
+    solve_exact,
+    thin_flow,
+    verify_thin_flow,
+)
 from fot.gen import random_dag
 from fot.topology import uses_only_chains
 
@@ -54,7 +65,7 @@ def test_random_instances_produce_certified_equilibria(inst):
     if not inst.has_st_path:
         return
     try:
-        run = nash_flow(inst, phase_cap=400, self_check=False)
+        run = nash_flow(inst, phase_cap=400)
     except NoPathError:
         return
     assert validate_feasible(inst, run.flow).ok
@@ -73,7 +84,7 @@ def test_label_slopes_agree_across_all_solver_patterns(inst):
     if not inst.has_st_path:
         return
     try:
-        run = nash_flow(inst, phase_cap=400, self_check=False)
+        run = nash_flow(inst, phase_cap=400)
     except NoPathError:
         return
     for phase in run.phases:
@@ -109,25 +120,124 @@ def tied_instances(draw):
                     draw(st.sampled_from([F(1), F(2), F(5, 2), F(4)])))
 
 
+def reference_enumerate_thin_flows(net, active, resetting, capacity, supply):
+    """The pattern search without forced edges: every support over all
+    competitive edges in lexicographic mask order, each pattern solved and
+    verified as in `enumerate_thin_flows`.  Exponential in the competitive
+    edges; the oracle the forced search must match solution for solution."""
+    if not resetting <= active:
+        raise ContractError("resetting edges must be competitive")
+    edges = [e for e in net.edges if e.id in active]
+    reach = net.reachable_from(net.source, active)
+    for e in edges:
+        if e.tail not in reach:
+            raise ContractError(f"competitive edge {e.id} is unreachable from the source")
+    if net.sink not in reach:
+        raise NoPathError("sink not reachable through competitive edges")
+    if len(edges) > MAX_ACTIVE_EDGES:
+        raise SizeCapError(
+            f"more than {MAX_ACTIVE_EDGES} free edges in a thin-flow pattern search")
+    nodes = [v for v in net.nodes if v in reach]
+    col = {v: i for i, v in enumerate(nodes)}
+
+    def idle_row(e):
+        # l_w = l_v, or l_w = 0 behind a queue
+        if e.id in resetting:
+            return {col[e.head]: 1}, 0
+        return {col[e.head]: 1, col[e.tail]: -1}, 0
+
+    for mask in product((0, 1), repeat=len(edges)):
+        support = [e for e, bit in zip(edges, mask) if bit]
+        ids = frozenset(e.id for e in support)
+        if st_core(net, ids) != ids:
+            continue
+        x = {e.id: len(nodes) + i for i, e in enumerate(support)}
+        rows = [({col[net.source]: 1}, 1)]
+        for v in nodes:
+            if v == net.sink:
+                continue
+            scale = supply.denominator if v == net.source else 1
+            rows.append(({x[e.id]: scale if e.head == v else -scale
+                          for e in support if v in (e.tail, e.head)},
+                         -supply.numerator if v == net.source else 0))
+        options = []
+        for e in support:
+            cap = capacity[e.id]
+            options.append([({col[e.head]: cap.numerator, x[e.id]: -cap.denominator}, 0)]
+                           + ([] if e.id in resetting else [idle_row(e)]))
+        for v in nodes:
+            if v != net.source and not any(e.head == v for e in support):
+                options.append([idle_row(e) for e in edges if e.head == v])
+        for pattern in product(*options):
+            status, sol = solve_exact(rows + list(pattern), len(nodes) + len(support))
+            if status != "unique":
+                continue
+            slopes = dict(zip(nodes, sol))
+            rates = {e.id: F(0) for e in edges}
+            rates.update((e.id, sol[x[e.id]]) for e in support)
+            if verify_thin_flow(net, active, resetting, capacity, supply,
+                                slopes, rates) is None:
+                yield ThinFlow(slopes, rates)
+
+
+def assert_matches_the_unforced_oracle(args):
+    """The forced search yields the oracle's solutions in the oracle's
+    order, and `thin_flow` returns the first; errors agree by class and
+    message."""
+    try:
+        reference = list(reference_enumerate_thin_flows(*args))
+    except FotError as exc:
+        with pytest.raises(type(exc)) as raised:
+            list(enumerate_thin_flows(*args))
+        assert str(raised.value) == str(exc)
+        return
+    assert list(enumerate_thin_flows(*args)) == reference
+    assert reference
+    assert thin_flow(*args) == reference[0]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(random_instances(), tied_instances()))
-def test_label_filtered_search_matches_the_unfiltered_oracle(inst):
-    # Filtered by the true label slopes, the search yields the oracle's
-    # verified solutions in the oracle's order, and thin_flow returns the
-    # first of them.
+def test_forced_search_matches_the_unforced_oracle_on_engine_phases(inst):
     if not inst.has_st_path:
         return
     try:
-        run = nash_flow(inst, phase_cap=400, self_check=False)
+        run = nash_flow(inst, phase_cap=400)
     except NoPathError:
         return
     for phase in run.phases:
-        args = (inst.network, frozenset(phase.active), frozenset(phase.resetting),
-                inst.capacity, inst.supply)
-        oracle = list(enumerate_thin_flows(*args))
-        assert oracle
-        assert list(enumerate_thin_flows(*args, labels=oracle[0].label_slopes)) == oracle
-        assert thin_flow(*args) == oracle[0]
+        assert_matches_the_unforced_oracle(
+            (inst.network, frozenset(phase.active), frozenset(phase.resetting),
+             inst.capacity, inst.supply))
+
+
+@st.composite
+def thin_flow_systems(draw):
+    """Arbitrary (competitive, resetting) edge sets on small DAGs, which a
+    phase of the engine need not produce: any competitive subset closed
+    under reachability from the source, any queued subset of it, and a
+    dead-end node d that queued edges may feed."""
+    nodes = draw(st.integers(min_value=3, max_value=5))
+    edges = draw(st.integers(min_value=2, max_value=nodes * (nodes - 1) // 2))
+    net = random_dag(nodes, edges, draw(st.integers(min_value=0, max_value=10_000)))
+    tails = draw(st.lists(st.sampled_from(net.nodes[:-1]), max_size=3))
+    net = Network(net.nodes + ("d",),
+                  net.edges + tuple(Edge(f"q{k}", v, "d") for k, v in enumerate(tails)),
+                  net.source, net.sink)
+    kept = {e.id for e in net.edges if draw(st.integers(min_value=0, max_value=4))}
+    reach = net.reachable_from(net.source, kept)
+    active = frozenset(e.id for e in net.edges if e.id in kept and e.tail in reach)
+    resetting = frozenset(eid for eid in sorted(active) if draw(st.booleans()))
+    capacity = {e.id: draw(st.sampled_from([F(1, 2), F(1), F(3, 2), F(2)]))
+                for e in net.edges}
+    supply = draw(st.sampled_from([F(1), F(2), F(5, 2), F(4)]))
+    return net, active, resetting, capacity, supply
+
+
+@settings(max_examples=150, deadline=None)
+@given(thin_flow_systems())
+def test_forced_search_matches_the_unforced_oracle_on_arbitrary_systems(args):
+    assert_matches_the_unforced_oracle(args)
 
 
 def subdivided_chain_instance(rng):

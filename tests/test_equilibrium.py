@@ -76,17 +76,19 @@ def test_verify_thin_flow_rejects_tampering():
                             inst.supply, good.label_slopes, bad_rates) is not None
 
 
-def test_thin_flow_falls_back_when_the_unit_guess_verifies_nothing():
-    # A queued edge q into the dead end d carries no flow, so d's slope is 0.
-    # The pass guessing slope 1 everywhere forces q into every support, and
-    # no support holding q is its own s-t core; the unfiltered search runs.
+def test_queued_edge_into_a_dead_end_is_not_forced():
+    # The queued edge q feeds the dead end d, which reaches no sink, so q
+    # carries no flow and d's slope is 0.  Only queued edges whose head
+    # reaches the sink are forced into every support; forcing q would leave
+    # no support that is its own s-t core.
     inst = build_instance([("e", "s", "t", 1, 1), ("q", "s", "d", 1, 1)], "s", "t", 2)
     args = (inst.network, frozenset({"e", "q"}), frozenset({"q"}),
             inst.capacity, inst.supply)
-    assert list(enumerate_thin_flows(*args, labels={"s": 1, "t": 1, "d": 1})) == []
-    oracle = list(enumerate_thin_flows(*args))
-    assert oracle[0].label_slopes == {"s": 1, "t": 2, "d": 0}
-    assert thin_flow(*args) == oracle[0]
+    solutions = list(enumerate_thin_flows(*args))
+    assert solutions and all(tf.label_slopes == {"s": 1, "t": 2, "d": 0}
+                             for tf in solutions)
+    assert thin_flow(*args) == solutions[0]
+    assert solutions[0].edge_rates == {"e": 2, "q": 0}
 
 
 def test_next_event_two_link_first_phase():
@@ -287,7 +289,7 @@ def test_phase_cap():
 def test_runs_pass_independent_validators():
     for inst in [two_link_base_instance(), ladder(3, F(1, 10)),
                  transpose(ladder(3, F(1, 10)))]:
-        run = nash_flow(inst, self_check=False)
+        run = nash_flow(inst)
         assert validate_feasible(inst, run.flow).ok
         ok, _ = certify_nash(inst, run.flow)
         assert ok
