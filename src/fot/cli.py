@@ -308,6 +308,16 @@ def _fraction_arg(text: str) -> Fraction:
     return value
 
 
+def _places_arg(text: str) -> int:
+    try:
+        places = int(text)
+    except ValueError:
+        places = -1
+    if places < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return places
+
+
 # -- subcommand implementations ----------------------------------------------------
 
 
@@ -468,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-o", "--output", help="write to a file instead of stdout")
         if formats:
             p.add_argument("--format", choices=("json", "csv"), default="json")
-            p.add_argument("--decimal", type=int, default=None,
+            p.add_argument("--decimal", type=_places_arg, default=None,
                            help="add a display-only decimal column (CSV only)")
 
     p = sub.add_parser("simulate", help="compute the equilibrium phase by phase")

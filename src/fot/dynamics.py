@@ -475,6 +475,9 @@ def pwl_to_obj(curve: PiecewiseLinear) -> dict:
 def pwl_from_obj(obj: dict) -> PiecewiseLinear:
     points = [(as_fraction(x), as_fraction(y))
               for x, y in _pairs(obj["breakpoints"], "breakpoints")]
+    # `from_points` sorts its points; a file must list them in order.
+    if any(a[0] >= b[0] for a, b in zip(points, points[1:])):
+        raise ContractError("breakpoints must be strictly increasing")
     return PiecewiseLinear.from_points(points, as_fraction(obj["final_slope"]))
 
 

@@ -7,6 +7,7 @@ All presets run offline and are deterministic.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
@@ -239,7 +240,13 @@ def run_preset(preset: str, **overrides) -> PresetResult:
     if preset not in PRESETS:
         raise ParameterError(
             f"unknown preset {preset!r}; available: {', '.join(sorted(PRESETS))}")
-    return PRESETS[preset](**overrides)
+    run = PRESETS[preset]
+    takes = inspect.signature(run).parameters
+    for name in overrides:
+        if name not in takes:
+            raise ParameterError(
+                f"preset {preset!r} does not take {name!r}; it takes {', '.join(takes)}")
+    return run(**overrides)
 
 
 def preset_result_to_obj(result: PresetResult) -> dict:

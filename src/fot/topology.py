@@ -12,6 +12,7 @@ embedding is re-checkable in isolation.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
@@ -202,13 +203,11 @@ def find_subdivision(host: Network, pattern: Union[str, Network],
                 return False
             failed_heads: set[str] = set()
             for e in host.out_edges[here]:
-                if e.id in used_edges or e.id in path or e.head in failed_heads:
+                if e.id in used_edges or e.head in failed_heads:
                     continue
                 nxt = e.head
                 if nxt != goal and (nxt in branch_images or nxt in used_internal
                                     or goal not in reach[nxt]):
-                    continue
-                if nxt != goal and any(host.edge_by_id[eid].head == nxt for eid in path):
                     continue
                 path.append(e.id)
                 if dfs(nxt, path):
@@ -255,40 +254,34 @@ def find_subdivision(host: Network, pattern: Union[str, Network],
 # -- chains of parallel paths ---------------------------------------------------
 
 
-def _chain_walk(nodes: tuple[str, ...], edges: tuple[Edge, ...], u: str, v: str) -> bool:
-    """Do the nodes admit a linear order from u to v with every edge joining
-    consecutive positions?"""
-    out_table: dict[str, list[Edge]] = {n: [] for n in nodes}
-    in_table: dict[str, list[Edge]] = {n: [] for n in nodes}
-    for e in edges:
-        out_table[e.tail].append(e)
-        in_table[e.head].append(e)
-    if in_table[u] or out_table[v]:
-        return False
-    here = u
-    seen = 1
-    consumed = 0
-    while here != v:
-        outs = out_table[here]
-        if not outs:
-            return False
-        heads = {e.head for e in outs}
-        if len(heads) != 1:
-            return False
-        nxt = heads.pop()
-        if any(e.tail != here for e in in_table[nxt]):
-            return False
-        consumed += len(outs)
-        seen += 1
-        if seen > len(nodes):
-            return False
-        here = nxt
-    return seen == len(nodes) and consumed == len(edges)
+def _path_counts(net: Network) -> dict[str, dict[str, int]]:
+    """`paths[u][w]` is the number of u-w paths for every w that u reaches
+    (one, the empty path, for w = u), from one pass over the reversed
+    topological order."""
+    paths: dict[str, dict[str, int]] = {}
+    for u in reversed(net.topological_order()):
+        row = {u: 1}
+        for e in net.out_edges[u]:
+            for w, count in paths[e.head].items():
+                row[w] = row.get(w, 0) + count
+        paths[u] = row
+    return paths
+
+
+def _on_every_path(paths: dict[str, dict[str, int]], u: str, v: str, nodes) -> bool:
+    """Does each of `nodes` lie on every u-v path?  In a DAG a u-v path
+    meets w at most once, so N(u,w)·N(w,v) of the N(u,v) paths pass w."""
+    total = paths[u].get(v, 0)
+    return all(paths[u].get(w, 0) * paths[w].get(v, 0) == total for w in nodes)
 
 
 def is_chain_of_parallel_links(net: Network, u: str, v: str) -> bool:
     """True iff the nodes line up u = w0, ..., wm = v with every edge joining
-    consecutive nodes.  Requires every edge to lie on some u-v path."""
+    consecutive nodes.  Requires every edge to lie on some u-v path.
+
+    That holds iff some u-v path exists and every node lies on every u-v
+    path: the nodes then sit in path order, and an edge skipping a node
+    would lie on a u-v path that avoids it."""
     if not net.is_acyclic():
         raise UnsupportedTopologyError("chain test is restricted to acyclic networks")
     from_u = net.reachable_from(u)
@@ -296,36 +289,36 @@ def is_chain_of_parallel_links(net: Network, u: str, v: str) -> bool:
     for e in net.edges:
         if e.tail not in from_u or e.head not in to_v:
             raise ContractError(f"edge {e.id} lies on no path from {u} to {v}")
-    return _chain_walk(net.nodes, net.edges, u, v)
+    return v in from_u and _on_every_path(_path_counts(net), u, v, net.nodes)
 
 
 def _smooth_edges(nodes: list[str], edges: list[Edge], protect: set[str]):
-    """Graph-level smoothing to a fixpoint: merge every unprotected node with
-    exactly one in-edge and one out-edge.  A merged edge keeps the id of its
-    first (source-side) edge, so each original id survives in at most one
-    edge and no two ids can collide; `merged` maps an id to its parts."""
-    merged: dict[str, tuple[str, ...]] = {e.id: (e.id,) for e in edges}
-    while True:
-        in_table: dict[str, list[Edge]] = {n: [] for n in nodes}
-        out_table: dict[str, list[Edge]] = {n: [] for n in nodes}
-        for e in edges:
-            out_table[e.tail].append(e)
-            in_table[e.head].append(e)
-        target = None
-        for w in nodes:
-            if w in protect:
-                continue
-            if len(in_table[w]) == 1 and len(out_table[w]) == 1:
-                target = w
-                break
-        if target is None:
-            return nodes, edges, merged
-        first = in_table[target][0]
-        second = out_table[target][0]
-        joined = Edge(first.id, first.tail, second.head)
-        merged[first.id] += merged.pop(second.id)
-        nodes = [n for n in nodes if n != target]
-        edges = [e for e in edges if e.id not in (first.id, second.id)] + [joined]
+    """Graph-level smoothing of an acyclic graph: merge away every
+    unprotected node with exactly one in-edge and one out-edge.  Merging
+    never changes another node's degrees, so one pass follows each chain of
+    such nodes from its first edge.  A merged edge keeps the id of its first
+    (source-side) edge and that edge's position, so each original id
+    survives in at most one edge and no two ids can collide; `merged` maps
+    an id to its parts."""
+    ins = dict.fromkeys(nodes, 0)
+    outs = dict.fromkeys(nodes, 0)
+    for e in edges:
+        ins[e.head] += 1
+        outs[e.tail] += 1
+    inner = {w for w in nodes if ins[w] == outs[w] == 1 and w not in protect}
+    onward = {e.tail: e for e in edges if e.tail in inner}
+    kept: list[Edge] = []
+    merged: dict[str, tuple[str, ...]] = {}
+    for e in edges:
+        if e.tail in inner:
+            continue
+        last, parts = e, (e.id,)
+        while last.head in inner:
+            last = onward[last.head]
+            parts += (last.id,)
+        merged[e.id] = parts
+        kept.append(e if last is e else Edge(e.id, e.tail, last.head))
+    return [w for w in nodes if w not in inner], kept, merged
 
 
 def uses_only_chains(net: Network):
@@ -334,34 +327,37 @@ def uses_only_chains(net: Network):
 
     Returns (True, None) or (False, (u, v, union_edge_ids)).  An edge lies on
     a simple u-v path iff u reaches its tail and its head reaches v, which is
-    what restricts this test to acyclic networks.
+    what restricts this test to acyclic networks.  A union is a chain iff
+    its junctions, the nodes whose union degree is not (1, 1), all lie on
+    every u-v path: the other nodes then form disjoint paths between
+    consecutive junctions.
     """
     if not net.is_acyclic():
         raise UnsupportedTopologyError(
             "path-union analysis is restricted to acyclic networks")
-    reach = {v: net.reachable_from(v) for v in net.nodes}
+    paths = _path_counts(net)
     for u in net.nodes:
         for v in net.nodes:
-            if u == v:
+            if u == v or v not in paths[u]:
                 continue
             union = [e for e in net.edges
-                     if e.tail in reach[u] and v in reach[e.head]]
-            if not union:
-                continue
-            touched = [n for n in net.nodes
-                       if any(n in (e.tail, e.head) for e in union)]
-            nodes, edges, _ = _smooth_edges(touched, union, {u, v})
-            if not _chain_walk(tuple(nodes), tuple(edges), u, v):
+                     if e.tail in paths[u] and v in paths[e.head]]
+            ins = Counter(e.head for e in union)
+            outs = Counter(e.tail for e in union)
+            junctions = [w for w in ins.keys() | outs.keys() if (ins[w], outs[w]) != (1, 1)]
+            if not _on_every_path(paths, u, v, junctions):
                 return False, (u, v, tuple(e.id for e in union))
     return True, None
 
 
 def smooth(inst: Instance) -> Instance:
-    """Merge internal degree-(1,1) nodes to a fixpoint; a merged edge takes
-    the summed transit time and the minimum capacity, and keeps the id of its
-    first (source-side) original edge, so merged ids never collide.
-    Terminals are never smoothed away."""
+    """Merge internal degree-(1,1) nodes; a merged edge takes the summed
+    transit time and the minimum capacity, and keeps the id and position of
+    its first (source-side) original edge, so merged ids never collide.
+    Terminals are never smoothed away.  Restricted to acyclic networks."""
     net = inst.network
+    if not net.is_acyclic():
+        raise UnsupportedTopologyError("smoothing is restricted to acyclic networks")
     protect = {net.source, net.sink}
     nodes, edges, merged = _smooth_edges(list(net.nodes), list(net.edges), protect)
     capacity: dict[str, Fraction] = {}

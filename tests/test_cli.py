@@ -96,6 +96,14 @@ def test_simulate_csv_decimal_column_is_display_only(tmp_path, capsys):
     assert row.endswith("1.000")
 
 
+def test_negative_decimal_places_are_a_usage_error(tmp_path, capsys):
+    path = write_instance(tmp_path, two_link_base_instance())
+    code, out, err = run_cli(capsys, "simulate", path, "--format", "csv",
+                             "--decimal", "-1")
+    assert code == 2 and out == ""
+    assert "--decimal" in err and "nonnegative" in err
+
+
 def test_validate_cli(tmp_path, capsys):
     inst = two_link_base_instance()
     inst_path = write_instance(tmp_path, inst)
@@ -275,6 +283,16 @@ def test_every_preset_passes_at_its_defaults(preset, capsys):
     assert loads(out)["ok"] is True
 
 
+@pytest.mark.parametrize("preset, flag", [
+    ("lemma1", "--samples"), ("theorem1", "--seed"), ("lemma2", "--nodes"),
+    ("lemma3", "--n"), ("theorem5", "--n"),
+])
+def test_flag_a_preset_does_not_take_is_an_input_error(preset, flag, capsys):
+    code, out, err = run_cli(capsys, "reproduce", preset, flag, "4")
+    assert code == 2 and out == ""
+    assert "input error" in err and f"does not take {flag[2:]!r}" in err
+
+
 def test_exit_codes(tmp_path, capsys):
     code, _, err = run_cli(capsys, "simulate", "/nonexistent.json")
     assert code == 2 and "input error" in err
@@ -348,7 +366,9 @@ def test_cycle_is_an_input_error(command, tmp_path, capsys):
     ("inflow", [["-1", "1"]], "nondecreasing"),
     ("sink", [["0", "0"], ["0", "0"]], "strictly increasing"),
     ("sink", [[1]], "'breakpoints' must be a list of [x, y] pairs"),
-], ids=["rate-before-time-zero", "repeated-sink-breakpoint", "sink-breakpoint-no-pair"])
+    ("sink", [["1", "1"], ["0", "0"]], "strictly increasing"),
+], ids=["rate-before-time-zero", "repeated-sink-breakpoint", "sink-breakpoint-no-pair",
+        "reversed-sink-breakpoints"])
 def test_validate_curve_that_is_no_curve_is_an_input_error(field, value, message,
                                                            tmp_path, capsys):
     inst_path = write_instance(tmp_path, two_link_base_instance())

@@ -4,13 +4,15 @@ from fractions import Fraction
 import pytest
 
 from fot.cli import main
-from fot.core import ContractError, Edge, Instance, Network, SizeCapError, dumps, instance_to_obj
+from fot.core import (ContractError, Edge, Instance, Network, SizeCapError,
+                      UnsupportedTopologyError, dumps, instance_to_obj)
 from fot.gen import MnParams, geometric_alphas, make_chain, make_mn, random_dag
 from fot.topology import (
     PATTERN_IDS,
     PATTERN_TRANSPOSE,
     PATTERNS,
     ClassificationReport,
+    _smooth_edges,
     Embedding,
     classify,
     find_subdivision,
@@ -309,6 +311,8 @@ def test_chain_of_parallel_paths_uses_only_chains():
 def test_is_chain_of_parallel_links():
     assert is_chain_of_parallel_links(parallel_links([2]), "c0", "c1")
     assert is_chain_of_parallel_links(parallel_links([4, 1, 4, 5]), "c0", "c4")
+    # no path at all: every node lies on every one of the zero paths
+    assert not is_chain_of_parallel_links(Network(("a", "b"), (), "a", "b"), "a", "b")
     with pytest.raises(ContractError):
         # an edge that no terminal pair path uses violates the precondition
         is_chain_of_parallel_links(pattern_network("M3"), "v1", "v2")
@@ -317,6 +321,120 @@ def test_is_chain_of_parallel_links():
 def test_transposed_ladder_is_not_a_chain():
     net = pattern_network("M3T")
     assert not is_chain_of_parallel_links(net, "v3", "v1")
+
+
+# -- the cut-node chain test and one-pass smoothing against the fixpoint code ------
+
+
+def reference_chain_walk(nodes, edges, u, v):
+    """Do the nodes admit a linear order from u to v with every edge joining
+    consecutive positions?"""
+    out_table = {n: [] for n in nodes}
+    in_table = {n: [] for n in nodes}
+    for e in edges:
+        out_table[e.tail].append(e)
+        in_table[e.head].append(e)
+    if in_table[u] or out_table[v]:
+        return False
+    here = u
+    seen = 1
+    consumed = 0
+    while here != v:
+        outs = out_table[here]
+        if not outs:
+            return False
+        heads = {e.head for e in outs}
+        if len(heads) != 1:
+            return False
+        nxt = heads.pop()
+        if any(e.tail != here for e in in_table[nxt]):
+            return False
+        consumed += len(outs)
+        seen += 1
+        if seen > len(nodes):
+            return False
+        here = nxt
+    return seen == len(nodes) and consumed == len(edges)
+
+
+def reference_smooth_edges(nodes, edges, protect):
+    """Smoothing to a fixpoint, one merge per round: the first unprotected
+    degree-(1,1) node goes, and the joined edge keeps the first edge's id
+    and moves to the end of the edge list."""
+    merged = {e.id: (e.id,) for e in edges}
+    while True:
+        in_table = {n: [] for n in nodes}
+        out_table = {n: [] for n in nodes}
+        for e in edges:
+            out_table[e.tail].append(e)
+            in_table[e.head].append(e)
+        target = next((w for w in nodes if w not in protect
+                       and len(in_table[w]) == 1 and len(out_table[w]) == 1), None)
+        if target is None:
+            return nodes, edges, merged
+        first = in_table[target][0]
+        second = out_table[target][0]
+        joined = Edge(first.id, first.tail, second.head)
+        merged[first.id] += merged.pop(second.id)
+        nodes = [n for n in nodes if n != target]
+        edges = [e for e in edges if e.id not in (first.id, second.id)] + [joined]
+
+
+def path_unions(net):
+    """Every ordered pair's nonempty path union: (u, v, nodes, edges)."""
+    reach = {v: net.reachable_from(v) for v in net.nodes}
+    for u in net.nodes:
+        for v in net.nodes:
+            union = [e for e in net.edges if e.tail in reach[u] and v in reach[e.head]]
+            if u != v and union:
+                touched = [n for n in net.nodes
+                           if any(n in (e.tail, e.head) for e in union)]
+                yield u, v, touched, union
+
+
+def reference_uses_only_chains(net):
+    """Smooth each pair's path union to a fixpoint, then walk it."""
+    for u, v, touched, union in path_unions(net):
+        nodes, edges, _ = reference_smooth_edges(touched, union, {u, v})
+        if not reference_chain_walk(tuple(nodes), tuple(edges), u, v):
+            return False, (u, v, tuple(e.id for e in union))
+    return True, None
+
+
+def subdivided_dags(count):
+    """Random DAGs with parallel twins and subdivided edges, seeded."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        nodes = rng.randrange(3, 8)
+        net = random_dag(nodes, rng.randrange(1, nodes * (nodes - 1) // 2 + 1), seed)
+        ids = [e.id for e in net.edges]
+        net = with_twins(net, set(rng.sample(ids, rng.randrange(len(ids) + 1))))
+        for eid in rng.sample(ids, rng.randrange(min(3, len(ids)) + 1)):
+            net = subdivide(net, eid, rng.randrange(2, 4))
+        yield seed, net
+
+
+def test_cut_node_chain_test_and_one_pass_smoothing_match_the_fixpoint_code():
+    verdicts = set()
+    for seed, net in subdivided_dags(400):
+        got = uses_only_chains(net)
+        assert got == reference_uses_only_chains(net), seed
+        verdicts.add(got[0])
+        for u, v, touched, union in path_unions(net):
+            smoothed, joined, _ = reference_smooth_edges(touched, union, {u, v})
+            for nodes, edges in ((touched, union), (smoothed, joined)):
+                sub = Network(tuple(nodes), tuple(edges), u, v)
+                assert is_chain_of_parallel_links(sub, u, v) == reference_chain_walk(
+                    tuple(nodes), tuple(edges), u, v), (seed, u, v)
+        protect = {net.source, net.sink}
+        nodes, edges, merged = _smooth_edges(list(net.nodes), list(net.edges), protect)
+        want_nodes, want_edges, want_merged = reference_smooth_edges(
+            list(net.nodes), list(net.edges), protect)
+        assert set(nodes) == set(want_nodes), seed
+        assert merged == want_merged, seed
+        assert {(e.id, e.tail, e.head) for e in edges} == {
+            (e.id, e.tail, e.head) for e in want_edges}, seed
+    assert verdicts == {True, False}
 
 
 # -- smoothing ----------------------------------------------------------------------
@@ -397,6 +515,19 @@ def test_smoothing_keeps_the_first_edge_id(nodes, edges, smoothed, tmp_path, cap
     path.write_text(dumps(instance_to_obj(inst)))
     assert main(["classify", str(path)]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_smooth_refuses_a_cycle():
+    inst = Instance(
+        network=Network(("s", "x", "y", "t"),
+                        (Edge("a", "s", "t"), Edge("b", "x", "y"), Edge("c", "y", "x")),
+                        "s", "t"),
+        capacity={"a": F(1), "b": F(1), "c": F(1)},
+        transit={"a": F(1), "b": F(1), "c": F(1)},
+        supply=F(1),
+    )
+    with pytest.raises(UnsupportedTopologyError):
+        smooth(inst)
 
 
 # -- series-parallel and classification -----------------------------------------------
