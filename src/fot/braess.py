@@ -23,8 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
+# Looked up as `equilibrium.nash_flow` at each call, so that a replacement of
+# that attribute (a tracer, a test that counts runs) sees every engine run.
+from . import equilibrium
 from .core import (
     FotError,
     INF,
@@ -38,9 +41,8 @@ from .core import (
     st_core,
     transpose,
 )
-from .equilibrium import social_cost_ne
 from .gen import make_ladder
-from .topology import classify, pattern_network
+from .topology import pattern_network
 
 CANONICAL_NOTE = ("costs are those of the canonical computed equilibrium of "
                   "each subnetwork")
@@ -81,7 +83,8 @@ def _core_cost(inst: Instance, core: frozenset[str],
     """Cost of the sub-instance on an s-t core, with the error string of a
     failed run (recorded per core, never fatal)."""
     try:
-        return social_cost_ne(restrict(inst, core), phase_cap=phase_cap), None
+        run = equilibrium.nash_flow(restrict(inst, core), phase_cap=phase_cap)
+        return run.social_cost, None
     except NoPathError:
         return INF, None
     except FotError as exc:
@@ -124,8 +127,8 @@ def braess_ratio(inst: Instance, subsets: Optional[Sequence[Sequence[str]]] = No
     by_core: dict[frozenset[str], tuple[Scalar, Optional[str]]] = {}
     full_core = st_core(inst.network, edge_ids)
     if full_core is not None:  # run outside `_core_cost`, so a failure is raised
-        cost = social_cost_ne(restrict(inst, full_core), phase_cap=phase_cap)
-        by_core[full_core] = cost, None
+        run = equilibrium.nash_flow(restrict(inst, full_core), phase_cap=phase_cap)
+        by_core[full_core] = run.social_cost, None
     for kept in subsets:
         core = st_core(inst.network, kept)
         if core is None:
@@ -204,15 +207,11 @@ def sweep(description: str, points: Sequence[tuple[str, Instance]],
     return SweepReport(description, tuple(out), max_ratio, any_paradox)
 
 
-def transposed_ladder3_network() -> Network:
-    return pattern_network("M3T")
-
-
 def transposed_ladder3_instance(capacity: dict[str, Fraction],
                                 transit: dict[str, Fraction],
                                 supply: Fraction,
                                 source: str = "v3", sink: str = "v1") -> Instance:
-    base = transposed_ladder3_network()
+    base = pattern_network("M3T")
     net = base if (base.source, base.sink) == (source, sink) else Network(
         nodes=base.nodes, edges=base.edges, source=source, sink=sink)
     return Instance(net, capacity, transit, supply)
@@ -271,53 +270,10 @@ def sweep_transpose_m3(points: Optional[Sequence[tuple[str, Instance]]] = None,
     """
     if points is None:
         points = default_transpose_m3_grid()
-    shape = {(e.tail, e.head) for e in transposed_ladder3_network().edges}
+    shape = {(e.tail, e.head) for e in pattern_network("M3T").edges}
     for label, inst in points:
         got = {(e.tail, e.head) for e in inst.network.edges}
         if got != shape:
             raise ParameterError(f"point {label!r} is not on the transposed ladder")
     return sweep("transposed three-level ladder grid", points, phase_cap=phase_cap)
 
-
-# -- conjecture harness ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConjectureEntry:
-    name: str
-    forward_pattern: bool
-    points: tuple[SweepPoint, ...]
-    hits: tuple[str, ...]  # labels of paradox points
-
-
-@dataclass(frozen=True)
-class ConjectureReport:
-    entries: tuple[ConjectureEntry, ...]
-    counterexample_candidates: tuple[tuple[str, str], ...]
-    note: str = ("a paradox hit on a network without the forward patterns is "
-                 "flagged for manual review, never auto-labeled a refutation")
-
-
-def conjecture_search(family: Sequence[tuple[str, Network]],
-                      instances_for: Callable[[Network], Sequence[tuple[str, Instance]]],
-                      phase_cap: int = 200) -> ConjectureReport:
-    """Search instance grids for paradox hits, network by network.
-
-    Each network is classified first; hits on networks lacking all three
-    forward patterns are collected as counterexample candidates for manual
-    review (given the structural results, they would indicate a bug)."""
-    entries = []
-    candidates = []
-    for name, net in family:
-        report = classify(net)
-        result = sweep(f"conjecture grid on {name}", instances_for(net), phase_cap=phase_cap)
-        hits = tuple(p.label for p in result.points if p.paradox)
-        entries.append(ConjectureEntry(
-            name=name,
-            forward_pattern=report.forward_paradox,
-            points=result.points,
-            hits=hits,
-        ))
-        if not report.forward_paradox:
-            candidates.extend((name, h) for h in hits)
-    return ConjectureReport(tuple(entries), tuple(candidates))

@@ -165,7 +165,8 @@ def flatten(obj, prefix="") -> list[tuple[str, str]]:
             rows.append((prefix or ".", "d:"))
             return rows
         for key in sorted(obj):
-            if "." in key:
+            # A dotted key would split, and an integer key read back as a list index.
+            if "." in key or key.lstrip("-").isdigit():
                 raise ParameterError(f"key {key!r} cannot be flattened")
             rows.extend(flatten(obj[key], f"{prefix}.{key}" if prefix else key))
     elif isinstance(obj, list):
@@ -185,41 +186,6 @@ def flatten(obj, prefix="") -> list[tuple[str, str]]:
     else:
         raise ParameterError(f"cannot flatten value of type {type(obj).__name__}")
     return rows
-
-
-def unflatten(rows) -> object:
-    def decode(cell: str):
-        tag, _, rest = cell.partition(":")
-        if tag == "s":
-            return rest
-        if tag == "i":
-            return int(rest)
-        if tag == "b":
-            return rest == "true"
-        if tag == "n":
-            return None
-        if tag == "d":
-            return {}
-        if tag == "l":
-            return []
-        raise ParameterError(f"bad value cell {cell!r}")
-
-    root: dict = {}
-    for path, cell in rows:
-        parts = path.split(".")
-        here = root
-        for part in parts[:-1]:
-            here = here.setdefault(part, {})
-        here[parts[-1]] = decode(cell)
-
-    def rebuild(node):
-        if not isinstance(node, dict):
-            return node
-        if node and all(k.lstrip("-").isdigit() for k in node):
-            return [rebuild(node[k]) for k in sorted(node, key=int)]
-        return {k: rebuild(v) for k, v in node.items()}
-
-    return rebuild(root)
 
 
 def _decimal_text(value: str, places: int) -> str:
@@ -252,11 +218,6 @@ def write_csv(obj, stream, decimal: int | None = None) -> None:
                     extra = ""
             row.append(extra)
         writer.writerow(row)
-
-
-def read_csv(stream) -> object:
-    rows = list(csv.reader(stream))
-    return unflatten([(r[0], r[1]) for r in rows[1:]])
 
 
 # -- shared I/O helpers -----------------------------------------------------------
@@ -422,14 +383,10 @@ def _cmd_gen(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     overrides = {}
-    for name in ("n", "j", "samples", "seed", "nodes", "edges"):
-        value = getattr(args, name, None)
+    for name in ("n", "eps", "j", "T", "samples", "seed", "nodes", "edges"):
+        value = getattr(args, name)
         if value is not None:
             overrides[name] = value
-    if args.eps is not None:
-        overrides["eps"] = args.eps
-    if args.T is not None:
-        overrides["horizon"] = args.T
     result = reproduce.run_preset(args.preset, **overrides)
     _emit(reproduce.preset_result_to_obj(result), args)
     if not result.ok:

@@ -127,12 +127,12 @@ def format_scalar(x: Scalar) -> str:
 
 
 def as_fraction(x) -> Fraction:
-    """Coerce int/str/Fraction to Fraction, rejecting floats."""
+    """Coerce int/str/Fraction to Fraction, rejecting floats and booleans."""
     if isinstance(x, float):
         raise ParameterError("floats are not accepted; pass an exact rational")
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         value = parse_scalar(x)
@@ -245,13 +245,6 @@ class Network:
                     edge_ids: Optional[AbstractSet[str]] = None) -> frozenset[str]:
         return self._closure(goal, False, edge_ids)
 
-    def has_path(self, u: str, v: str) -> bool:
-        return v in self.reachable_from(u)
-
-    @property
-    def has_st_path(self) -> bool:
-        return self.has_path(self.source, self.sink)
-
     def transposed(self) -> "Network":
         return Network(
             nodes=self.nodes,
@@ -291,10 +284,6 @@ class Instance:
     @property
     def edge_ids(self) -> tuple[str, ...]:
         return tuple(e.id for e in self.network.edges)
-
-    @property
-    def has_st_path(self) -> bool:
-        return self.network.has_st_path
 
 
 def transpose(inst: Instance) -> Instance:
@@ -418,7 +407,3 @@ def is_instance_obj(obj: dict) -> bool:
 def dumps(obj: dict) -> str:
     """Deterministic JSON rendering (sorted keys, no float formatting)."""
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def loads(text: str) -> dict:
-    return json.loads(text)

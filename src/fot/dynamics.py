@@ -53,15 +53,6 @@ class FlowOverTime:
     paths: Optional[Mapping[Path, PiecewiseLinear]] = None
 
 
-def zero_flow(inst: Instance) -> FlowOverTime:
-    zero = PiecewiseLinear.constant(ZERO)
-    return FlowOverTime(
-        inflow={eid: zero for eid in inst.edge_ids},
-        outflow={eid: zero for eid in inst.edge_ids},
-        sink_cumulative=zero,
-    )
-
-
 def derive_sink_cumulative(inst: Instance,
                            inflow: Mapping[str, PiecewiseLinear],
                            outflow: Mapping[str, PiecewiseLinear]) -> PiecewiseLinear:
@@ -93,18 +84,6 @@ def _edge_curves(inst: Instance, flow: FlowOverTime, edge_id: str) -> _EdgeCurve
     queue = flow.inflow[edge_id] - shifted_out
     wait = queue.scale(ONE / inst.capacity[edge_id])
     return _EdgeCurves(shifted_out, queue, wait, shift + wait)
-
-
-def waiting_curve(inst: Instance, flow: FlowOverTime, edge_id: str) -> PiecewiseLinear:
-    """Waiting time in the edge queue as a function of queue-entry time."""
-    return _edge_curves(inst, flow, edge_id).wait
-
-
-def waiting_time(inst: Instance, flow: FlowOverTime, edge_id: str,
-                 at: Fraction) -> Fraction:
-    if at < 0:
-        raise DomainError("waiting time is defined for nonnegative times only")
-    return waiting_curve(inst, flow, edge_id)(at)
 
 
 def exit_curve(inst: Instance, flow: FlowOverTime, edge_id: str) -> PiecewiseLinear:
@@ -148,14 +127,6 @@ def _labels(inst: Instance, exit_maps: Mapping[str, PiecewiseLinear]) -> tuple[d
             candidates.append(arrivals[e.id])
         out[v] = minimum(*candidates)
     return out, arrivals
-
-
-def node_latency(inst: Instance, flow: FlowOverTime, v: str, at: Fraction) -> Scalar:
-    """Time needed to reach node v when entering the network at `at`."""
-    label = labels(inst, flow)[v]
-    if label is INF:
-        return INF
-    return label(at) - at
 
 
 # -- feasibility -------------------------------------------------------------

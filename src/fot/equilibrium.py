@@ -575,8 +575,3 @@ def nash_flow(inst: Instance, phase_cap: int = 200) -> EquilibriumRun:
     if not ok:
         raise InternalConsistencyError(f"engine flow is not an equilibrium:\n{nash_report}")
     return run
-
-
-def social_cost_ne(inst: Instance, phase_cap: int = 200) -> Scalar:
-    """Social cost of the canonical computed equilibrium, self-checked."""
-    return nash_flow(inst, phase_cap=phase_cap).social_cost

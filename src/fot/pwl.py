@@ -165,9 +165,6 @@ class PiecewiseLinear:
     def is_nondecreasing(self) -> bool:
         return all(s >= 0 for s in self.slopes())
 
-    def is_strictly_increasing(self) -> bool:
-        return all(s > 0 for s in self.slopes())
-
     def supremum(self) -> Scalar:
         """Exact supremum over the whole domain (INF if unbounded)."""
         if self.final_slope > 0:
@@ -187,9 +184,6 @@ class PiecewiseLinear:
         if k == 0:
             return PiecewiseLinear.constant(ZERO, self.xs[0])
         return PiecewiseLinear(self.xs, tuple(y * k for y in self.ys), self.final_slope * k)
-
-    def add_constant(self, c: Fraction) -> "PiecewiseLinear":
-        return PiecewiseLinear(self.xs, tuple(y + c for y in self.ys), self.final_slope)
 
     def compose(self, inner: "PiecewiseLinear") -> "PiecewiseLinear":
         """Exact composition self(inner(x)); inner must be nondecreasing.
@@ -213,12 +207,6 @@ class PiecewiseLinear:
                 k += 1
                 points.append((a + (xs[k] - v) / s, self.ys[k]))
         return PiecewiseLinear.from_points(points, self.final_slope * inner.final_slope)
-
-    def inverse(self) -> "PiecewiseLinear":
-        """Exact inverse; defined on the range, requires strict increase."""
-        if not self.is_strictly_increasing():
-            raise ContractError("inverse requires a strictly increasing function")
-        return PiecewiseLinear(self.ys, self.xs, ONE / self.final_slope)
 
 
 def minimum(*funcs: PiecewiseLinear) -> PiecewiseLinear:

@@ -49,14 +49,19 @@ class PresetResult:
         return None
 
 
+# A preset's checks and its reported values; `run_preset` adds the preset's
+# name and its parameters as bound.
+Outcome = tuple[list[Assertion], dict[str, str]]
+
+
 def _preset_lemma1(n: int = 3, eps: Fraction = F(1, 10), j: int = 1,
-                   horizon: Fraction = F(1)) -> PresetResult:
+                   T: Fraction = F(1)) -> Outcome:
     alphas = geometric_alphas(n, eps, j)
-    inst = make_mn(MnParams(n=n, horizon=horizon, alphas=alphas))
+    inst = make_mn(MnParams(n=n, horizon=T, alphas=alphas))
     run = nash_flow(inst)
-    probe = horizon / eps ** (j + n) + 1
+    probe = T / eps ** (j + n) + 1
     latency = run.labels[inst.network.sink](probe) - probe
-    bound = (1 - 2 * n * eps) * (n - 1) * horizon
+    bound = (1 - 2 * n * eps) * (n - 1) * T
 
     assertions = [Assertion(
         description=f"sink latency at entry time {format_scalar(probe)} exceeds the bound",
@@ -74,7 +79,7 @@ def _preset_lemma1(n: int = 3, eps: Fraction = F(1, 10), j: int = 1,
             values[f"activation_entry_{eid}"] = format_scalar(event.time)
             values[f"activation_tail_arrival_{eid}"] = format_scalar(event.tail_arrival[eid])
     for k in range(1, n):
-        expected = horizon * alphas[n - 1] / (alphas[k - 1] - alphas[n - 1])
+        expected = T * alphas[n - 1] / (alphas[k - 1] - alphas[n - 1])
         got = seen.get(f"f{k}")
         assertions.append(Assertion(
             description=f"bypass f{k} becomes competitive when its tail clock "
@@ -86,18 +91,12 @@ def _preset_lemma1(n: int = 3, eps: Fraction = F(1, 10), j: int = 1,
     assertions.append(Assertion(
         description="run reaches a steady final phase",
         required="steady", observed=str(run.steady), holds=run.steady))
-    return PresetResult(
-        preset="lemma1",
-        parameters={"n": str(n), "eps": format_scalar(eps), "j": str(j),
-                    "T": format_scalar(horizon)},
-        assertions=tuple(assertions),
-        values=values,
-    )
+    return assertions, values
 
 
 def _preset_theorem1(n: int = 3, eps: Fraction = F(1, 100), j: int = 1,
-                     horizon: Fraction = F(1)) -> PresetResult:
-    inst = make_ladder(n, eps, j, horizon)
+                     T: Fraction = F(1)) -> Outcome:
+    inst = make_ladder(n, eps, j, T)
     report = braess_ratio(inst, label=f"ladder-{n}")
     reduced = tuple(eid for eid in inst.edge_ids if eid != f"e{n - 1}")
     reduced_cost = next(e.cost for e in report.entries if e.kept == reduced)
@@ -111,9 +110,9 @@ def _preset_theorem1(n: int = 3, eps: Fraction = F(1, 100), j: int = 1,
         ),
         Assertion(
             description="the reduced network costs exactly the bypass transit time",
-            required=format_scalar(horizon),
+            required=format_scalar(T),
             observed=format_scalar(reduced_cost),
-            holds=reduced_cost == horizon,
+            holds=reduced_cost == T,
         ),
         Assertion(
             description="cost ratio exceeds (1 - eps)(n - 1)",
@@ -126,18 +125,12 @@ def _preset_theorem1(n: int = 3, eps: Fraction = F(1, 100), j: int = 1,
               "ratio": format_scalar(report.ratio),
               "reduced_cost": format_scalar(reduced_cost),
               "subsets_evaluated": str(len(report.entries))}
-    return PresetResult(
-        preset="theorem1",
-        parameters={"n": str(n), "eps": format_scalar(eps), "j": str(j),
-                    "T": format_scalar(horizon)},
-        assertions=tuple(assertions),
-        values=values,
-    )
+    return assertions, values
 
 
 def _preset_lemma2(n: int = 3, eps: Fraction = F(1, 10), j: int = 1,
-                   horizon: Fraction = F(1)) -> PresetResult:
-    inst = transpose(make_ladder(n, eps, j, horizon))
+                   T: Fraction = F(1)) -> Outcome:
+    inst = transpose(make_ladder(n, eps, j, T))
     report = braess_ratio(inst, label=f"transposed-ladder-{n}")
     assertions = [
         Assertion(
@@ -145,23 +138,17 @@ def _preset_lemma2(n: int = 3, eps: Fraction = F(1, 10), j: int = 1,
             required="1", observed=format_scalar(report.ratio), holds=report.ratio == 1),
         Assertion(
             description="the full network costs exactly the bypass transit time",
-            required=format_scalar(horizon), observed=format_scalar(report.full_cost),
-            holds=report.full_cost == horizon),
+            required=format_scalar(T), observed=format_scalar(report.full_cost),
+            holds=report.full_cost == T),
     ]
     values = {"ratio": format_scalar(report.ratio),
               "full_cost": format_scalar(report.full_cost),
               "subsets_evaluated": str(len(report.entries))}
-    return PresetResult(
-        preset="lemma2",
-        parameters={"n": str(n), "eps": format_scalar(eps), "j": str(j),
-                    "T": format_scalar(horizon)},
-        assertions=tuple(assertions),
-        values=values,
-    )
+    return assertions, values
 
 
 def _preset_lemma3(samples: int = 500, seed: int = 1, nodes: int = 8,
-                   edges: int = 14) -> PresetResult:
+                   edges: int = 14) -> Outcome:
     agreements = 0
     first_mismatch = None
     for s in range(seed, seed + samples):
@@ -178,27 +165,21 @@ def _preset_lemma3(samples: int = 500, seed: int = 1, nodes: int = 8,
         observed=f"{agreements} agreements",
         holds=agreements == samples and first_mismatch is None,
     )]
-    return PresetResult(
-        preset="lemma3",
-        parameters={"samples": str(samples), "seed": str(seed),
-                    "nodes": str(nodes), "edges": str(edges)},
-        assertions=tuple(assertions),
-        values={"agreements": str(agreements)},
-    )
+    return assertions, {"agreements": str(agreements)}
 
 
 def _preset_theorem5(eps: Fraction = F(1, 100), j: int = 1,
-                     horizon: Fraction = F(1)) -> PresetResult:
+                     T: Fraction = F(1)) -> Outcome:
     alphas = geometric_alphas(3, eps, j)
-    host = make_ladder(4, eps, j, horizon).network
+    host = make_ladder(4, eps, j, T).network
     embedding = find_subdivision(host, "M3")
     if embedding is None:
         raise ParameterError("host unexpectedly lacks the three-level pattern")
-    inst = embed_paradox_instance(host, embedding, horizon, alphas)
+    inst = embed_paradox_instance(host, embedding, T, alphas)
     run = nash_flow(inst)
     report = braess_ratio(inst, label="embedded-ladder")
     target = 2 * (1 - eps)
-    priced_out = [eid for eid in inst.edge_ids if inst.transit[eid] == 3 * horizon]
+    priced_out = [eid for eid in inst.edge_ids if inst.transit[eid] == 3 * T]
     unused = all(run.flow.inflow[eid] == PiecewiseLinear.constant(F(0))
                  for eid in priced_out)
     assertions = [
@@ -219,15 +200,10 @@ def _preset_theorem5(eps: Fraction = F(1, 100), j: int = 1,
               "full_cost": format_scalar(report.full_cost),
               "priced_out_edges": ",".join(priced_out),
               "embedding_nodes": str(dict(embedding.node_images))}
-    return PresetResult(
-        preset="theorem5",
-        parameters={"eps": format_scalar(eps), "j": str(j), "T": format_scalar(horizon)},
-        assertions=tuple(assertions),
-        values=values,
-    )
+    return assertions, values
 
 
-PRESETS: dict[str, Callable[..., PresetResult]] = {
+PRESETS: dict[str, Callable[..., Outcome]] = {
     "lemma1": _preset_lemma1,
     "theorem1": _preset_theorem1,
     "lemma2": _preset_lemma2,
@@ -241,12 +217,16 @@ def run_preset(preset: str, **overrides) -> PresetResult:
         raise ParameterError(
             f"unknown preset {preset!r}; available: {', '.join(sorted(PRESETS))}")
     run = PRESETS[preset]
-    takes = inspect.signature(run).parameters
+    signature = inspect.signature(run)
     for name in overrides:
-        if name not in takes:
-            raise ParameterError(
-                f"preset {preset!r} does not take {name!r}; it takes {', '.join(takes)}")
-    return run(**overrides)
+        if name not in signature.parameters:
+            raise ParameterError(f"preset {preset!r} does not take {name!r}; "
+                                 f"it takes {', '.join(signature.parameters)}")
+    bound = signature.bind(**overrides)
+    bound.apply_defaults()
+    assertions, values = run(**bound.arguments)
+    parameters = {name: format_scalar(value) for name, value in bound.arguments.items()}
+    return PresetResult(preset, parameters, tuple(assertions), values)
 
 
 def preset_result_to_obj(result: PresetResult) -> dict:

@@ -3,8 +3,8 @@
 Decides which of the fixed four-route patterns (the three-node ladder, its
 transpose, the two four-node variants, and the classic crossover network)
 embed into a host as a subdivision; whether a network uses only chains of
-parallel paths; whether it is two-terminal series-parallel; and performs
-link smoothing, the inverse of edge subdivision.
+parallel paths; and whether it is two-terminal series-parallel, by link
+smoothing (the inverse of edge subdivision) and parallel merging.
 
 All searches are exact backtracking with explicit size caps; every returned
 embedding is re-checkable in isolation.
@@ -14,13 +14,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Optional, Union
 
 from .core import (
     ContractError,
     Edge,
-    Instance,
     InternalConsistencyError,
     Network,
     ParameterError,
@@ -30,15 +28,6 @@ from .core import (
 from .gen import make_m3_variants
 
 PATTERN_IDS = ("M3", "M3T", "M3Prime", "M3DoublePrime", "Wheatstone")
-
-# Transposing a host is equivalent to searching the transposed pattern.
-PATTERN_TRANSPOSE = {
-    "M3": "M3T",
-    "M3T": "M3",
-    "M3Prime": "M3Prime",
-    "M3DoublePrime": "M3DoublePrime",
-    "Wheatstone": "Wheatstone",
-}
 
 
 def _build_patterns() -> dict[str, Network]:
@@ -275,31 +264,13 @@ def _on_every_path(paths: dict[str, dict[str, int]], u: str, v: str, nodes) -> b
     return all(paths[u].get(w, 0) * paths[w].get(v, 0) == total for w in nodes)
 
 
-def is_chain_of_parallel_links(net: Network, u: str, v: str) -> bool:
-    """True iff the nodes line up u = w0, ..., wm = v with every edge joining
-    consecutive nodes.  Requires every edge to lie on some u-v path.
-
-    That holds iff some u-v path exists and every node lies on every u-v
-    path: the nodes then sit in path order, and an edge skipping a node
-    would lie on a u-v path that avoids it."""
-    if not net.is_acyclic():
-        raise UnsupportedTopologyError("chain test is restricted to acyclic networks")
-    from_u = net.reachable_from(u)
-    to_v = net.reaching_to(v)
-    for e in net.edges:
-        if e.tail not in from_u or e.head not in to_v:
-            raise ContractError(f"edge {e.id} lies on no path from {u} to {v}")
-    return v in from_u and _on_every_path(_path_counts(net), u, v, net.nodes)
-
-
 def _smooth_edges(nodes: list[str], edges: list[Edge], protect: set[str]):
     """Graph-level smoothing of an acyclic graph: merge away every
     unprotected node with exactly one in-edge and one out-edge.  Merging
     never changes another node's degrees, so one pass follows each chain of
     such nodes from its first edge.  A merged edge keeps the id of its first
     (source-side) edge and that edge's position, so each original id
-    survives in at most one edge and no two ids can collide; `merged` maps
-    an id to its parts."""
+    survives in at most one edge and no two ids can collide."""
     ins = dict.fromkeys(nodes, 0)
     outs = dict.fromkeys(nodes, 0)
     for e in edges:
@@ -308,17 +279,14 @@ def _smooth_edges(nodes: list[str], edges: list[Edge], protect: set[str]):
     inner = {w for w in nodes if ins[w] == outs[w] == 1 and w not in protect}
     onward = {e.tail: e for e in edges if e.tail in inner}
     kept: list[Edge] = []
-    merged: dict[str, tuple[str, ...]] = {}
     for e in edges:
         if e.tail in inner:
             continue
-        last, parts = e, (e.id,)
+        last = e
         while last.head in inner:
             last = onward[last.head]
-            parts += (last.id,)
-        merged[e.id] = parts
         kept.append(e if last is e else Edge(e.id, e.tail, last.head))
-    return [w for w in nodes if w not in inner], kept, merged
+    return [w for w in nodes if w not in inner], kept
 
 
 def uses_only_chains(net: Network):
@@ -350,27 +318,6 @@ def uses_only_chains(net: Network):
     return True, None
 
 
-def smooth(inst: Instance) -> Instance:
-    """Merge internal degree-(1,1) nodes; a merged edge takes the summed
-    transit time and the minimum capacity, and keeps the id and position of
-    its first (source-side) original edge, so merged ids never collide.
-    Terminals are never smoothed away.  Restricted to acyclic networks."""
-    net = inst.network
-    if not net.is_acyclic():
-        raise UnsupportedTopologyError("smoothing is restricted to acyclic networks")
-    protect = {net.source, net.sink}
-    nodes, edges, merged = _smooth_edges(list(net.nodes), list(net.edges), protect)
-    capacity: dict[str, Fraction] = {}
-    transit: dict[str, Fraction] = {}
-    for e in edges:
-        parts = merged[e.id]
-        capacity[e.id] = min(inst.capacity[p] for p in parts)
-        transit[e.id] = sum((inst.transit[p] for p in parts), Fraction(0))
-    new_net = Network(nodes=tuple(nodes), edges=tuple(edges),
-                      source=net.source, sink=net.sink)
-    return Instance(new_net, capacity, transit, inst.supply)
-
-
 # -- series-parallel recognition --------------------------------------------------
 
 
@@ -383,7 +330,7 @@ def series_parallel(net: Network) -> bool:
     s, t = net.source, net.sink
     nodes, edges = list(net.nodes), list(net.edges)
     while True:
-        nodes, edges, _ = _smooth_edges(nodes, edges, {s, t})
+        nodes, edges = _smooth_edges(nodes, edges, {s, t})
         merged = list({(e.tail, e.head): e for e in edges}.values())
         if len(merged) == len(edges):
             return [(e.tail, e.head) for e in edges] == [(s, t)]

@@ -1,12 +1,14 @@
-"""Hand-built instances and flows shared across test modules.
+"""Hand-built instances and flows shared across test modules, and a reader
+that turns `--format csv` output back into its JSON object.
 
 The fixture flows are written down from first principles (integrating the
 narrated rates by hand), never taken from the engine under test.
 """
 
+import csv
 from fractions import Fraction
 
-from fot.core import Edge, Instance, Network
+from fot.core import Edge, Instance, Network, ParameterError
 from fot.dynamics import FlowOverTime
 from fot.pwl import PiecewiseLinear
 
@@ -46,6 +48,16 @@ def two_link_base_instance():
     return build_instance(
         [("e1", "v1", "v2", 1, 0), ("f1", "v1", "v2", 2, 1)],
         source="v1", sink="v2", supply=2)
+
+
+def zero_flow(inst):
+    """No flow anywhere, not even at the source."""
+    zero = PiecewiseLinear.constant(F(0))
+    return FlowOverTime(
+        inflow={eid: zero for eid in inst.edge_ids},
+        outflow={eid: zero for eid in inst.edge_ids},
+        sink_cumulative=zero,
+    )
 
 
 def two_link_equilibrium_flow():
@@ -106,3 +118,47 @@ def overloaded_single_link():
         paths={("e1",): rates((0, 2))},
     )
     return inst, flow
+
+
+# -- reading back `fot ... --format csv` ------------------------------------------
+
+
+def unflatten(rows) -> object:
+    """Invert `fot.cli.flatten`: rebuild the JSON object from its rows."""
+    def decode(cell: str):
+        tag, _, rest = cell.partition(":")
+        if tag == "s":
+            return rest
+        if tag == "i":
+            return int(rest)
+        if tag == "b":
+            return rest == "true"
+        if tag == "n":
+            return None
+        if tag == "d":
+            return {}
+        if tag == "l":
+            return []
+        raise ParameterError(f"bad value cell {cell!r}")
+
+    root: dict = {}
+    for path, cell in rows:
+        parts = path.split(".")
+        here = root
+        for part in parts[:-1]:
+            here = here.setdefault(part, {})
+        here[parts[-1]] = decode(cell)
+
+    def rebuild(node):
+        if not isinstance(node, dict):
+            return node
+        if node and all(k.lstrip("-").isdigit() for k in node):
+            return [rebuild(node[k]) for k in sorted(node, key=int)]
+        return {k: rebuild(v) for k, v in node.items()}
+
+    return rebuild(root)
+
+
+def read_csv(stream) -> object:
+    rows = list(csv.reader(stream))
+    return unflatten([(r[0], r[1]) for r in rows[1:]])

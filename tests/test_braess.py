@@ -7,7 +7,6 @@ import pytest
 from fot import equilibrium
 from fot.braess import (
     braess_ratio,
-    conjecture_search,
     default_transpose_m3_grid,
     extended_ratio,
     sweep,
@@ -25,9 +24,7 @@ from fot.core import (
     st_core,
     transpose,
 )
-from fot.equilibrium import social_cost_ne
 from fot.gen import MnParams, geometric_alphas, make_chain, make_ladder, make_mn, random_dag
-from fot.topology import pattern_network
 
 from helpers import two_link_base_instance
 
@@ -122,7 +119,7 @@ def _core_corpus():
 
 def _cost(inst):
     try:
-        return social_cost_ne(inst)
+        return equilibrium.nash_flow(inst).social_cost
     except NoPathError:
         return INF
 
@@ -210,45 +207,3 @@ def test_failed_run_of_the_full_network_is_raised_not_a_paradox():
     with pytest.raises(PhaseCapError):
         braess_ratio(transpose(make_ladder(3, F(1, 10))), phase_cap=1)
 
-
-def ladder_parameter_grid_for(net):
-    """Attach ladder parameters to a network carrying the standard edge ids."""
-    points = []
-    for eps_denom in (10, 100):
-        a0, a1, a2 = geometric_alphas(3, F(1, eps_denom), 1)
-        capacity = {"e1": a1, "e2": a2, "f1": a0 - a1, "f2": a1}
-        transit = {"e1": F(0), "e2": F(0), "f1": F(1), "f2": F(1)}
-        points.append((f"eps=1/{eps_denom}",
-                       Instance(net, capacity, transit, supply=a0)))
-    return points
-
-
-def test_conjecture_search_on_transposed_ladder_finds_nothing():
-    net = pattern_network("M3T")
-    report = conjecture_search([("transposed-ladder", net)], ladder_parameter_grid_for)
-    entry = report.entries[0]
-    assert not entry.forward_pattern
-    assert entry.hits == ()
-    assert report.counterexample_candidates == ()
-
-
-def test_conjecture_search_on_forward_ladder_finds_hits():
-    net = pattern_network("M3")
-    report = conjecture_search([("ladder", net)], ladder_parameter_grid_for)
-    entry = report.entries[0]
-    assert entry.forward_pattern
-    assert len(entry.hits) == 2  # both grid points exhibit the paradox
-    assert report.counterexample_candidates == ()  # expected on this topology
-
-
-def test_conjecture_search_on_chain_finds_nothing():
-    chain = make_chain([[(F(0), F(1)), (F(1), F(2))]], supply=F(2)).network
-
-    def grid(net):
-        caps = {e.id: F(2) for e in net.edges}
-        taus = {e.id: F(i) for i, e in enumerate(net.edges)}
-        return [("plain", Instance(net, caps, taus, supply=F(3)))]
-
-    report = conjecture_search([("chain", chain)], grid)
-    assert report.entries[0].hits == ()
-    assert report.counterexample_candidates == ()

@@ -3,15 +3,16 @@ import json
 
 import pytest
 
-from fot.cli import flatten, main, read_csv, unflatten, write_csv
-from fot.core import dumps, instance_to_obj, loads
+from fot.cli import flatten, main, write_csv
+from fot.core import ParameterError, dumps, instance_to_obj
 from fot.dynamics import flow_to_obj
 from fot.gen import MnParams, geometric_alphas, make_mn
 from fot.reproduce import PRESETS
 
 from fractions import Fraction
 
-from helpers import build_instance, two_link_all_on_slow_flow, two_link_base_instance
+from helpers import (build_instance, read_csv, two_link_all_on_slow_flow,
+                     two_link_base_instance, unflatten)
 
 F = Fraction
 
@@ -43,6 +44,13 @@ def test_flatten_unflatten_roundtrip():
     assert read_csv(io.StringIO(buf.getvalue())) == obj
 
 
+@pytest.mark.parametrize("key", ["a.b", "0", "-1"])
+def test_flatten_refuses_keys_it_cannot_read_back(key):
+    # A dotted key would split; an integer key would come back as a list index.
+    with pytest.raises(ParameterError, match=repr(key)):
+        flatten({"x": {key: 1}})
+
+
 def test_gen_and_simulate_roundtrip(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "gen", "mn", "--n", "2", "--eps", "1/10")
     assert code == 0
@@ -50,7 +58,7 @@ def test_gen_and_simulate_roundtrip(tmp_path, capsys):
     inst_path.write_text(out)
     code, out, _ = run_cli(capsys, "simulate", str(inst_path))
     assert code == 0
-    run = loads(out)
+    run = json.loads(out)
     assert run["social_cost"] == "1"
     assert run["steady"] is True and run["diverging"] is False
     assert run["events"][0]["activations"] == ["f1"]
@@ -60,7 +68,7 @@ def test_gen_integer_carries_cost_target(capsys):
     code, out, _ = run_cli(capsys, "gen", "mn", "--n", "3", "--eps", "1/8",
                            "--integer")
     assert code == 0
-    obj = loads(out)
+    obj = json.loads(out)
     assert obj["_meta"]["cost_target"] == "1/2"
     assert all("/" not in e["capacity"] for e in obj["edges"])
 
@@ -82,7 +90,19 @@ def test_simulate_csv_carries_identical_information(tmp_path, capsys):
     assert code == 0
     code, as_csv, _ = run_cli(capsys, "simulate", path, "--format", "csv")
     assert code == 0
-    assert read_csv(io.StringIO(as_csv)) == loads(as_json)
+    assert read_csv(io.StringIO(as_csv)) == json.loads(as_json)
+
+
+def test_simulate_csv_refuses_integer_node_names(tmp_path, capsys):
+    inst = build_instance([("a", "0", "1", 1, 0), ("b", "1", "2", 1, 1), ("c", "0", "2", 1, 2)],
+                          source="0", sink="2", supply=1)
+    path = write_instance(tmp_path, inst)
+    code, out, err = run_cli(capsys, "simulate", path)
+    assert code == 0 and err == ""
+    assert set(json.loads(out)["labels"]) == {"0", "1", "2"}
+    code, out, err = run_cli(capsys, "simulate", path, "--format", "csv")
+    assert code == 2 and out == ""
+    assert "input error" in err and "key '0' cannot be flattened" in err
 
 
 def test_simulate_csv_decimal_column_is_display_only(tmp_path, capsys):
@@ -109,10 +129,10 @@ def test_validate_cli(tmp_path, capsys):
     inst_path = write_instance(tmp_path, inst)
     run_code, run_out, _ = run_cli(capsys, "simulate", inst_path)
     flow_path = tmp_path / "flow.json"
-    flow_path.write_text(dumps(loads(run_out)["flow"]))
+    flow_path.write_text(dumps(json.loads(run_out)["flow"]))
     code, out, _ = run_cli(capsys, "validate", inst_path, str(flow_path), "--nash")
     assert code == 0
-    report = loads(out)
+    report = json.loads(out)
     assert report["feasible"] and report["nash"]
 
     bad = two_link_all_on_slow_flow()
@@ -120,7 +140,7 @@ def test_validate_cli(tmp_path, capsys):
     bad_path.write_text(dumps(flow_to_obj(bad)))
     code, out, _ = run_cli(capsys, "validate", inst_path, str(bad_path), "--nash")
     assert code == 1
-    report = loads(out)
+    report = json.loads(out)
     assert report["feasible"] and not report["nash"]
     assert report["nash_violations"]
 
@@ -128,7 +148,7 @@ def test_validate_cli(tmp_path, capsys):
 def _engine_flow_obj(capsys, inst_path):
     code, out, _ = run_cli(capsys, "simulate", inst_path)
     assert code == 0
-    return loads(out)["flow"]
+    return json.loads(out)["flow"]
 
 
 def test_validate_negative_probe_time_is_an_input_error(tmp_path, capsys):
@@ -167,6 +187,28 @@ def test_fields_of_the_wrong_type_are_input_errors(tmp_path, capsys):
             assert "input error" in err and repr(field) in err, (field, command)
 
 
+def test_json_booleans_are_not_rationals(tmp_path, capsys):
+    for field in ("capacity", "transit", "supply"):
+        obj = instance_to_obj(two_link_base_instance())
+        if field == "supply":
+            obj["supply"] = True
+        else:
+            obj["edges"][0][field] = field == "capacity"
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run_cli(capsys, "simulate", str(path))
+        assert code == 2 and out == "", field
+        assert "input error" in err and "as an exact rational" in err, field
+    inst_path = write_instance(tmp_path, two_link_base_instance())
+    flow = _engine_flow_obj(capsys, inst_path)
+    flow["sink"]["final_slope"] = True
+    flow_path = tmp_path / "flow.json"
+    flow_path.write_text(json.dumps(flow))
+    code, out, err = run_cli(capsys, "validate", inst_path, str(flow_path))
+    assert code == 2 and out == ""
+    assert "input error" in err and "as an exact rational" in err
+
+
 def test_validate_reports_a_negative_queue_probed_before_time_zero(tmp_path, capsys):
     # Outflow three times faster than inflow: a negative queue, whose exit
     # map sends the probe at time 1 to time -1, before any outflow.
@@ -179,7 +221,7 @@ def test_validate_reports_a_negative_queue_probed_before_time_zero(tmp_path, cap
                                               "final_slope": "3"}}))
     code, out, err = run_cli(capsys, "validate", inst_path, str(flow_path), "--grid", "1")
     assert code == 1 and err == ""
-    report = loads(out)
+    report = json.loads(out)
     assert not report["feasible"]
     assert [v["detail"] for v in report["violations"]] == [
         "outflow rate above capacity", "negative queue"]
@@ -232,7 +274,7 @@ def test_braess_cli(tmp_path, capsys):
     path = write_instance(tmp_path, inst)
     code, out, _ = run_cli(capsys, "braess", path)
     assert code == 0
-    report = loads(out)
+    report = json.loads(out)
     assert report["ratio"] == "1" and report["paradox"] is False
     assert len(report["entries"]) == 16
 
@@ -240,7 +282,7 @@ def test_braess_cli(tmp_path, capsys):
     subsets.write_text(json.dumps([["e1", "e2"]]))
     code, out, _ = run_cli(capsys, "braess", path, "--subsets", str(subsets))
     assert code == 0
-    assert len(loads(out)["entries"]) == 2  # given subset plus the full set
+    assert len(json.loads(out)["entries"]) == 2  # given subset plus the full set
 
 
 def test_classify_cli(tmp_path, capsys):
@@ -249,7 +291,7 @@ def test_classify_cli(tmp_path, capsys):
     path = write_instance(tmp_path, inst)
     code, out, _ = run_cli(capsys, "classify", path)
     assert code == 0
-    report = loads(out)
+    report = json.loads(out)
     assert report["series_parallel"] is True
     assert report["minors"]["M3"]["nodes"] == {"v1": "v1", "v2": "v2", "v3": "v3"}
     assert report["uses_only_chains"] is False
@@ -265,7 +307,7 @@ def test_sweep_cli_with_grid_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "sweep", "--preset", "transpose-m3",
                            "--grid", str(grid_path))
     assert code == 0
-    report = loads(out)
+    report = json.loads(out)
     assert report["any_paradox"] is False
     assert all(p["ratio"] == "1" for p in report["points"])
 
@@ -273,19 +315,19 @@ def test_sweep_cli_with_grid_file(tmp_path, capsys):
 def test_reproduce_cli(capsys):
     code, out, _ = run_cli(capsys, "reproduce", "lemma2", "--n", "3")
     assert code == 0
-    assert loads(out)["ok"] is True
+    assert json.loads(out)["ok"] is True
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_every_preset_passes_at_its_defaults(preset, capsys):
     code, out, err = run_cli(capsys, "reproduce", preset)
     assert code == 0, err
-    assert loads(out)["ok"] is True
+    assert json.loads(out)["ok"] is True
 
 
 @pytest.mark.parametrize("preset, flag", [
     ("lemma1", "--samples"), ("theorem1", "--seed"), ("lemma2", "--nodes"),
-    ("lemma3", "--n"), ("theorem5", "--n"),
+    ("lemma3", "--n"), ("lemma3", "--T"), ("lemma3", "--eps"), ("theorem5", "--n"),
 ])
 def test_flag_a_preset_does_not_take_is_an_input_error(preset, flag, capsys):
     code, out, err = run_cli(capsys, "reproduce", preset, flag, "4")

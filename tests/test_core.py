@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from itertools import combinations
 
@@ -18,7 +19,6 @@ from fot.core import (
     instance_from_obj,
     instance_to_obj,
     is_instance_obj,
-    loads,
     network_from_obj,
     parse_scalar,
     restrict,
@@ -136,9 +136,9 @@ def test_restrict_subset_and_no_path_is_legal():
     inst = two_link_instance()
     sub = restrict(inst, ["e1"])
     assert sub.edge_ids == ("e1",)
-    assert sub.has_st_path
+    assert st_core(sub.network, sub.edge_ids) == {"e1"}
     empty = restrict(inst, [])
-    assert not empty.has_st_path  # legal; downstream reports unbounded cost
+    assert st_core(empty.network, empty.edge_ids) is None  # legal; unbounded cost
     with pytest.raises(ParameterError):
         restrict(inst, ["nope"])
 
@@ -147,7 +147,7 @@ def test_instance_json_roundtrip():
     inst = two_link_instance()
     obj = instance_to_obj(inst)
     assert is_instance_obj(obj)
-    assert instance_from_obj(loads(dumps(obj))) == inst
+    assert instance_from_obj(json.loads(dumps(obj))) == inst
     # unknown keys are tolerated
     obj["_meta"] = {"anything": 1}
     assert instance_from_obj(obj) == inst

@@ -14,11 +14,8 @@ from fot.dynamics import (
     flow_from_obj,
     flow_to_obj,
     labels,
-    node_latency,
     social_cost,
     validate_feasible,
-    waiting_time,
-    zero_flow,
 )
 from fot.pwl import PiecewiseLinear
 
@@ -31,9 +28,14 @@ from helpers import (
     two_link_all_on_slow_flow,
     two_link_base_instance,
     two_link_equilibrium_flow,
+    zero_flow,
 )
 
 F = Fraction
+
+
+def waiting_time(inst, flow, edge_id, at):
+    return dynamics._edge_curves(inst, flow, edge_id).wait(at)
 
 
 def test_waiting_time_empty_edge_is_zero():
@@ -86,7 +88,6 @@ def _unreachable_tail_case():
 def test_labels_unreachable_node_is_infinite():
     inst, flow = _unreachable_tail_case()
     assert labels(inst, flow)["v3"] is INF
-    assert node_latency(inst, flow, "v3", F(0)) is INF
 
 
 def test_labels_reduced_ladder_constant_transit():
@@ -96,12 +97,10 @@ def test_labels_reduced_ladder_constant_transit():
 
 
 def test_node_latency():
-    inst = two_link_base_instance()
-    flow = two_link_equilibrium_flow()
-    assert node_latency(inst, flow, "v1", F(5)) == 0
-    assert node_latency(inst, flow, "v2", F(1)) == 1
-    assert node_latency(inst, flow, "v2", F(7)) == 1
-    assert node_latency(inst, flow, "v2", F(1, 2)) == F(1, 2)
+    lab = labels(two_link_base_instance(), two_link_equilibrium_flow())
+    for v, at, latency in (("v1", F(5), 0), ("v2", F(1), 1), ("v2", F(7), 1),
+                           ("v2", F(1, 2), F(1, 2))):
+        assert lab[v](at) - at == latency
 
 
 def test_validate_feasible_accepts_equilibrium():

@@ -62,8 +62,6 @@ def random_instances(draw):
 @settings(max_examples=40, deadline=None)
 @given(random_instances())
 def test_random_instances_produce_certified_equilibria(inst):
-    if not inst.has_st_path:
-        return
     try:
         run = nash_flow(inst, phase_cap=400)
     except NoPathError:
@@ -81,8 +79,6 @@ def test_random_instances_produce_certified_equilibria(inst):
 @settings(max_examples=25, deadline=None)
 @given(random_instances())
 def test_label_slopes_agree_across_all_solver_patterns(inst):
-    if not inst.has_st_path:
-        return
     try:
         run = nash_flow(inst, phase_cap=400)
     except NoPathError:
@@ -199,8 +195,6 @@ def assert_matches_the_unforced_oracle(args):
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(random_instances(), tied_instances()))
 def test_forced_search_matches_the_unforced_oracle_on_engine_phases(inst):
-    if not inst.has_st_path:
-        return
     try:
         run = nash_flow(inst, phase_cap=400)
     except NoPathError:

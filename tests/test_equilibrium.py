@@ -19,7 +19,6 @@ from fot.equilibrium import (
     enumerate_thin_flows,
     nash_flow,
     next_event,
-    social_cost_ne,
     thin_flow,
     verify_thin_flow,
 )
@@ -161,7 +160,7 @@ def test_ladder3_run_matches_closed_forms():
 
 
 def test_ladder3_cost_at_hundredth():
-    assert social_cost_ne(ladder(3, F(1, 100))) == F(20001, 10100)
+    assert nash_flow(ladder(3, F(1, 100))).social_cost == F(20001, 10100)
 
 
 def test_ladder3_sink_latency_past_second_bypass_arrival():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fot.core import ParameterError, restrict, transpose
-from fot.equilibrium import social_cost_ne
+from fot.equilibrium import nash_flow
 from fot.gen import (
     MnParams,
     geometric_alphas,
@@ -90,7 +90,7 @@ def test_bypass_budget_closes_exactly():
             # and all remaining routes at the common free-flow time
             reduced = restrict(inst, [eid for eid in inst.edge_ids
                                       if eid != f"e{n - 1}"])
-            assert social_cost_ne(reduced) == 1
+            assert nash_flow(reduced).social_cost == 1
 
 
 def test_transpose_matches_reversed_figure():
@@ -118,17 +118,17 @@ def test_m3_variant_shapes():
 
 def test_variant_instances_behave_like_the_ladder():
     params = MnParams(n=3, horizon=F(1), alphas=geometric_alphas(3, F(1, 10), 1))
-    expected = social_cost_ne(make_mn(params))
+    expected = nash_flow(make_mn(params)).social_cost
     prime, double_prime = make_m3_variants()
-    assert social_cost_ne(instantiate_m3_variant(prime, params)) == expected
-    assert social_cost_ne(instantiate_m3_variant(double_prime, params)) == expected
+    assert nash_flow(instantiate_m3_variant(prime, params)).social_cost == expected
+    assert nash_flow(instantiate_m3_variant(double_prime, params)).social_cost == expected
 
 
 def test_make_chain():
     inst = make_chain([[(F(0), F(1)), (F(2), F(3))], [(F(1), F(5))]], supply=F(2))
     assert inst.network.source == "n0" and inst.network.sink == "n2"
     assert len(inst.network.edges) == 3
-    assert social_cost_ne(inst) == 3  # queue on the fast first link until 2
+    assert nash_flow(inst).social_cost == 3  # queue on the fast first link until 2
 
 
 def test_embed_on_the_ladder_itself_reproduces_it():
@@ -145,7 +145,6 @@ def test_embed_on_the_ladder_itself_reproduces_it():
 
 
 def test_embedded_instance_matches_ladder_labels_at_branch_nodes():
-    from fot.equilibrium import nash_flow
     from fot.gen import embed_paradox_instance
     from fot.topology import find_subdivision
 
