@@ -127,8 +127,9 @@ def braess_ratio(inst: Instance, subsets: Optional[Sequence[Sequence[str]]] = No
     by_core: dict[frozenset[str], tuple[Scalar, Optional[str]]] = {}
     full_core = st_core(inst.network, edge_ids)
     if full_core is not None:  # run outside `_core_cost`, so a failure is raised
-        run = equilibrium.nash_flow(restrict(inst, full_core), phase_cap=phase_cap)
-        by_core[full_core] = run.social_cost, None
+        full_cost = equilibrium.nash_flow(restrict(inst, full_core),
+                                          phase_cap=phase_cap).social_cost
+        by_core[full_core] = full_cost, None
     for kept in subsets:
         core = st_core(inst.network, kept)
         if core is None:
@@ -138,8 +139,6 @@ def braess_ratio(inst: Instance, subsets: Optional[Sequence[Sequence[str]]] = No
                 by_core[core] = _core_cost(inst, core, phase_cap)
             entry = SubgraphCost(kept, *by_core[core])
         entries.append(entry)
-        if set(kept) == set(edge_ids):
-            full_cost = entry.cost
 
     ratio: Scalar = Fraction(0)
     argmax: tuple[str, ...] = tuple(edge_ids)

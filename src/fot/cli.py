@@ -5,7 +5,7 @@ export-plotdata.  All numeric input and output is exact ("p/q" strings);
 JSON output is deterministic byte-for-byte.  Exit codes: 0 success / checks
 pass, 1 an assertion or validation failed, 2 usage or input error (including
 a cyclic input, one with no source-sink path or one beyond a size or phase
-cap), 3 internal error.
+cap, and a path that cannot be read or written), 3 internal error.
 """
 
 from __future__ import annotations
@@ -235,6 +235,16 @@ def _read_object(path: str) -> dict:
     return obj
 
 
+def _write(text: str, path: str | None) -> None:
+    """Write `text` to the file `path`, or to stdout without one.  The file is
+    opened without newline translation, so it gets exactly `text`."""
+    if path:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _emit(obj, args) -> None:
     fmt = getattr(args, "format", "json")
     decimal = getattr(args, "decimal", None)
@@ -244,11 +254,7 @@ def _emit(obj, args) -> None:
         text = buf.getvalue()
     else:
         text = core.dumps(obj)
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args.output)
 
 
 def _load_instance(path: str) -> core.Instance:
@@ -337,8 +343,6 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.preset != "transpose-m3":
-        raise ParameterError(f"unknown sweep preset {args.preset!r}")
     points = None
     if args.grid:
         points = []
@@ -409,15 +413,9 @@ def _cmd_export_plotdata(args) -> int:
             points = _pairs(_typed(curves[name], dict, where)["breakpoints"],
                             f"{where}.breakpoints")
             rows.extend((series, name, x, y) for x, y in points)
-    out = sys.stdout
-    if args.output:
-        out = open(args.output, "w", encoding="utf-8", newline="")
-    try:
-        writer = csv.writer(out)
-        writer.writerows(rows)
-    finally:
-        if args.output:
-            out.close()
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    _write(buf.getvalue(), args.output)
     return 0
 
 
@@ -531,7 +529,8 @@ def main(argv=None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ParameterError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+    except (ParameterError, OSError, UnicodeDecodeError, json.JSONDecodeError,
+            KeyError) as exc:
         print(f"fot: input error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (NoPathError, SizeCapError, PhaseCapError, UnsupportedTopologyError) as exc:

@@ -215,13 +215,6 @@ class Network:
             raise UnsupportedTopologyError("network contains a directed cycle")
         return tuple(order)
 
-    def is_acyclic(self) -> bool:
-        try:
-            self.topological_order()
-            return True
-        except UnsupportedTopologyError:
-            return False
-
     def _closure(self, start: str, forward: bool,
                  edge_ids: Optional[AbstractSet[str]]) -> frozenset[str]:
         """Nodes reached from `start` along edges (against them unless

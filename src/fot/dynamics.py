@@ -5,13 +5,13 @@ capacity waits in a point queue at the tail; total edge delay is queue wait
 plus free-flow transit.  Given a flow (cumulative in/outflow per edge plus
 cumulative sink arrivals), `_edge_curves` is the one derivation of an edge's
 transit-shifted outflow, queue, wait and exit map.  On these rest the
-earliest-arrival labels, the four feasibility conditions, both equilibrium
-characterizations (flow only on currently shortest paths; no particle
-overtakes another) and the social cost; each such call derives an edge's
-curves once and reuses them for all of its checks and probes.  Every test
-that runs over two curves piece by piece (curve identity, a queue draining
-at capacity, flow only on shortest edges, path latency) walks them together
-with `pwl.joint_segments`, never evaluating a curve point by point.
+earliest-arrival labels, the four feasibility conditions and both
+equilibrium characterizations (flow only on currently shortest paths; no
+particle overtakes another); each such call derives an edge's curves once
+and reuses them for all of its checks and probes.  Every test that runs
+over two curves piece by piece (curve identity, a queue draining at
+capacity, flow only on shortest edges) walks them together with
+`pwl.joint_segments`, never evaluating a curve point by point.
 
 Everything here is an independent check: it never trusts the phase engine
 that produced a flow, only the curves themselves.  `validate_feasible` and
@@ -39,18 +39,14 @@ from .core import (
 )
 from .pwl import ONE, ZERO, PiecewiseLinear, joint_segments, minimum
 
-Path = tuple[str, ...]
-
 
 @dataclass(frozen=True)
 class FlowOverTime:
-    """Cumulative edge inflows/outflows, cumulative sink arrivals, and an
-    optional path decomposition (cumulative amount entered per path)."""
+    """Cumulative edge inflows/outflows and cumulative sink arrivals."""
 
     inflow: Mapping[str, PiecewiseLinear]
     outflow: Mapping[str, PiecewiseLinear]
     sink_cumulative: PiecewiseLinear
-    paths: Optional[Mapping[Path, PiecewiseLinear]] = None
 
 
 def derive_sink_cumulative(inst: Instance,
@@ -86,27 +82,17 @@ def _edge_curves(inst: Instance, flow: FlowOverTime, edge_id: str) -> _EdgeCurve
     return _EdgeCurves(shifted_out, queue, wait, shift + wait)
 
 
-def exit_curve(inst: Instance, flow: FlowOverTime, edge_id: str) -> PiecewiseLinear:
-    """Head-arrival time for a particle entering the edge queue at a given
-    time: entry + wait + transit."""
-    return _edge_curves(inst, flow, edge_id).exit_map
+def labels(inst: Instance, flow: FlowOverTime) -> tuple[dict, dict]:
+    """Earliest-arrival label per node, as a function of network entry time,
+    and the head-arrival curve of every edge whose tail is reachable.
 
-
-def labels(inst: Instance, flow: FlowOverTime) -> dict[str, PiecewiseLinear | object]:
-    """Earliest-arrival label per node, as a function of network entry time.
-
-    The source labels the entry time itself; every other reachable node takes
-    the pointwise minimum over its incoming edges of the tail label pushed
-    through that edge's exit map.  Unreachable nodes get the INF sentinel.
-    Restricted to acyclic networks (the recursion follows a topological
-    order).
+    The source labels the entry time itself.  An edge's head-arrival curve
+    is its tail label pushed through its exit map (entry + wait + transit),
+    and every other reachable node takes the pointwise minimum of these over
+    its incoming edges.  Unreachable nodes get the INF sentinel.  Restricted
+    to acyclic networks (the recursion follows a topological order).
     """
-    return _labels(inst, {eid: exit_curve(inst, flow, eid) for eid in inst.edge_ids})[0]
-
-
-def _labels(inst: Instance, exit_maps: Mapping[str, PiecewiseLinear]) -> tuple[dict, dict]:
-    """The labels, and the head-arrival curve (tail label pushed through the
-    exit map) of every edge whose tail is reachable."""
+    exit_maps = {eid: _edge_curves(inst, flow, eid).exit_map for eid in inst.edge_ids}
     net = inst.network
     reachable = net.reachable_from(net.source)
     out: dict[str, PiecewiseLinear | object] = {}
@@ -193,25 +179,6 @@ def _check_structure(inst: Instance, flow: FlowOverTime) -> None:
     gamma = flow.sink_cumulative
     if gamma.xs[0] != 0 or gamma.ys[0] != 0 or not gamma.is_nondecreasing():
         raise MalformedFlowError("sink arrivals must be nondecreasing from (0, 0)")
-    if flow.paths is not None:
-        for path, curve in flow.paths.items():
-            _check_path_shape(inst, path)
-            if not curve.is_nondecreasing() or curve.ys[0] != 0:
-                raise MalformedFlowError(f"path curve for {path} malformed")
-        if _total(flow.paths.values()) != PiecewiseLinear.affine(inst.supply, ZERO):
-            raise MalformedFlowError("path decomposition must sum to the supply")
-
-
-def _check_path_shape(inst: Instance, path: Path) -> None:
-    net = inst.network
-    by_id = net.edge_by_id
-    if not path or any(eid not in by_id for eid in path):
-        raise MalformedFlowError(f"unknown edges in path {path}")
-    if by_id[path[0]].tail != net.source or by_id[path[-1]].head != net.sink:
-        raise MalformedFlowError(f"path {path} does not join source to sink")
-    for a, b in zip(path, path[1:]):
-        if by_id[a].head != by_id[b].tail:
-            raise MalformedFlowError(f"path {path} is not edge-connected")
 
 
 def validate_feasible(inst: Instance, flow: FlowOverTime,
@@ -330,12 +297,7 @@ def certify_nash(inst: Instance, flow: FlowOverTime) -> tuple[bool, ViolationRep
     The two verdicts must coincide for feasible flows; a disagreement is an
     internal bug, not a property of the input.
     """
-    return _certify_nash(inst, flow)[:2]
-
-
-def _certify_nash(inst: Instance, flow: FlowOverTime) -> tuple[bool, ViolationReport, dict]:
-    """`certify_nash`, also returning the labels it certified."""
-    lab, arrivals = _labels(inst, {eid: exit_curve(inst, flow, eid) for eid in inst.edge_ids})
+    lab, arrivals = labels(inst, flow)
     net = inst.network
     found: list[Violation] = []
 
@@ -377,62 +339,13 @@ def _certify_nash(inst: Instance, flow: FlowOverTime) -> tuple[bool, ViolationRe
         raise InternalConsistencyError(
             "shortest-path and no-overtaking characterizations disagree: "
             f"{sent_shortest} vs {overtake_free}")
-    return sent_shortest, ViolationReport(tuple(found)), lab
-
-
-# -- social cost -------------------------------------------------------------
-
-
-def _path_latency(exit_maps: Mapping[str, PiecewiseLinear], path: Path) -> PiecewiseLinear:
-    """Travel time along a path as a function of the entry time into its
-    first queue: chain the exit maps, then subtract the entry time."""
-    arrival = PiecewiseLinear.identity()
-    for eid in path:
-        arrival = exit_maps[eid].compose(arrival)
-    return arrival - PiecewiseLinear.identity()
-
-
-def social_cost(inst: Instance, flow: FlowOverTime) -> Scalar:
-    """Largest latency experienced by any particle that actually travels.
-
-    With an explicit path decomposition the supremum runs over the times at
-    which each path carries positive entry rate.  Without one the flow must
-    certify as an equilibrium, in which case every particle rides a currently
-    shortest path and the sink latency curve carries the supremum.
-    """
-    if flow.paths is not None:
-        _check_structure(inst, flow)
-        on_paths = {eid for path in flow.paths for eid in path}
-        exit_maps = {eid: exit_curve(inst, flow, eid) for eid in on_paths}
-        best: Scalar = ZERO
-        for path, cumulative in flow.paths.items():
-            latency = _path_latency(exit_maps, path)
-            for a, b, value, slope, _, rate in joint_segments(latency, cumulative):
-                if rate <= 0:
-                    continue
-                if b is INF:
-                    if slope > 0:
-                        return INF
-                    candidate = value
-                else:
-                    candidate = max(value, value + slope * (b - a))
-                best = max(best, candidate)
-        return best
-
-    ok, report, lab = _certify_nash(inst, flow)
-    if not ok:
-        raise ContractError(
-            "social cost of a non-equilibrium flow needs an explicit path "
-            f"decomposition; certification failed:\n{report}")
-    latency = lab[inst.network.sink] - PiecewiseLinear.identity()
-    return latency.supremum()
+    return sent_shortest, ViolationReport(tuple(found))
 
 
 # -- JSON / CSV interchange ---------------------------------------------------
 #
 # Flow JSON: {"inflow": {edge: [[start, rate], ...]}, "outflow": {...},
-#             "sink": {"breakpoints": [[x, y], ...], "final_slope": "p/q"},
-#             "paths": {"e1,e2": [[start, rate], ...]}}   (paths optional)
+#             "sink": {"breakpoints": [[x, y], ...], "final_slope": "p/q"}}
 
 
 def pwl_to_obj(curve: PiecewiseLinear) -> dict:
@@ -467,26 +380,18 @@ def _curves_from_obj(obj, field: str) -> dict[str, PiecewiseLinear]:
 
 
 def flow_to_obj(flow: FlowOverTime) -> dict:
-    obj = {
+    return {
         "inflow": {eid: _rates_to_obj(c) for eid, c in sorted(flow.inflow.items())},
         "outflow": {eid: _rates_to_obj(c) for eid, c in sorted(flow.outflow.items())},
         "sink": pwl_to_obj(flow.sink_cumulative),
     }
-    if flow.paths is not None:
-        obj["paths"] = {",".join(path): _rates_to_obj(c)
-                        for path, c in sorted(flow.paths.items())}
-    return obj
 
 
 def flow_from_obj(obj: dict) -> FlowOverTime:
-    paths = None
-    if "paths" in obj:
-        paths = {tuple(key.split(",")): curve
-                 for key, curve in _curves_from_obj(obj["paths"], "paths").items()}
+    """Read a flow file; keys other than the three curve fields are ignored."""
     return FlowOverTime(
         inflow=_curves_from_obj(obj["inflow"], "inflow"),
         outflow=_curves_from_obj(obj["outflow"], "outflow"),
         sink_cumulative=pwl_from_obj(_typed(obj["sink"], dict, "sink")),
-        paths=paths,
     )
 

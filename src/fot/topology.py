@@ -23,7 +23,6 @@ from .core import (
     Network,
     ParameterError,
     SizeCapError,
-    UnsupportedTopologyError,
 )
 from .gen import make_m3_variants
 
@@ -151,8 +150,7 @@ def find_subdivision(host: Network, pattern: Union[str, Network],
     if len(host.nodes) > node_cap or len(host.edges) > edge_cap:
         raise SizeCapError(
             f"host exceeds the search cap ({node_cap} nodes / {edge_cap} edges)")
-    if not host.is_acyclic():
-        raise UnsupportedTopologyError("subdivision search is restricted to acyclic hosts")
+    host.topological_order()  # raises on a cycle: the search needs an acyclic host
 
     p_nodes = list(pattern.nodes)
     p_in = {v: len(pattern.in_edges[v]) for v in p_nodes}
@@ -295,14 +293,12 @@ def uses_only_chains(net: Network):
 
     Returns (True, None) or (False, (u, v, union_edge_ids)).  An edge lies on
     a simple u-v path iff u reaches its tail and its head reaches v, which is
-    what restricts this test to acyclic networks.  A union is a chain iff
+    what restricts this test to acyclic networks (`_path_counts` raises
+    `UnsupportedTopologyError` on a cycle).  A union is a chain iff
     its junctions, the nodes whose union degree is not (1, 1), all lie on
     every u-v path: the other nodes then form disjoint paths between
     consecutive junctions.
     """
-    if not net.is_acyclic():
-        raise UnsupportedTopologyError(
-            "path-union analysis is restricted to acyclic networks")
     paths = _path_counts(net)
     for u in net.nodes:
         for v in net.nodes:
@@ -325,8 +321,7 @@ def series_parallel(net: Network) -> bool:
     """Two-terminal series-parallel test by exhaustive reduction: repeatedly
     splice out internal degree-(1,1) nodes and merge parallel edges; succeed
     iff a single source-sink edge remains.  Isolated nodes are ignored."""
-    if not net.is_acyclic():
-        raise UnsupportedTopologyError("series-parallel test is restricted to acyclic networks")
+    net.topological_order()  # raises on a cycle
     s, t = net.source, net.sink
     nodes, edges = list(net.nodes), list(net.edges)
     while True:

@@ -71,16 +71,12 @@ def two_link_equilibrium_flow():
     )
 
 
-def two_link_all_on_slow_flow(paths=False):
+def two_link_all_on_slow_flow():
     """Feasible but non-equilibrium: the whole supply on the slow link."""
-    decomposition = None
-    if paths:
-        decomposition = {("f1",): rates((0, 2))}
     return FlowOverTime(
         inflow={"e1": rates(), "f1": rates((0, 2))},
         outflow={"e1": rates(), "f1": rates((1, 2))},
         sink_cumulative=rates((1, 2)),
-        paths=decomposition,
     )
 
 
@@ -106,18 +102,6 @@ def ladder3_minus_middle_flow(eps=F(1, 10)):
         outflow={"e1": rates((0, a1)), "f1": rates((1, a0 - a1)), "f2": rates((1, a1))},
         sink_cumulative=rates((1, a0)),
     )
-
-
-def overloaded_single_link():
-    inst = build_instance([("e1", "v1", "v2", 1, 0)],
-                          source="v1", sink="v2", supply=2)
-    flow = FlowOverTime(
-        inflow={"e1": rates((0, 2))},
-        outflow={"e1": rates((0, 1))},
-        sink_cumulative=rates((0, 1)),
-        paths={("e1",): rates((0, 2))},
-    )
-    return inst, flow
 
 
 # -- reading back `fot ... --format csv` ------------------------------------------

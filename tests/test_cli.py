@@ -458,3 +458,52 @@ def test_export_plotdata_breakpoint_that_is_no_pair_is_an_input_error(tmp_path, 
     run_path.write_text(json.dumps({"labels": {},
                                     "queues": {"e1": {"breakpoints": [["0", "0"], [1]]}}}))
     _assert_input_error(capsys, "queues.e1.breakpoints", "export-plotdata", str(run_path))
+
+
+def test_validate_ignores_a_paths_key_in_the_flow_file(tmp_path, capsys):
+    inst_path = write_instance(tmp_path, two_link_base_instance())
+    flow = _engine_flow_obj(capsys, inst_path)
+    verdicts = []
+    for extra in ({}, {"paths": {"e1": [["0", "2"]], "no,such,path": [["0", "x"]]}}):
+        flow_path = tmp_path / "flow.json"
+        flow_path.write_text(dumps({**flow, **extra}))
+        verdicts.append(run_cli(capsys, "validate", inst_path, str(flow_path), "--nash"))
+    assert verdicts[0] == verdicts[1] and verdicts[0][0] == 0
+
+
+@pytest.mark.parametrize("command", ["simulate", "export-plotdata"])
+def test_output_file_holds_the_bytes_of_stdout(command, tmp_path, capsys):
+    inst_path = write_instance(tmp_path, two_link_base_instance())
+    if command == "simulate":
+        argv = ["simulate", inst_path, "--format", "csv"]
+    else:
+        _, run_out, _ = run_cli(capsys, "simulate", inst_path)
+        run_path = tmp_path / "run.json"
+        run_path.write_text(run_out)
+        argv = ["export-plotdata", str(run_path)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and "\r\n" in out  # the csv module ends rows with CRLF
+    out_path = tmp_path / "out.csv"
+    assert run_cli(capsys, *argv, "-o", str(out_path)) == (0, "", "")
+    assert out_path.read_bytes() == out.encode("utf-8")
+
+
+def test_directory_as_input_is_an_input_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "simulate", str(tmp_path))
+    assert code == 2 and out == ""
+    assert "input error" in err
+
+
+def test_directory_as_output_is_an_input_error(tmp_path, capsys):
+    inst_path = write_instance(tmp_path, two_link_base_instance())
+    code, out, err = run_cli(capsys, "simulate", inst_path, "-o", str(tmp_path))
+    assert code == 2 and out == ""
+    assert "input error" in err
+
+
+def test_input_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_bytes(b'{"network": "\xff"}')
+    code, out, err = run_cli(capsys, "simulate", str(path))
+    assert code == 2 and out == ""
+    assert "input error" in err and "utf-8" in err

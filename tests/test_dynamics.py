@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from fot import dynamics
-from fot.core import ContractError, INF, MalformedFlowError
+from fot import dynamics, equilibrium
+from fot.core import INF, MalformedFlowError
 from fot.dynamics import (
     CAPACITY,
     NODE_CONSERVATION,
@@ -14,7 +14,6 @@ from fot.dynamics import (
     flow_from_obj,
     flow_to_obj,
     labels,
-    social_cost,
     validate_feasible,
 )
 from fot.pwl import PiecewiseLinear
@@ -23,7 +22,6 @@ from helpers import (
     build_instance,
     ladder3_minus_middle_flow,
     ladder3_minus_middle_instance,
-    overloaded_single_link,
     rates,
     two_link_all_on_slow_flow,
     two_link_base_instance,
@@ -62,13 +60,13 @@ def test_labels_zero_queue_zero_transit():
         outflow={"a": rates((0, 1)), "b": rates((0, 1))},
         sink_cumulative=rates((0, 1)),
     )
-    for v, label in labels(inst, flow).items():
+    for v, label in labels(inst, flow)[0].items():
         assert label == PiecewiseLinear.identity()
 
 
 def test_labels_two_link_run():
     inst = two_link_base_instance()
-    lab = labels(inst, two_link_equilibrium_flow())
+    lab, _ = labels(inst, two_link_equilibrium_flow())
     assert lab["v1"] == PiecewiseLinear.identity()
     assert lab["v2"] == PiecewiseLinear.from_points([(F(0), F(0)), (F(1), F(2))], F(1))
 
@@ -87,17 +85,19 @@ def _unreachable_tail_case():
 
 def test_labels_unreachable_node_is_infinite():
     inst, flow = _unreachable_tail_case()
-    assert labels(inst, flow)["v3"] is INF
+    lab, arrivals = labels(inst, flow)
+    assert lab["v3"] is INF
+    assert set(arrivals) == {"a"}  # no head-arrival curve from an unreachable tail
 
 
 def test_labels_reduced_ladder_constant_transit():
     inst = ladder3_minus_middle_instance()
-    lab = labels(inst, ladder3_minus_middle_flow())
+    lab, _ = labels(inst, ladder3_minus_middle_flow())
     assert lab["v3"] == PiecewiseLinear.affine(F(1), F(1))  # entry time plus one
 
 
 def test_node_latency():
-    lab = labels(two_link_base_instance(), two_link_equilibrium_flow())
+    lab, _ = labels(two_link_base_instance(), two_link_equilibrium_flow())
     for v, at, latency in (("v1", F(5), 0), ("v2", F(1), 1), ("v2", F(7), 1),
                            ("v2", F(1, 2), F(1, 2))):
         assert lab[v](at) - at == latency
@@ -192,67 +192,19 @@ def test_certify_nash_rejects_inflow_as_the_edge_turns_slower():
     assert (first.condition, first.where, first.at, first.lhs) == (SHORTEST_PATHS, "e1", 1, 0)
 
 
-def test_social_cost_takes_the_latency_peak_at_the_end_of_a_piece():
-    # The fast path carries rate 2 on [0, 1) only; its wait rises to 1 at
-    # time 1, when that path stops, while the other path takes 1/2.
-    inst = build_instance([("e1", "v1", "v2", 1, 0), ("f1", "v1", "v2", 2, F(1, 2))],
-                          source="v1", sink="v2", supply=2)
-    flow = FlowOverTime(
-        inflow={"e1": rates((0, 2), (1, 0)), "f1": rates((1, 2))},
-        outflow={"e1": rates((0, 1), (2, 0)), "f1": rates((F(3, 2), 2))},
-        sink_cumulative=rates((0, 1), (F(3, 2), 3), (2, 2)),
-        paths={("e1",): rates((0, 2), (1, 0)), ("f1",): rates((1, 2))},
-    )
-    assert validate_feasible(inst, flow).ok
-    assert social_cost(inst, flow) == 1
-
-
-def test_social_cost_of_equilibria():
-    assert social_cost(two_link_base_instance(), two_link_equilibrium_flow()) == 1
-    assert social_cost(ladder3_minus_middle_instance(),
-                       ladder3_minus_middle_flow()) == 1
-
-
-def test_social_cost_requires_paths_off_equilibrium():
-    inst = two_link_base_instance()
-    with pytest.raises(ContractError):
-        social_cost(inst, two_link_all_on_slow_flow())
-    # with a decomposition the latency of the slow link is the answer
-    assert social_cost(inst, two_link_all_on_slow_flow(paths=True)) == 1
-
-
-def test_social_cost_unbounded_when_supply_exceeds_capacity():
-    inst, flow = overloaded_single_link()
-    assert social_cost(inst, flow) is INF
-
-
-def test_path_decomposition_must_sum_to_supply():
-    inst = two_link_base_instance()
-    flow = two_link_all_on_slow_flow(paths=True)
-    bad = FlowOverTime(
-        inflow=flow.inflow, outflow=flow.outflow,
-        sink_cumulative=flow.sink_cumulative,
-        paths={("f1",): rates((0, 1))},
-    )
-    with pytest.raises(MalformedFlowError):
-        social_cost(inst, bad)
-
-
 def test_flow_json_roundtrip():
-    flow = two_link_all_on_slow_flow(paths=True)
+    flow = two_link_all_on_slow_flow()
     again = flow_from_obj(flow_to_obj(flow))
     assert again.inflow == dict(flow.inflow)
     assert again.outflow == dict(flow.outflow)
     assert again.sink_cumulative == flow.sink_cumulative
-    assert again.paths == dict(flow.paths)
 
 
 @pytest.mark.parametrize("check", [
     certify_nash,
     lambda inst, flow: validate_feasible(inst, flow,
                                          sample_grid=[F(0), F(1, 3), F(1), F(5)]),
-    social_cost,
-], ids=["certify_nash", "validate_feasible", "social_cost"])
+], ids=["certify_nash", "validate_feasible"])
 def test_checkers_derive_each_edge_curves_once(monkeypatch, check):
     # One call derives each edge's shifted outflow, queue, wait and exit map
     # once, however many probes, labels or certificates then use them.
@@ -272,3 +224,22 @@ def test_checkers_derive_each_edge_curves_once(monkeypatch, check):
         derived.clear()
         check(inst, flow)
         assert sorted(derived) == sorted(inst.edge_ids)
+
+
+def test_certify_nash_derives_labels_through_the_module_attribute(monkeypatch):
+    # Hooks that replace `fot.dynamics.labels` (tracing, this counter) must see
+    # every label derivation: once per certificate, once per engine run.
+    calls = []
+    derive = dynamics.labels
+
+    def counted(inst, flow):
+        calls.append(inst)
+        return derive(inst, flow)
+
+    monkeypatch.setattr(dynamics, "labels", counted)
+    inst = two_link_base_instance()
+    assert certify_nash(inst, two_link_equilibrium_flow())[0]
+    assert calls == [inst]
+    calls.clear()
+    equilibrium.nash_flow(inst)
+    assert calls == [inst]

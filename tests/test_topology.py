@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from fot.cli import main
-from fot.core import ContractError, Edge, Network, SizeCapError, dumps, network_to_obj
+from fot.core import (ContractError, Edge, Network, SizeCapError, UnsupportedTopologyError,
+                      dumps, network_to_obj)
 from fot.gen import MnParams, geometric_alphas, make_chain, make_mn, random_dag
 from fot.topology import (
     PATTERN_IDS,
@@ -495,3 +496,16 @@ def test_chain_property_equals_pattern_absence_on_random_dags():
         report = classify(random_dag(8, 14, seed))
         assert isinstance(report, ClassificationReport)
         assert report.uses_only_chains == (not report.either_direction_paradox)
+
+
+@pytest.mark.parametrize("check", [
+    lambda net: find_subdivision(net, "M3"),
+    uses_only_chains,
+    series_parallel,
+], ids=["find_subdivision", "uses_only_chains", "series_parallel"])
+def test_topology_tests_refuse_a_cycle(check):
+    cyclic = Network(nodes=("s", "x", "t"),
+                     edges=(Edge("a", "s", "x"), Edge("b", "x", "s"), Edge("c", "x", "t")),
+                     source="s", sink="t")
+    with pytest.raises(UnsupportedTopologyError):
+        check(cyclic)
