@@ -89,10 +89,10 @@ def labels(inst: Instance, flow: FlowOverTime) -> tuple[dict, dict]:
     The source labels the entry time itself.  An edge's head-arrival curve
     is its tail label pushed through its exit map (entry + wait + transit),
     and every other reachable node takes the pointwise minimum of these over
-    its incoming edges.  Unreachable nodes get the INF sentinel.  Restricted
-    to acyclic networks (the recursion follows a topological order).
+    its incoming edges.  Unreachable nodes get the INF sentinel, and no
+    curve of an edge with an unreachable tail is derived.  Restricted to
+    acyclic networks (the recursion follows a topological order).
     """
-    exit_maps = {eid: _edge_curves(inst, flow, eid).exit_map for eid in inst.edge_ids}
     net = inst.network
     reachable = net.reachable_from(net.source)
     out: dict[str, PiecewiseLinear | object] = {}
@@ -109,7 +109,8 @@ def labels(inst: Instance, flow: FlowOverTime) -> tuple[dict, dict]:
             tail_label = out[e.tail]
             if tail_label is INF:
                 continue
-            arrivals[e.id] = exit_maps[e.id].compose(tail_label)
+            exit_map = _edge_curves(inst, flow, e.id).exit_map
+            arrivals[e.id] = exit_map.compose(tail_label)
             candidates.append(arrivals[e.id])
         out[v] = minimum(*candidates)
     return out, arrivals

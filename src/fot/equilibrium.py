@@ -16,11 +16,15 @@ patterns in a fixed order; the first pattern whose solution verifies wins,
 which makes the computed equilibrium canonical.  A support qualifies only if
 every one of its edges lies on a source-sink path inside it, that is, if it
 is its own s-t core (`fot.core.st_core`, the predicate the Braess search
-uses too).  Each pattern is a linear system whose rows are built as sparse
-integer rows, multiplied through by their denominators, and solved by
-fraction-free Gauss-Jordan elimination; rationals appear only in the
-solution vector.  Every accepted solution is re-verified against the full
-axiom list by an independent checker.
+uses too).  Each pattern is a linear system of sparse integer rows,
+multiplied through by their denominators.  The patterns of a support share
+their rows up to the first one they differ in, so the search walks them
+depth first and extends one fraction-free Gauss-Jordan elimination by one
+row per level; rationals appear only in the values it reads off.  A
+subtree is cut as soon as its rows contradict each other or a value they
+already determine breaks a local condition of the axioms.  Every solution
+found is re-verified against the full axiom list by an independent
+checker.
 
 A queued edge whose head reaches the sink through competitive edges carries
 flow in every solution, so every support holds it and only the other, free,
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from .core import (
     ContractError,
@@ -61,80 +65,125 @@ MAX_ACTIVE_EDGES = 16
 # -- exact linear algebra ------------------------------------------------------
 
 
-def solve_exact(rows: list[tuple[Mapping[int, int], int]], n: int):
+def _eliminate(row: dict[int, int], c: int, pivot: Mapping[int, int]) -> None:
+    """Clear column c of `row` in place with the pivot row of column c:
+    row <- (p*row - a*pivot) / g, with the common factor of p and a taken
+    out first and the row's own gcd after."""
+    p, a = pivot[c], row[c]
+    g = gcd(p, a)
+    mp, ma = p // g, a // g
+    if mp != 1:
+        for k in row:
+            row[k] *= mp
+    for k, v in pivot.items():
+        w = row.get(k, 0) - ma * v
+        if w:
+            row[k] = w
+        else:
+            del row[k]
+    if row:
+        g = gcd(*row.values())
+        if g > 1:
+            for k in row:
+                row[k] //= g
+
+
+class Elimination:
+    """The reduced rows of a consistent system in n unknowns, as
+    fraction-free Gauss-Jordan elimination leaves them.
+
+    `pivots` maps each pivot column to its row: column -> integer
+    coefficient, with the right-hand side at key n.  No pivot column occurs
+    in another pivot row.  So a column is determined (it has the same value
+    in every solution) exactly when its pivot row holds no other unknown,
+    and `value` reads that value off.  `determined` lists the columns that
+    the rows added to the parent state determined.  A state is never
+    modified: `extend` returns a child that shares the parent's unchanged
+    rows.
+    """
+
+    __slots__ = ("n", "pivots", "determined")
+
+    def __init__(self, n: int, pivots: Optional[dict[int, dict[int, int]]] = None,
+                 determined: Sequence[int] = ()):
+        self.n = n
+        self.pivots = {} if pivots is None else pivots
+        self.determined = determined
+
+    def value(self, c: int) -> Fraction:
+        row = self.pivots[c]
+        return Fraction(row.get(self.n, 0), row[c])
+
+    def extend(self, coeffs: Mapping[int, int], rhs: int) -> Optional[Elimination]:
+        """The state with one more row, or None when the row contradicts
+        the ones before it.  Only the new row is reduced and only the pivot
+        rows holding its new pivot column are copied."""
+        n, pivots = self.n, self.pivots
+        row = {c: a for c, a in coeffs.items() if a}
+        if rhs:
+            row[n] = rhs
+        for c in [c for c in row if c in pivots]:
+            _eliminate(row, c, pivots[c])
+        if not row:
+            return Elimination(n, pivots)
+        if len(row) == 1 and n in row:
+            return None
+        # The new pivot is the row's column held by the fewest pivot rows
+        # (the lowest on ties), which keeps the rows to clear and their
+        # fill-in down.
+        holders = {k: [pc for pc, prow in pivots.items() if k in prow]
+                   for k in row if k != n}
+        c = min(holders, key=lambda k: (len(holders[k]), k))
+        child = dict(pivots)
+        determined = []
+        for pc in holders[c]:
+            prow = child[pc] = dict(pivots[pc])
+            _eliminate(prow, c, row)
+            if len(prow) - (n in prow) == 1:
+                determined.append(pc)
+        child[c] = row
+        if len(row) - (n in row) == 1:
+            determined.append(c)
+        return Elimination(n, child, determined)
+
+
+def solve_exact(rows: list[tuple[Mapping[int, int], int]], n: int,
+                prefix: Optional[Elimination] = None):
     """Fraction-free Gauss-Jordan elimination on sparse integer rows.
 
     Each row is ``(coeffs, rhs)``: ``coeffs`` maps a column in ``range(n)``
     to an integer coefficient (absent columns are zero) and ``rhs`` is an
     integer; a rational system enters multiplied through by its
-    denominators.  Elimination touches only rows with a nonzero in the pivot
-    column, combines them by cross-multiplication and divides each result by
-    the gcd of its entries, so no rational arises until the single division
-    per unknown at the end.
+    denominators.  The rows enter one at a time (`Elimination.extend`): a
+    row is reduced by the pivot rows before it, takes one of its columns
+    left as its pivot and clears that column from the pivot rows holding
+    it.  Rows combine by cross-multiplication and are divided by the gcd of
+    their entries, so no rational arises until the single division per
+    unknown at the end.
 
     Returns ("unique", vector of Fractions) when rank A = rank [A|b] = n,
     otherwise ("inconsistent", None) when rank [A|b] > rank A, otherwise
     ("underdetermined", None).  The input rows are not modified.
+
+    Given `prefix`, the state that earlier rows left, the rows extend it
+    and the second item is the extended `Elimination` (None when
+    inconsistent), whose `determined` lists the columns these rows
+    determined; the status is that of the earlier rows and these together.
+    The pattern search extends its states this way.
     """
-    # The right-hand side rides along as column n.
-    pending: list[dict[int, int]] = []
+    state = Elimination(n) if prefix is None else prefix
+    determined = []
     for coeffs, rhs in rows:
-        row = {c: a for c, a in coeffs.items() if a}
-        if rhs:
-            if not row:
-                return "inconsistent", None
-            row[n] = rhs
-        if row:
-            pending.append(row)
-    pivots: list[tuple[int, dict[int, int]]] = []
-    for c in range(n):
-        # The shortest candidate keeps fill-in down.
-        best = -1
-        for i, row in enumerate(pending):
-            if c in row and (best < 0 or len(row) < len(pending[best])):
-                best = i
-        if best < 0:
-            continue
-        pivot = pending.pop(best)
-        p = pivot[c]
-        pivot_items = list(pivot.items())
-        for row in pending + [row for _, row in pivots]:
-            a = row.get(c)
-            if a is None:
-                continue
-            # row <- (p*row - a*pivot) / g, with the common factor of p and
-            # a taken out first and the row's own gcd after.
-            g = gcd(p, a)
-            mp, ma = p // g, a // g
-            if mp != 1:
-                for k in row:
-                    row[k] *= mp
-            for k, v in pivot_items:
-                w = row.get(k, 0) - ma * v
-                if w:
-                    row[k] = w
-                else:
-                    del row[k]
-            if row:
-                g = gcd(*row.values())
-                if g > 1:
-                    for k in row:
-                        row[k] //= g
-        pivots.append((c, pivot))
-        # Rows left with no unknown are 0 = 0 (dropped) or 0 = b != 0.
-        kept = []
-        for row in pending:
-            if row:
-                if len(row) == 1 and n in row:
-                    return "inconsistent", None
-                kept.append(row)
-        pending = kept
-    if len(pivots) < n:
-        return "underdetermined", None
-    sol = [ZERO] * n
-    for c, row in pivots:
-        sol[c] = Fraction(row.get(n, 0), row[c])
-    return "unique", sol
+        state = state.extend(coeffs, rhs)
+        if state is None:
+            return "inconsistent", None
+        determined += state.determined
+    status = "unique" if len(state.pivots) == n else "underdetermined"
+    if prefix is not None:
+        return status, Elimination(n, state.pivots, determined)
+    if status != "unique":
+        return status, None
+    return status, [state.value(c) for c in range(n)]
 
 
 # -- per-phase derivative system ----------------------------------------------
@@ -226,12 +275,12 @@ def enumerate_thin_flows(net: Network, active: frozenset[str],
     Patterns (which edges carry flow, a support that is its own `st_core`;
     for each flow edge whether the capacity term or the tail slope pins the
     head; for each flow-free node which in-edge attains its minimum) are
-    enumerated in a fixed order and each one is solved exactly by
-    `solve_exact`; a solution is yielded when `verify_thin_flow` accepts it.
-    Supports come in lexicographic order of their edge masks, so the first
-    one is the lexicographically smallest valid support.  Patterns whose
-    linear system is degenerate are skipped: their solution sets are faces
-    whose corners other patterns pin down.
+    enumerated in a fixed order and each one is solved exactly; a solution
+    is yielded when `verify_thin_flow` accepts it.  Supports come in
+    lexicographic order of their edge masks, so the first one is the
+    lexicographically smallest valid support.  Patterns whose linear system
+    is degenerate are skipped: their solution sets are faces whose corners
+    other patterns pin down.
 
     Different patterns may realize different flow splits, but their label
     slopes all agree (labels are the unique observable); the test suite
@@ -254,8 +303,29 @@ def enumerate_thin_flows(net: Network, active: frozenset[str],
     mask keeps the lexicographic order of the rest, so the sequence is
     exactly that of the search over all competitive edges.
 
-    Rows are sparse integer rows (column -> coefficient, rhs) for
-    `solve_exact`; columns are the node labels, then the support rates.
+    The patterns of one support are the product of its rows' options: the
+    base rows (source slope, conservation), then one branch row per support
+    edge, then one argmin row per flow-free node.  A row with a single
+    option takes no part in the order, so it joins the base rows.  The
+    search walks the product depth first, in the same order, and extends
+    one elimination state per level (`solve_exact` with a prefix): the
+    base rows at once, then one row per level, so each prefix is
+    eliminated once and not once per pattern below it.  It cuts a subtree
+    when the new rows make the prefix inconsistent, or when a variable they
+    determine fails one of `verify_thin_flow`'s local conditions: a
+    negative slope or rate, l'_w > rho_e(l'_v, x_e) on a competitive edge,
+    a flow edge that does not attain its head's minimum, or a node whose
+    slope is not the minimum of its in-edge ratios once all of these are
+    known.  Cutting is exact.  Rows are only ever added, so a determined
+    value is the same in every completion of the prefix, and an
+    inconsistent prefix stays inconsistent.  Every pattern below a cut
+    therefore has no solution, or no unique one, or a unique one that fails
+    `verify_thin_flow`: the patterns cut are ones the whole-pattern search
+    rejects, and the ones left come in the same order.  Each solution found
+    is still checked by `verify_thin_flow` before it is yielded.
+
+    Rows are sparse integer rows (column -> coefficient, rhs); columns are
+    the node labels, then the support rates.
     """
     if not resetting <= active:
         raise ContractError("resetting edges must be competitive")
@@ -310,6 +380,22 @@ def enumerate_thin_flows(net: Network, active: frozenset[str],
                  for eid, (tail, head) in ends.items()}
     argmin_options = {v: tuple(idle_rows[eid] for eid in in_active[v]) for v in nodes}
 
+    # The local conditions, per competitive edge: its tail column (None when
+    # it has a queue, as the ratio then ignores the tail), head column and
+    # capacity; the edges whose condition reads each label column; and the
+    # in-edges of each node but the source, whose ratios it takes the
+    # minimum of.
+    source_col = index[net.source]
+    edge_terms = [(None if eid in resetting else index[tail], index[head], capacity[eid])
+                  for eid, (tail, head) in ends.items()]
+    label_watch: list[list[int]] = [[] for _ in nodes]
+    for i, (tail_col, head_col, _) in enumerate(edge_terms):
+        label_watch[head_col].append(i)
+        if tail_col is not None:
+            label_watch[tail_col].append(i)
+    position = {eid: i for i, eid in enumerate(edge_order)}
+    in_terms = [[position[eid] for eid in in_active[v]] for v in nodes]
+
     for free_mask in product((0, 1), repeat=len(free)):
         chosen = forced.union(eid for eid, bit in zip(free, free_mask) if bit)
         support = [eid for eid in edge_order if eid in chosen]
@@ -319,31 +405,118 @@ def enumerate_thin_flows(net: Network, active: frozenset[str],
         x_index = {eid: len(nodes) + i for i, eid in enumerate(support)}
         n = len(nodes) + len(support)
 
-        base_rows: list[tuple[dict[int, int], int]] = [source_row]
-        for incident, rhs in incidence:
-            base_rows.append(({x_index[eid]: c for eid, c in incident
-                               if eid in x_index}, rhs))
-        branch_options = []
+        # The options of each pattern row: per support edge its capacity row
+        # and, without a queue, its idle row; per flow-free node the idle row
+        # of each in-edge.  A row with one option does not branch, so it
+        # joins the base rows, and level 0 adds them all at once; each later
+        # level adds one row.
+        options = []
         for eid in support:
             head_col, p, q = capacity_terms[eid]
-            options = [({head_col: p, x_index[eid]: -q}, 0)]
+            options.append([({head_col: p, x_index[eid]: -q}, 0)])
             if eid not in resetting:
-                options.append(idle_rows[eid])
-            branch_options.append(options)
-        flowless = [argmin_options[v] for v in nodes
-                    if v != net.source and support_set.isdisjoint(in_active[v])]
+                options[-1].append(idle_rows[eid])
+        options.extend(argmin_options[v] for v in nodes
+                       if v != net.source and support_set.isdisjoint(in_active[v]))
+        base = [source_row]
+        for incident, rhs in incidence:
+            base.append(({x_index[eid]: c for eid, c in incident if eid in x_index}, rhs))
+        base.extend(rows[0] for rows in options if len(rows) == 1)
+        levels = [[base]] + [[[row] for row in rows] for rows in options if len(rows) > 1]
 
-        for pattern_rows in product(*branch_options, *flowless):
-            status, sol = solve_exact([*base_rows, *pattern_rows], n)
-            if status != "unique":
+        # value[c] is the value of column c once the prefix determines it;
+        # x_col[i] is the rate column of edge i, None when it carries no flow,
+        # and drain[c] caches x_e / capacity for the rate column c of edge e.
+        value: list[Optional[Fraction]] = [None] * n
+        drain: list[Optional[Fraction]] = [None] * n
+        x_col = [x_index.get(eid) for eid in edge_order]
+        watch = label_watch + [[position[eid]] for eid in support]
+
+        def ratio(i: int) -> Optional[Fraction]:
+            # rho_e(l'_v, x_e), or None while a value it needs is unknown.
+            # Known values are never negative, so an edge without flow has
+            # ratio 0 behind a queue and l'_v otherwise.
+            tail_col, _, cap = edge_terms[i]
+            c = x_col[i]
+            if c is None:
+                return ZERO if tail_col is None else value[tail_col]
+            rate = drain[c]
+            if rate is None:
+                if value[c] is None:
+                    return None
+                rate = drain[c] = value[c] / cap
+            if tail_col is None:
+                return rate
+            tail = value[tail_col]
+            if tail is None:
+                return None
+            return max(tail, rate)
+
+        def violates(state: Elimination) -> bool:
+            # Records the values of the columns that the rows which made the
+            # state determined, and reports whether a local condition they
+            # complete fails.
+            touched = set()
+            for c in state.determined:
+                v = value[c] = state.value(c)
+                if v.numerator < 0:
+                    return True
+                touched.update(watch[c])
+            heads = set()
+            for i in touched:
+                head_col = edge_terms[i][1]
+                head = value[head_col]
+                if head is None:
+                    continue
+                rho = ratio(i)
+                if rho is None:
+                    continue
+                if head > rho:
+                    return True
+                c = x_col[i]
+                if c is not None and value[c].numerator > 0 and head != rho:
+                    return True
+                heads.add(head_col)
+            for w in heads:
+                if w == source_col:
+                    continue
+                ratios = [ratio(i) for i in in_terms[w]]
+                if all(r is not None for r in ratios) and value[w] != min(ratios):
+                    return True
+            return False
+
+        def forget(state: Elimination) -> None:
+            for c in state.determined:
+                value[c] = drain[c] = None
+
+        # Depth first: states[d] is the state after the first d levels, and
+        # branches[d] runs through the options of level d below it.
+        states, branches = [Elimination(n)], [iter(levels[0])]
+        while branches:
+            rows = next(branches[-1], None)
+            if rows is None:
+                branches.pop()
+                forget(states.pop())
                 continue
-            label_slopes = {v: sol[i] for i, v in enumerate(nodes)}
-            edge_rates = {eid: ZERO for eid in edge_order}
-            for eid in support:
-                edge_rates[eid] = sol[x_index[eid]]
-            if verify_thin_flow(net, active, resetting, capacity, supply,
-                                label_slopes, edge_rates) is None:
-                yield ThinFlow(label_slopes, edge_rates)
+            _, child = solve_exact(rows, n, states[-1])
+            if child is None:
+                continue
+            if child.determined and violates(child):
+                forget(child)
+                continue
+            if len(branches) < len(levels):
+                states.append(child)
+                branches.append(iter(levels[len(branches)]))
+                continue
+            if len(child.pivots) == n:
+                label_slopes = dict(zip(nodes, value))
+                edge_rates = {eid: ZERO for eid in edge_order}
+                for eid in support:
+                    edge_rates[eid] = value[x_index[eid]]
+                if verify_thin_flow(net, active, resetting, capacity, supply,
+                                    label_slopes, edge_rates) is None:
+                    yield ThinFlow(label_slopes, edge_rates)
+            forget(child)
 
 
 # -- phase engine ---------------------------------------------------------------

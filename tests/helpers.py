@@ -1,11 +1,13 @@
-"""Hand-built instances and flows shared across test modules, and a reader
-that turns `--format csv` output back into its JSON object.
+"""Hand-built instances and flows shared across test modules, an exact
+maximum-flow oracle, and a reader that turns `--format csv` output back
+into its JSON object.
 
 The fixture flows are written down from first principles (integrating the
 narrated rates by hand), never taken from the engine under test.
 """
 
 import csv
+from collections import deque
 from fractions import Fraction
 
 from fot.core import Edge, Instance, Network, ParameterError
@@ -102,6 +104,39 @@ def ladder3_minus_middle_flow(eps=F(1, 10)):
         outflow={"e1": rates((0, a1)), "f1": rates((1, a0 - a1)), "f2": rates((1, a1))},
         sink_cumulative=rates((1, a0)),
     )
+
+
+def max_flow_value(net, capacity):
+    """The value of a maximum source-sink flow, which is the capacity of a
+    minimum cut: shortest augmenting paths (Edmonds-Karp) on exact
+    rationals, parallel edges adding their capacities.  Shares no code with
+    the engine."""
+    residual = {v: {} for v in net.nodes}
+    for e in net.edges:
+        residual[e.tail][e.head] = residual[e.tail].get(e.head, F(0)) + capacity[e.id]
+        residual[e.head].setdefault(e.tail, F(0))
+    value = F(0)
+    while True:
+        parent = {net.source: None}
+        queue = deque([net.source])
+        while queue and net.sink not in parent:
+            v = queue.popleft()
+            for w, cap in residual[v].items():
+                if cap > 0 and w not in parent:
+                    parent[w] = v
+                    queue.append(w)
+        if net.sink not in parent:
+            return value
+        path = []
+        w = net.sink
+        while parent[w] is not None:
+            path.append((parent[w], w))
+            w = parent[w]
+        push = min(residual[v][w] for v, w in path)
+        for v, w in path:
+            residual[v][w] -= push
+            residual[w][v] += push
+        value += push
 
 
 # -- reading back `fot ... --format csv` ------------------------------------------

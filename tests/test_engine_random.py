@@ -3,12 +3,16 @@
 The engine is validated against checkers it does not share code with: the
 exact feasibility conditions, both equilibrium certificates, the uniqueness
 of per-phase label slopes across all solver patterns, the pattern search
-over every support as the oracle of the one with forced edges, and the structural
-guarantee that networks using only chains of parallel paths never benefit
-from deletions.
+over every support as the oracle of the one with forced edges, the
+structural guarantee that networks using only chains of parallel paths
+never benefit from deletions, and facts the theory proves outright: a run
+ends steady exactly when the supply fits through a minimum cut, and labels
+obey the exact scaling laws of capacity and time.
 """
 
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -16,9 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fot import equilibrium
 from fot.braess import braess_ratio
-from fot.core import (ContractError, Edge, FotError, Instance, Network, NoPathError,
-                      SizeCapError, st_core)
+from fot.core import (INF, ContractError, Edge, FotError, Instance, Network, NoPathError,
+                      SizeCapError, st_core, transpose)
 from fot.dynamics import certify_nash, validate_feasible
 from fot.equilibrium import (
     MAX_ACTIVE_EDGES,
@@ -29,8 +34,10 @@ from fot.equilibrium import (
     thin_flow,
     verify_thin_flow,
 )
-from fot.gen import random_dag
+from fot.gen import make_ladder, random_dag
 from fot.topology import uses_only_chains
+
+from helpers import build_instance, max_flow_value
 
 F = Fraction
 
@@ -232,6 +239,139 @@ def thin_flow_systems(draw):
 @given(thin_flow_systems())
 def test_forced_search_matches_the_unforced_oracle_on_arbitrary_systems(args):
     assert_matches_the_unforced_oracle(args)
+
+
+def _recording_statuses(monkeypatch, module):
+    """Replace `module.solve_exact` by a wrapper that lists the status of
+    every call."""
+    statuses = []
+    solve = module.solve_exact
+
+    def recorded(*args):
+        status, result = solve(*args)
+        statuses.append(status)
+        return status, result
+
+    monkeypatch.setattr(module, "solve_exact", recorded)
+    return statuses
+
+
+def test_search_cuts_an_inconsistent_prefix_as_the_oracle_skips_it(monkeypatch):
+    # On positive capacities no pattern prefix was seen to turn
+    # inconsistent (none in 3313 random systems): the rates of the flow
+    # edges absorb whatever the rows pin down.  A queued link of capacity
+    # zero does it: its capacity row says x = 0, conservation says x = 2,
+    # and being queued it is forced into every support.  A solution would
+    # need its drain ratio 0/0, so no pattern survives either search.
+    net = build_instance([("q", "s", "t", 1, 0)], source="s", sink="t", supply=2).network
+    args = (net, frozenset({"q"}), frozenset({"q"}), {"q": F(0)}, F(2))
+    statuses = _recording_statuses(monkeypatch, equilibrium)
+    assert list(enumerate_thin_flows(*args)) == list(reference_enumerate_thin_flows(*args))
+    assert "inconsistent" in statuses
+
+
+def test_search_skips_an_underdetermined_pattern_as_the_oracle_does(monkeypatch):
+    # Two idle rows l_t = l_s leave the split of the supply between the
+    # parallel links open: that pattern's system is underdetermined, and
+    # the pattern search over every support sees it whole.
+    inst = build_instance([("a", "s", "t", 1, 0), ("b", "s", "t", 2, 0)],
+                          source="s", sink="t", supply=2)
+    args = (inst.network, frozenset({"a", "b"}), frozenset(), inst.capacity, inst.supply)
+    statuses = _recording_statuses(monkeypatch, sys.modules[__name__])
+    reference = list(reference_enumerate_thin_flows(*args))
+    assert "underdetermined" in statuses
+    assert list(enumerate_thin_flows(*args)) == reference
+    assert reference
+
+
+def test_pruning_bounds_the_search_on_the_steady_transposed_ladder_phase(monkeypatch):
+    # The last phase of the transposed ladder n = 6: the solution is the
+    # last support in mask order.  Without the cuts the search makes 6732
+    # `solve_exact` calls and verifies 2665 patterns; the whole-pattern
+    # search before it made 3378 solves and the same 2665 verifications.
+    inst = transpose(make_ladder(6, F(1, 1000)))
+    last = nash_flow(inst).phases[-1]
+    calls = Counter()
+    for name in ("solve_exact", "verify_thin_flow"):
+        def counted(*args, name=name, call=getattr(equilibrium, name)):
+            calls[name] += 1
+            return call(*args)
+        monkeypatch.setattr(equilibrium, name, counted)
+    tf = thin_flow(inst.network, frozenset(last.active), frozenset(last.resetting),
+                   inst.capacity, inst.supply)
+    assert tf.label_slopes == last.label_slopes
+    assert calls["verify_thin_flow"] <= 1
+    assert calls["solve_exact"] <= 2976
+
+
+# -- oracles from theory --------------------------------------------------------
+
+
+def _assert_steady_exactly_when_the_supply_fits(inst):
+    run = nash_flow(inst, phase_cap=400)
+    assert run.steady == (inst.supply <= max_flow_value(inst.network, inst.capacity))
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_instances())
+def test_steady_exactly_when_the_supply_fits_through_a_minimum_cut(inst):
+    # Cominetti, Correa & Olver (2022): queues stay bounded, and every label
+    # ends with slope one, exactly when the supply is at most the capacity
+    # of a minimum source-sink cut.
+    try:
+        _assert_steady_exactly_when_the_supply_fits(inst)
+    except NoPathError:
+        return
+
+
+@pytest.mark.parametrize("transposed", [False, True], ids=["ladder", "transposed"])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_ladders_are_steady_exactly_when_the_supply_fits(n, transposed):
+    inst = make_ladder(n, F(1, 1000))
+    _assert_steady_exactly_when_the_supply_fits(transpose(inst) if transposed else inst)
+
+
+scale_factors = st.fractions(min_value=F(1, 3), max_value=3, max_denominator=3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(random_instances(), scale_factors)
+def test_scaling_capacities_and_supply_leaves_the_labels(inst, k):
+    # Every rate, capacity and queue scales by k; waits and so the labels
+    # do not change.
+    scaled = Instance(inst.network, {eid: c * k for eid, c in inst.capacity.items()},
+                      inst.transit, inst.supply * k)
+    try:
+        run = nash_flow(inst, phase_cap=400)
+    except NoPathError:
+        return
+    again = nash_flow(scaled, phase_cap=400)
+    assert again.labels == run.labels
+    assert again.social_cost == run.social_cost
+
+
+@settings(max_examples=25, deadline=None)
+@given(random_instances(), scale_factors)
+def test_scaling_transit_times_stretches_labels_and_cost(inst, k):
+    # Time runs k times slower: l'(k x) = k l(x), so every label breakpoint
+    # (x, y) moves to (k x, k y) with the same slopes, and the cost scales
+    # by k.
+    slow = Instance(inst.network, inst.capacity,
+                    {eid: tau * k for eid, tau in inst.transit.items()}, inst.supply)
+    try:
+        run = nash_flow(inst, phase_cap=400)
+    except NoPathError:
+        return
+    again = nash_flow(slow, phase_cap=400)
+    for v, label in run.labels.items():
+        if label is INF:
+            assert again.labels[v] is INF
+        else:
+            stretched = again.labels[v]
+            assert stretched.xs == tuple(x * k for x in label.xs)
+            assert stretched.ys == tuple(y * k for y in label.ys)
+            assert stretched.final_slope == label.final_slope
+    assert again.social_cost == (INF if run.social_cost is INF else run.social_cost * k)
 
 
 def subdivided_chain_instance(rng):

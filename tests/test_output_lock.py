@@ -5,7 +5,9 @@ Labels are unique, but the flow split of a phase (`phases[*].edge_rates`)
 is whichever verified derivative pattern comes first in the fixed pattern
 order.  These digests pin the full stdout, so any change to the solver or
 the pattern order that moves a split fails here and must be made on
-purpose, with the digests re-recorded.
+purpose, with the digests re-recorded.  The transposed ladders n = 5 and 6
+are where the pattern search cuts the most subtrees; their digests were
+recorded before it cut any.
 """
 
 import hashlib
@@ -40,6 +42,8 @@ INSTANCES = {
     "ladder-n3": lambda: make_ladder(3, EPS),
     "ladder-n4": lambda: make_ladder(4, EPS),
     "tladder-n3": lambda: transpose(make_ladder(3, EPS)),
+    "tladder-n5": lambda: transpose(make_ladder(5, EPS)),
+    "tladder-n6": lambda: transpose(make_ladder(6, EPS)),
     "dag-6x9-s14": lambda: _random_instance(14, 6, 9),
     "dag-7x11-s2": lambda: _random_instance(2, 7, 11),
 }
@@ -48,6 +52,8 @@ SHA256 = {
     "ladder-n3": "61d9f1fe7a880c4fd1d653502f1a0b526ad293b36580cc8adf5fe26702005145",
     "ladder-n4": "c8176222deaf652833412f50ebb71e6c66142843ee8ac45f5753dc4b658c257f",
     "tladder-n3": "5618f753b85670df949006ac00d3f1745d99bf36191db473ef9410fa079a6956",
+    "tladder-n5": "0e5fd618027e587fa69fa112ce818c62dc6aae6ba9eb1b1677e8ac98f6817b8b",
+    "tladder-n6": "cfac9d0fcf3ee6351a575557bce9469b22ae107f196c11c5ea33439f03658591",
     "dag-6x9-s14": "60d3d50b168929b98114445136a00d7b3e6daaa52cbd17e79ea1522e78098309",
     "dag-7x11-s2": "06c99aecd8da0d7beca80988ea465b977c3858bbe148ccfcc19f7c98b19d7b44",
 }

@@ -1,5 +1,5 @@
 """The sparse fraction-free solver against direct cases and a dense
-`Fraction` Gauss-Jordan reference."""
+`Fraction` Gauss-Jordan reference, for whole systems and row by row."""
 
 import copy
 from fractions import Fraction
@@ -7,7 +7,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fot.equilibrium import solve_exact
+from fot.equilibrium import Elimination, solve_exact
 
 F = Fraction
 
@@ -149,3 +149,27 @@ def test_matches_dense_fraction_reference(system):
     before = copy.deepcopy(rows)
     assert solve_exact(rows, n) == reference_solve(rows, n)
     assert rows == before
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems())
+def test_rows_added_one_at_a_time_match_the_whole_system(system):
+    # Each prefix has the status the reference gives it; a value a prefix
+    # determines is the value of the whole system's unique solution; and an
+    # inconsistent prefix stays inconsistent.
+    rows, n = system
+    state = Elimination(n)
+    determined = {}
+    for k, row in enumerate(rows, 1):
+        status, state = solve_exact([row], n, state)
+        assert status == reference_solve(rows[:k], n)[0]
+        if state is None:
+            assert all(reference_solve(rows[:j], n)[0] == "inconsistent"
+                       for j in range(k, len(rows) + 1))
+            return
+        for c in state.determined:
+            assert c not in determined
+            determined[c] = state.value(c)
+    status, solution = reference_solve(rows, n)
+    if status == "unique":
+        assert determined == dict(enumerate(solution))
