@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
 import sys
+from collections.abc import Mapping
 from fractions import Fraction
 
 from . import braess as braess_mod
@@ -36,6 +38,7 @@ from .core import (
     format_scalar,
     parse_scalar,
 )
+from .pwl import PiecewiseLinear
 
 USAGE_ERROR, ASSERTION_ERROR, INTERNAL_ERROR = 2, 1, 3
 
@@ -43,10 +46,25 @@ USAGE_ERROR, ASSERTION_ERROR, INTERNAL_ERROR = 2, 1, 3
 # -- serialization helpers -----------------------------------------------------
 
 
-def _label_obj(label) -> object:
-    if label is INF:
-        return "inf"
-    return dynamics.pwl_to_obj(label)
+def to_obj(value) -> object:
+    """The JSON form of a report: strings, integers, booleans and None as
+    they are, exact scalars as "p/q" strings, sequences and mappings item by
+    item, curves as their breakpoints, and a dataclass as its fields
+    (without an `error` that is None); any other type raises TypeError."""
+    if value is None or isinstance(value, (str, int)):
+        return value
+    if isinstance(value, Fraction) or value is INF:
+        return format_scalar(value)
+    if isinstance(value, (list, tuple)):
+        return [to_obj(item) for item in value]
+    if isinstance(value, Mapping):
+        return {key: to_obj(item) for key, item in value.items()}
+    if isinstance(value, PiecewiseLinear):
+        return dynamics.pwl_to_obj(value)
+    obj = {f.name: to_obj(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if "error" in obj and obj["error"] is None:
+        del obj["error"]
+    return obj
 
 
 def run_to_obj(run: equilibrium.EquilibriumRun) -> dict:
@@ -55,64 +73,14 @@ def run_to_obj(run: equilibrium.EquilibriumRun) -> dict:
               for eid in inst.edge_ids}
     return {
         "instance": core.instance_to_obj(inst),
-        "phases": [
-            {
-                "start": format_scalar(p.start),
-                "end": format_scalar(p.end),
-                "active": list(p.active),
-                "resetting": list(p.resetting),
-                "label_slopes": {v: format_scalar(s) for v, s in p.label_slopes.items()},
-                "edge_rates": {e: format_scalar(r) for e, r in p.edge_rates.items()},
-            }
-            for p in run.phases
-        ],
-        "events": [
-            {
-                "time": format_scalar(e.time),
-                "activations": list(e.activations),
-                "depletions": list(e.depletions),
-                "tail_arrival": {k: format_scalar(v) for k, v in e.tail_arrival.items()},
-            }
-            for e in run.events
-        ],
-        "labels": {v: _label_obj(lab) for v, lab in run.labels.items()},
+        "phases": to_obj(run.phases),
+        "events": to_obj(run.events),
+        "labels": to_obj(run.labels),
         "queues": queues,
         "flow": dynamics.flow_to_obj(run.flow),
         "social_cost": format_scalar(run.social_cost),
         "steady": run.steady,
         "diverging": run.diverging,
-    }
-
-
-def braess_to_obj(report: braess_mod.BraessReport) -> dict:
-    return {
-        "label": report.label,
-        "full_cost": format_scalar(report.full_cost),
-        "ratio": format_scalar(report.ratio),
-        "argmax": list(report.argmax),
-        "paradox": report.paradox,
-        "note": report.note,
-        "entries": [
-            {"kept": list(e.kept), "cost": format_scalar(e.cost),
-             **({"error": e.error} if e.error else {})}
-            for e in report.entries
-        ],
-    }
-
-
-def sweep_to_obj(report: braess_mod.SweepReport) -> dict:
-    return {
-        "description": report.description,
-        "max_ratio": None if report.max_ratio is None else format_scalar(report.max_ratio),
-        "any_paradox": report.any_paradox,
-        "note": report.note,
-        "points": [
-            {"label": p.label,
-             "ratio": None if p.ratio is None else format_scalar(p.ratio),
-             "paradox": p.paradox,
-             **({"error": p.error} if p.error else {})}
-            for p in report.points
-        ],
     }
 
 
@@ -138,20 +106,6 @@ def classification_to_obj(report: topology.ClassificationReport) -> dict:
         "forward_paradox": report.forward_paradox,
         "either_direction_paradox": report.either_direction_paradox,
     }
-
-
-def violations_to_obj(report: dynamics.ViolationReport) -> list:
-    return [
-        {
-            "condition": v.condition,
-            "where": v.where,
-            "at": None if v.at is None else format_scalar(v.at),
-            "lhs": format_scalar(v.lhs),
-            "rhs": format_scalar(v.rhs),
-            "detail": v.detail,
-        }
-        for v in report.violations
-    ]
 
 
 # -- flat CSV bijection ---------------------------------------------------------
@@ -310,12 +264,12 @@ def _cmd_validate(args) -> int:
     except (DomainError, MalformedFlowError) as exc:
         # A negative probe time or a malformed flow file is a fault of the input.
         raise ParameterError(f"{type(exc).__name__}: {exc}") from exc
-    result = {"feasible": report.ok, "violations": violations_to_obj(report)}
+    result = {"feasible": report.ok, "violations": to_obj(report.violations)}
     ok = report.ok
     if report.ok:
         nash, nash_report = dynamics.certify_nash(inst, flow)
         result["nash"] = nash
-        result["nash_violations"] = violations_to_obj(nash_report)
+        result["nash_violations"] = to_obj(nash_report.violations)
         if args.nash:
             ok = ok and nash
     _emit(result, args)
@@ -331,7 +285,7 @@ def _cmd_braess(args) -> int:
                    for entry in entries]
     report = braess_mod.braess_ratio(inst, subsets=subsets, cap=args.cap,
                                      phase_cap=args.phase_cap)
-    _emit(braess_to_obj(report), args)
+    _emit(to_obj(report), args)
     return 0
 
 
@@ -352,7 +306,7 @@ def _cmd_sweep(args) -> int:
                            core.instance_from_obj(_typed(entry["instance"], dict,
                                                          "grid.instance"))))
     report = braess_mod.sweep_transpose_m3(points, phase_cap=args.phase_cap)
-    _emit(sweep_to_obj(report), args)
+    _emit(to_obj(report), args)
     if report.any_paradox or report.failures:
         return ASSERTION_ERROR
     return 0
@@ -392,7 +346,7 @@ def _cmd_reproduce(args) -> int:
         if value is not None:
             overrides[name] = value
     result = reproduce.run_preset(args.preset, **overrides)
-    _emit(reproduce.preset_result_to_obj(result), args)
+    _emit({**to_obj(result), "ok": result.ok}, args)
     if not result.ok:
         failure = result.first_failure()
         print(f"FAILED: {failure.description}: required {failure.required}, "

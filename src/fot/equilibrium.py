@@ -304,7 +304,8 @@ def enumerate_thin_flows(net: Network, active: frozenset[str],
     exactly that of the search over all competitive edges.
 
     The patterns of one support are the product of its rows' options: the
-    base rows (source slope, conservation), then one branch row per support
+    base rows (source slope, conservation, a zero rate on each edge off the
+    support), then one branch row per support
     edge, then one argmin row per flow-free node.  A row with a single
     option takes no part in the order, so it joins the base rows.  The
     search walks the product depth first, in the same order, and extends
@@ -324,170 +325,149 @@ def enumerate_thin_flows(net: Network, active: frozenset[str],
     rejects, and the ones left come in the same order.  Each solution found
     is still checked by `verify_thin_flow` before it is yielded.
 
-    Rows are sparse integer rows (column -> coefficient, rhs); columns are
-    the node labels, then the support rates.
+    Rows are sparse integer rows (column -> coefficient, rhs).  The columns
+    are fixed for the whole call: the node labels, then the rate of every
+    competitive edge in edge order.  A support leaves edge e out by adding
+    the row x_e = 0 to its base rows, so the tables of rows, columns and
+    conditions are built once, not once per support.  This is exact too.
+    Substituting x_e = 0 gives the system that has a column for the support
+    rates alone, so the status of each pattern (unique, inconsistent or
+    underdetermined) is the same.  Whether a column is determined depends
+    only on the set of rows, so the same subtrees are cut and the survivors
+    come in the same order.
     """
     if not resetting <= active:
         raise ContractError("resetting edges must be competitive")
-    by_id = net.edge_by_id
-    edge_order = [e.id for e in net.edges if e.id in active]
+    edges = [e for e in net.edges if e.id in active]
 
     # Reachability inside the competitive subgraph defines the node set.
     reach = net.reachable_from(net.source, active)
-    for eid in edge_order:
-        if by_id[eid].tail not in reach:
-            raise ContractError(f"competitive edge {eid} is unreachable from the source")
+    for e in edges:
+        if e.tail not in reach:
+            raise ContractError(f"competitive edge {e.id} is unreachable from the source")
     if net.sink not in reach:
         raise NoPathError("sink not reachable through competitive edges")
 
     to_sink = net.reaching_to(net.sink, active)
-    free = [eid for eid in edge_order
-            if eid not in resetting or by_id[eid].head not in to_sink]
+    free = [e.id for e in edges if e.id not in resetting or e.head not in to_sink]
     if len(free) > MAX_ACTIVE_EDGES:
         raise SizeCapError(
             f"more than {MAX_ACTIVE_EDGES} free edges in a thin-flow pattern search")
-    forced = frozenset(edge_order).difference(free)
+    forced = frozenset(e.id for e in edges).difference(free)
 
+    # Columns: node i is column i, the rate of edge i is column x0 + i.  Per
+    # edge: its tail column (None when it has a queue, as its ratio then
+    # ignores the tail), head column and capacity.
     nodes = [v for v in net.nodes if v in reach]
     index = {v: i for i, v in enumerate(nodes)}
-    in_active = {v: [e.id for e in net.in_edges[v] if e.id in active] for v in nodes}
-    ends = {eid: (by_id[eid].tail, by_id[eid].head) for eid in edge_order}
+    x0 = len(nodes)
+    n = x0 + len(edges)
+    tail_col = [None if e.id in resetting else index[e.tail] for e in edges]
+    head_col = [index[e.head] for e in edges]
+    caps = [capacity[e.id] for e in edges]
+    source_col = index[net.source]
+    in_terms = [[i for i, e in enumerate(edges) if e.head == v] for v in nodes]
 
     # Label slope one at the source.  Conservation: inflow minus outflow is
     # -supply at the source (scaled by the supply's denominator) and zero at
-    # every other non-sink node; per node, the incident edges with their
-    # coefficients, and the right-hand side.
-    source_row = ({index[net.source]: 1}, 1)
-    incidence = []
+    # every other non-sink node.
+    fixed_rows = [({source_col: 1}, 1)]
     for v in nodes:
-        if v == net.sink:
-            continue
-        scale = supply.denominator if v == net.source else 1
-        incidence.append((
-            [(eid, scale if head == v else -scale)
-             for eid, (tail, head) in ends.items() if v in (tail, head)],
-            -supply.numerator if v == net.source else 0))
+        if v != net.sink:
+            scale = supply.denominator if v == net.source else 1
+            fixed_rows.append((
+                {x0 + i: scale if e.head == v else -scale
+                 for i, e in enumerate(edges) if v in (e.tail, e.head)},
+                -supply.numerator if v == net.source else 0))
     # The idle row of edge e = (v, w) says l_w = rho_e(l_v, 0): l_w = l_v, or
     # l_w = 0 when e has a queue.  A flow edge takes the capacity row
-    # p*l_w - q*x_e = 0 for capacity p/q (kept here as its head column and
-    # p, q) or, without a queue, its idle row; a flow-free node takes the
-    # idle row of the in-edge attaining its minimum.
-    capacity_terms = {eid: (index[head], capacity[eid].numerator,
-                            capacity[eid].denominator)
-                      for eid, (tail, head) in ends.items()}
-    idle_rows = {eid: ({index[head]: 1} if eid in resetting
-                       else {index[head]: 1, index[tail]: -1}, 0)
-                 for eid, (tail, head) in ends.items()}
-    argmin_options = {v: tuple(idle_rows[eid] for eid in in_active[v]) for v in nodes}
+    # p*l_w - q*x_e = 0 for capacity p/q or, without a queue, its idle row;
+    # an edge off the support takes x_e = 0; a flow-free node takes the idle
+    # row of the in-edge attaining its minimum.
+    idle_rows = [({w: 1} if v is None else {w: 1, v: -1}, 0)
+                 for v, w in zip(tail_col, head_col)]
+    edge_options = [[({w: c.numerator, x0 + i: -c.denominator}, 0)]
+                    + ([] if v is None else [idle_rows[i]])
+                    for i, (v, w, c) in enumerate(zip(tail_col, head_col, caps))]
+    zero_rows = [({x0 + i: 1}, 0) for i in range(len(edges))]
+    argmin_options = [[idle_rows[i] for i in terms] for terms in in_terms]
+    # The edges whose local condition reads each column.
+    watch = [[i for i in range(len(edges)) if c in (tail_col[i], head_col[i], x0 + i)]
+             for c in range(n)]
 
-    # The local conditions, per competitive edge: its tail column (None when
-    # it has a queue, as the ratio then ignores the tail), head column and
-    # capacity; the edges whose condition reads each label column; and the
-    # in-edges of each node but the source, whose ratios it takes the
-    # minimum of.
-    source_col = index[net.source]
-    edge_terms = [(None if eid in resetting else index[tail], index[head], capacity[eid])
-                  for eid, (tail, head) in ends.items()]
-    label_watch: list[list[int]] = [[] for _ in nodes]
-    for i, (tail_col, head_col, _) in enumerate(edge_terms):
-        label_watch[head_col].append(i)
-        if tail_col is not None:
-            label_watch[tail_col].append(i)
-    position = {eid: i for i, eid in enumerate(edge_order)}
-    in_terms = [[position[eid] for eid in in_active[v]] for v in nodes]
+    # value[c] is the value of column c once the prefix determines it, and
+    # drain[c] caches x_e / capacity for the rate column c of edge e.
+    value: list[Optional[Fraction]] = [None] * n
+    drain: list[Optional[Fraction]] = [None] * n
+
+    def ratio(i: int) -> Optional[Fraction]:
+        # rho_e(l'_v, x_e), or None while a value it needs is unknown.
+        c = x0 + i
+        rate = drain[c]
+        if rate is None:
+            if value[c] is None:
+                return None
+            rate = drain[c] = value[c] / caps[i]
+        if tail_col[i] is None:
+            return rate
+        tail = value[tail_col[i]]
+        if tail is None:
+            return None
+        return max(tail, rate)
+
+    def violates(state: Elimination) -> bool:
+        # Records the values of the columns that the rows which made the
+        # state determined, and reports whether a local condition they
+        # complete fails.
+        touched = set()
+        for c in state.determined:
+            v = value[c] = state.value(c)
+            if v.numerator < 0:
+                return True
+            touched.update(watch[c])
+        heads = set()
+        for i in touched:
+            head = value[head_col[i]]
+            if head is None:
+                continue
+            rho = ratio(i)
+            if rho is None:
+                continue
+            if head > rho:
+                return True
+            if value[x0 + i].numerator > 0 and head != rho:
+                return True
+            heads.add(head_col[i])
+        for w in heads:
+            if w == source_col:
+                continue
+            ratios = [ratio(i) for i in in_terms[w]]
+            if all(r is not None for r in ratios) and value[w] != min(ratios):
+                return True
+        return False
+
+    def forget(state: Elimination) -> None:
+        for c in state.determined:
+            value[c] = drain[c] = None
 
     for free_mask in product((0, 1), repeat=len(free)):
         chosen = forced.union(eid for eid, bit in zip(free, free_mask) if bit)
-        support = [eid for eid in edge_order if eid in chosen]
-        support_set = frozenset(support)
-        if st_core(net, support_set) != support_set:
+        if st_core(net, chosen) != chosen:
             continue
-        x_index = {eid: len(nodes) + i for i, eid in enumerate(support)}
-        n = len(nodes) + len(support)
+        kept = [e.id in chosen for e in edges]
 
         # The options of each pattern row: per support edge its capacity row
         # and, without a queue, its idle row; per flow-free node the idle row
         # of each in-edge.  A row with one option does not branch, so it
         # joins the base rows, and level 0 adds them all at once; each later
         # level adds one row.
-        options = []
-        for eid in support:
-            head_col, p, q = capacity_terms[eid]
-            options.append([({head_col: p, x_index[eid]: -q}, 0)])
-            if eid not in resetting:
-                options[-1].append(idle_rows[eid])
-        options.extend(argmin_options[v] for v in nodes
-                       if v != net.source and support_set.isdisjoint(in_active[v]))
-        base = [source_row]
-        for incident, rhs in incidence:
-            base.append(({x_index[eid]: c for eid, c in incident if eid in x_index}, rhs))
+        options = [rows for rows, k in zip(edge_options, kept) if k]
+        options.extend(argmin_options[w] for w, terms in enumerate(in_terms)
+                       if w != source_col and not any(kept[i] for i in terms))
+        base = [row for row, k in zip(zero_rows, kept) if not k]
+        base += fixed_rows
         base.extend(rows[0] for rows in options if len(rows) == 1)
         levels = [[base]] + [[[row] for row in rows] for rows in options if len(rows) > 1]
-
-        # value[c] is the value of column c once the prefix determines it;
-        # x_col[i] is the rate column of edge i, None when it carries no flow,
-        # and drain[c] caches x_e / capacity for the rate column c of edge e.
-        value: list[Optional[Fraction]] = [None] * n
-        drain: list[Optional[Fraction]] = [None] * n
-        x_col = [x_index.get(eid) for eid in edge_order]
-        watch = label_watch + [[position[eid]] for eid in support]
-
-        def ratio(i: int) -> Optional[Fraction]:
-            # rho_e(l'_v, x_e), or None while a value it needs is unknown.
-            # Known values are never negative, so an edge without flow has
-            # ratio 0 behind a queue and l'_v otherwise.
-            tail_col, _, cap = edge_terms[i]
-            c = x_col[i]
-            if c is None:
-                return ZERO if tail_col is None else value[tail_col]
-            rate = drain[c]
-            if rate is None:
-                if value[c] is None:
-                    return None
-                rate = drain[c] = value[c] / cap
-            if tail_col is None:
-                return rate
-            tail = value[tail_col]
-            if tail is None:
-                return None
-            return max(tail, rate)
-
-        def violates(state: Elimination) -> bool:
-            # Records the values of the columns that the rows which made the
-            # state determined, and reports whether a local condition they
-            # complete fails.
-            touched = set()
-            for c in state.determined:
-                v = value[c] = state.value(c)
-                if v.numerator < 0:
-                    return True
-                touched.update(watch[c])
-            heads = set()
-            for i in touched:
-                head_col = edge_terms[i][1]
-                head = value[head_col]
-                if head is None:
-                    continue
-                rho = ratio(i)
-                if rho is None:
-                    continue
-                if head > rho:
-                    return True
-                c = x_col[i]
-                if c is not None and value[c].numerator > 0 and head != rho:
-                    return True
-                heads.add(head_col)
-            for w in heads:
-                if w == source_col:
-                    continue
-                ratios = [ratio(i) for i in in_terms[w]]
-                if all(r is not None for r in ratios) and value[w] != min(ratios):
-                    return True
-            return False
-
-        def forget(state: Elimination) -> None:
-            for c in state.determined:
-                value[c] = drain[c] = None
 
         # Depth first: states[d] is the state after the first d levels, and
         # branches[d] runs through the options of level d below it.
@@ -510,9 +490,7 @@ def enumerate_thin_flows(net: Network, active: frozenset[str],
                 continue
             if len(child.pivots) == n:
                 label_slopes = dict(zip(nodes, value))
-                edge_rates = {eid: ZERO for eid in edge_order}
-                for eid in support:
-                    edge_rates[eid] = value[x_index[eid]]
+                edge_rates = {e.id: value[x0 + i] for i, e in enumerate(edges)}
                 if verify_thin_flow(net, active, resetting, capacity, supply,
                                     label_slopes, edge_rates) is None:
                     yield ThinFlow(label_slopes, edge_rates)
@@ -658,43 +636,41 @@ def nash_flow(inst: Instance, phase_cap: int = 200) -> EquilibriumRun:
             edge_rates={eid: tf.edge_rates.get(eid, ZERO) for eid in inst.edge_ids},
         ))
 
-        # Emit constant-rate flow segments for this phase, on each edge's own
-        # wall clock (tail arrival time; head side shifted by the transit).
+        # One pass over the edges: emit this phase's constant-rate flow
+        # segments, on each edge's own wall clock (tail arrival time; head
+        # side shifted by the transit), and, unless the phase is final,
+        # advance the queue to the event time.
         for e in net.edges:
             if e.tail not in arrival:
                 continue
-            tail_slope = tf.label_slopes[e.tail]
-            if tail_slope == 0:
-                continue  # local clock frozen; nothing enters or drains
             rate = tf.edge_rates.get(e.id, ZERO)
-            wall_start = arrival[e.tail]
-            inflow_rate = rate / tail_slope
-            if queue[e.id] > 0 or rate > inst.capacity[e.id] * tail_slope:
-                outflow_rate = inst.capacity[e.id]
-            else:
-                outflow_rate = inflow_rate
-            in_segments[e.id].append((wall_start, inflow_rate))
-            out_segments[e.id].append((wall_start + inst.transit[e.id], outflow_rate))
+            cap = inst.capacity[e.id]
+            tail_slope = tf.label_slopes[e.tail]
+            drain = rate - cap * tail_slope
+            queued = queue[e.id] > 0
+            if tail_slope != 0:  # else the local clock is frozen: nothing enters or drains
+                wall_start = arrival[e.tail]
+                inflow_rate = rate / tail_slope
+                in_segments[e.id].append((wall_start, inflow_rate))
+                out_segments[e.id].append((wall_start + inst.transit[e.id],
+                                           cap if queued or drain > 0 else inflow_rate))
+            if delta is INF:
+                continue
+            if queued:
+                queue[e.id] = queue[e.id] + drain * delta
+                if queue[e.id] < 0:
+                    raise InternalConsistencyError(f"queue of {e.id} went negative")
+            elif drain > 0:
+                queue[e.id] = drain * delta
 
         if delta is INF:
             final_slopes = tf.label_slopes
             break
 
-        # Advance the exact state to the event time.
+        # Advance the labels to the event time.
         for v in arrival:
             arrival[v] = arrival[v] + tf.label_slopes[v] * delta
             label_points[v].append((now + delta, arrival[v]))
-        for e in net.edges:
-            if e.tail not in arrival:
-                continue
-            rate = tf.edge_rates.get(e.id, ZERO)
-            drain = rate - inst.capacity[e.id] * tf.label_slopes[e.tail]
-            if queue[e.id] > 0:
-                queue[e.id] = queue[e.id] + drain * delta
-            elif drain > 0:
-                queue[e.id] = drain * delta
-            if queue[e.id] < 0:
-                raise InternalConsistencyError(f"queue of {e.id} went negative")
         now = now + delta
         events.append(Event(
             time=now,

@@ -89,27 +89,30 @@ def geometric_alphas(n: int, eps: Fraction, j: int) -> tuple[Fraction, ...]:
     return tuple(1 + eps ** (j + k) for k in range(n))
 
 
-def integer_alphas(n: int, eps: Fraction, j: int) -> tuple[Fraction, ...]:
-    """All-integer ladder 2^(a(n+j)) + 2^(a(n-k)) with the smallest a such
-    that 1/2^a <= eps; produces instances with integer capacities only."""
+def _integer_exponent(n: int, eps: Fraction) -> int:
+    """The smallest a >= 1 with 1/2^a <= eps, for 0 < eps < 1/(2n)."""
     eps = F(eps)
     if not 0 < eps < F(1, 2 * n):
         raise ParameterError(f"eps must lie in (0, 1/{2 * n})")
-    if j < 1:
-        raise ParameterError("j must be at least 1")
     a = 1
     while F(1, 2 ** a) > eps:
         a += 1
+    return a
+
+
+def integer_alphas(n: int, eps: Fraction, j: int) -> tuple[Fraction, ...]:
+    """All-integer ladder 2^(a(n+j)) + 2^(a(n-k)) with the smallest a such
+    that 1/2^a <= eps; produces instances with integer capacities only."""
+    a = _integer_exponent(n, eps)
+    if j < 1:
+        raise ParameterError("j must be at least 1")
     return tuple(F(2 ** (a * (n + j)) + 2 ** (a * (n - k))) for k in range(n))
 
 
 def integer_alpha_bound(n: int, eps: Fraction, horizon: Fraction) -> Fraction:
     """Cost target that the integer ladder is built to exceed:
     (1 - n/2^(a-1)) * (n-1) * horizon."""
-    eps = F(eps)
-    a = 1
-    while F(1, 2 ** a) > eps:
-        a += 1
+    a = _integer_exponent(n, eps)
     return (1 - F(n, 2 ** (a - 1))) * (n - 1) * F(horizon)
 
 

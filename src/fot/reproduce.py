@@ -228,16 +228,3 @@ def run_preset(preset: str, **overrides) -> PresetResult:
     parameters = {name: format_scalar(value) for name, value in bound.arguments.items()}
     return PresetResult(preset, parameters, tuple(assertions), values)
 
-
-def preset_result_to_obj(result: PresetResult) -> dict:
-    return {
-        "preset": result.preset,
-        "parameters": dict(result.parameters),
-        "ok": result.ok,
-        "assertions": [
-            {"description": a.description, "required": a.required,
-             "observed": a.observed, "holds": a.holds}
-            for a in result.assertions
-        ],
-        "values": dict(result.values),
-    }

@@ -6,8 +6,9 @@ of per-phase label slopes across all solver patterns, the pattern search
 over every support as the oracle of the one with forced edges, the
 structural guarantee that networks using only chains of parallel paths
 never benefit from deletions, and facts the theory proves outright: a run
-ends steady exactly when the supply fits through a minimum cut, and labels
-obey the exact scaling laws of capacity and time.
+ends steady exactly when the supply fits through a minimum cut, labels
+obey the exact scaling laws of capacity and time, transposing twice is the
+identity, and an edge off every source-sink path changes nothing.
 """
 
 import random
@@ -374,6 +375,42 @@ def test_scaling_transit_times_stretches_labels_and_cost(inst, k):
     assert again.social_cost == (INF if run.social_cost is INF else run.social_cost * k)
 
 
+@settings(max_examples=40, deadline=None)
+@given(random_instances())
+def test_transposing_twice_is_the_identity(inst):
+    assert transpose(transpose(inst)) == inst
+
+
+@settings(max_examples=25, deadline=None)
+@given(random_instances(), st.data())
+def test_a_dead_end_edge_changes_nothing(inst, data):
+    # An edge from a node the source reaches to a new node lies on no
+    # source-sink path, so no flow enters it: the run on the original nodes
+    # is the same, and the new node's label follows its tail's.
+    net = inst.network
+    try:
+        run = nash_flow(inst, phase_cap=400)
+    except NoPathError:
+        return
+    tail = data.draw(st.sampled_from(sorted(net.reachable_from(net.source))))
+    grown = Instance(
+        Network(net.nodes + ("dead",), net.edges + (Edge("to-dead", tail, "dead"),),
+                net.source, net.sink),
+        {**inst.capacity, "to-dead": data.draw(small_caps)},
+        {**inst.transit, "to-dead": data.draw(small_taus)},
+        inst.supply)
+    try:
+        again = nash_flow(grown, phase_cap=400)
+    except SizeCapError:
+        # The cap counts free edges, and the new edge can be one more.
+        assert len(net.edges) == MAX_ACTIVE_EDGES
+        return
+    assert again.social_cost == run.social_cost
+    assert again.steady == run.steady
+    assert again.diverging == run.diverging
+    assert {v: again.labels[v] for v in net.nodes} == run.labels
+
+
 def subdivided_chain_instance(rng):
     """Random chain of parallel paths with random attributes."""
     sections = rng.randrange(1, 3)
@@ -413,3 +450,4 @@ def test_chain_of_parallel_paths_networks_never_benefit_from_deletions():
         assert report.ratio == 1, (inst, report.ratio)
         checked += 1
     assert checked == 12
+

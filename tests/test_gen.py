@@ -59,6 +59,15 @@ def test_integer_alpha_bound():
     assert integer_alpha_bound(3, F(1, 8), F(1)) == (1 - F(3, 4)) * 2
 
 
+@pytest.mark.parametrize("eps", [F(0), F(-1, 8)])
+def test_integer_recipes_refuse_nonpositive_eps(eps):
+    # No exponent a gives 1/2^a <= eps here, so the search for one must not start.
+    with pytest.raises(ParameterError):
+        integer_alpha_bound(4, eps, F(1))
+    with pytest.raises(ParameterError):
+        integer_alphas(4, eps, 1)
+
+
 def test_make_mn_two_levels():
     inst = make_mn(MnParams(n=2, horizon=F(1), alphas=(F(2), F(1))))
     net = inst.network

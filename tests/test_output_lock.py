@@ -1,5 +1,5 @@
-"""Byte-identity lock on `fot simulate`, `fot validate` and `fot braess`
-output, flow split included.
+"""Byte-identity lock on the stdout of every report the CLI writes, flow
+split included.
 
 Labels are unique, but the flow split of a phase (`phases[*].edge_rates`)
 is whichever verified derivative pattern comes first in the fixed pattern
@@ -19,7 +19,7 @@ import pytest
 
 from fot.braess import default_transpose_m3_grid
 from fot.cli import main
-from fot.core import Instance, dumps, instance_to_obj, transpose
+from fot.core import Instance, dumps, instance_to_obj, network_to_obj, transpose
 from fot.dynamics import FlowOverTime, flow_to_obj
 from fot.gen import make_ladder, random_dag
 
@@ -68,10 +68,13 @@ def test_simulate_stdout_is_pinned(name, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == SHA256[name]
 
 
-# -- validate and braess ------------------------------------------------------
+# -- every other report -------------------------------------------------------
 #
-# The checkers' verdicts, violation order and witness times, and the
-# subset-by-subset Braess costs, pinned the same way.
+# The checkers' verdicts, violation order and witness times, the
+# subset-by-subset Braess costs, sweeps, presets, classifications and CSV
+# output, pinned the same way.  The phase-capped braess and sweep runs pin
+# how a report entry carries its `error` (and a sweep point its null
+# ratio); the presets pin the `ok` key.
 
 GRID = "0,1/3,1,5/2,1000,1000000000000"
 
@@ -105,12 +108,21 @@ def _validate_violating_flow(tmp_path, capsys):
     return main(["validate", str(inst_path), str(flow_path), "--grid", GRID])
 
 
-def _braess(inst):
+def _on_file(command, obj, *options):
+    # `fot <command> <file holding obj()> <options>`
     def run(tmp_path, capsys):
-        path = tmp_path / "inst.json"
-        path.write_text(dumps(instance_to_obj(inst())))
-        return main(["braess", str(path)])
+        path = tmp_path / "input.json"
+        path.write_text(dumps(obj()))
+        return main([command, str(path), *options])
     return run
+
+
+def _braess(inst, *options):
+    return _on_file("braess", lambda: instance_to_obj(inst()), *options)
+
+
+def _main(*argv):
+    return lambda tmp_path, capsys: main(list(argv))
 
 
 COMMANDS = {
@@ -118,6 +130,18 @@ COMMANDS = {
     "validate-violating-grid": (_validate_violating_flow, 1),
     "braess-ladder-n3": (_braess(lambda: make_ladder(3, EPS)), 0),
     "braess-transpose-m3-grid42": (_braess(lambda: default_transpose_m3_grid()[42][1]), 0),
+    "braess-ladder-n4-phase-cap-4": (
+        _braess(lambda: make_ladder(4, EPS), "--phase-cap", "4"), 0),
+    "sweep-transpose-m3": (_main("sweep", "--preset", "transpose-m3"), 0),
+    "sweep-transpose-m3-phase-cap-2": (
+        _main("sweep", "--preset", "transpose-m3", "--phase-cap", "2"), 1),
+    "reproduce-lemma2": (_main("reproduce", "lemma2"), 0),
+    "reproduce-theorem5": (_main("reproduce", "theorem5"), 0),
+    "classify-dag-8x14-s7": (
+        _on_file("classify", lambda: network_to_obj(random_dag(8, 14, 7))), 0),
+    "simulate-csv-decimal4-ladder-n3": (
+        _on_file("simulate", lambda: instance_to_obj(make_ladder(3, EPS)),
+                 "--format", "csv", "--decimal", "4"), 0),
 }
 
 COMMAND_SHA256 = {
@@ -125,6 +149,13 @@ COMMAND_SHA256 = {
     "validate-violating-grid": "c2575827b452fbc75541c21ca4835c6ea12321e7cf896eb8d0b3affca961da10",
     "braess-ladder-n3": "4bfb10c35f9eb2dc0cdff85b530dd45e22a226470c745ced33bb5ab88d8fb011",
     "braess-transpose-m3-grid42": "2abaace18ac97489ce0e0b8c7a8fc538966d4651d175a7fb10326ae419df266d",
+    "braess-ladder-n4-phase-cap-4": "b4dd799bdf50f93c111038e06a98b61d4f639e1e5fa776a66c7939dffc9bfb95",
+    "sweep-transpose-m3": "f66edebed727ff3b678c76c184371fe425ac11e74c7a3f664bc5eff1d6fbddef",
+    "sweep-transpose-m3-phase-cap-2": "e6449af8f2df45776837a52347d4c57754c3b0ff099626cc3cc17d23dea9db21",
+    "reproduce-lemma2": "5dc8a73e1d45e6979a67df7588497aab3dcb3fb9a5a94e35db25a8ebdd95509d",
+    "reproduce-theorem5": "25538c40b6647568902941796c1bdf419e7ceac98ea9bc4843fa3293ed6125ea",
+    "classify-dag-8x14-s7": "1c08f4b0aa39be5f4b577461a7a6df2623b3f3859ce08d133fbbc5593b02f4b4",
+    "simulate-csv-decimal4-ladder-n3": "3e5a9af407e7a86cd1ce16da22d8ff89281c8aefd950ce480a5c9a9f2cf6c2cc",
 }
 
 
