@@ -33,7 +33,6 @@ from .core import (
     INF,
     Instance,
     Network,
-    NoPathError,
     ParameterError,
     Scalar,
     SizeCapError,
@@ -85,8 +84,6 @@ def _core_cost(inst: Instance, core: frozenset[str],
     try:
         run = equilibrium.nash_flow(restrict(inst, core), phase_cap=phase_cap)
         return run.social_cost, None
-    except NoPathError:
-        return INF, None
     except FotError as exc:
         return INF, f"{type(exc).__name__}: {exc}"
 

@@ -308,22 +308,25 @@ def enumerate_thin_flows(net: Network, active: frozenset[str],
     support), then one branch row per support
     edge, then one argmin row per flow-free node.  A row with a single
     option takes no part in the order, so it joins the base rows.  The
-    search walks the product depth first, in the same order, and extends
-    one elimination state per level (`solve_exact` with a prefix): the
-    base rows at once, then one row per level, so each prefix is
-    eliminated once and not once per pattern below it.  It cuts a subtree
-    when the new rows make the prefix inconsistent, or when a variable they
-    determine fails one of `verify_thin_flow`'s local conditions: a
-    negative slope or rate, l'_w > rho_e(l'_v, x_e) on a competitive edge,
-    a flow edge that does not attain its head's minimum, or a node whose
-    slope is not the minimum of its in-edge ratios once all of these are
-    known.  Cutting is exact.  Rows are only ever added, so a determined
-    value is the same in every completion of the prefix, and an
-    inconsistent prefix stays inconsistent.  Every pattern below a cut
-    therefore has no solution, or no unique one, or a unique one that fails
-    `verify_thin_flow`: the patterns cut are ones the whole-pattern search
-    rejects, and the ones left come in the same order.  Each solution found
-    is still checked by `verify_thin_flow` before it is yielded.
+    search walks the product depth first, in the same order, with one
+    recursive generator: each level extends its parent's elimination state
+    by one option (`solve_exact` with a prefix), the base rows at once and
+    then one row per level, so each prefix is eliminated once and not once
+    per pattern below it.  It cuts a subtree when the new rows make the
+    prefix inconsistent, or when a variable they determine fails one of
+    `verify_thin_flow`'s local conditions: a negative slope or rate,
+    l'_w > rho_e(l'_v, x_e) on a competitive edge, or a flow edge that
+    does not attain its head's minimum.  Whether a node's slope is the
+    minimum of its in-edge ratios is left to `verify_thin_flow`, which
+    checks it on every solution: as a cut it never fired on the benchmark
+    inputs or the test suite.  Cutting is exact.  Rows are only ever
+    added, so a determined value is the same in every completion of the
+    prefix, and an inconsistent prefix stays inconsistent.  Every pattern
+    below a cut therefore has no solution, or no unique one, or a unique
+    one that fails `verify_thin_flow`: the patterns cut are ones the
+    whole-pattern search rejects, and the ones left come in the same
+    order.  Each solution found is still checked by `verify_thin_flow`
+    before it is yielded.
 
     Rows are sparse integer rows (column -> coefficient, rhs).  The columns
     are fixed for the whole call: the node labels, then the rate of every
@@ -425,30 +428,35 @@ def enumerate_thin_flows(net: Network, active: frozenset[str],
             if v.numerator < 0:
                 return True
             touched.update(watch[c])
-        heads = set()
         for i in touched:
+            # l'_w <= rho_e(l'_v, x_e), with equality when x_e > 0.
             head = value[head_col[i]]
-            if head is None:
-                continue
-            rho = ratio(i)
-            if rho is None:
-                continue
-            if head > rho:
-                return True
-            if value[x0 + i].numerator > 0 and head != rho:
-                return True
-            heads.add(head_col[i])
-        for w in heads:
-            if w == source_col:
-                continue
-            ratios = [ratio(i) for i in in_terms[w]]
-            if all(r is not None for r in ratios) and value[w] != min(ratios):
+            rho = None if head is None else ratio(i)
+            if rho is not None and (head > rho or head != rho and value[x0 + i].numerator > 0):
                 return True
         return False
 
     def forget(state: Elimination) -> None:
         for c in state.determined:
             value[c] = drain[c] = None
+
+    def walk(state: Elimination, levels: list, d: int):
+        # Depth first below `state`, the elimination of the first d levels:
+        # each option of level d extends it, and the last level verifies.
+        for rows in levels[d]:
+            _, child = solve_exact(rows, n, state)
+            if child is None:
+                continue
+            if not (child.determined and violates(child)):
+                if d + 1 < len(levels):
+                    yield from walk(child, levels, d + 1)
+                elif len(child.pivots) == n:
+                    label_slopes = dict(zip(nodes, value))
+                    edge_rates = {e.id: value[x0 + i] for i, e in enumerate(edges)}
+                    if verify_thin_flow(net, active, resetting, capacity, supply,
+                                        label_slopes, edge_rates) is None:
+                        yield ThinFlow(label_slopes, edge_rates)
+            forget(child)
 
     for free_mask in product((0, 1), repeat=len(free)):
         chosen = forced.union(eid for eid, bit in zip(free, free_mask) if bit)
@@ -469,32 +477,7 @@ def enumerate_thin_flows(net: Network, active: frozenset[str],
         base.extend(rows[0] for rows in options if len(rows) == 1)
         levels = [[base]] + [[[row] for row in rows] for rows in options if len(rows) > 1]
 
-        # Depth first: states[d] is the state after the first d levels, and
-        # branches[d] runs through the options of level d below it.
-        states, branches = [Elimination(n)], [iter(levels[0])]
-        while branches:
-            rows = next(branches[-1], None)
-            if rows is None:
-                branches.pop()
-                forget(states.pop())
-                continue
-            _, child = solve_exact(rows, n, states[-1])
-            if child is None:
-                continue
-            if child.determined and violates(child):
-                forget(child)
-                continue
-            if len(branches) < len(levels):
-                states.append(child)
-                branches.append(iter(levels[len(branches)]))
-                continue
-            if len(child.pivots) == n:
-                label_slopes = dict(zip(nodes, value))
-                edge_rates = {e.id: value[x0 + i] for i, e in enumerate(edges)}
-                if verify_thin_flow(net, active, resetting, capacity, supply,
-                                    label_slopes, edge_rates) is None:
-                    yield ThinFlow(label_slopes, edge_rates)
-            forget(child)
+        yield from walk(Elimination(n), levels, 0)
 
 
 # -- phase engine ---------------------------------------------------------------

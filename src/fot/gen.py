@@ -50,33 +50,34 @@ class MnParams:
             raise ParameterError("capacities must stay positive")
 
 
-def make_mn(params: MnParams) -> Instance:
-    """The n-node ladder instance.
+def ladder_network(n: int) -> Network:
+    """The n-node ladder from v1 to v_n: chain edges e_k = v_k -> v_{k+1},
+    then bypass edges f_k = v_k -> v_n, for k = 1, ..., n - 1."""
+    edges = [Edge(f"e{k}", f"v{k}", f"v{k + 1}") for k in range(1, n)]
+    edges += [Edge(f"f{k}", f"v{k}", f"v{n}") for k in range(1, n)]
+    return Network(nodes=tuple(f"v{i}" for i in range(1, n + 1)), edges=tuple(edges),
+                   source="v1", sink=f"v{n}")
 
-    Chain edges e_k run v_k -> v_{k+1} with zero transit and capacity
-    alphas[k]; bypass edges f_k run v_k -> v_n with transit `horizon`.  The
-    bypass capacities are consecutive ladder differences, except the last one
-    which closes the budget so that the total network capacity equals the
-    supply alphas[0].
+
+def make_mn(params: MnParams) -> Instance:
+    """The n-node ladder instance on `ladder_network(n)`.
+
+    Chain edges e_k have zero transit and capacity alphas[k]; bypass edges
+    f_k have transit `horizon`.  The bypass capacities are consecutive
+    ladder differences, except the last one which closes the budget so that
+    the total network capacity equals the supply alphas[0].
     """
     n = params.n
     alphas = params.alphas
-    nodes = tuple(f"v{i}" for i in range(1, n + 1))
-    edges = []
     capacity: dict[str, Fraction] = {}
     transit: dict[str, Fraction] = {}
     for k in range(1, n):
-        eid = f"e{k}"
-        edges.append(Edge(eid, f"v{k}", f"v{k + 1}"))
-        capacity[eid] = alphas[k]
-        transit[eid] = F(0)
+        capacity[f"e{k}"] = alphas[k]
+        transit[f"e{k}"] = F(0)
     for k in range(1, n):
-        fid = f"f{k}"
-        edges.append(Edge(fid, f"v{k}", f"v{n}"))
-        capacity[fid] = alphas[k - 1] - alphas[k] if k <= n - 2 else alphas[n - 2]
-        transit[fid] = params.horizon
-    net = Network(nodes=nodes, edges=tuple(edges), source="v1", sink=f"v{n}")
-    return Instance(net, capacity, transit, supply=alphas[0])
+        capacity[f"f{k}"] = alphas[k - 1] - alphas[k] if k <= n - 2 else alphas[n - 2]
+        transit[f"f{k}"] = params.horizon
+    return Instance(ladder_network(n), capacity, transit, supply=alphas[0])
 
 
 def geometric_alphas(n: int, eps: Fraction, j: int) -> tuple[Fraction, ...]:

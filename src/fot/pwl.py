@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .core import ContractError, DomainError, INF, Scalar
 
@@ -83,11 +83,12 @@ class PiecewiseLinear:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def from_points(cls, points: Iterable[tuple[Fraction, Fraction]],
+    def from_points(cls, points: Sequence[tuple[Fraction, Fraction]],
                     final_slope: Fraction) -> "PiecewiseLinear":
-        # `_canonical` has checked the order and derived every slope, so the
-        # curve skips the constructor's checks and keeps those slopes.
-        xs, ys, slopes = _canonical(sorted(points), final_slope)
+        # The points come in increasing x.  `_canonical` has checked that
+        # order and derived every slope, so the curve skips the
+        # constructor's checks and keeps those slopes.
+        xs, ys, slopes = _canonical(points, final_slope)
         curve = object.__new__(cls)
         object.__setattr__(curve, "xs", xs)
         object.__setattr__(curve, "ys", ys)

@@ -24,23 +24,13 @@ from .core import (
     ParameterError,
     SizeCapError,
 )
-from .gen import make_m3_variants
+from .gen import ladder_network, make_m3_variants
 
 PATTERN_IDS = ("M3", "M3T", "M3Prime", "M3DoublePrime", "Wheatstone")
 
 
 def _build_patterns() -> dict[str, Network]:
-    ladder3 = Network(
-        nodes=("v1", "v2", "v3"),
-        edges=(
-            Edge("e1", "v1", "v2"),
-            Edge("e2", "v2", "v3"),
-            Edge("f1", "v1", "v3"),
-            Edge("f2", "v2", "v3"),
-        ),
-        source="v1",
-        sink="v3",
-    )
+    ladder3 = ladder_network(3)
     prime, double_prime = make_m3_variants()
     crossover = Network(
         nodes=("s", "a", "b", "t"),

@@ -4,9 +4,10 @@ import json
 import pytest
 
 from fot.cli import flatten, main, write_csv
-from fot.core import ParameterError, dumps, instance_to_obj
+from fot.core import ParameterError, dumps, instance_to_obj, network_to_obj
 from fot.dynamics import flow_to_obj
-from fot.gen import MnParams, geometric_alphas, make_mn
+from fot.gen import (MnParams, geometric_alphas, instantiate_m3_variant, make_m3_variants,
+                     make_mn)
 from fot.reproduce import PRESETS
 
 from fractions import Fraction
@@ -71,6 +72,19 @@ def test_gen_integer_carries_cost_target(capsys):
     obj = json.loads(out)
     assert obj["_meta"]["cost_target"] == "1/2"
     assert all("/" not in e["capacity"] for e in obj["edges"])
+
+
+@pytest.mark.parametrize("family", ["m3prime", "m3doubleprime"])
+def test_gen_m3_variant_bare_and_instantiated(family, capsys):
+    net = dict(zip(("m3prime", "m3doubleprime"), make_m3_variants()))[family]
+    code, out, err = run_cli(capsys, "gen", family)
+    assert code == 0 and err == ""
+    assert json.loads(out) == json.loads(dumps(network_to_obj(net)))
+    code, out, err = run_cli(capsys, "gen", family, "--eps", "1/7", "--j", "2", "--T", "3")
+    assert code == 0 and err == ""
+    params = MnParams(n=3, horizon=F(3), alphas=geometric_alphas(3, F(1, 7), 2))
+    inst = instantiate_m3_variant(net, params)
+    assert json.loads(out) == json.loads(dumps(instance_to_obj(inst)))
 
 
 def test_subcommand_output_is_deterministic(tmp_path, capsys):
@@ -344,6 +358,16 @@ def test_exit_codes(tmp_path, capsys):
     bad.write_text("{not json")
     code, _, _ = run_cli(capsys, "simulate", str(bad))
     assert code == 2
+    bare = tmp_path / "bare.json"
+    bare.write_text(dumps(network_to_obj(two_link_base_instance().network)))
+    code, out, err = run_cli(capsys, "simulate", str(bare))
+    assert code == 2 and out == ""
+    assert "input error" in err and "holds a bare network" in err
+    code, out, err = run_cli(capsys, "gen", "mn", "--n", "3", "--eps", "inf")
+    assert code == 2 and out == "" and "expected a finite rational" in err
+    inst_path = write_instance(tmp_path, two_link_base_instance())
+    code, out, err = run_cli(capsys, "simulate", inst_path, "--decimal", "x")
+    assert code == 2 and out == "" and "--decimal" in err
 
 
 def test_non_object_json_is_an_input_error(tmp_path, capsys):
@@ -427,9 +451,12 @@ def test_validate_curve_that_is_no_curve_is_an_input_error(field, value, message
 
 
 def test_export_plotdata(tmp_path, capsys):
-    inst = two_link_base_instance()
+    # The source never reaches u, so u's label is inf and has no series.
+    inst = build_instance([("e1", "v1", "v2", 1, 0), ("f1", "v1", "v2", 2, 1),
+                           ("g", "u", "v2", 1, 1)], source="v1", sink="v2", supply=2)
     inst_path = write_instance(tmp_path, inst)
     _, run_out, _ = run_cli(capsys, "simulate", inst_path)
+    assert json.loads(run_out)["labels"]["u"] == "inf"
     run_path = tmp_path / "run.json"
     run_path.write_text(run_out)
     code, out, _ = run_cli(capsys, "export-plotdata", str(run_path))
@@ -438,6 +465,7 @@ def test_export_plotdata(tmp_path, capsys):
     assert lines[0] == "series,name,x,value"
     assert any(line.startswith("label,v2") for line in lines)
     assert any(line.startswith("queue,e1") for line in lines)
+    assert not any(line.startswith("label,u,") for line in lines)
 
 
 def test_gen_random_negative_edge_count_is_an_input_error(capsys):

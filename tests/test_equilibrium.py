@@ -74,6 +74,27 @@ def test_verify_thin_flow_rejects_tampering():
     assert verify_thin_flow(inst.network, active, resetting, inst.capacity,
                             inst.supply, good.label_slopes, bad_rates) is not None
 
+    def reason(labels, rates):
+        return verify_thin_flow(inst.network, active, resetting, inst.capacity,
+                                inst.supply, {v: F(x) for v, x in labels.items()},
+                                {e: F(x) for e, x in rates.items()})
+
+    assert reason({"v1": 2, "v2": 1}, good.edge_rates) == "source label slope must be one"
+    assert reason({"v1": 1, "v2": -1}, good.edge_rates) == "negative label slope at v2"
+    assert reason(good.label_slopes, {"e1": 1, "f1": 0}) in {
+        "conservation fails at v1", "conservation fails at v2"}
+
+    # `reason` reads inst, active and resetting when called.  u's only
+    # in-edge d is idle: with d off the competitive set u has no in-edge,
+    # and with d on it u's slope 0 is below d's ratio max(1, 0/1).
+    inst = build_instance([("e", "s", "t", 1, 0), ("d", "s", "u", 1, 0)], "s", "t", 1)
+    labels, rates = {"s": 1, "t": 1, "u": 0}, {"e": 1, "d": 0}
+    active, resetting = frozenset({"e"}), frozenset()
+    assert reason(labels, rates) == "u has no competitive in-edge"
+    active = frozenset({"e", "d"})
+    assert reason(labels, rates) == "label slope at u is not the incoming minimum"
+    assert reason({**labels, "u": 1}, rates) is None
+
 
 def test_queued_edge_into_a_dead_end_is_not_forced():
     # The queued edge q feeds the dead end d, which reaches no sink, so q

@@ -130,10 +130,13 @@ def test_from_points_matches_the_checked_constructor(steps, y0, final):
     for dx, slope in steps:
         x, y = points[-1]
         points.append((x + dx, y + slope * dx))
-    f = PiecewiseLinear.from_points(reversed(points), final)
+    f = PiecewiseLinear.from_points(points, final)
     checked = PiecewiseLinear(f.xs, f.ys, f.final_slope)
     assert f == checked
     assert f._slopes == checked._slopes
+    if len(points) > 1:
+        with pytest.raises(ContractError, match="strictly increasing"):
+            PiecewiseLinear.from_points(points[::-1], final)
 
 
 def test_supremum_and_rate_pairs():

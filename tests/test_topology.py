@@ -79,6 +79,7 @@ def chain_of_parallel_paths():
 
 def test_pattern_registry():
     assert set(PATTERN_IDS) == set(PATTERNS)
+    assert pattern_network("M3") == ladder_net(3)
     assert pattern_network("M3T") == pattern_network("M3").transposed()
     assert set(PATTERN_TRANSPOSE) == set(PATTERN_IDS)
     with pytest.raises(Exception):
