@@ -7,20 +7,22 @@ cumulative sink arrivals), `_edge_curves` is the one derivation of an edge's
 transit-shifted outflow, queue, wait and exit map.  On these rest the
 earliest-arrival labels, the four feasibility conditions and both
 equilibrium characterizations (flow only on currently shortest paths; no
-particle overtakes another); each such call derives an edge's curves once
-and reuses them for all of its checks and probes.  Every test that runs
+particle overtakes another); an edge's curves are derived once per flow
+and reused by every check, probe and report on it.  Every test that runs
 over two curves piece by piece (curve identity, a queue draining at
 capacity, flow only on shortest edges) walks them together with
 `pwl.joint_segments`, never evaluating a curve point by point.
 
 Everything here is an independent check: it never trusts the phase engine
 that produced a flow, only the curves themselves.  `validate_feasible` and
-`certify_nash` share nothing; each derives its curves from the flow given.
+`certify_nash` share only the memoized derivation of edge curves from the
+flow (`_edge_curves`, a pure function of an edge's inflow and outflow curves,
+transit and capacity); everything else each derives from the flow given.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -46,6 +48,9 @@ class FlowOverTime:
     inflow: Mapping[str, PiecewiseLinear]
     outflow: Mapping[str, PiecewiseLinear]
     sink_cumulative: PiecewiseLinear
+    # `_edge_curves` results for this flow; every new flow, `replace`d ones
+    # included, starts empty.
+    _edge_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 def derive_sink_cumulative(inst: Instance,
@@ -59,7 +64,10 @@ def derive_sink_cumulative(inst: Instance,
 
 
 def _total(curves) -> PiecewiseLinear:
-    return sum(curves, PiecewiseLinear.constant(ZERO))
+    total = None
+    for curve in curves:
+        total = curve if total is None else total + curve
+    return PiecewiseLinear.constant(ZERO) if total is None else total
 
 
 # -- queueing primitives -----------------------------------------------------
@@ -74,11 +82,22 @@ class _EdgeCurves(NamedTuple):
 
 
 def _edge_curves(inst: Instance, flow: FlowOverTime, edge_id: str) -> _EdgeCurves:
-    shift = PiecewiseLinear.affine(ONE, inst.transit[edge_id])  # entry + transit
-    shifted_out = flow.outflow[edge_id].compose(shift)
-    queue = flow.inflow[edge_id] - shifted_out
-    wait = queue.scale(ONE / inst.capacity[edge_id])
-    return _EdgeCurves(shifted_out, queue, wait, shift + wait)
+    """The edge's curves, derived once per flow, transit and capacity.  The
+    memo entry also holds the two curves it was derived from, so a flow whose
+    mapping was changed in place derives again."""
+    transit, capacity = inst.transit[edge_id], inst.capacity[edge_id]
+    inflow, outflow = flow.inflow[edge_id], flow.outflow[edge_id]
+    key = (edge_id, transit, capacity)
+    known = flow._edge_memo.get(key)
+    if known is not None and known[0] is inflow and known[1] is outflow:
+        return known[2]
+    shift = PiecewiseLinear.affine(ONE, transit)  # entry + transit
+    shifted_out = outflow.compose(shift)
+    queue = inflow - shifted_out
+    wait = queue.scale(ONE / capacity)
+    curves = _EdgeCurves(shifted_out, queue, wait, shift + wait)
+    flow._edge_memo[key] = (inflow, outflow, curves)
+    return curves
 
 
 def labels(inst: Instance, flow: FlowOverTime) -> tuple[dict, dict]:

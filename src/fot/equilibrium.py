@@ -210,7 +210,9 @@ def verify_thin_flow(net: Network, active: frozenset[str], resetting: frozenset[
                      edge_rates: Mapping[str, Fraction]) -> Optional[str]:
     """Standalone axiom checker; returns a reason string if invalid."""
     by_id = net.edge_by_id
-    nodes = set(label_slopes)
+    # The checks walk `label_slopes` in its own order, so the node a reason
+    # names does not depend on the hash seed.
+    nodes = label_slopes
     if net.source not in nodes or label_slopes[net.source] != 1:
         return "source label slope must be one"
     for v, slope in label_slopes.items():

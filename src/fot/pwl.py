@@ -7,7 +7,10 @@ slope), so structural equality is semantic equality.  All arithmetic is over
 `fractions.Fraction`; crossing points and preimages are computed exactly.
 Sum, minimum and the piecewise tests in `fot.dynamics` walk two curves'
 breakpoint lists at once (`joint_segments`); `compose` walks inner segments
-and outer breakpoints at once.
+and outer breakpoints at once.  Each walk knows the slope of every piece it
+yields, so results are built from their breakpoints and known slopes
+(`_from_pieces`), with no division per segment; `from_points` and the
+checked constructor derive slopes for points from outside.
 
 These functions carry every curve in the package: cumulative edge in/outflows,
 queue sizes, node arrival-time labels, and sink arrivals.
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import ContractError, DomainError, INF, Scalar
 
@@ -56,6 +59,33 @@ def _canonical(points: Sequence[tuple[Fraction, Fraction]], final_slope: Fractio
     return tuple(xs), tuple(ys), tuple(reversed(slopes))
 
 
+def _from_pieces(pieces: Iterable[tuple[Fraction, Fraction, Fraction]]) -> "PiecewiseLinear":
+    """The curve whose segment from each (x, y, slope) runs at that slope to
+    the next x, the last one forever.  The x must increase strictly; a piece
+    with the slope of the piece before it continues that piece."""
+    xs: list[Fraction] = []
+    ys: list[Fraction] = []
+    slopes: list[Fraction] = []
+    for x, y, slope in pieces:
+        if not slopes or slope != slopes[-1]:
+            xs.append(x)
+            ys.append(y)
+            slopes.append(slope)
+    return _curve(tuple(xs), tuple(ys), tuple(slopes))
+
+
+def _curve(xs: tuple[Fraction, ...], ys: tuple[Fraction, ...],
+           slopes: tuple[Fraction, ...]) -> "PiecewiseLinear":
+    """A canonical curve from arrays already checked, skipping the
+    constructor's checks and its slope derivation."""
+    curve = object.__new__(PiecewiseLinear)
+    object.__setattr__(curve, "xs", xs)
+    object.__setattr__(curve, "ys", ys)
+    object.__setattr__(curve, "final_slope", slopes[-1])
+    object.__setattr__(curve, "_slopes", slopes)
+    return curve
+
+
 @dataclass(frozen=True)
 class PiecewiseLinear:
     """Continuous exact piecewise-linear function on ``[xs[0], infinity)``."""
@@ -85,16 +115,9 @@ class PiecewiseLinear:
     @classmethod
     def from_points(cls, points: Sequence[tuple[Fraction, Fraction]],
                     final_slope: Fraction) -> "PiecewiseLinear":
-        # The points come in increasing x.  `_canonical` has checked that
-        # order and derived every slope, so the curve skips the
-        # constructor's checks and keeps those slopes.
-        xs, ys, slopes = _canonical(points, final_slope)
-        curve = object.__new__(cls)
-        object.__setattr__(curve, "xs", xs)
-        object.__setattr__(curve, "ys", ys)
-        object.__setattr__(curve, "final_slope", final_slope)
-        object.__setattr__(curve, "_slopes", slopes)
-        return curve
+        # The points come in increasing x.  `_canonical` checks that order
+        # and derives every slope.
+        return _curve(*_canonical(points, final_slope))
 
     @classmethod
     def constant(cls, value: Fraction, start: Fraction = ZERO) -> "PiecewiseLinear":
@@ -117,17 +140,16 @@ class PiecewiseLinear:
         The cumulative curve starts at ``(origin, 0)``; the rate before the
         first pair is zero and the last rate extends forever.
         """
-        points = [(origin, ZERO)]
-        value = ZERO
-        rate = ZERO
-        for start, new_rate in pairs:
-            if start < points[-1][0]:
+        pieces = [(origin, ZERO, ZERO)]
+        for start, rate in pairs:
+            x, y, slope = pieces[-1]
+            if start < x:
                 raise ContractError("rate segment starts must be nondecreasing")
-            if start > points[-1][0]:
-                value = value + rate * (start - points[-1][0])
-                points.append((start, value))
-            rate = new_rate
-        return cls.from_points(points, rate)
+            if start > x:
+                pieces.append((start, y + slope * (start - x), rate))
+            else:  # a later rate from the same start replaces the earlier one
+                pieces[-1] = (x, y, rate)
+        return _from_pieces(pieces)
 
     # -- basic queries ---------------------------------------------------------
 
@@ -175,16 +197,19 @@ class PiecewiseLinear:
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
-        points = [(a, fa + ga) for a, _, fa, _, ga, _ in joint_segments(self, other)]
-        return PiecewiseLinear.from_points(points, self.final_slope + other.final_slope)
+        return _from_pieces((a, fa + ga, fs + gs)
+                            for a, _, fa, fs, ga, gs in joint_segments(self, other))
 
     def __sub__(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
-        return self + other.scale(Fraction(-1))
+        return _from_pieces((a, fa - ga, fs - gs)
+                            for a, _, fa, fs, ga, gs in joint_segments(self, other))
 
     def scale(self, k: Fraction) -> "PiecewiseLinear":
         if k == 0:
             return PiecewiseLinear.constant(ZERO, self.xs[0])
-        return PiecewiseLinear(self.xs, tuple(y * k for y in self.ys), self.final_slope * k)
+        # k is not zero, so the scaled slopes stay pairwise distinct.
+        return _curve(self.xs, tuple(y * k for y in self.ys),
+                      tuple(s * k for s in self._slopes))
 
     def compose(self, inner: "PiecewiseLinear") -> "PiecewiseLinear":
         """Exact composition self(inner(x)); inner must be nondecreasing.
@@ -194,20 +219,20 @@ class PiecewiseLinear:
             raise ContractError("inner function of a composition must be nondecreasing")
         if inner.ys[0] < self.xs[0]:
             raise DomainError("inner function leaves the outer domain")
-        xs, last = self.xs, len(self.xs) - 1
+        xs, slopes, last = self.xs, self._slopes, len(self.xs) - 1
         k = 0  # the outer segment holding the current inner value
-        points = []
+        pieces = []
         for a, b, v, s in inner.segments():
             while k < last and xs[k + 1] <= v:
                 k += 1
-            points.append((a, self._value(k, v)))
+            pieces.append((a, self._value(k, v), slopes[k] * s))
             if s == 0:
                 continue
             end = INF if b is INF else v + s * (b - a)
             while k < last and xs[k + 1] < end:
                 k += 1
-                points.append((a + (xs[k] - v) / s, self.ys[k]))
-        return PiecewiseLinear.from_points(points, self.final_slope * inner.final_slope)
+                pieces.append((a + (xs[k] - v) / s, self.ys[k], slopes[k] * s))
+        return _from_pieces(pieces)
 
 
 def minimum(*funcs: PiecewiseLinear) -> PiecewiseLinear:
@@ -221,15 +246,21 @@ def minimum(*funcs: PiecewiseLinear) -> PiecewiseLinear:
 
 
 def _min2(f: PiecewiseLinear, g: PiecewiseLinear) -> PiecewiseLinear:
-    points = []
+    pieces = []
     for a, b, fa, f_slope, ga, g_slope in joint_segments(f, g):
-        points.append((a, min(fa, ga)))
+        # The lower piece at a; on a tie, the one that falls faster from a.
+        if fa < ga:
+            pieces.append((a, fa, f_slope))
+        elif ga < fa:
+            pieces.append((a, ga, g_slope))
+        else:
+            pieces.append((a, fa, min(f_slope, g_slope)))
         if f_slope != g_slope:
             t = a - (fa - ga) / (f_slope - g_slope)  # where the two pieces cross
             if a < t and (b is INF or t < b):
-                points.append((t, fa + f_slope * (t - a)))
-    # Far out, the curve with the smaller final slope is the lower one.
-    return PiecewiseLinear.from_points(points, min(f.final_slope, g.final_slope))
+                # Past the crossing, the piece with the smaller slope is lower.
+                pieces.append((t, fa + f_slope * (t - a), min(f_slope, g_slope)))
+    return _from_pieces(pieces)
 
 
 def joint_segments(f: PiecewiseLinear, g: PiecewiseLinear) -> Iterator[

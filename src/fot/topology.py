@@ -27,6 +27,9 @@ from .core import (
 from .gen import ladder_network, make_m3_variants
 
 PATTERN_IDS = ("M3", "M3T", "M3Prime", "M3DoublePrime", "Wheatstone")
+# A network holds one of these exactly when it is not a chain of parallel
+# paths (Lemma 3).
+LADDER_FAMILY = ("M3", "M3T", "M3Prime", "M3DoublePrime")
 
 
 def _build_patterns() -> dict[str, Network]:
@@ -345,13 +348,12 @@ def classify(net: Network, node_cap: int = 15, edge_cap: int = 25) -> Classifica
     minors = {pid: find_subdivision(net, pid, node_cap, edge_cap)
               for pid in PATTERN_IDS}
     chains, witness = uses_only_chains(net)
-    ladder_family = ("M3", "M3T", "M3Prime", "M3DoublePrime")
-    either = any(minors[pid] is not None for pid in ladder_family)
+    either = any(minors[pid] is not None for pid in LADDER_FAMILY)
     if chains == either:
         raise InternalConsistencyError(
             "chain classifier and pattern search disagree: "
             f"uses_only_chains={chains}, patterns found="
-            f"{[pid for pid in ladder_family if minors[pid] is not None]}")
+            f"{[pid for pid in LADDER_FAMILY if minors[pid] is not None]}")
     forward = any(minors[pid] is not None for pid in ("M3", "M3Prime", "M3DoublePrime"))
     return ClassificationReport(
         minors=minors,

@@ -8,6 +8,7 @@ from fot.core import ParameterError, dumps, instance_to_obj, network_to_obj
 from fot.dynamics import flow_to_obj
 from fot.gen import (MnParams, geometric_alphas, instantiate_m3_variant, make_m3_variants,
                      make_mn)
+from fot import reproduce
 from fot.reproduce import PRESETS
 
 from fractions import Fraction
@@ -347,6 +348,19 @@ def test_flag_a_preset_does_not_take_is_an_input_error(preset, flag, capsys):
     code, out, err = run_cli(capsys, "reproduce", preset, flag, "4")
     assert code == 2 and out == ""
     assert "input error" in err and f"does not take {flag[2:]!r}" in err
+
+
+def test_lemma3_disagreement_is_a_failed_assertion(monkeypatch, capsys):
+    # With the chain classifier flipped, every sample disagrees with the
+    # pattern search: a failed assertion (exit 1), not an internal error.
+    chains = reproduce.uses_only_chains
+    monkeypatch.setattr(reproduce, "uses_only_chains", lambda net: (not chains(net)[0], None))
+    result = reproduce.run_preset("lemma3", samples=3)
+    assert result.assertions[0].holds is False
+    assert result.values == {"agreements": "0"}
+    code, out, err = run_cli(capsys, "reproduce", "lemma3", "--samples", "3")
+    assert code == 1 and json.loads(out)["ok"] is False
+    assert err.startswith("FAILED: chain-of-parallel-paths property")
 
 
 def test_exit_codes(tmp_path, capsys):

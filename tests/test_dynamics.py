@@ -1,9 +1,10 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from fot import dynamics, equilibrium
-from fot.core import INF, MalformedFlowError
+from fot.core import INF, FotError, MalformedFlowError
 from fot.dynamics import (
     CAPACITY,
     NODE_CONSERVATION,
@@ -120,6 +121,7 @@ def test_validate_all_zero_flow_breaks_source_conservation():
     report = validate_feasible(inst, zero_flow(inst))
     assert any(v.condition == NODE_CONSERVATION and v.where == "v1"
                for v in report.violations)
+    assert str(report) == "NodeConservation(3) at v1, time 0: 0 vs 0 flow conservation broken"
 
 
 def test_validate_capacity_violation():
@@ -132,6 +134,7 @@ def test_validate_capacity_violation():
     report = validate_feasible(inst, flow)
     assert any(v.condition == CAPACITY and v.where == "e1"
                for v in report.violations)
+    assert str(report) == "Capacity(1) at e1, time 0: 2 vs 1 outflow rate above capacity"
 
 
 def test_validate_rejects_malformed_flow():
@@ -173,6 +176,9 @@ def test_certify_nash_rejects_all_on_slow_link():
     assert not ok
     conditions = {v.condition for v in report.violations}
     assert SHORTEST_PATHS in conditions and NO_OVERTAKING in conditions
+    assert str(report) == (
+        "ShortestPaths at f1, time 0: 1 vs 0 inflow on a currently non-shortest edge\n"
+        "NoOvertaking at v2, time 1: 0 vs 2 sink arrivals out of step with entries")
 
 
 def test_certify_nash_rejects_inflow_as_the_edge_turns_slower():
@@ -190,6 +196,9 @@ def test_certify_nash_rejects_inflow_as_the_edge_turns_slower():
     assert not ok
     first = report.violations[0]
     assert (first.condition, first.where, first.at, first.lhs) == (SHORTEST_PATHS, "e1", 1, 0)
+    assert str(report) == (
+        "ShortestPaths at e1, time 1: 0 vs 0 inflow on a currently non-shortest edge\n"
+        "NoOvertaking at v2, time 1: 2 vs 2 sink arrivals out of step with entries")
 
 
 def test_flow_json_roundtrip():
@@ -232,6 +241,43 @@ def test_checkers_derive_each_edge_curves_once(monkeypatch, check, edges):
         derived.clear()
         check(inst, flow)
         assert sorted(derived) == sorted(edges(inst))
+
+
+def _outcome(check, inst, flow):
+    """What a check reports, or the error it raises."""
+    try:
+        return str(check(inst, flow))
+    except FotError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_memoized_edge_curves_hide_no_violation():
+    # The engine has checked its flow with both checkers, so the flow holds
+    # the curves of every edge.  Each case below must be judged as a flow
+    # that never met a checker is.
+    inst = two_link_base_instance()
+    flow = equilibrium.nash_flow(inst).flow
+    assert validate_feasible(inst, flow).ok and certify_nash(inst, flow)[0]
+    broken = {**flow.outflow, "e1": rates((0, 3))}  # above capacity 1
+    edited = dataclasses.replace(flow, outflow=dict(flow.outflow))
+    validate_feasible(inst, edited)
+    edited.outflow["e1"] = broken["e1"]  # in place, after a check
+    cases = [
+        (inst, FlowOverTime(flow.inflow, broken, flow.sink_cumulative)),
+        (inst, dataclasses.replace(flow, outflow=broken)),
+        (inst, edited),
+        (dataclasses.replace(inst, capacity={**inst.capacity, "e1": F(2)}), flow),
+        (dataclasses.replace(inst, transit={**inst.transit, "f1": F(2)}), flow),
+    ]
+    for case_inst, case_flow in cases:
+        unchecked = FlowOverTime(dict(case_flow.inflow), dict(case_flow.outflow),
+                                 case_flow.sink_cumulative)
+        assert not validate_feasible(case_inst, case_flow).ok
+        for check in (validate_feasible, certify_nash):
+            assert _outcome(check, case_inst, case_flow) == _outcome(check, case_inst, unchecked)
+    # The wider edge no longer drains at capacity, and its flow no longer
+    # keeps to shortest paths.
+    assert certify_nash(cases[3][0], flow)[0] is False
 
 
 def test_certify_nash_derives_labels_through_the_module_attribute(monkeypatch):

@@ -329,3 +329,29 @@ def test_two_curve_operations_match_the_pointwise_reference(pair):
 def test_compose_matches_the_pointwise_reference(pair):
     outer, inner = pair
     assert outer.compose(inner) == reference_compose(outer, inner)
+
+
+# -- results built from their known slopes -------------------------------------
+
+
+@st.composite
+def rate_segments(draw):
+    """(start, rate) pairs with repeated starts and equal consecutive rates."""
+    pairs, start = [], F(0)
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        start += draw(st.one_of(st.just(F(0)), positive_fractions))
+        pairs.append((start, draw(st.sampled_from([F(0), F(1), F(2), F(1, 2)]))))
+    return pairs
+
+
+@settings(max_examples=150)
+@given(curve_pairs(), compose_pairs(), small_fractions, rate_segments())
+def test_results_built_from_known_slopes_are_canonical(pair, composition, k, pairs):
+    f, g = pair
+    outer, inner = composition
+    for r in (f + g, f - g, g - f, f.scale(k), f.scale(-k), minimum(f, g),
+              outer.compose(inner), PiecewiseLinear.from_rate_segments(pairs)):
+        # The checked constructor accepts r's arrays as canonical, and the
+        # slopes it derives from the points are the ones r carries.
+        checked = PiecewiseLinear(r.xs, r.ys, r.final_slope)
+        assert checked == r and r.slopes() == checked.slopes()
