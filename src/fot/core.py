@@ -13,7 +13,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import AbstractSet, Iterable, Mapping, Optional, Union
+from math import lcm
+from typing import AbstractSet, Iterable, Mapping, Optional, Sequence, Union
 
 
 class FotError(Exception):
@@ -328,6 +329,123 @@ def st_core(net: Network, keep: Iterable[str]) -> Optional[frozenset[str]]:
     to_sink = net.reaching_to(net.sink, keep)
     return frozenset(e.id for e in net.edges
                      if e.id in keep and e.tail in from_source and e.head in to_sink)
+
+
+def first_feasible_support(net: Network, keep: AbstractSet[str], full: AbstractSet[str],
+                           capacity: Mapping[str, Fraction], supply: Fraction,
+                           order: Sequence[str]) -> Optional[tuple[bool, ...]]:
+    """The lexicographically first support of a bounded s-t flow.
+
+    The flows in question have value `supply` on the kept edges; each edge
+    of `full` carries exactly its capacity and every other kept edge
+    between 0 and its capacity.  Returns None when there is no such flow.
+    Otherwise, for each edge of `order` in turn, it returns whether the edge
+    must carry flow, given that every earlier edge marked False carries
+    none.  Such flows stay feasible when a zero edge may carry flow again,
+    so deciding the edges greedily in this order gives the first feasible
+    pattern: every pattern that comes earlier lexicographically, with False
+    before True, has no feasible flow.
+
+    Every value is scaled by the lcm of the denominators, so the search
+    runs on integers.  Flow moves along shortest residual paths, found by
+    breadth-first search in edge order, from nodes with too much inflow to
+    nodes with too little.  The first feasible flow settles the imbalance
+    that the supply and the `full` edges leave.  The greedy keeps that flow
+    and takes each edge of `order` out in turn: its flow becomes an
+    imbalance between its tail and its head, and the edge is marked False
+    when that imbalance settles around it.  Otherwise the flow is restored
+    and the edge is marked True.
+    """
+    edges = [e for e in net.edges if e.id in keep]
+    caps = [capacity[e.id] for e in edges]
+    scale = lcm(supply.denominator, *(c.denominator for c in caps))
+    upper = [c.numerator * (scale // c.denominator) for c in caps]
+    units = supply.numerator * (scale // supply.denominator)
+    # The cuts around the source and the sink settle most empty cases.
+    if (sum(c for e, c in zip(edges, upper) if e.tail == net.source) < units
+            or sum(c for e, c in zip(edges, upper) if e.head == net.sink) < units):
+        return None
+    node = {net.source: 0, net.sink: 1}
+    for e in edges:
+        node.setdefault(e.tail, len(node))
+        node.setdefault(e.head, len(node))
+    tail = [node[e.tail] for e in edges]
+    head = [node[e.head] for e in edges]
+    flow = [0] * len(edges)
+    # Inflow minus outflow still to settle at each node.
+    excess = [0] * len(node)
+    excess[0], excess[1] = units, -units
+    # Residual arcs leave a node forward along its out-edges and backward
+    # along its in-edges; an edge of `full` has none, its flow being fixed.
+    out: list[list[int]] = [[] for _ in node]
+    into: list[list[int]] = [[] for _ in node]
+    for i, e in enumerate(edges):
+        if e.id in full:
+            flow[i] = upper[i]
+            excess[head[i]] += upper[i]
+            excess[tail[i]] -= upper[i]
+        else:
+            out[tail[i]].append(i)
+            into[head[i]].append(i)
+
+    def settle() -> bool:
+        # Augment until no excess is left (True) or none can move (False).
+        while True:
+            starts = [v for v, x in enumerate(excess) if x > 0]
+            if not starts:
+                return True
+            # A node's parent arc is i + 1 forward along edge i, -(i + 1)
+            # backward, and 0 at a start.
+            parent: list = [None] * len(node)
+            for v in starts:
+                parent[v] = 0
+            for end in starts:  # grows: breadth first
+                if excess[end] < 0:
+                    break
+                for i in out[end]:
+                    if parent[head[i]] is None and flow[i] < upper[i]:
+                        parent[head[i]] = i + 1
+                        starts.append(head[i])
+                for i in into[end]:
+                    if parent[tail[i]] is None and flow[i] > 0:
+                        parent[tail[i]] = -(i + 1)
+                        starts.append(tail[i])
+            else:
+                return False
+            path = []
+            v, most = end, -excess[end]
+            while parent[v]:
+                i = abs(parent[v]) - 1
+                if parent[v] > 0:
+                    path.append((i, 1))
+                    most = min(most, upper[i] - flow[i])
+                    v = tail[i]
+                else:
+                    path.append((i, -1))
+                    most = min(most, flow[i])
+                    v = head[i]
+            most = min(most, excess[v])
+            for i, sign in path:
+                flow[i] += sign * most
+            excess[v] -= most
+            excess[end] += most
+
+    if not settle():
+        return None
+    position = {e.id: i for i, e in enumerate(edges)}
+    marks = []
+    for eid in order:
+        i = position[eid]
+        if eid not in full:
+            saved, cap = flow[:], upper[i]
+            excess[tail[i]], excess[head[i]] = flow[i], -flow[i]
+            flow[i] = upper[i] = 0
+            if not settle():
+                flow[:] = saved
+                upper[i] = cap
+                excess[tail[i]] = excess[head[i]] = 0
+        marks.append(flow[i] > 0)
+    return tuple(marks)
 
 
 # --- JSON interchange -------------------------------------------------------

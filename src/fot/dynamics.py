@@ -27,6 +27,7 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .core import (
+    ContractError,
     DomainError,
     INF,
     Instance,
@@ -174,7 +175,10 @@ class ViolationReport:
 
 
 def _first_difference(f: PiecewiseLinear, g: PiecewiseLinear) -> Optional[Fraction]:
-    """Smallest witness point where two curves differ (None if equal)."""
+    """A witness point where two curves differ (None if equal): the later
+    start when they start apart, else the first joint breakpoint where
+    their values differ, else a point on the final ray, where only their
+    slopes differ."""
     if f == g:
         return None
     if f.xs[0] != g.xs[0]:
@@ -182,7 +186,7 @@ def _first_difference(f: PiecewiseLinear, g: PiecewiseLinear) -> Optional[Fracti
     for a, _, fa, _, ga, _ in joint_segments(f, g):
         if fa != ga:
             return a
-    return max(f.xs[-1], g.xs[-1])  # values agree; final slopes differ
+    return max(f.xs[-1], g.xs[-1]) + 1
 
 
 def _check_structure(inst: Instance, flow: FlowOverTime) -> None:
@@ -264,15 +268,14 @@ def validate_feasible(inst: Instance, flow: FlowOverTime,
         outof = _total(flow.inflow[e.id] for e in net.out_edges[v])
         if v == net.source:
             expected = into + PiecewiseLinear.affine(inst.supply, ZERO)
-            witness = _first_difference(outof, expected)
         elif v == net.sink:
             expected = into - flow.sink_cumulative
-            witness = _first_difference(outof, expected)
         else:
-            witness = _first_difference(outof, into)
+            expected = into
+        witness = _first_difference(outof, expected)
         if witness is not None:
             found.append(Violation(NODE_CONSERVATION, v, witness,
-                                   outof(witness), into(witness),
+                                   outof(witness), expected(witness),
                                    "flow conservation broken"))
 
     for at in sample_grid:
@@ -313,9 +316,25 @@ def certify_nash(inst: Instance, flow: FlowOverTime) -> tuple[bool, ViolationRep
     (b) No flow overtakes any other flow: cumulative sink arrivals evaluated
         at the sink label equal supply times entry time, identically.
 
-    The two verdicts must coincide for feasible flows; a disagreement is an
-    internal bug, not a property of the input.
+    The flow must be feasible.  The two verdicts must coincide for feasible
+    flows; a disagreement is an internal bug, not a property of the input.
+    When the check fails on an infeasible flow, whether the verdicts
+    disagree or a curve cannot be composed, a `ContractError` names the
+    first violation `validate_feasible` finds; only this failure path runs
+    it.
     """
+    try:
+        return _certify_nash(inst, flow)
+    except (ContractError, InternalConsistencyError) as exc:
+        report = validate_feasible(inst, flow)
+        if report.ok:
+            raise
+        raise ContractError(
+            f"certify_nash needs a feasible flow; first violation: {report.violations[0]}"
+        ) from exc
+
+
+def _certify_nash(inst: Instance, flow: FlowOverTime) -> tuple[bool, ViolationReport]:
     lab, arrivals = labels(inst, flow)
     net = inst.network
     found: list[Violation] = []

@@ -31,13 +31,19 @@ flow in every solution, so every support holds it and only the other, free,
 edges are enumerated; fixing those mask bits keeps the order of the
 patterns left (`enumerate_thin_flows` has the argument).
 `MAX_ACTIVE_EDGES` bounds the free edges.
+
+Labels come first where they can.  All label slopes are one exactly when
+the supply fits into a flow that fills every queued edge and stays within
+the capacity of every other competitive edge; one exact integer maximum
+flow (`fot.core.first_feasible_support`) decides it.  In such a steady
+phase the search starts at the first support mask that such a flow fits,
+and skips every mask before it, which holds no solution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import gcd
 from typing import Mapping, Optional, Sequence
 
@@ -51,6 +57,7 @@ from .core import (
     PhaseCapError,
     Scalar,
     SizeCapError,
+    first_feasible_support,
     format_scalar,
     st_core,
 )
@@ -330,6 +337,24 @@ def enumerate_thin_flows(net: Network, active: frozenset[str],
     order.  Each solution found is still checked by `verify_thin_flow`
     before it is yielded.
 
+    Labels first.  Write P(1) for the flows x of value `supply` on the
+    competitive edges with x_e = capacity on each queued edge and 0 <= x_e
+    <= capacity on the others.  Any x in P(1) with l' = 1 everywhere meets
+    every condition `verify_thin_flow` checks: every drain ratio is 1 (a
+    queued edge is full, the others are at most full), each reachable node
+    other than s has a competitive in-edge, and conservation holds.
+    Conversely, labels are unique (Cominetti, Correa & Larré 2015), so when
+    P(1) is nonempty every verified solution has l' = 1, hence lies in
+    P(1), and is zero on the free edges its mask leaves out.  Whether P(1)
+    holds a flow that is zero on the free edges outside a mask M is
+    up-closed in M, and `fot.core.first_feasible_support` returns the
+    lexicographically first mask M0 for which it does.  No mask before M0
+    holds a verified solution, so the walk starts at M0 and yields exactly
+    the list that the walk from mask 0 yields.  When P(1) is empty the walk
+    starts at mask 0.  A steady verdict is checked on every solution that
+    follows from it: each is verified as always, and one with a slope other
+    than 1 raises `InternalConsistencyError`.
+
     Rows are sparse integer rows (column -> coefficient, rhs).  The columns
     are fixed for the whole call: the node labels, then the rate of every
     competitive edge in edge order.  A support leaves edge e out by adding
@@ -457,11 +482,20 @@ def enumerate_thin_flows(net: Network, active: frozenset[str],
                     edge_rates = {e.id: value[x0 + i] for i, e in enumerate(edges)}
                     if verify_thin_flow(net, active, resetting, capacity, supply,
                                         label_slopes, edge_rates) is None:
+                        if marks is not None and any(s != 1 for s in value[:x0]):
+                            raise InternalConsistencyError(
+                                "the steady test found a flow in P(1), but a verified "
+                                "thin flow has a label slope other than one")
                         yield ThinFlow(label_slopes, edge_rates)
             forget(child)
 
-    for free_mask in product((0, 1), repeat=len(free)):
-        chosen = forced.union(eid for eid, bit in zip(free, free_mask) if bit)
+    # Labels first: when the steady test finds a flow in P(1), every mask
+    # before the first feasible one is skipped.
+    marks = first_feasible_support(net, active, resetting, capacity, supply, free)
+    bits = [1 << j for j in reversed(range(len(free)))]
+    start = 0 if marks is None else sum(b for b, m in zip(bits, marks) if m)
+    for mask in range(start, 1 << len(free)):
+        chosen = forced.union(eid for eid, b in zip(free, bits) if mask & b)
         if st_core(net, chosen) != chosen:
             continue
         kept = [e.id in chosen for e in edges]

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from fot import dynamics, equilibrium
-from fot.core import INF, FotError, MalformedFlowError
+from fot.core import INF, ContractError, FotError, Instance, MalformedFlowError
 from fot.dynamics import (
     CAPACITY,
     NODE_CONSERVATION,
@@ -121,7 +121,7 @@ def test_validate_all_zero_flow_breaks_source_conservation():
     report = validate_feasible(inst, zero_flow(inst))
     assert any(v.condition == NODE_CONSERVATION and v.where == "v1"
                for v in report.violations)
-    assert str(report) == "NodeConservation(3) at v1, time 0: 0 vs 0 flow conservation broken"
+    assert str(report) == "NodeConservation(3) at v1, time 1: 0 vs 2 flow conservation broken"
 
 
 def test_validate_capacity_violation():
@@ -198,7 +198,32 @@ def test_certify_nash_rejects_inflow_as_the_edge_turns_slower():
     assert (first.condition, first.where, first.at, first.lhs) == (SHORTEST_PATHS, "e1", 1, 0)
     assert str(report) == (
         "ShortestPaths at e1, time 1: 0 vs 0 inflow on a currently non-shortest edge\n"
-        "NoOvertaking at v2, time 1: 2 vs 2 sink arrivals out of step with entries")
+        "NoOvertaking at v2, time 2: 3 vs 4 sink arrivals out of step with entries")
+
+
+@pytest.mark.parametrize("case", ["f1-transit-2", "e1-outflow-rate-3"])
+def test_certify_nash_names_the_first_violation_of_an_infeasible_flow(case, monkeypatch):
+    # The engine's two-link flow, checked against the instance with f1's
+    # transit raised to 2 (the verdicts disagree), or with e1's outflow
+    # rate raised to 3 (the exit map cannot be composed).
+    inst = two_link_base_instance()
+    flow = equilibrium.nash_flow(inst).flow
+    if case == "f1-transit-2":
+        inst = Instance(inst.network, inst.capacity, {**inst.transit, "f1": F(2)}, inst.supply)
+    else:
+        flow = FlowOverTime(flow.inflow, {**flow.outflow, "e1": rates((0, 3))},
+                            flow.sink_cumulative)
+    first = validate_feasible(inst, flow).violations[0]
+    with pytest.raises(ContractError) as raised:
+        certify_nash(inst, flow)
+    assert str(raised.value) == f"certify_nash needs a feasible flow; first violation: {first}"
+    # A feasible flow never runs the feasibility check.
+    calls = []
+    monkeypatch.setattr(dynamics, "validate_feasible",
+                        lambda *args: calls.append(args) or validate_feasible(*args))
+    assert certify_nash(two_link_base_instance(), two_link_equilibrium_flow())[0]
+    assert not certify_nash(two_link_base_instance(), two_link_all_on_slow_flow())[0]
+    assert calls == []
 
 
 def test_flow_json_roundtrip():

@@ -18,13 +18,13 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from fot import equilibrium
 from fot.braess import braess_ratio
 from fot.core import (INF, ContractError, Edge, FotError, Instance, Network, NoPathError,
-                      SizeCapError, st_core, transpose)
+                      SizeCapError, first_feasible_support, st_core, transpose)
 from fot.dynamics import certify_nash, validate_feasible
 from fot.equilibrium import (
     MAX_ACTIVE_EDGES,
@@ -125,10 +125,18 @@ def tied_instances(draw):
 
 
 def reference_enumerate_thin_flows(net, active, resetting, capacity, supply):
-    """The pattern search without forced edges: every support over all
-    competitive edges in lexicographic mask order, each pattern solved and
-    verified as in `enumerate_thin_flows`.  Exponential in the competitive
-    edges; the oracle the forced search must match solution for solution."""
+    """The pattern search without forced edges or skipped masks: every
+    support over all competitive edges in lexicographic mask order, each
+    pattern solved and verified as in `enumerate_thin_flows`.  Exponential
+    in the competitive edges; the oracle the search must match solution for
+    solution."""
+    for _, tf in reference_solutions(net, active, resetting, capacity, supply):
+        yield tf
+
+
+def reference_solutions(net, active, resetting, capacity, supply):
+    """Each solution of `reference_enumerate_thin_flows` with its support
+    mask: a bit per competitive edge, in edge order."""
     if not resetting <= active:
         raise ContractError("resetting edges must be competitive")
     edges = [e for e in net.edges if e.id in active]
@@ -181,7 +189,7 @@ def reference_enumerate_thin_flows(net, active, resetting, capacity, supply):
             rates.update((e.id, sol[x[e.id]]) for e in support)
             if verify_thin_flow(net, active, resetting, capacity, supply,
                                 slopes, rates) is None:
-                yield ThinFlow(slopes, rates)
+                yield mask, ThinFlow(slopes, rates)
 
 
 def assert_matches_the_unforced_oracle(args):
@@ -305,6 +313,182 @@ def test_pruning_bounds_the_search_on_the_steady_transposed_ladder_phase(monkeyp
     assert calls["solve_exact"] <= 2976
 
 
+def test_the_skip_bounds_the_search_of_the_transposed_ladder(monkeypatch):
+    # The steady last phase of the transposed ladder n = 8 has 13 free
+    # edges, and its canonical mask is all ones.  Walked from mask 0, the
+    # run made 75294 `solve_exact` calls; from the first feasible mask it
+    # makes 71.
+    calls = Counter()
+    solve = equilibrium.solve_exact
+
+    def counted(*args):
+        calls["solve_exact"] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(equilibrium, "solve_exact", counted)
+    assert nash_flow(transpose(make_ladder(8, F(1, 1000)))).steady
+    assert calls["solve_exact"] <= 100
+
+
+def _free_edges(net, active, resetting):
+    # The edges `enumerate_thin_flows` enumerates, in its mask order.
+    to_sink = net.reaching_to(net.sink, active)
+    return [e.id for e in net.edges
+            if e.id in active and (e.id not in resetting or e.head not in to_sink)]
+
+
+def _steady_marks(net, active, resetting, capacity, supply):
+    return first_feasible_support(net, active, resetting, capacity, supply,
+                                  _free_edges(net, active, resetting))
+
+
+def bounded_flow_exists(net, active, resetting, capacity, supply, zero):
+    """Whether a flow of value `supply` on the competitive edges carries
+    exactly its capacity on each queued edge, at most its capacity on the
+    others and nothing on the edges of `zero`: lower bounds reduced to one
+    maximum flow between a new source and sink, on `max_flow_value`."""
+    edges, cap = [], {}
+
+    def add(tail, head, c):
+        eid = f"r{len(edges)}"
+        edges.append(Edge(eid, tail, head))
+        cap[eid] = c
+
+    add("S*", net.source, supply)
+    add(net.sink, "T*", supply)
+    needed = supply
+    for e in net.edges:
+        if e.id not in active:
+            continue
+        if e.id in resetting:
+            if e.id in zero:
+                return False
+            add("S*", e.head, capacity[e.id])
+            add(e.tail, "T*", capacity[e.id])
+            needed += capacity[e.id]
+        elif e.id not in zero:
+            add(e.tail, e.head, capacity[e.id])
+    reduced = Network(net.nodes + ("S*", "T*"), tuple(edges), "S*", "T*")
+    return max_flow_value(reduced, cap) == needed
+
+
+@st.composite
+def bounded_flow_systems(draw):
+    """Competitive edge sets on small DAGs with parallel copies, few queued
+    edges and a small supply, so that most have a flow in P(1) and many of
+    their edges can be rerouted."""
+    nodes = draw(st.integers(min_value=3, max_value=6))
+    edges = draw(st.integers(min_value=2, max_value=min(10, nodes * (nodes - 1) // 2)))
+    net = random_dag(nodes, edges, draw(st.integers(min_value=0, max_value=10_000)))
+    copies = draw(st.lists(st.sampled_from(net.edges), max_size=3))
+    net = Network(net.nodes, net.edges + tuple(Edge(f"c{k}", e.tail, e.head)
+                                               for k, e in enumerate(copies)),
+                  net.source, net.sink)
+    reach = net.reachable_from(net.source)
+    active = frozenset(e.id for e in net.edges if e.tail in reach)
+    resetting = frozenset(eid for eid in sorted(active)
+                          if draw(st.integers(min_value=0, max_value=5)) == 0)
+    capacity = {e.id: draw(st.sampled_from([F(1, 2), F(1), F(3, 2), F(2)]))
+                for e in net.edges}
+    supply = draw(st.sampled_from([F(1, 2), F(1), F(3, 2)]))
+    return net, active, resetting, capacity, supply
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(thin_flow_systems(), bounded_flow_systems()))
+def test_the_first_feasible_support_is_the_lexicographically_first(args):
+    # Against the reduction to one maximum flow: the marked support has a
+    # flow, and for each edge it marks, the masks that share the marks
+    # before it and leave it out have none.  Feasibility is up-closed in
+    # the mask, so this is every earlier mask.
+    net, active, resetting, capacity, supply = args
+    if net.sink not in net.reachable_from(net.source, active):
+        return
+    free = _free_edges(net, active, resetting)
+    marks = first_feasible_support(net, active, resetting, capacity, supply, free)
+    if not bounded_flow_exists(net, active, resetting, capacity, supply, frozenset()):
+        assert marks is None
+        return
+    assert marks is not None and len(marks) == len(free)
+    zero = {eid for eid, m in zip(free, marks) if not m}
+    assert bounded_flow_exists(net, active, resetting, capacity, supply, zero)
+    for j, (eid, m) in enumerate(zip(free, marks)):
+        if m:
+            earlier = {e for e, mark in zip(free[:j], marks) if not mark}
+            assert not bounded_flow_exists(net, active, resetting, capacity, supply,
+                                           earlier | {eid})
+
+
+def _steady_phase_masks(args):
+    """(first feasible mask, canonical mask) on the free edges when the
+    steady test finds a flow, else None.  The canonical mask is that of the
+    first solution of the unforced oracle."""
+    marks = _steady_marks(*args)
+    if marks is None:
+        return None
+    net, active = args[0], args[1]
+    free = set(_free_edges(*args[:3]))
+    mask, _ = next(reference_solutions(*args))
+    competitive = [e.id for e in net.edges if e.id in active]
+    return marks, tuple(bool(bit) for bit, eid in zip(mask, competitive) if eid in free)
+
+
+def _engine_phases(inst):
+    try:
+        run = nash_flow(inst, phase_cap=400)
+    except NoPathError:
+        return []
+    return [(inst.network, frozenset(phase.active), frozenset(phase.resetting),
+             inst.capacity, inst.supply) for phase in run.phases]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(tied_instances().map(_engine_phases),
+                 thin_flow_systems().map(lambda args: [args])))
+def test_the_first_feasible_mask_never_comes_after_the_canonical_one(phases):
+    for args in phases:
+        try:
+            masks = _steady_phase_masks(args)
+        except FotError:
+            continue
+        if masks is not None:
+            first, canonical = masks
+            assert first <= canonical
+
+
+def test_tied_instances_reach_steady_phases_that_skip_masks():
+    # Some steady phase where the skip passes over masks (the first
+    # feasible mask is not all zeros) and more than one mask is feasible
+    # (it is not all ones either), so the skipping search is tested on
+    # engine phases where it matters.
+    def skips(inst):
+        for args in _engine_phases(inst):
+            marks = _steady_marks(*args)
+            if marks is not None and any(marks) and not all(marks):
+                return True
+        return False
+
+    find(tied_instances(), skips, settings=settings(
+        max_examples=100, derandomize=True, database=None, phases=[Phase.generate]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(random_instances())
+def test_the_steady_test_matches_the_minimum_cut_on_queue_free_phases(inst):
+    # Without queues, P(1) holds the flows of value `supply` within the
+    # capacities of the competitive edges: it is nonempty exactly when the
+    # supply fits through a minimum cut of the competitive subnetwork.
+    net = inst.network
+    for args in _engine_phases(inst):
+        active, resetting = args[1], args[2]
+        if resetting:
+            continue
+        competitive = Network(net.nodes, tuple(e for e in net.edges if e.id in active),
+                              net.source, net.sink)
+        fits = inst.supply <= max_flow_value(competitive, inst.capacity)
+        assert (_steady_marks(*args) is not None) == fits
+
+
 # -- oracles from theory --------------------------------------------------------
 
 
@@ -409,6 +593,58 @@ def test_a_dead_end_edge_changes_nothing(inst, data):
     assert again.steady == run.steady
     assert again.diverging == run.diverging
     assert {v: again.labels[v] for v in net.nodes} == run.labels
+
+
+@settings(max_examples=25, deadline=None)
+@given(random_instances(), st.data())
+def test_edges_between_nodes_off_every_path_change_nothing(inst, data):
+    # A node off every source-sink path either is reached from the source
+    # and does not reach the sink (group A), or is not reached (group B,
+    # which also takes two new nodes).  New edges inside A, inside B and
+    # from B into A keep both groups so: no edge leaves A, none enters B.
+    # Drawn along a topological order, they keep the network acyclic.  The
+    # run is the same, and so is every label but those of A nodes that a
+    # new edge from A enters; every Braess cost is that of the subset
+    # without the new edges.
+    net = inst.network
+    from_source = net.reachable_from(net.source)
+    on_paths = from_source & net.reaching_to(net.sink)
+    order = ("x0", "x1") + net.topological_order()
+    group_a = [v for v in order if v in from_source and v not in on_paths]
+    group_b = [v for v in order if v not in from_source]
+    pairs = [(u, w) for i, u in enumerate(order) for w in order[i + 1:]
+             if w in group_a and u in group_a + group_b or w in group_b and u in group_b]
+    drawn = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3))
+    new = [Edge(f"off{k}", u, w) for k, (u, w) in enumerate(drawn)]
+    grown = Instance(
+        Network(net.nodes + ("x0", "x1"), net.edges + tuple(new), net.source, net.sink),
+        {**inst.capacity, **{e.id: data.draw(small_caps) for e in new}},
+        {**inst.transit, **{e.id: data.draw(small_taus) for e in new}},
+        inst.supply)
+    try:
+        run = nash_flow(inst, phase_cap=400)
+    except NoPathError:
+        return
+    try:
+        again = nash_flow(grown, phase_cap=400)
+    except SizeCapError:
+        # The cap counts free edges, and the new edges can add some.
+        assert len(grown.network.edges) > MAX_ACTIVE_EDGES
+        return
+    assert (again.social_cost, again.steady, again.diverging) == (
+        run.social_cost, run.steady, run.diverging)
+    entered = {e.head for e in new if e.tail in group_a}
+    assert {v: again.labels[v] for v in net.nodes if v not in entered} == {
+        v: label for v, label in run.labels.items() if v not in entered}
+    assert again.labels["x0"] is INF and again.labels["x1"] is INF
+    if len(grown.network.edges) <= 10:
+        report = braess_ratio(inst)
+        cost = {entry.kept: (entry.cost, entry.error) for entry in report.entries}
+        again = braess_ratio(grown)
+        assert (again.full_cost, again.ratio) == (report.full_cost, report.ratio)
+        for entry in again.entries:
+            kept = tuple(eid for eid in entry.kept if eid in inst.capacity)
+            assert (entry.cost, entry.error) == cost[kept]
 
 
 def subdivided_chain_instance(rng):

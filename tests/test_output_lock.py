@@ -146,7 +146,7 @@ COMMANDS = {
 
 COMMAND_SHA256 = {
     "validate-ladder-n3-grid": "18c45fc2e6b0f396425c8a13cd1bf46db5f6998cc1a6eb49d6b2050d7fefe841",
-    "validate-violating-grid": "c2575827b452fbc75541c21ca4835c6ea12321e7cf896eb8d0b3affca961da10",
+    "validate-violating-grid": "97756c29cb3c77f1c66de2562a192269a8af63c399f705d6f63fa888e8c06068",
     "braess-ladder-n3": "4bfb10c35f9eb2dc0cdff85b530dd45e22a226470c745ced33bb5ab88d8fb011",
     "braess-transpose-m3-grid42": "2abaace18ac97489ce0e0b8c7a8fc538966d4651d175a7fb10326ae419df266d",
     "braess-ladder-n4-phase-cap-4": "b4dd799bdf50f93c111038e06a98b61d4f639e1e5fa776a66c7939dffc9bfb95",

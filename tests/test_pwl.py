@@ -257,7 +257,7 @@ def reference_first_difference(f, g):
     for x in sorted(set(f.xs) | set(g.xs)):
         if f(x) != g(x):
             return x
-    return max(f.xs[-1], g.xs[-1])
+    return max(f.xs[-1], g.xs[-1]) + 1
 
 
 nonzero_fractions = small_fractions.filter(lambda k: k != 0)
@@ -322,6 +322,18 @@ def test_two_curve_operations_match_the_pointwise_reference(pair):
     assert f + g == reference_add(f, g)
     assert minimum(f, g) == reference_minimum(f, g)
     assert _first_difference(f, g) == reference_first_difference(f, g)
+
+
+@settings(max_examples=200)
+@given(curve_pairs())
+def test_curves_differ_at_the_witness_of_their_first_difference(pair):
+    # Curves that start together differ at the witness, also when they
+    # part only on the final ray; curves that start apart get the later
+    # start, which names where their domains differ.
+    f, g = pair
+    witness = _first_difference(f, g)
+    if witness is not None and f.xs[0] == g.xs[0]:
+        assert f(witness) != g(witness)
 
 
 @settings(max_examples=200)
