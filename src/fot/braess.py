@@ -20,7 +20,7 @@ reuses its cost, or its error, for every subset with that core.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
@@ -32,7 +32,6 @@ from .core import (
     FotError,
     INF,
     Instance,
-    Network,
     ParameterError,
     Scalar,
     SizeCapError,
@@ -40,11 +39,11 @@ from .core import (
     st_core,
     transpose,
 )
-from .gen import make_ladder
-from .topology import pattern_network
+from .gen import ladder_network, make_ladder
 
 CANONICAL_NOTE = ("costs are those of the canonical computed equilibrium of "
                   "each subnetwork")
+_TRANSPOSED_LADDER3 = ladder_network(3).transposed()
 
 
 def extended_ratio(full: Scalar, sub: Scalar) -> Scalar:
@@ -207,9 +206,7 @@ def transposed_ladder3_instance(capacity: dict[str, Fraction],
                                 transit: dict[str, Fraction],
                                 supply: Fraction,
                                 source: str = "v3", sink: str = "v1") -> Instance:
-    base = pattern_network("M3T")
-    net = base if (base.source, base.sink) == (source, sink) else Network(
-        nodes=base.nodes, edges=base.edges, source=source, sink=sink)
+    net = replace(_TRANSPOSED_LADDER3, source=source, sink=sink)
     return Instance(net, capacity, transit, supply)
 
 
@@ -266,7 +263,7 @@ def sweep_transpose_m3(points: Optional[Sequence[tuple[str, Instance]]] = None,
     """
     if points is None:
         points = default_transpose_m3_grid()
-    shape = {(e.tail, e.head) for e in pattern_network("M3T").edges}
+    shape = {(e.tail, e.head) for e in _TRANSPOSED_LADDER3.edges}
     for label, inst in points:
         got = {(e.tail, e.head) for e in inst.network.edges}
         if got != shape:

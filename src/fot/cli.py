@@ -33,6 +33,7 @@ from .core import (
     PhaseCapError,
     SizeCapError,
     UnsupportedTopologyError,
+    _field,
     _pairs,
     _typed,
     format_scalar,
@@ -211,11 +212,14 @@ def _emit(obj, args) -> None:
     _write(text, args.output)
 
 
-def _load_instance(path: str) -> core.Instance:
-    obj = _read_object(path)
+def _instance(obj: dict, where: str) -> core.Instance:
     if not core.is_instance_obj(obj):
-        raise ParameterError(f"{path} holds a bare network; an instance is needed")
+        raise ParameterError(f"{where} holds a bare network; an instance is needed")
     return core.instance_from_obj(obj)
+
+
+def _load_instance(path: str) -> core.Instance:
+    return _instance(_read_object(path), path)
 
 
 def _load_network(path: str) -> core.Network:
@@ -302,9 +306,9 @@ def _cmd_sweep(args) -> int:
         points = []
         for entry in _typed(_read_json(args.grid), list, "grid"):
             entry = _typed(entry, dict, "grid")
-            points.append((_typed(entry["label"], str, "grid.label"),
-                           core.instance_from_obj(_typed(entry["instance"], dict,
-                                                         "grid.instance"))))
+            points.append((_field(entry, "grid.label", str),
+                           _instance(_field(entry, "grid.instance", dict),
+                                     "field 'grid.instance'")))
     report = braess_mod.sweep_transpose_m3(points, phase_cap=args.phase_cap)
     _emit(to_obj(report), args)
     if report.any_paradox or report.failures:
@@ -359,13 +363,13 @@ def _cmd_export_plotdata(args) -> int:
     run_obj = _read_object(args.run)
     rows = [("series", "name", "x", "value")]
     for series, field in (("label", "labels"), ("queue", "queues")):
-        curves = _typed(run_obj[field], dict, field)
+        curves = _field(run_obj, field, dict)
         for name in sorted(curves):
             if series == "label" and curves[name] == "inf":
                 continue
-            where = f"{field}.{name}"
-            points = _pairs(_typed(curves[name], dict, where)["breakpoints"],
-                            f"{where}.breakpoints")
+            where = f"{field}.{name}.breakpoints"
+            points = _pairs(_field(_typed(curves[name], dict, f"{field}.{name}"), where),
+                            where)
             rows.extend((series, name, x, y) for x, y in points)
     buf = io.StringIO()
     csv.writer(buf).writerows(rows)
@@ -483,8 +487,7 @@ def main(argv=None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ParameterError, OSError, UnicodeDecodeError, json.JSONDecodeError,
-            KeyError) as exc:
+    except (ParameterError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"fot: input error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (NoPathError, SizeCapError, PhaseCapError, UnsupportedTopologyError) as exc:

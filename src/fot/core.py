@@ -290,12 +290,6 @@ def transpose(inst: Instance) -> Instance:
     )
 
 
-def _sub_network(net: Network, keep_set: set[str]) -> Network:
-    return Network(nodes=net.nodes,
-                   edges=tuple(e for e in net.edges if e.id in keep_set),
-                   source=net.source, sink=net.sink)
-
-
 def restrict(inst: Instance, keep: Iterable[str]) -> Instance:
     """Sub-instance on the given edge ids; nodes and terminals unchanged.
 
@@ -306,8 +300,10 @@ def restrict(inst: Instance, keep: Iterable[str]) -> Instance:
     unknown = keep_set - set(inst.edge_ids)
     if unknown:
         raise ParameterError(f"unknown edge ids: {sorted(unknown)}")
+    net = inst.network
     return Instance(
-        network=_sub_network(inst.network, keep_set),
+        network=Network(net.nodes, tuple(e for e in net.edges if e.id in keep_set),
+                        net.source, net.sink),
         capacity={eid: inst.capacity[eid] for eid in keep_set},
         transit={eid: inst.transit[eid] for eid in keep_set},
         supply=inst.supply,
@@ -483,15 +479,25 @@ def _pairs(value, field: str) -> list:
     return pairs
 
 
+def _field(obj: dict, field: str, kind: Optional[type] = None):
+    """The value of the last part of the dotted name `field` in obj, of the
+    JSON type `kind` when one is given.  A missing key is an input error
+    that names the field."""
+    key = field.rpartition(".")[2]
+    if key not in obj:
+        raise ParameterError(f"field {field!r} is missing")
+    return obj[key] if kind is None else _typed(obj[key], kind, field)
+
+
 def network_from_obj(obj: dict) -> Network:
-    nodes = _typed(obj["nodes"], list, "nodes")
-    edges = [_typed(d, dict, "edges") for d in _typed(obj["edges"], list, "edges")]
+    nodes = _field(obj, "nodes", list)
+    edges = [_typed(d, dict, "edges") for d in _field(obj, "edges", list)]
     return Network(
         nodes=tuple(_typed(v, str, "nodes") for v in nodes),
-        edges=tuple(Edge(*(_typed(d[k], str, f"edges.{k}") for k in ("id", "tail", "head")))
+        edges=tuple(Edge(*(_field(d, f"edges.{k}", str) for k in ("id", "tail", "head")))
                     for d in edges),
-        source=_typed(obj["source"], str, "source"),
-        sink=_typed(obj["sink"], str, "sink"),
+        source=_field(obj, "source", str),
+        sink=_field(obj, "sink", str),
     )
 
 
@@ -506,9 +512,9 @@ def instance_to_obj(inst: Instance) -> dict:
 
 def instance_from_obj(obj: dict) -> Instance:
     net = network_from_obj(obj)
-    capacity = {d["id"]: as_fraction(d["capacity"]) for d in obj["edges"]}
-    transit = {d["id"]: as_fraction(d["transit"]) for d in obj["edges"]}
-    return Instance(net, capacity, transit, as_fraction(obj["supply"]))
+    capacity = {d["id"]: as_fraction(_field(d, "edges.capacity")) for d in obj["edges"]}
+    transit = {d["id"]: as_fraction(_field(d, "edges.transit")) for d in obj["edges"]}
+    return Instance(net, capacity, transit, as_fraction(_field(obj, "supply")))
 
 
 def is_instance_obj(obj: dict) -> bool:

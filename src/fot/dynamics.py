@@ -34,6 +34,7 @@ from .core import (
     InternalConsistencyError,
     MalformedFlowError,
     Scalar,
+    _field,
     _pairs,
     _typed,
     as_fraction,
@@ -396,8 +397,8 @@ def pwl_to_obj(curve: PiecewiseLinear) -> dict:
 
 def pwl_from_obj(obj: dict) -> PiecewiseLinear:
     points = [(as_fraction(x), as_fraction(y))
-              for x, y in _pairs(obj["breakpoints"], "breakpoints")]
-    return PiecewiseLinear.from_points(points, as_fraction(obj["final_slope"]))
+              for x, y in _pairs(_field(obj, "breakpoints"), "breakpoints")]
+    return PiecewiseLinear.from_points(points, as_fraction(_field(obj, "final_slope")))
 
 
 def _rates_to_obj(curve: PiecewiseLinear) -> list[list[str]]:
@@ -425,8 +426,8 @@ def flow_to_obj(flow: FlowOverTime) -> dict:
 def flow_from_obj(obj: dict) -> FlowOverTime:
     """Read a flow file; keys other than the three curve fields are ignored."""
     return FlowOverTime(
-        inflow=_curves_from_obj(obj["inflow"], "inflow"),
-        outflow=_curves_from_obj(obj["outflow"], "outflow"),
-        sink_cumulative=pwl_from_obj(_typed(obj["sink"], dict, "sink")),
+        inflow=_curves_from_obj(_field(obj, "inflow"), "inflow"),
+        outflow=_curves_from_obj(_field(obj, "outflow"), "outflow"),
+        sink_cumulative=pwl_from_obj(_field(obj, "sink", dict)),
     )
 

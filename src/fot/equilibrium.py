@@ -425,19 +425,20 @@ def enumerate_thin_flows(net: Network, active: frozenset[str],
     watch = [[i for i in range(len(edges)) if c in (tail_col[i], head_col[i], x0 + i)]
              for c in range(n)]
 
-    # value[c] is the value of column c once the prefix determines it, and
-    # drain[c] caches x_e / capacity for the rate column c of edge e.
+    # Labels first: when the steady test finds a flow in P(1), every mask
+    # before the first feasible one is skipped.
+    marks = first_feasible_support(net, active, resetting, capacity, supply, free)
+
+    # value[c] is the value of column c once the prefix determines it;
+    # `ratio` divides an edge's rate by its capacity on each call.
     value: list[Optional[Fraction]] = [None] * n
-    drain: list[Optional[Fraction]] = [None] * n
 
     def ratio(i: int) -> Optional[Fraction]:
         # rho_e(l'_v, x_e), or None while a value it needs is unknown.
-        c = x0 + i
-        rate = drain[c]
+        rate = value[x0 + i]
         if rate is None:
-            if value[c] is None:
-                return None
-            rate = drain[c] = value[c] / caps[i]
+            return None
+        rate /= caps[i]
         if tail_col[i] is None:
             return rate
         tail = value[tail_col[i]]
@@ -465,7 +466,7 @@ def enumerate_thin_flows(net: Network, active: frozenset[str],
 
     def forget(state: Elimination) -> None:
         for c in state.determined:
-            value[c] = drain[c] = None
+            value[c] = None
 
     def walk(state: Elimination, levels: list, d: int):
         # Depth first below `state`, the elimination of the first d levels:
@@ -489,9 +490,6 @@ def enumerate_thin_flows(net: Network, active: frozenset[str],
                         yield ThinFlow(label_slopes, edge_rates)
             forget(child)
 
-    # Labels first: when the steady test finds a flow in P(1), every mask
-    # before the first feasible one is skipped.
-    marks = first_feasible_support(net, active, resetting, capacity, supply, free)
     bits = [1 << j for j in reversed(range(len(free)))]
     start = 0 if marks is None else sum(b for b, m in zip(bits, marks) if m)
     for mask in range(start, 1 << len(free)):

@@ -12,7 +12,7 @@ random test DAGs, and plain parallel-link chains are generated here as well.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -80,21 +80,27 @@ def make_mn(params: MnParams) -> Instance:
     return Instance(ladder_network(n), capacity, transit, supply=alphas[0])
 
 
-def geometric_alphas(n: int, eps: Fraction, j: int) -> tuple[Fraction, ...]:
-    """Capacity ladder 1 + eps^(j+k); valid for 0 < eps < 1/(2n), j >= 1."""
+def _check_ladder(n: int, eps: Fraction, j: int = 1) -> Fraction:
+    """eps as a Fraction, once n >= 2, 0 < eps < 1/(2n) and j >= 1 hold."""
+    if n < 2:
+        raise ParameterError("need at least two nodes")
     eps = F(eps)
     if not 0 < eps < F(1, 2 * n):
         raise ParameterError(f"eps must lie in (0, 1/{2 * n})")
     if j < 1:
         raise ParameterError("j must be at least 1")
+    return eps
+
+
+def geometric_alphas(n: int, eps: Fraction, j: int) -> tuple[Fraction, ...]:
+    """Capacity ladder 1 + eps^(j+k); valid for 0 < eps < 1/(2n), j >= 1."""
+    eps = _check_ladder(n, eps, j)
     return tuple(1 + eps ** (j + k) for k in range(n))
 
 
-def _integer_exponent(n: int, eps: Fraction) -> int:
-    """The smallest a >= 1 with 1/2^a <= eps, for 0 < eps < 1/(2n)."""
-    eps = F(eps)
-    if not 0 < eps < F(1, 2 * n):
-        raise ParameterError(f"eps must lie in (0, 1/{2 * n})")
+def _integer_exponent(eps: Fraction) -> int:
+    """The smallest a >= 1 with 1/2^a <= eps, for an eps that
+    `_check_ladder` passed."""
     a = 1
     while F(1, 2 ** a) > eps:
         a += 1
@@ -104,16 +110,14 @@ def _integer_exponent(n: int, eps: Fraction) -> int:
 def integer_alphas(n: int, eps: Fraction, j: int) -> tuple[Fraction, ...]:
     """All-integer ladder 2^(a(n+j)) + 2^(a(n-k)) with the smallest a such
     that 1/2^a <= eps; produces instances with integer capacities only."""
-    a = _integer_exponent(n, eps)
-    if j < 1:
-        raise ParameterError("j must be at least 1")
+    a = _integer_exponent(_check_ladder(n, eps, j))
     return tuple(F(2 ** (a * (n + j)) + 2 ** (a * (n - k))) for k in range(n))
 
 
 def integer_alpha_bound(n: int, eps: Fraction, horizon: Fraction) -> Fraction:
     """Cost target that the integer ladder is built to exceed:
     (1 - n/2^(a-1)) * (n-1) * horizon."""
-    a = _integer_exponent(n, eps)
+    a = _integer_exponent(_check_ladder(n, eps))
     return (1 - F(n, 2 ** (a - 1))) * (n - 1) * F(horizon)
 
 
@@ -222,10 +226,8 @@ def embed_paradox_instance(host: Network, embedding, horizon: Fraction,
             tau, cap = designated[pattern_edge]
             transit[path[0]] = tau
             capacity[path[0]] = cap
-    source = embedding.node_images[embedding.pattern.source]
-    sink = embedding.node_images[embedding.pattern.sink]
-    net = host if (host.source, host.sink) == (source, sink) else Network(
-        nodes=host.nodes, edges=host.edges, source=source, sink=sink)
+    net = replace(host, source=embedding.node_images[embedding.pattern.source],
+                  sink=embedding.node_images[embedding.pattern.sink])
     return Instance(net, capacity, transit, supply=a0)
 
 
@@ -257,9 +259,8 @@ def random_dag(nodes: int, edges: int, seed: int) -> Network:
 
     Deterministic construction: vertices n0..n{k-1} are in topological
     order; the candidate edge set is all ordered pairs (i, j) with i < j in
-    lexicographic order; a Fisher-Yates shuffle driven by
-    `random.Random(seed).randrange` picks the first `edges` of them.  Source
-    is n0, sink is the last vertex.
+    lexicographic order; `random.Random(seed).shuffle` orders them and the
+    first `edges` are kept.  Source is n0, sink is the last vertex.
     """
     if nodes < 2:
         raise ParameterError("need at least two nodes")
@@ -268,12 +269,8 @@ def random_dag(nodes: int, edges: int, seed: int) -> Network:
         raise ParameterError("edge count must be nonnegative")
     if edges > len(pairs):
         raise ParameterError(f"at most {len(pairs)} edges fit on {nodes} nodes")
-    rng = random.Random(seed)
-    deck = list(pairs)
-    for i in range(len(deck) - 1, 0, -1):
-        j = rng.randrange(i + 1)
-        deck[i], deck[j] = deck[j], deck[i]
-    chosen = sorted(deck[:edges])
+    random.Random(seed).shuffle(pairs)
+    chosen = sorted(pairs[:edges])
     names = tuple(f"n{i}" for i in range(nodes))
     edge_list = tuple(Edge(f"g{k}", names[i], names[j])
                       for k, (i, j) in enumerate(chosen))

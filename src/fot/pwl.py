@@ -8,9 +8,11 @@ slope), so structural equality is semantic equality.  All arithmetic is over
 Sum, minimum and the piecewise tests in `fot.dynamics` walk two curves'
 breakpoint lists at once (`joint_segments`); `compose` walks inner segments
 and outer breakpoints at once.  Each walk knows the slope of every piece it
-yields, so results are built from their breakpoints and known slopes
-(`_from_pieces`), with no division per segment; `from_points` and the
-checked constructor derive slopes for points from outside.
+yields, so results are built from their breakpoints and known slopes, with
+no division per segment.  One builder, `_from_pieces`, merges equal slopes
+into canonical form for every result and for `from_points`; points from
+outside get their slopes from one derivation (`_slopes`), which the checked
+constructor shares.
 
 These functions carry every curve in the package: cumulative edge in/outflows,
 queue sizes, node arrival-time labels, and sink arrivals.
@@ -28,35 +30,14 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def _canonical(points: Sequence[tuple[Fraction, Fraction]], final_slope: Fraction
-               ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Breakpoints with collinear interior points merged, and the slope of
-    each remaining segment (the last one being `final_slope`)."""
-    if not points:
-        raise ContractError("a piecewise-linear function needs at least one breakpoint")
-    xs = [points[0][0]]
-    ys = [points[0][1]]
-    for x, y in points[1:]:
-        if x <= xs[-1]:
-            raise ContractError("breakpoints must be strictly increasing")
-        xs.append(x)
-        ys.append(y)
-    # Merge collinear interior breakpoints, walking from the right so the
-    # final slope can absorb redundant trailing points.  `slopes` collects
-    # the kept segments' slopes from the right.
-    i = len(xs) - 1
-    slopes = [final_slope]
-    keep = [True] * len(xs)
-    while i >= 1:
-        slope_before = (ys[i] - ys[i - 1]) / (xs[i] - xs[i - 1])
-        if slope_before == slopes[-1]:
-            keep[i] = False
-        else:
-            slopes.append(slope_before)
-        i -= 1
-    xs = [x for x, k in zip(xs, keep) if k]
-    ys = [y for y, k in zip(ys, keep) if k]
-    return tuple(xs), tuple(ys), tuple(reversed(slopes))
+def _slopes(xs: Sequence[Fraction], ys: Sequence[Fraction],
+            final_slope: Fraction) -> tuple[Fraction, ...]:
+    """The slope of each segment between breakpoints, then `final_slope`;
+    the x must increase strictly."""
+    if any(a >= b for a, b in zip(xs, xs[1:])):
+        raise ContractError("breakpoints must be strictly increasing")
+    return tuple((y1 - y0) / (x1 - x0) for x0, x1, y0, y1
+                 in zip(xs, xs[1:], ys, ys[1:])) + (final_slope,)
 
 
 def _from_pieces(pieces: Iterable[tuple[Fraction, Fraction, Fraction]]) -> "PiecewiseLinear":
@@ -97,14 +78,10 @@ class PiecewiseLinear:
     def __post_init__(self):
         if len(self.xs) != len(self.ys) or not self.xs:
             raise ContractError("malformed breakpoint arrays")
-        for a, b in zip(self.xs, self.xs[1:]):
-            if a >= b:
-                raise ContractError("breakpoints must be strictly increasing")
         # Canonical form: consecutive segments never share a slope.  The
         # slopes are kept (outside the dataclass fields, so equality and hash
         # stay on xs, ys and final_slope) for evaluation.
-        slopes = tuple((self.ys[i + 1] - self.ys[i]) / (self.xs[i + 1] - self.xs[i])
-                       for i in range(len(self.xs) - 1)) + (self.final_slope,)
+        slopes = _slopes(self.xs, self.ys, self.final_slope)
         for a, b in zip(slopes, slopes[1:]):
             if a == b:
                 raise ContractError("non-canonical representation (collinear segments)")
@@ -115,9 +92,12 @@ class PiecewiseLinear:
     @classmethod
     def from_points(cls, points: Sequence[tuple[Fraction, Fraction]],
                     final_slope: Fraction) -> "PiecewiseLinear":
-        # The points come in increasing x.  `_canonical` checks that order
-        # and derives every slope.
-        return _curve(*_canonical(points, final_slope))
+        """The canonical curve through `points`, given in increasing x:
+        collinear interior points are merged."""
+        if not points:
+            raise ContractError("a piecewise-linear function needs at least one breakpoint")
+        xs, ys = zip(*points)
+        return _from_pieces(zip(xs, ys, _slopes(xs, ys, final_slope)))
 
     @classmethod
     def constant(cls, value: Fraction, start: Fraction = ZERO) -> "PiecewiseLinear":
@@ -129,18 +109,18 @@ class PiecewiseLinear:
         return cls((start,), (intercept + slope * start,), slope)
 
     @classmethod
-    def identity(cls, start: Fraction = ZERO) -> "PiecewiseLinear":
-        return cls.affine(ONE, ZERO, start)
+    def identity(cls) -> "PiecewiseLinear":
+        return cls.affine(ONE, ZERO)
 
     @classmethod
-    def from_rate_segments(cls, pairs: Sequence[tuple[Fraction, Fraction]],
-                           origin: Fraction = ZERO) -> "PiecewiseLinear":
+    def from_rate_segments(cls, pairs: Sequence[tuple[Fraction, Fraction]]
+                           ) -> "PiecewiseLinear":
         """Integrate a step function given as (start_time, rate) pairs.
 
-        The cumulative curve starts at ``(origin, 0)``; the rate before the
-        first pair is zero and the last rate extends forever.
+        The cumulative curve starts at ``(0, 0)``; the rate before the first
+        pair is zero and the last rate extends forever.
         """
-        pieces = [(origin, ZERO, ZERO)]
+        pieces = [(ZERO, ZERO, ZERO)]
         for start, rate in pairs:
             x, y, slope = pieces[-1]
             if start < x:

@@ -151,6 +151,8 @@ def _preset_lemma3(samples: int = 500, seed: int = 1, nodes: int = 8,
                    edges: int = 14) -> Outcome:
     # The two classifiers run here, not through `classify`, which raises on
     # a disagreement: a disagreement reads as a failed assertion.
+    if samples < 1:
+        raise ParameterError("need at least one sample")
     agreements = 0
     for s in range(seed, seed + samples):
         net = random_dag(nodes, edges, s)

@@ -363,6 +363,101 @@ def test_lemma3_disagreement_is_a_failed_assertion(monkeypatch, capsys):
     assert err.startswith("FAILED: chain-of-parallel-paths property")
 
 
+@pytest.mark.parametrize("argv", [
+    ("gen", "mn", "--eps", "1/10"), ("gen", "mn", "--eps", "1/10", "--integer"),
+    ("reproduce", "lemma1"),
+])
+@pytest.mark.parametrize("n", ["0", "1", "-3"])
+def test_ladders_below_two_nodes_are_input_errors(argv, n, capsys):
+    code, out, err = run_cli(capsys, *argv, "--n", n)
+    assert code == 2 and out == ""
+    assert err == "fot: input error: need at least two nodes\n"
+
+
+@pytest.mark.parametrize("samples", ["0", "-2"])
+def test_lemma3_without_samples_is_an_input_error(samples, capsys):
+    code, out, err = run_cli(capsys, "reproduce", "lemma3", "--samples", samples)
+    assert code == 2 and out == ""
+    assert err == "fot: input error: need at least one sample\n"
+
+
+def _without(obj, *path):
+    """A deep copy of obj without the key at the end of `path`."""
+    obj = json.loads(json.dumps(obj))
+    *parents, key = path
+    inner = obj
+    for step in parents:
+        inner = inner[step]
+    del inner[key]
+    return obj
+
+
+def _missing_field_cases(tmp_path, capsys):
+    """(name of the missing field, argv) for each JSON reader of the CLI; the
+    input of a case lasts until the next case is drawn."""
+    inst_obj = instance_to_obj(two_link_base_instance())
+    inst_path = write_instance(tmp_path, two_link_base_instance())
+    flow = _engine_flow_obj(capsys, inst_path)
+    _, run_out, _ = run_cli(capsys, "simulate", inst_path)
+    run = json.loads(run_out)
+    grid = [{"label": "a", "instance": inst_obj}]
+
+    def written(obj):
+        path = tmp_path / "missing.json"
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    for key in ("nodes", "edges", "source", "sink"):
+        yield key, ("simulate", written(_without(inst_obj, key)))
+        yield key, ("classify", written(_without(inst_obj, key)))
+    for key in ("id", "tail", "head", "capacity", "transit"):
+        yield f"edges.{key}", ("braess", written(_without(inst_obj, "edges", 0, key)))
+    for path in (("inflow",), ("outflow",), ("sink",), ("sink", "breakpoints"),
+                 ("sink", "final_slope")):
+        yield path[-1], ("validate", inst_path, written(_without(flow, *path)))
+    sweep = ("sweep", "--preset", "transpose-m3", "--grid")
+    for path, field in (((0, "label"), "grid.label"), ((0, "instance"), "grid.instance"),
+                        ((0, "instance", "edges", 0, "capacity"), "edges.capacity")):
+        yield field, (*sweep, written(_without(grid, *path)))
+    for path, field in ((("labels",), "labels"), (("queues",), "queues"),
+                        (("labels", "v2", "breakpoints"), "labels.v2.breakpoints")):
+        yield field, ("export-plotdata", written(_without(run, *path)))
+
+
+def test_a_missing_field_is_an_input_error_that_names_it(tmp_path, capsys):
+    fields = []
+    for field, argv in _missing_field_cases(tmp_path, capsys):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", (field, argv)
+        assert err == f"fot: input error: field {field!r} is missing\n", (field, argv)
+        fields.append(field)
+    assert len(fields) == 24
+
+
+def test_a_bare_network_in_a_sweep_grid_is_an_input_error(tmp_path, capsys):
+    grid_path = tmp_path / "grid.json"
+    net = network_to_obj(two_link_base_instance().network)
+    grid_path.write_text(json.dumps([{"label": "a", "instance": net}]))
+    code, out, err = run_cli(capsys, "sweep", "--preset", "transpose-m3",
+                             "--grid", str(grid_path))
+    assert code == 2 and out == ""
+    assert err == ("fot: input error: field 'grid.instance' holds a bare network; "
+                   "an instance is needed\n")
+
+
+def test_a_key_error_inside_the_engine_is_not_an_input_error(tmp_path, capsys,
+                                                               monkeypatch):
+    from fot import equilibrium
+
+    def broken(*args, **kwargs):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(equilibrium, "nash_flow", broken)
+    inst_path = write_instance(tmp_path, two_link_base_instance())
+    with pytest.raises(KeyError, match="bug"):
+        main(["simulate", inst_path])
+
+
 def test_exit_codes(tmp_path, capsys):
     code, _, err = run_cli(capsys, "simulate", "/nonexistent.json")
     assert code == 2 and "input error" in err
@@ -447,8 +542,9 @@ def test_cycle_is_an_input_error(command, tmp_path, capsys):
     ("sink", [["0", "0"], ["0", "0"]], "strictly increasing"),
     ("sink", [[1]], "'breakpoints' must be a list of [x, y] pairs"),
     ("sink", [["1", "1"], ["0", "0"]], "strictly increasing"),
+    ("sink", [], "at least one breakpoint"),
 ], ids=["rate-before-time-zero", "repeated-sink-breakpoint", "sink-breakpoint-no-pair",
-        "reversed-sink-breakpoints"])
+        "reversed-sink-breakpoints", "empty-sink-breakpoints"])
 def test_validate_curve_that_is_no_curve_is_an_input_error(field, value, message,
                                                            tmp_path, capsys):
     inst_path = write_instance(tmp_path, two_link_base_instance())

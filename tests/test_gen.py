@@ -182,6 +182,28 @@ def test_random_dag_deterministic_and_forced_cases():
     assert len(nets) > 1  # seeds actually vary the graph
 
 
+def test_random_dag_edge_lists_are_pinned():
+    # Every random corpus (lemma3, the benchmark's DAGs) is built on these
+    # draws, so a change to how `random_dag` orders its pairs shows here.
+    assert [(e.tail, e.head) for e in random_dag(8, 14, 1).edges] == [
+        ("n0", "n1"), ("n0", "n2"), ("n0", "n6"), ("n1", "n4"), ("n1", "n5"),
+        ("n1", "n6"), ("n2", "n3"), ("n2", "n6"), ("n2", "n7"), ("n3", "n5"),
+        ("n4", "n5"), ("n4", "n6"), ("n5", "n7"), ("n6", "n7")]
+    assert [(e.tail, e.head) for e in random_dag(6, 9, 14).edges] == [
+        ("n0", "n1"), ("n0", "n3"), ("n0", "n5"), ("n1", "n2"), ("n1", "n3"),
+        ("n1", "n4"), ("n3", "n4"), ("n3", "n5"), ("n4", "n5")]
+
+
+@pytest.mark.parametrize("n", [0, 1, -3])
+def test_ladder_recipes_check_the_node_count_first(n):
+    # Before eps, whose bound 1/(2n) has no meaning below two nodes.
+    for build in (lambda: geometric_alphas(n, F(1, 10), 1),
+                  lambda: integer_alphas(n, F(1, 10), 1),
+                  lambda: integer_alpha_bound(n, F(1, 10), F(1))):
+        with pytest.raises(ParameterError, match="need at least two nodes"):
+            build()
+
+
 def test_random_dag_is_acyclic():
     for seed in range(1, 30):
         random_dag(8, 14, seed).topological_order()  # raises on a cycle
