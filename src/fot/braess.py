@@ -33,6 +33,7 @@ from .core import (
     INF,
     Instance,
     ParameterError,
+    Q,
     Scalar,
     SizeCapError,
     restrict,
@@ -50,11 +51,11 @@ def extended_ratio(full: Scalar, sub: Scalar) -> Scalar:
     """Cost ratio with unbounded values: two unbounded costs compare as even,
     an unbounded numerator dominates, an unbounded denominator vanishes."""
     if full is INF:
-        return Fraction(1) if sub is INF else INF
+        return Q(1) if sub is INF else INF
     if sub is INF:
-        return Fraction(0)
+        return Q(0)
     if sub == 0:
-        return Fraction(1) if full == 0 else INF
+        return Q(1) if full == 0 else INF
     return full / sub
 
 
@@ -136,7 +137,7 @@ def braess_ratio(inst: Instance, subsets: Optional[Sequence[Sequence[str]]] = No
             entry = SubgraphCost(kept, *by_core[core])
         entries.append(entry)
 
-    ratio: Scalar = Fraction(0)
+    ratio: Scalar = Q(0)
     argmax: tuple[str, ...] = tuple(edge_ids)
     for entry in entries:
         contribution = extended_ratio(full_cost, entry.cost)

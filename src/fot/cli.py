@@ -31,6 +31,7 @@ from .core import (
     NoPathError,
     ParameterError,
     PhaseCapError,
+    Q,
     SizeCapError,
     UnsupportedTopologyError,
     _field,
@@ -435,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     gsub = p.add_subparsers(dest="family", required=True)
     g = gsub.add_parser("mn")
     g.add_argument("--n", type=int, required=True)
-    g.add_argument("--T", type=_fraction_arg, default=Fraction(1))
+    g.add_argument("--T", type=_fraction_arg, default=Q(1))
     g.add_argument("--eps", type=_fraction_arg, required=True)
     g.add_argument("--j", type=int, default=1)
     g.add_argument("--integer", action="store_true")
@@ -447,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="instantiate with ladder parameters instead of "
                             "emitting the bare network")
         g.add_argument("--j", type=int, default=1)
-        g.add_argument("--T", type=_fraction_arg, default=Fraction(1))
+        g.add_argument("--T", type=_fraction_arg, default=Q(1))
         add_output(g)
         g.set_defaults(func=_cmd_gen)
     g = gsub.add_parser("random")

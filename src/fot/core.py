@@ -1,19 +1,23 @@
 """Exact scalars, networks, instances, and the JSON interchange format.
 
-Every numeric quantity in this package is an exact rational
-(`fractions.Fraction`).  The single non-rational value is the ``INF``
-sentinel used for unbounded costs; it supports comparisons but no
-arithmetic, so an infinity can never leak silently into a computation.
+Every numeric quantity in this package is an exact rational of type `Q`.
+`Q` is a `fractions.Fraction` subclass that only makes the arithmetic the
+engine does faster, so its values hash, print, compare and equal exactly
+as `Fraction`s do: outputs and callers that pass or expect `Fraction`s are
+unchanged.  The single non-rational value is the ``INF`` sentinel used
+for unbounded costs; it supports comparisons but no arithmetic, so an
+infinity can never leak silently into a computation.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import AbstractSet, Iterable, Mapping, Optional, Sequence, Union
 
 
@@ -96,7 +100,151 @@ class _PosInfinity:
 
 INF = _PosInfinity()
 
-Scalar = Union[Fraction, _PosInfinity]
+
+def _q(n: int, d: int) -> Q:
+    """n/d as a `Q`, where n and d are coprime and d is positive.  It sets
+    the private slots of the pure-Python `fractions.Fraction` directly, as
+    `Fraction` does itself; the tests compare `Q` with `Fraction` on every
+    interpreter that CI runs."""
+    q = object.__new__(Q)
+    q._numerator = n
+    q._denominator = d
+    return q
+
+
+# The fast paths of `Q`: exact results from the numerators and denominators
+# of two operands in lowest terms, by the gcd formulas of CPython's
+# `Fraction._add` and `Fraction._mul`.
+
+def _sum(na: int, da: int, nb: int, db: int) -> Q:
+    g = gcd(da, db)
+    if g == 1:
+        return _q(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return _q(t, s * db)
+    return _q(t // g2, s * (db // g2))
+
+
+def _difference(na: int, da: int, nb: int, db: int) -> Q:
+    return _sum(na, da, -nb, db)
+
+
+def _product(na: int, da: int, nb: int, db: int) -> Q:
+    """(na/da) * (nb/db), where db may be negative (a quotient's)."""
+    g1 = gcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = gcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    n, d = na * nb, da * db
+    if d < 0:
+        n, d = -n, -d
+    return _q(n, d)
+
+
+def _quotient(na: int, da: int, nb: int, db: int) -> Q:
+    if nb == 0:
+        raise ZeroDivisionError("division by zero")
+    return _product(na, da, db, nb)
+
+
+def _arithmetic(op, forward_fallback, reverse_fallback):
+    """The forward and reflected methods of a `Q` operator: `op` on
+    numerators and denominators when the other operand is exactly a `Q`,
+    a `Fraction` or an int, the inherited `Fraction` method otherwise."""
+
+    def forward(a, b):
+        kind = type(b)
+        if kind is Q or kind is Fraction:
+            return op(a._numerator, a._denominator, b._numerator, b._denominator)
+        if kind is int:
+            return op(a._numerator, a._denominator, b, 1)
+        return forward_fallback(a, b)
+
+    def reverse(b, a):
+        kind = type(a)
+        if kind is Fraction or kind is Q:
+            return op(a._numerator, a._denominator, b._numerator, b._denominator)
+        if kind is int:
+            return op(a, 1, b._numerator, b._denominator)
+        return reverse_fallback(b, a)
+
+    return forward, reverse
+
+
+def _comparison(op, fallback):
+    """A `Q` order comparison, fast on the same operand types as
+    `_arithmetic`."""
+
+    def compare(a, b):
+        kind = type(b)
+        if kind is Q or kind is Fraction:
+            return op(a._numerator * b._denominator, a._denominator * b._numerator)
+        if kind is int:
+            return op(a._numerator, a._denominator * b)
+        return fallback(a, b)
+
+    return compare
+
+
+class Q(Fraction):
+    """The exact rational that the package computes in.
+
+    A `Fraction` whose ``+ - * /`` (both ways round), unary minus, `abs` and
+    six comparisons skip the `numbers` ABC checks of `Fraction` when the
+    other operand is exactly a `Q`, a `Fraction` or an int, and build the
+    result from coprime integers.  Results of those operations are `Q`s;
+    any other operand (`INF`, a bool, a float) gets the inherited
+    `Fraction` behaviour.  Hash, `str`, equality with `Fraction` and int,
+    pickling and copying are those of `Fraction`.
+    """
+
+    __slots__ = ()
+
+    __add__, __radd__ = _arithmetic(_sum, Fraction.__add__, Fraction.__radd__)
+    __sub__, __rsub__ = _arithmetic(_difference, Fraction.__sub__, Fraction.__rsub__)
+    __mul__, __rmul__ = _arithmetic(_product, Fraction.__mul__, Fraction.__rmul__)
+    __truediv__, __rtruediv__ = _arithmetic(_quotient, Fraction.__truediv__,
+                                            Fraction.__rtruediv__)
+
+    __lt__ = _comparison(operator.lt, Fraction.__lt__)
+    __le__ = _comparison(operator.le, Fraction.__le__)
+    __gt__ = _comparison(operator.gt, Fraction.__gt__)
+    __ge__ = _comparison(operator.ge, Fraction.__ge__)
+
+    def __eq__(a, b):
+        kind = type(b)
+        if kind is Q or kind is Fraction:
+            return a._numerator == b._numerator and a._denominator == b._denominator
+        if kind is int:
+            return a._numerator == b and a._denominator == 1
+        return Fraction.__eq__(a, b)
+
+    def __ne__(a, b):
+        kind = type(b)
+        if kind is Q or kind is Fraction:
+            return a._numerator != b._numerator or a._denominator != b._denominator
+        if kind is int:
+            return a._numerator != b or a._denominator != 1
+        equal = Fraction.__eq__(a, b)
+        return equal if equal is NotImplemented else not equal
+
+    __hash__ = Fraction.__hash__
+
+    def __neg__(a):
+        return _q(-a._numerator, a._denominator)
+
+    def __abs__(a):
+        return _q(abs(a._numerator), a._denominator)
+
+
+Scalar = Union[Q, _PosInfinity]
 
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?\Z")
@@ -114,7 +262,7 @@ def parse_scalar(text: str) -> Scalar:
     if not _RATIONAL_RE.match(text):
         raise ParameterError(f"not an exact rational: {text!r}")
     try:
-        return Fraction(text)
+        return Q(text)
     except ZeroDivisionError as exc:
         raise ParameterError(f"zero denominator: {text!r}") from exc
 
@@ -127,14 +275,16 @@ def format_scalar(x: Scalar) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def as_fraction(x) -> Fraction:
-    """Coerce int/str/Fraction to Fraction, rejecting floats and booleans."""
+def as_fraction(x) -> Q:
+    """Coerce int/str/Fraction to `Q`, rejecting floats and booleans."""
+    if type(x) is Q:
+        return x
+    if isinstance(x, Fraction):
+        return _q(x.numerator, x.denominator)
     if isinstance(x, float):
         raise ParameterError("floats are not accepted; pass an exact rational")
-    if isinstance(x, Fraction):
-        return x
     if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
+        return _q(x, 1)
     if isinstance(x, str):
         value = parse_scalar(x)
         if value is INF:
@@ -259,15 +409,20 @@ class Instance:
     """
 
     network: Network
-    capacity: Mapping[str, Fraction]
-    transit: Mapping[str, Fraction]
-    supply: Fraction
+    capacity: Mapping[str, Q]
+    transit: Mapping[str, Q]
+    supply: Q
 
     def __post_init__(self):
         ids = {e.id for e in self.network.edges}
         if set(self.capacity) != ids or set(self.transit) != ids:
             raise ParameterError("capacity/transit maps must cover exactly the edge set")
-        for eid in ids:
+        # Every scalar becomes a `Q`, or the instance is refused here.
+        for name in ("capacity", "transit"):
+            object.__setattr__(self, name, {eid: as_fraction(x)
+                                            for eid, x in getattr(self, name).items()})
+        object.__setattr__(self, "supply", as_fraction(self.supply))
+        for eid in self.edge_ids:  # in edge order: the first bad edge is named
             if self.capacity[eid] <= 0:
                 raise ParameterError(f"capacity of {eid!r} must be positive")
             if self.transit[eid] < 0:

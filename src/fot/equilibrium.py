@@ -55,6 +55,7 @@ from .core import (
     Network,
     NoPathError,
     PhaseCapError,
+    Q,
     Scalar,
     SizeCapError,
     first_feasible_support,
@@ -117,9 +118,9 @@ class Elimination:
         self.pivots = {} if pivots is None else pivots
         self.determined = determined
 
-    def value(self, c: int) -> Fraction:
+    def value(self, c: int) -> Q:
         row = self.pivots[c]
-        return Fraction(row.get(self.n, 0), row[c])
+        return Q(row.get(self.n, 0), row[c])
 
     def extend(self, coeffs: Mapping[int, int], rhs: int) -> Optional[Elimination]:
         """The state with one more row, or None when the row contradicts

@@ -12,8 +12,10 @@ random test DAGs, and plain parallel-link chains are generated here as well.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import isqrt
 from typing import Sequence
 
 from .core import (
@@ -254,23 +256,36 @@ def make_chain(sections: Sequence[Sequence[tuple[Fraction, Fraction]]],
     return Instance(net, capacity, transit, supply=F(supply))
 
 
+def _pair(nodes: int, index: int) -> tuple[int, int]:
+    """The pair (i, j), i < j < nodes, at `index` in lexicographic order."""
+    # Row i holds the nodes - 1 - i pairs (i, j), so the last r rows hold
+    # r(r + 1)/2 pairs: count back from the last pair.
+    back = nodes * (nodes - 1) // 2 - 1 - index
+    r = (isqrt(8 * back + 1) - 1) // 2
+    return nodes - 2 - r, nodes - 1 - (back - r * (r + 1) // 2)
+
+
 def random_dag(nodes: int, edges: int, seed: int) -> Network:
     """Random DAG on `nodes` labeled vertices with `edges` edges.
 
     Deterministic construction: vertices n0..n{k-1} are in topological
     order; the candidate edge set is all ordered pairs (i, j) with i < j in
     lexicographic order; `random.Random(seed).shuffle` orders them and the
-    first `edges` are kept.  Source is n0, sink is the last vertex.
+    first `edges` are kept.  Source is n0, sink is the last vertex.  The
+    shuffle runs on the pairs' indices in a compact array (it only swaps
+    by index, so it draws and moves the same), and only the kept indices
+    are decoded into pairs.
     """
     if nodes < 2:
         raise ParameterError("need at least two nodes")
-    pairs = [(i, j) for i in range(nodes) for j in range(i + 1, nodes)]
+    count = nodes * (nodes - 1) // 2
     if edges < 0:
         raise ParameterError("edge count must be nonnegative")
-    if edges > len(pairs):
-        raise ParameterError(f"at most {len(pairs)} edges fit on {nodes} nodes")
-    random.Random(seed).shuffle(pairs)
-    chosen = sorted(pairs[:edges])
+    if edges > count:
+        raise ParameterError(f"at most {count} edges fit on {nodes} nodes")
+    order = array("q", range(count))
+    random.Random(seed).shuffle(order)
+    chosen = sorted(_pair(nodes, index) for index in order[:edges])
     names = tuple(f"n{i}" for i in range(nodes))
     edge_list = tuple(Edge(f"g{k}", names[i], names[j])
                       for k, (i, j) in enumerate(chosen))

@@ -4,7 +4,7 @@ A `PiecewiseLinear` is a continuous function on ``[start, infinity)`` given by
 finitely many breakpoints and a final slope that extends the last segment
 forever.  The representation is canonical (no two adjacent segments share a
 slope), so structural equality is semantic equality.  All arithmetic is over
-`fractions.Fraction`; crossing points and preimages are computed exactly.
+`fot.core.Q` rationals; crossing points and preimages are computed exactly.
 Sum, minimum and the piecewise tests in `fot.dynamics` walk two curves'
 breakpoint lists at once (`joint_segments`); `compose` walks inner segments
 and outer breakpoints at once.  Each walk knows the slope of every piece it
@@ -24,10 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .core import ContractError, DomainError, INF, Scalar
+from .core import ContractError, DomainError, INF, Q, Scalar
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = Q(0)
+ONE = Q(1)
 
 
 def _slopes(xs: Sequence[Fraction], ys: Sequence[Fraction],

@@ -97,6 +97,35 @@ def test_instance_validation():
         Instance(inst.network, dict(inst.capacity), dict(inst.transit), Fraction(0))
 
 
+def test_instance_names_the_first_bad_edge_in_edge_order():
+    # Not in an order that depends on the string hash seed.
+    net = Network(("s", "t"), tuple(Edge(x, "s", "t") for x in "abcdefgh"), "s", "t")
+    zeros = {x: Fraction(0) for x in "abcdefgh"}
+    with pytest.raises(ParameterError, match="capacity of 'a' must be positive"):
+        Instance(net, zeros, dict(zeros), Fraction(1))
+
+
+@pytest.mark.parametrize("field, value", [("capacity", 1.5), ("transit", 0.5),
+                                          ("supply", True)])
+def test_instance_refuses_non_rational_scalars_as_the_json_reader_does(field, value):
+    # Found at construction, not deep in the engine (a float capacity used
+    # to fail in the thin-flow search, a float transit in `format_scalar`,
+    # and a supply of True to run as 1), with the error the CLI gives.
+    inst = two_link_instance()
+    parts = {"capacity": dict(inst.capacity), "transit": dict(inst.transit),
+             "supply": inst.supply}
+    obj = instance_to_obj(inst)
+    if field == "supply":
+        parts["supply"] = obj["supply"] = value
+    else:
+        parts[field]["e1"] = obj["edges"][0][field] = value
+    with pytest.raises(ParameterError) as built:
+        Instance(inst.network, **parts)
+    with pytest.raises(ParameterError) as read:
+        instance_from_obj(obj)
+    assert str(built.value) == str(read.value)
+
+
 def test_topological_order_and_cycle_detection():
     net = Network(
         nodes=("a", "b", "c"),

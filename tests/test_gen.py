@@ -8,6 +8,7 @@ from fot.core import ParameterError, restrict, transpose
 from fot.equilibrium import nash_flow
 from fot.gen import (
     MnParams,
+    _pair,
     geometric_alphas,
     instantiate_m3_variant,
     integer_alpha_bound,
@@ -192,6 +193,12 @@ def test_random_dag_edge_lists_are_pinned():
     assert [(e.tail, e.head) for e in random_dag(6, 9, 14).edges] == [
         ("n0", "n1"), ("n0", "n3"), ("n0", "n5"), ("n1", "n2"), ("n1", "n3"),
         ("n1", "n4"), ("n3", "n4"), ("n3", "n5"), ("n4", "n5")]
+
+
+def test_random_dag_decodes_pair_indices_in_lexicographic_order():
+    for nodes in range(2, 12):
+        pairs = [(i, j) for i in range(nodes) for j in range(i + 1, nodes)]
+        assert [_pair(nodes, index) for index in range(len(pairs))] == pairs
 
 
 @pytest.mark.parametrize("n", [0, 1, -3])
