@@ -234,14 +234,23 @@ def _fraction_arg(text: str) -> Fraction:
     return value
 
 
-def _places_arg(text: str) -> int:
-    try:
-        places = int(text)
-    except ValueError:
-        places = -1
-    if places < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    return places
+def _int_at_least(least: int):
+    """An argparse type: an integer of at least `least`, else a usage error."""
+    what = "a nonnegative integer" if least == 0 else f"an integer of at least {least}"
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = least - 1
+        if value < least:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+    return parse
+
+
+_nonnegative_arg = _int_at_least(0)
+_phase_cap_arg = _int_at_least(1)
 
 
 # -- subcommand implementations ----------------------------------------------------
@@ -392,12 +401,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-o", "--output", help="write to a file instead of stdout")
         if formats:
             p.add_argument("--format", choices=("json", "csv"), default="json")
-            p.add_argument("--decimal", type=_places_arg, default=None,
+            p.add_argument("--decimal", type=_nonnegative_arg, default=None,
                            help="add a display-only decimal column (CSV only)")
 
     p = sub.add_parser("simulate", help="compute the equilibrium phase by phase")
     p.add_argument("instance")
-    p.add_argument("--phase-cap", type=int, default=200)
+    p.add_argument("--phase-cap", type=_phase_cap_arg, default=200)
     add_output(p, formats=True)
     p.set_defaults(func=_cmd_simulate)
 
@@ -412,23 +421,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("braess", help="cost ratio over all kept-edge subsets")
     p.add_argument("instance")
-    p.add_argument("--cap", type=int, default=16)
+    p.add_argument("--cap", type=_nonnegative_arg, default=16)
     p.add_argument("--subsets", help="JSON file with an explicit subset list")
-    p.add_argument("--phase-cap", type=int, default=200)
+    p.add_argument("--phase-cap", type=_phase_cap_arg, default=200)
     add_output(p)
     p.set_defaults(func=_cmd_braess)
 
     p = sub.add_parser("classify", help="structural classification of a network")
     p.add_argument("network")
-    p.add_argument("--node-cap", type=int, default=15)
-    p.add_argument("--edge-cap", type=int, default=25)
+    p.add_argument("--node-cap", type=_nonnegative_arg, default=15)
+    p.add_argument("--edge-cap", type=_nonnegative_arg, default=25)
     add_output(p)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("sweep", help="evaluate a grid of instances")
     p.add_argument("--preset", required=True, choices=("transpose-m3",))
     p.add_argument("--grid", help="JSON file: [{label, instance}, ...]")
-    p.add_argument("--phase-cap", type=int, default=200)
+    p.add_argument("--phase-cap", type=_phase_cap_arg, default=200)
     add_output(p)
     p.set_defaults(func=_cmd_sweep)
 

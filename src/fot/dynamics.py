@@ -13,6 +13,14 @@ over two curves piece by piece (curve identity, a queue draining at
 capacity, flow only on shortest edges) walks them together with
 `pwl.joint_segments`, never evaluating a curve point by point.
 
+Checks skip only what the curves already settle.  An edge whose inflow
+is its shifted outflow is queue-free: it gets the zero queue and wait and
+the exit map entry + transit with no arithmetic, and `validate_feasible`
+skips its link-conservation and queue-discipline tests, which that equality
+already decides.  `certify_nash` skips the gap and inflow tests of an edge
+whose head-arrival curve is its head's label, where the gap is zero; a
+falling tail label still fails in `labels`, which composes it first.
+
 Everything here is an independent check: it never trusts the phase engine
 that produced a flow, only the curves themselves.  `validate_feasible` and
 `certify_nash` share only the memoized derivation of edge curves from the
@@ -83,22 +91,32 @@ class _EdgeCurves(NamedTuple):
     exit_map: PiecewiseLinear  # entry + transit + wait
 
 
+# The queue and the wait of a queue-free edge.
+_NO_QUEUE = PiecewiseLinear.constant(ZERO)
+
+
 def _edge_curves(inst: Instance, flow: FlowOverTime, edge_id: str) -> _EdgeCurves:
     """The edge's curves, derived once per flow, transit and capacity.  The
-    memo entry also holds the two curves it was derived from, so a flow whose
-    mapping was changed in place derives again."""
+    memo entry, keyed by edge id, also holds the two curves, transit and
+    capacity it was derived from, so a flow whose mapping was changed in
+    place, or a check against another instance, derives again.  An edge
+    whose inflow is its shifted outflow gets `_NO_QUEUE` as queue and wait
+    and the exit map entry + transit."""
     transit, capacity = inst.transit[edge_id], inst.capacity[edge_id]
     inflow, outflow = flow.inflow[edge_id], flow.outflow[edge_id]
-    key = (edge_id, transit, capacity)
-    known = flow._edge_memo.get(key)
-    if known is not None and known[0] is inflow and known[1] is outflow:
-        return known[2]
+    known = flow._edge_memo.get(edge_id)
+    if (known is not None and known[0] is inflow and known[1] is outflow
+            and known[2] == transit and known[3] == capacity):
+        return known[4]
+    shifted_out = outflow.translate(transit)
     shift = PiecewiseLinear.affine(ONE, transit)  # entry + transit
-    shifted_out = outflow.compose(shift)
-    queue = inflow - shifted_out
-    wait = queue.scale(ONE / capacity)
-    curves = _EdgeCurves(shifted_out, queue, wait, shift + wait)
-    flow._edge_memo[key] = (inflow, outflow, curves)
+    if inflow == shifted_out:
+        curves = _EdgeCurves(shifted_out, _NO_QUEUE, _NO_QUEUE, shift)
+    else:
+        queue = inflow - shifted_out
+        wait = queue.scale(ONE / capacity)
+        curves = _EdgeCurves(shifted_out, queue, wait, wait + shift)
+    flow._edge_memo[edge_id] = (inflow, outflow, transit, capacity, curves)
     return curves
 
 
@@ -232,6 +250,10 @@ def validate_feasible(inst: Instance, flow: FlowOverTime,
 
         shifted_out, _, wait, exit_map = _edge_curves(inst, flow, eid)
         exit_maps[eid] = exit_map
+        if wait is _NO_QUEUE:
+            # inflow is the shifted outflow, which is (2) for the exit map
+            # entry + transit, and without a queue (4) cannot fail
+            continue
 
         # (4a) waiting times are never negative
         neg_at = _first_below_zero(wait)
@@ -348,6 +370,8 @@ def _certify_nash(inst: Instance, flow: FlowOverTime) -> tuple[bool, ViolationRe
                 found.append(Violation(SHORTEST_PATHS, e.id, None, ZERO, ZERO,
                                        "flow on an edge unreachable from the source"))
             continue
+        if arrivals[e.id] == head_label:
+            continue  # a gap of zero, as on the head's one candidate
         # The head label is the minimum over its in-edges, so the gap is never
         # negative: the edge is slower on a piece iff the gap starts or rises so.
         gap = arrivals[e.id] - head_label

@@ -265,6 +265,11 @@ def _pair(nodes: int, index: int) -> tuple[int, int]:
     return nodes - 2 - r, nodes - 1 - (back - r * (r + 1) // 2)
 
 
+# The shuffle takes time and memory in the square of the node count, whatever
+# the edge count: 1000 nodes shuffle 499500 pair indices (4 MB).
+MAX_RANDOM_DAG_NODES = 1000
+
+
 def random_dag(nodes: int, edges: int, seed: int) -> Network:
     """Random DAG on `nodes` labeled vertices with `edges` edges.
 
@@ -274,10 +279,12 @@ def random_dag(nodes: int, edges: int, seed: int) -> Network:
     first `edges` are kept.  Source is n0, sink is the last vertex.  The
     shuffle runs on the pairs' indices in a compact array (it only swaps
     by index, so it draws and moves the same), and only the kept indices
-    are decoded into pairs.
+    are decoded into pairs.  At most `MAX_RANDOM_DAG_NODES` nodes.
     """
     if nodes < 2:
         raise ParameterError("need at least two nodes")
+    if nodes > MAX_RANDOM_DAG_NODES:
+        raise ParameterError(f"at most {MAX_RANDOM_DAG_NODES} nodes")
     count = nodes * (nodes - 1) // 2
     if edges < 0:
         raise ParameterError("edge count must be nonnegative")

@@ -14,6 +14,15 @@ into canonical form for every result and for `from_points`; points from
 outside get their slopes from one derivation (`_slopes`), which the checked
 constructor shares.
 
+Some shapes skip the walk, each returning the canonical curve the walk
+would return: a sum with a one-piece curve that covers the other's domain
+adds the line to every breakpoint and its slope to every slope; `compose`
+with an inner x + c from 0 is `translate` (the outer's arrays cut at c and
+moved left, slopes kept, so no product or quotient per breakpoint; for
+c = 0 a curve that starts at 0 comes back as it is); and `compose` with an
+outer x + c adds c to the inner curve.  `compose` checks its contract before
+choosing a path.
+
 These functions carry every curve in the package: cumulative edge in/outflows,
 queue sizes, node arrival-time labels, and sink arrivals.
 """
@@ -99,14 +108,15 @@ class PiecewiseLinear:
         xs, ys = zip(*points)
         return _from_pieces(zip(xs, ys, _slopes(xs, ys, final_slope)))
 
+    # One breakpoint is canonical as it stands.
     @classmethod
     def constant(cls, value: Fraction, start: Fraction = ZERO) -> "PiecewiseLinear":
-        return cls((start,), (value,), ZERO)
+        return _curve((start,), (value,), (ZERO,))
 
     @classmethod
     def affine(cls, slope: Fraction, intercept: Fraction,
                start: Fraction = ZERO) -> "PiecewiseLinear":
-        return cls((start,), (intercept + slope * start,), slope)
+        return _curve((start,), (intercept + slope * start,), (slope,))
 
     @classmethod
     def identity(cls) -> "PiecewiseLinear":
@@ -177,8 +187,24 @@ class PiecewiseLinear:
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
+        if len(other.xs) == 1 and other.xs[0] <= self.xs[0]:
+            return self._plus_line(other)
+        if len(self.xs) == 1 and self.xs[0] <= other.xs[0]:
+            return other._plus_line(self)
         return _from_pieces((a, fa + ga, fs + gs)
                             for a, _, fa, fs, ga, gs in joint_segments(self, other))
+
+    def _plus_line(self, line: "PiecewiseLinear") -> "PiecewiseLinear":
+        """self plus a one-piece curve defined on all of self's domain: the
+        breakpoints stay, and adding one slope to every slope keeps adjacent
+        slopes apart, so the result is canonical as it stands."""
+        slope = line.final_slope
+        if slope == 1:  # the line is x + c: no product per breakpoint
+            c = line.ys[0] - line.xs[0]
+            ys = tuple(y + x + c for x, y in zip(self.xs, self.ys))
+        else:
+            ys = tuple(y + line._value(0, x) for x, y in zip(self.xs, self.ys))
+        return _curve(self.xs, ys, tuple(s + slope for s in self._slopes))
 
     def __sub__(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
         return _from_pieces((a, fa - ga, fs - gs)
@@ -191,14 +217,34 @@ class PiecewiseLinear:
         return _curve(self.xs, tuple(y * k for y in self.ys),
                       tuple(s * k for s in self._slopes))
 
+    def translate(self, tau: Fraction) -> "PiecewiseLinear":
+        """x -> self(x + tau) on [0, infinity): self cut at tau and moved left
+        by tau, with its slopes kept.  Starting at 0, self translated by 0
+        is self."""
+        if tau < self.xs[0]:
+            raise DomainError(f"{tau} is left of the domain start {self.xs[0]}")
+        if tau == 0 and self.xs[0] == 0:
+            return self
+        i = self._segment_index(tau)
+        return _curve((ZERO, *(x - tau for x in self.xs[i + 1:])),
+                      (self._value(i, tau), *self.ys[i + 1:]), self._slopes[i:])
+
     def compose(self, inner: "PiecewiseLinear") -> "PiecewiseLinear":
         """Exact composition self(inner(x)); inner must be nondecreasing.
         Each outer breakpoint that a rising piece of inner passes adds its
-        exact preimage as a breakpoint."""
+        exact preimage as a breakpoint.  Two shapes skip that walk: an inner
+        x + c from 0 is a translation, and an outer x + c adds c to inner."""
         if not inner.is_nondecreasing():
             raise ContractError("inner function of a composition must be nondecreasing")
         if inner.ys[0] < self.xs[0]:
             raise DomainError("inner function leaves the outer domain")
+        if len(inner.xs) == 1 and inner.xs[0] == 0 and inner.final_slope == 1:
+            return self.translate(inner.ys[0])
+        if len(self.xs) == 1 and self.final_slope == 1:
+            c = self.ys[0] - self.xs[0]
+            if c == 0:
+                return inner
+            return _curve(inner.xs, tuple(y + c for y in inner.ys), inner._slopes)
         xs, slopes, last = self.xs, self._slopes, len(self.xs) - 1
         k = 0  # the outer segment holding the current inner value
         pieces = []

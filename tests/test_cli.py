@@ -6,8 +6,8 @@ import pytest
 from fot.cli import flatten, main, write_csv
 from fot.core import ParameterError, dumps, instance_to_obj, network_to_obj
 from fot.dynamics import flow_to_obj
-from fot.gen import (MnParams, geometric_alphas, instantiate_m3_variant, make_m3_variants,
-                     make_mn)
+from fot.gen import (MAX_RANDOM_DAG_NODES, MnParams, geometric_alphas,
+                     instantiate_m3_variant, make_m3_variants, make_mn)
 from fot import reproduce
 from fot.reproduce import PRESETS
 
@@ -504,6 +504,12 @@ def test_size_cap_is_an_input_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "classify", path, "--node-cap", "1")
     assert code == 2
     assert "input error" in err and "SizeCapError" in err
+    # A negative cap is refused while the arguments are parsed.
+    for command, flag in (("braess", "--cap"), ("classify", "--node-cap"),
+                          ("classify", "--edge-cap")):
+        code, out, err = run_cli(capsys, command, path, flag, "-1")
+        assert code == 2 and out == ""
+        assert f"argument {flag}: expected a nonnegative integer, got '-1'" in err
     # 17 parallel links of equal transit: all 17 edges are free in the
     # thin-flow pattern search.
     links = build_instance([(f"e{k}", "s", "t", 1, 1) for k in range(17)], "s", "t", 1)
@@ -517,6 +523,12 @@ def test_phase_cap_is_an_input_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "simulate", path, "--phase-cap", "1")
     assert code == 2
     assert "input error" in err and "PhaseCapError" in err
+    # A phase cap below 1 is refused while the arguments are parsed.
+    for argv in (("simulate", path), ("braess", path), ("sweep", "--preset", "transpose-m3")):
+        for cap in ("0", "-1"):
+            code, out, err = run_cli(capsys, *argv, "--phase-cap", cap)
+            assert code == 2 and out == ""
+            assert f"argument --phase-cap: expected an integer of at least 1, got '{cap}'" in err
 
 
 def test_braess_phase_cap_on_the_full_network_is_an_input_error(tmp_path, capsys):
@@ -576,6 +588,15 @@ def test_export_plotdata(tmp_path, capsys):
     assert any(line.startswith("label,v2") for line in lines)
     assert any(line.startswith("queue,e1") for line in lines)
     assert not any(line.startswith("label,u,") for line in lines)
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "random", "--edges", "5", "--seed", "1"), ("reproduce", "lemma3"),
+])
+def test_random_dags_above_the_node_cap_are_input_errors(argv, capsys):
+    code, out, err = run_cli(capsys, *argv, "--nodes", str(MAX_RANDOM_DAG_NODES + 1))
+    assert code == 2 and out == ""
+    assert err == f"fot: input error: at most {MAX_RANDOM_DAG_NODES} nodes\n"
 
 
 def test_gen_random_negative_edge_count_is_an_input_error(capsys):

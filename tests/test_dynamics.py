@@ -226,6 +226,32 @@ def test_certify_nash_names_the_first_violation_of_an_infeasible_flow(case, monk
     assert calls == []
 
 
+@pytest.mark.parametrize("path", [("s", "t"), ("s", "v", "t")])
+def test_certify_nash_names_a_violation_on_an_edge_into_a_one_edge_head(path):
+    # Edge a lets out at rate 3 what enters at rate 1, so its exit map and
+    # the label of its head, which has no other in-edge, fall.  The
+    # certificate skips the zero gap of a, and still meets the falling
+    # label where the next edge or the sink arrivals are composed with it.
+    names = "ab"[:len(path) - 1]
+    inst = build_instance([(name, tail, head, 1, 0)
+                           for name, tail, head in zip(names, path, path[1:])],
+                          source="s", sink="t", supply=1)
+    flow = FlowOverTime(inflow={name: rates((0, 1)) for name in names},
+                        outflow={name: rates((0, 3 if name == "a" else 1)) for name in names},
+                        sink_cumulative=rates((0, 1)))
+    if len(names) == 1:
+        lab, arrivals = labels(inst, flow)
+        assert arrivals["a"] is lab["t"] and not lab["t"].is_nondecreasing()
+    else:
+        with pytest.raises(ContractError):
+            labels(inst, flow)
+    first = validate_feasible(inst, flow).violations[0]
+    assert first.where == "a"
+    with pytest.raises(ContractError) as raised:
+        certify_nash(inst, flow)
+    assert str(raised.value) == f"certify_nash needs a feasible flow; first violation: {first}"
+
+
 def test_flow_json_roundtrip():
     flow = two_link_all_on_slow_flow()
     again = flow_from_obj(flow_to_obj(flow))

@@ -367,3 +367,90 @@ def test_results_built_from_known_slopes_are_canonical(pair, composition, k, pai
         # slopes it derives from the points are the ones r carries.
         checked = PiecewiseLinear(r.xs, r.ys, r.final_slope)
         assert checked == r and r.slopes() == checked.slopes()
+
+
+# -- shapes that skip the walk ---------------------------------------------------
+
+
+def assert_canonical(r):
+    checked = PiecewiseLinear(r.xs, r.ys, r.final_slope)
+    assert checked == r and r.slopes() == checked.slopes()
+
+
+def from_zero(f):
+    """f moved right or left so that it starts at 0."""
+    return PiecewiseLinear(tuple(x - f.xs[0] for x in f.xs), f.ys, f.final_slope)
+
+
+@st.composite
+def translations(draw):
+    """A curve and a shift in its domain: often a breakpoint, else between
+    or past them."""
+    f = draw(pwl_functions())
+    if draw(st.booleans()):
+        c = draw(st.sampled_from(f.xs))
+    else:
+        c = f.xs[0] + draw(st.one_of(st.just(F(0)), positive_fractions))
+    return f, c
+
+
+@settings(max_examples=200)
+@given(translations())
+def test_composing_with_x_plus_c_is_the_translation(pair):
+    f, c = pair
+    points = [(F(0), f(c))] + [(x - c, f(x)) for x in f.xs if x > c]
+    expected = PiecewiseLinear.from_points(points, f.final_slope)
+    got = f.compose(PiecewiseLinear.affine(F(1), c))
+    assert got == expected and f.translate(c) == expected
+    assert got == reference_compose(f, PiecewiseLinear.affine(F(1), c))
+    assert_canonical(got)
+
+
+@settings(max_examples=150)
+@given(pwl_functions(monotone=True), small_fractions, st.one_of(st.just(F(0)), positive_fractions))
+def test_an_outer_x_plus_c_adds_c_to_the_inner_curve(g, c, room):
+    outer = PiecewiseLinear.affine(F(1), c, g.ys[0] - room)  # x + c from at or below g's start
+    got = outer.compose(g)
+    assert got == add_constant(g, c) == reference_compose(outer, g)
+    assert_canonical(got)
+    if c == 0:
+        assert got is g
+
+
+@settings(max_examples=100)
+@given(pwl_functions())
+def test_composing_with_the_identity_returns_the_curve(f):
+    f = from_zero(f)
+    assert f.compose(PiecewiseLinear.identity()) is f
+    assert f.translate(F(0)) is f
+
+
+@settings(max_examples=150)
+@given(pwl_functions(), pwl_functions(), st.one_of(st.just(F(0)), positive_fractions))
+def test_adding_a_line_matches_the_pointwise_reference(f, line, room):
+    # A one-piece curve that starts at or before f, on either side of the sum.
+    line = PiecewiseLinear.affine(line.final_slope, line.ys[0], f.xs[0] - room)
+    for got in (f + line, line + f):
+        assert got == reference_add(f, line)
+        assert_canonical(got)
+
+
+@settings(max_examples=100)
+@given(pwl_functions(monotone=True), small_fractions, positive_fractions)
+def test_the_shortcuts_keep_the_contract_checks(g, c, gap):
+    falling = PiecewiseLinear.affine(F(-1), g.ys[0])
+    # An inner x + c below the outer domain.
+    f = PiecewiseLinear.affine(F(2), F(0), c + gap)
+    with pytest.raises(DomainError):
+        f.compose(PiecewiseLinear.affine(F(1), c))
+    with pytest.raises(DomainError):
+        f.translate(c)
+    # The identity below the domain of an outer curve that starts after 0.
+    with pytest.raises(DomainError):
+        PiecewiseLinear.affine(F(3), F(1), gap).compose(PiecewiseLinear.identity())
+    # An outer x + c: a decreasing inner, and one that starts below its domain.
+    outer = PiecewiseLinear.affine(F(1), c, g.ys[0] + gap)
+    with pytest.raises(ContractError):
+        outer.compose(falling)
+    with pytest.raises(DomainError):
+        outer.compose(g)
