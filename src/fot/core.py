@@ -366,6 +366,30 @@ class Network:
             raise UnsupportedTopologyError("network contains a directed cycle")
         return tuple(order)
 
+    @cached_property
+    def path_counts(self) -> dict[str, dict[str, int]]:
+        """`path_counts[u][w]` is the number of u-w paths for every w that u
+        reaches (one, the empty path, for w = u), from one pass over the
+        reversed topological order; so its rows are also the reachability
+        closures.  Raises `UnsupportedTopologyError` on a cycle."""
+        paths: dict[str, dict[str, int]] = {}
+        for u in reversed(self.topological_order()):
+            row = {u: 1}
+            for e in self.out_edges[u]:
+                for w, count in paths[e.head].items():
+                    row[w] = row.get(w, 0) + count
+            paths[u] = row
+        return paths
+
+    @cached_property
+    def degree_profile(self) -> dict[str, tuple[int, int, int, int]]:
+        """Per node: in-degree, out-degree, and the numbers of distinct in-
+        and out-neighbours (parallel edges count once)."""
+        return {v: (len(self.in_edges[v]), len(self.out_edges[v]),
+                    len({e.tail for e in self.in_edges[v]}),
+                    len({e.head for e in self.out_edges[v]}))
+                for v in self.nodes}
+
     def _closure(self, start: str, forward: bool,
                  edge_ids: Optional[AbstractSet[str]]) -> frozenset[str]:
         """Nodes reached from `start` along edges (against them unless

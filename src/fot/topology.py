@@ -7,13 +7,18 @@ parallel paths; and whether it is two-terminal series-parallel, by link
 smoothing (the inverse of edge subdivision) and parallel merging.
 
 All searches are exact backtracking with explicit size caps; every returned
-embedding is re-checkable in isolation.
+embedding is re-checkable in isolation.  The host analysis they read, the
+path counts between every node pair (which double as reachability) and the
+degree profile (degrees and distinct neighbours), is a cached property of
+`fot.core.Network`: one `classify` call derives it once for its five
+pattern searches and the chain test.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import ge
 from typing import Mapping, Optional, Union
 
 from .core import (
@@ -124,7 +129,21 @@ def find_subdivision(host: Network, pattern: Union[str, Network],
     Branch images must offer the pattern-node degrees (subdivision preserves
     them); pattern edges are routed one by one as internally disjoint host
     paths over unused edges.  Returns the first embedding in deterministic
-    order, or None.  Hosts over the size caps are refused loudly.
+    order, or None.  Hosts over the size caps are refused loudly, before
+    any table of the host is built.  Reachability is read from the host's
+    `Network.path_counts` and degrees from its `degree_profile`, both
+    derived once per network and shared by every search on it.
+
+    A branch image must also have as many distinct out-neighbours as its
+    pattern node has distinct out-neighbours, and likewise on the in-side.
+    The paths of two pattern edges from v to distinct pattern nodes have
+    distinct second nodes: a shared second node would be internal to both
+    paths, or a branch image internal to one of them, and routing forbids
+    both.  So the filter drops only candidates that appear in no
+    embedding, the assignment order over the rest is unchanged, and the
+    first embedding found is the same as without the filter.  On a chain
+    of parallel links (one node per junction) no host node has two
+    distinct out-neighbours, so no pattern source has a candidate.
 
     A failed parallel edge is not retried: when routing from `here`
     through an out-edge to `nxt` has failed, the later out-edges of `here`
@@ -143,17 +162,14 @@ def find_subdivision(host: Network, pattern: Union[str, Network],
     if len(host.nodes) > node_cap or len(host.edges) > edge_cap:
         raise SizeCapError(
             f"host exceeds the search cap ({node_cap} nodes / {edge_cap} edges)")
-    host.topological_order()  # raises on a cycle: the search needs an acyclic host
+    # Raises on a cycle: the search needs an acyclic host.  A row holds the
+    # nodes its node reaches, itself included.
+    reach = host.path_counts
 
     p_nodes = list(pattern.nodes)
-    p_in = {v: len(pattern.in_edges[v]) for v in p_nodes}
-    p_out = {v: len(pattern.out_edges[v]) for v in p_nodes}
-    h_in = {v: len(host.in_edges[v]) for v in host.nodes}
-    h_out = {v: len(host.out_edges[v]) for v in host.nodes}
-    reach = {v: host.reachable_from(v) for v in host.nodes}
     candidates = {
-        v: [h for h in host.nodes if h_in[h] >= p_in[v] and h_out[h] >= p_out[v]]
-        for v in p_nodes
+        v: [h for h, have in host.degree_profile.items() if all(map(ge, have, need))]
+        for v, need in pattern.degree_profile.items()
     }
     pattern_edges = list(pattern.edges)
 
@@ -234,20 +250,6 @@ def find_subdivision(host: Network, pattern: Union[str, Network],
 # -- chains of parallel paths ---------------------------------------------------
 
 
-def _path_counts(net: Network) -> dict[str, dict[str, int]]:
-    """`paths[u][w]` is the number of u-w paths for every w that u reaches
-    (one, the empty path, for w = u), from one pass over the reversed
-    topological order."""
-    paths: dict[str, dict[str, int]] = {}
-    for u in reversed(net.topological_order()):
-        row = {u: 1}
-        for e in net.out_edges[u]:
-            for w, count in paths[e.head].items():
-                row[w] = row.get(w, 0) + count
-        paths[u] = row
-    return paths
-
-
 def _on_every_path(paths: dict[str, dict[str, int]], u: str, v: str, nodes) -> bool:
     """Does each of `nodes` lie on every u-v path?  In a DAG a u-v path
     meets w at most once, so N(u,w)·N(w,v) of the N(u,v) paths pass w."""
@@ -286,13 +288,13 @@ def uses_only_chains(net: Network):
 
     Returns (True, None) or (False, (u, v, union_edge_ids)).  An edge lies on
     a simple u-v path iff u reaches its tail and its head reaches v, which is
-    what restricts this test to acyclic networks (`_path_counts` raises
-    `UnsupportedTopologyError` on a cycle).  A union is a chain iff
+    what restricts this test to acyclic networks (`Network.path_counts`
+    raises `UnsupportedTopologyError` on a cycle).  A union is a chain iff
     its junctions, the nodes whose union degree is not (1, 1), all lie on
     every u-v path: the other nodes then form disjoint paths between
     consecutive junctions.
     """
-    paths = _path_counts(net)
+    paths = net.path_counts
     for u in net.nodes:
         for v in net.nodes:
             if u == v or v not in paths[u]:

@@ -381,6 +381,15 @@ def test_lemma3_without_samples_is_an_input_error(samples, capsys):
     assert err == "fot: input error: need at least one sample\n"
 
 
+def test_lemma3_hosts_over_the_search_cap_are_an_input_error(capsys):
+    # The first sample already exceeds the subdivision caps, so the preset
+    # stops there rather than drawing all 500 hosts.
+    code, out, err = run_cli(capsys, "reproduce", "lemma3", "--nodes", "16", "--samples", "500")
+    assert code == 2 and out == ""
+    assert err == ("fot: input error: SizeCapError: host exceeds the search cap "
+                   "(15 nodes / 25 edges)\n")
+
+
 def _without(obj, *path):
     """A deep copy of obj without the key at the end of `path`."""
     obj = json.loads(json.dumps(obj))

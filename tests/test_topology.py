@@ -1,7 +1,11 @@
 import random
 from fractions import Fraction
+from functools import cached_property
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fot.cli import main
 from fot.core import (ContractError, Edge, Network, SizeCapError, UnsupportedTopologyError,
@@ -162,13 +166,15 @@ def test_verify_embedding_rejects_defects():
         verify_embedding(host, not_injective)
 
 
-# -- the parallel-edge cut against the unpruned search ---------------------------
+# -- the parallel-edge cut and the neighbour filter against the unpruned search --
 
 
-def reference_find_subdivision(host: Network, pattern_id: str):
-    """`find_subdivision` without the parallel-edge cut: every out-edge is
-    tried, parallel copies included.  Exponential on parallel links; the
-    oracle the cut search must match embedding for embedding."""
+def reference_embeddings(host: Network, pattern_id: str):
+    """Every embedding of the pattern in the order of `find_subdivision`,
+    but without its parallel-edge cut and its distinct-neighbour filter:
+    every out-edge is tried, parallel copies included, and branch images
+    need only the pattern-node degrees.  Exponential on parallel links; the
+    oracle the pruned search must match embedding for embedding."""
     pattern = pattern_network(pattern_id)
     p_nodes = list(pattern.nodes)
     p_in = {v: len(pattern.in_edges[v]) for v in p_nodes}
@@ -184,7 +190,8 @@ def reference_find_subdivision(host: Network, pattern_id: str):
 
     def route(edge_index, images, used_edges, used_internal, paths):
         if edge_index == len(pattern_edges):
-            return True
+            yield Embedding(pattern, dict(images), dict(paths))
+            return
         pe = pattern_edges[edge_index]
         start, goal = images[pe.tail], images[pe.head]
         branch_images = set(images.values())
@@ -196,14 +203,13 @@ def reference_find_subdivision(host: Network, pattern_id: str):
                     used_edges.add(eid)
                 for eid in path[:-1]:
                     used_internal.add(host.edge_by_id[eid].head)
-                if route(edge_index + 1, images, used_edges, used_internal, paths):
-                    return True
+                yield from route(edge_index + 1, images, used_edges, used_internal, paths)
                 for eid in path:
                     used_edges.discard(eid)
                 for eid in path[:-1]:
                     used_internal.discard(host.edge_by_id[eid].head)
                 del paths[pe.id]
-                return False
+                return
             for e in host.out_edges[here]:
                 if e.id in used_edges or e.id in path:
                     continue
@@ -214,19 +220,15 @@ def reference_find_subdivision(host: Network, pattern_id: str):
                 if nxt != goal and any(host.edge_by_id[eid].head == nxt for eid in path):
                     continue
                 path.append(e.id)
-                if dfs(nxt, path):
-                    return True
+                yield from dfs(nxt, path)
                 path.pop()
-            return False
 
-        return dfs(start, [])
+        yield from dfs(start, [])
 
     def assign(index, images, taken):
         if index == len(p_nodes):
-            paths = {}
-            if route(0, images, set(), set(), paths):
-                return Embedding(pattern, dict(images), dict(paths))
-            return None
+            yield from route(0, images, set(), set(), {})
+            return
         v = p_nodes[index]
         for h in candidates[v]:
             if h in taken:
@@ -235,14 +237,27 @@ def reference_find_subdivision(host: Network, pattern_id: str):
             if all(images[pe.head] in reach[images[pe.tail]] for pe in pattern.edges
                    if pe.tail in images and pe.head in images):
                 taken.add(h)
-                found = assign(index + 1, images, taken)
-                if found is not None:
-                    return found
+                yield from assign(index + 1, images, taken)
                 taken.discard(h)
             del images[v]
-        return None
 
-    return assign(0, {}, set())
+    yield from assign(0, {}, set())
+
+
+def reference_find_subdivision(host: Network, pattern_id: str):
+    """The first embedding of `reference_embeddings`, or None."""
+    return next(reference_embeddings(host, pattern_id), None)
+
+
+def assert_same_search(host: Network, label) -> None:
+    """`find_subdivision` finds the oracle's first embedding, or none."""
+    for pid in PATTERN_IDS:
+        got = find_subdivision(host, pid)
+        want = reference_find_subdivision(host, pid)
+        assert (got is None) == (want is None), (label, pid)
+        if got is not None:
+            assert dict(got.node_images) == dict(want.node_images), (label, pid)
+            assert dict(got.edge_paths) == dict(want.edge_paths), (label, pid)
 
 
 def unit_chain(sections, links):
@@ -278,13 +293,7 @@ def differential_hosts():
 
 def test_parallel_edge_cut_matches_the_unpruned_search():
     for name, host in differential_hosts():
-        for pid in PATTERN_IDS:
-            got = find_subdivision(host, pid)
-            want = reference_find_subdivision(host, pid)
-            assert (got is None) == (want is None), (name, pid)
-            if got is not None:
-                assert dict(got.node_images) == dict(want.node_images), (name, pid)
-                assert dict(got.edge_paths) == dict(want.edge_paths), (name, pid)
+        assert_same_search(host, name)
 
 
 @pytest.mark.parametrize("sections, links", [(12, 2), (8, 3), (5, 5)])
@@ -293,6 +302,129 @@ def test_classify_pattern_free_chains_at_the_cap(sections, links):
     report = classify(unit_chain(sections, links))
     assert all(emb is None for emb in report.minors.values())
     assert report.uses_only_chains and report.series_parallel
+
+
+def lemma3_corpus():
+    """The hosts of `fot reproduce lemma3` at its defaults but 100 samples."""
+    for seed in range(1, 101):
+        yield seed, random_dag(8, 14, seed)
+
+
+@st.composite
+def multigraph_dags(draw):
+    """Small DAGs whose edges go from lower to higher node index, often as
+    several parallel copies of one pair."""
+    n = draw(st.integers(3, 7))
+    pairs = draw(st.lists(
+        st.integers(0, n - 2).flatmap(lambda i: st.tuples(st.just(i), st.integers(i + 1, n - 1))),
+        min_size=1, max_size=12))
+    nodes = tuple(f"v{i}" for i in range(n))
+    edges = tuple(Edge(f"e{k}", nodes[i], nodes[j]) for k, (i, j) in enumerate(pairs))
+    return Network(nodes, edges, nodes[0], nodes[-1])
+
+
+def test_neighbour_filter_matches_the_unpruned_search_on_chains_and_lemma3_hosts():
+    for sections, links in [(2, 2), (3, 3), (4, 2), (4, 3), (6, 2), (8, 2)]:
+        assert_same_search(unit_chain(sections, links), (sections, links))
+    for seed, host in lemma3_corpus():
+        assert_same_search(host, seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(multigraph_dags())
+def test_neighbour_filter_matches_the_unpruned_search_on_multigraphs(host):
+    assert_same_search(host, host)
+
+
+def distinct_neighbours(net: Network, v: str) -> tuple[int, int]:
+    return (len({e.tail for e in net.in_edges[v]}),
+            len({e.head for e in net.out_edges[v]}))
+
+
+@settings(max_examples=100, deadline=None)
+@given(multigraph_dags())
+def test_every_embedding_meets_the_distinct_neighbour_bound(host):
+    # The exactness argument of the filter, checked on up to 200 embeddings
+    # per pattern: the paths of two pattern edges from (or into) one branch
+    # node towards distinct pattern nodes leave (or enter) it through
+    # distinct host nodes, so the image has at least as many distinct
+    # neighbours as its pattern node.
+    for pid in PATTERN_IDS:
+        pattern = pattern_network(pid)
+        for emb in islice(reference_embeddings(host, pid), 200):
+            for v, h in emb.node_images.items():
+                need_in, need_out = distinct_neighbours(pattern, v)
+                have_in, have_out = distinct_neighbours(host, h)
+                assert have_in >= need_in and have_out >= need_out, (pid, v, h)
+                second = {pe.head: host.edge_by_id[emb.edge_paths[pe.id][0]].head
+                          for pe in pattern.out_edges[v]}
+                last_but_one = {pe.tail: host.edge_by_id[emb.edge_paths[pe.id][-1]].tail
+                                for pe in pattern.in_edges[v]}
+                assert len(set(second.values())) == len(second), (pid, v)
+                assert len(set(last_but_one.values())) == len(last_but_one), (pid, v)
+
+
+def count_path_count_derivations(monkeypatch) -> list:
+    """Wrap `Network.path_counts` so each derivation records its network."""
+    derive = Network.__dict__["path_counts"].func
+    seen = []
+
+    def counted(net):
+        seen.append(net)
+        return derive(net)
+
+    prop = cached_property(counted)
+    prop.__set_name__(Network, "path_counts")
+    monkeypatch.setattr(Network, "path_counts", prop)
+    return seen
+
+
+@pytest.mark.parametrize("host", [random_dag(8, 14, 1), unit_chain(6, 2),
+                                  ladder_net(4)], ids=["dag", "chain", "ladder"])
+def test_classify_derives_the_path_counts_once(host, monkeypatch):
+    host = Network(host.nodes, host.edges, host.source, host.sink)  # no cached tables
+    seen = count_path_count_derivations(monkeypatch)
+    classify(host)
+    assert seen == [host]
+
+
+def test_oversize_and_cyclic_hosts_fail_before_the_tables_are_built(monkeypatch):
+    seen = count_path_count_derivations(monkeypatch)
+    big = random_dag(20, 30, 1)
+    with pytest.raises(SizeCapError, match=r"^host exceeds the search cap \(15 nodes / 25 edges\)$"):
+        classify(big)
+    with pytest.raises(SizeCapError):
+        find_subdivision(big, "M3")
+    assert seen == []
+    assert "path_counts" not in vars(big) and "degree_profile" not in vars(big)
+    cyclic = Network(nodes=("s", "x", "t"),
+                     edges=(Edge("a", "s", "x"), Edge("b", "x", "s"), Edge("c", "x", "t")),
+                     source="s", sink="t")
+    with pytest.raises(UnsupportedTopologyError, match="^network contains a directed cycle$"):
+        classify(cyclic)
+
+
+def test_crossover_is_the_second_variant_renamed():
+    # Under s -> s, a -> x, b -> B, t -> t the crossover network is the
+    # second four-node variant, node order included, so the two searches
+    # assign the same branch images; only the edge order, and so the
+    # routing order, differs.
+    rename = {"s": "s", "a": "x", "b": "B", "t": "t"}
+    crossover, variant = pattern_network("Wheatstone"), pattern_network("M3DoublePrime")
+    assert tuple(rename[v] for v in crossover.nodes) == variant.nodes
+    assert ({(rename[e.tail], rename[e.head]) for e in crossover.edges}
+            == {(e.tail, e.head) for e in variant.edges})
+    hosts = [host for _, host in lemma3_corpus()]
+    hosts += [unit_chain(sections, links) for sections, links in [(12, 2), (8, 3), (5, 5)]]
+    found = 0
+    for host in hosts:
+        one = find_subdivision(host, "Wheatstone")
+        other = find_subdivision(host, "M3DoublePrime")
+        assert (one is None) == (other is None)
+        if one is not None:
+            found += 1
+            assert {rename[v]: h for v, h in one.node_images.items()} == dict(other.node_images)
+    assert found > 0
 
 
 # -- chains ------------------------------------------------------------------------
