@@ -77,12 +77,13 @@ class BraessReport:
     note: str = CANONICAL_NOTE
 
 
-def _core_cost(inst: Instance, core: frozenset[str],
-               phase_cap: int) -> tuple[Scalar, Optional[str]]:
+def _core_cost(inst: Instance, core: frozenset[str], phase_cap: int,
+               thin_flows: dict) -> tuple[Scalar, Optional[str]]:
     """Cost of the sub-instance on an s-t core, with the error string of a
     failed run (recorded per core, never fatal)."""
     try:
-        run = equilibrium.nash_flow(restrict(inst, core), phase_cap=phase_cap)
+        run = equilibrium.nash_flow(restrict(inst, core), phase_cap=phase_cap,
+                                    thin_flows=thin_flows)
         return run.social_cost, None
     except FotError as exc:
         return INF, f"{type(exc).__name__}: {exc}"
@@ -97,6 +98,11 @@ def braess_ratio(inst: Instance, subsets: Optional[Sequence[Sequence[str]]] = No
     the cost of its s-t core (`st_core`), and the engine runs once per
     distinct core in this call.  A failed run is recorded in its subsets'
     entries, but that of the full network, which leaves no ratio, is raised.
+
+    The runs of one call share one dict of thin flows, keyed by a phase's
+    competitive and resetting edge sets (`equilibrium.nash_flow` says why
+    that is exact), so a phase system that recurs in another core is
+    solved once per call.  The dict lives as long as the call.
 
     Without an explicit subset list all 2^|E| subsets are enumerated, so
     instances above `cap` edges are refused rather than silently sampled.
@@ -122,10 +128,11 @@ def braess_ratio(inst: Instance, subsets: Optional[Sequence[Sequence[str]]] = No
     entries = []
     full_cost: Scalar = INF
     by_core: dict[frozenset[str], tuple[Scalar, Optional[str]]] = {}
+    thin_flows: dict = {}
     full_core = st_core(inst.network, edge_ids)
     if full_core is not None:  # run outside `_core_cost`, so a failure is raised
-        full_cost = equilibrium.nash_flow(restrict(inst, full_core),
-                                          phase_cap=phase_cap).social_cost
+        full_cost = equilibrium.nash_flow(restrict(inst, full_core), phase_cap=phase_cap,
+                                          thin_flows=thin_flows).social_cost
         by_core[full_core] = full_cost, None
     for kept in subsets:
         core = st_core(inst.network, kept)
@@ -133,7 +140,7 @@ def braess_ratio(inst: Instance, subsets: Optional[Sequence[Sequence[str]]] = No
             entry = SubgraphCost(kept, INF)  # unbounded by convention
         else:
             if core not in by_core:
-                by_core[core] = _core_cost(inst, core, phase_cap)
+                by_core[core] = _core_cost(inst, core, phase_cap, thin_flows)
             entry = SubgraphCost(kept, *by_core[core])
         entries.append(entry)
 

@@ -701,5 +701,61 @@ def is_instance_obj(obj: dict) -> bool:
 
 
 def dumps(obj: dict) -> str:
-    """Deterministic JSON rendering (sorted keys, no float formatting)."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Deterministic JSON rendering: the text of ``json.dumps(obj,
+    sort_keys=True, indent=2)`` and a newline.
+
+    With an indent, `json.dumps` runs its pure-python encoder, so this
+    small writer builds the same text itself: keys sorted, two spaces per
+    level, ``[]`` and ``{}`` for empty containers, strings escaped to ASCII
+    by the encoder's own function.  It writes str, bool, int, None, dicts
+    with str keys, lists and tuples (as lists); anything else, a float
+    included, raises TypeError.
+    """
+    parts: list[str] = []
+    _write_json(obj, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
+
+
+_encode_string = json.encoder.encode_basestring_ascii
+
+
+def _write_json(value, newline: str, write) -> None:
+    # `newline` is a line break and the indent of the current level.
+    if isinstance(value, str):
+        write(_encode_string(value))
+    elif value is None:
+        write("null")
+    elif isinstance(value, bool):  # before int: a bool is an int
+        write("true" if value else "false")
+    elif isinstance(value, int):
+        write(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            write("{}")
+            return
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            write(sep)
+            write(_encode_string(key))
+            write(": ")
+            _write_json(value[key], inner, write)
+            sep = "," + inner
+        write(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            write("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            write(sep)
+            _write_json(item, inner, write)
+            sep = "," + inner
+        write(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

@@ -606,14 +606,32 @@ def next_event(inst: Instance, arrival: Mapping[str, Fraction],
     return best, tuple(activations), tuple(depletions)
 
 
-def nash_flow(inst: Instance, phase_cap: int = 200) -> EquilibriumRun:
+def nash_flow(inst: Instance, phase_cap: int = 200,
+              thin_flows: Optional[dict[tuple[frozenset[str], frozenset[str]],
+                                        ThinFlow]] = None) -> EquilibriumRun:
     """Compute the equilibrium of an acyclic instance with constant supply.
 
     The run terminates with a final phase in which either all labels grow at
     unit speed (steady) or the sink label grows faster forever (diverging,
     unbounded cost).  The resulting flow is re-validated by the independent
     feasibility and equilibrium checkers.
+
+    Each phase takes its thin flow from `thin_flows`, keyed by its
+    competitive and resetting edge sets, and solves it with `thin_flow` on
+    a miss.  Without a dict from the caller the run uses a fresh one of its
+    own.  A caller may share one dict across runs on `restrict(inst, S)`
+    for several edge sets S of one instance, as `fot.braess.braess_ratio`
+    does.  That is exact: `enumerate_thin_flows` reads its network only
+    through the competitive edges in edge order, the nodes they reach in
+    node order, the source and the sink, and it reads the capacities of the
+    competitive edges and the supply.  `restrict` keeps the node tuple, the
+    edge order, the terminals, the capacities and the supply, so equal keys
+    mean equal inputs, and the search is deterministic.  A run only reads
+    a `ThinFlow` and copies what its phases keep, and every run's flow is
+    still checked in full below.
     """
+    if thin_flows is None:
+        thin_flows = {}
     net = inst.network
     order = net.topological_order()
     reachable = net.reachable_from(net.source)
@@ -641,8 +659,12 @@ def nash_flow(inst: Instance, phase_cap: int = 200) -> EquilibriumRun:
     final_slopes: Optional[Mapping[str, Fraction]] = None
 
     for _ in range(phase_cap):
-        active, resetting = _tight_sets(inst, arrival, queue)
-        tf = thin_flow(net, active, resetting, inst.capacity, inst.supply)
+        key = _tight_sets(inst, arrival, queue)
+        active, resetting = key
+        tf = thin_flows.get(key)
+        if tf is None:
+            tf = thin_flows[key] = thin_flow(net, active, resetting,
+                                             inst.capacity, inst.supply)
         delta, activations, depletions = next_event(inst, arrival, queue, tf, active)
 
         phases.append(Phase(

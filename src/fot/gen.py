@@ -270,6 +270,21 @@ def _pair(nodes: int, index: int) -> tuple[int, int]:
 MAX_RANDOM_DAG_NODES = 1000
 
 
+def check_random_dag(nodes: int, edges: int) -> int:
+    """Refuse the parameters `random_dag` refuses, before any draw; returns
+    the number of candidate edges, one per pair of nodes."""
+    if nodes < 2:
+        raise ParameterError("need at least two nodes")
+    if nodes > MAX_RANDOM_DAG_NODES:
+        raise ParameterError(f"at most {MAX_RANDOM_DAG_NODES} nodes")
+    count = nodes * (nodes - 1) // 2
+    if edges < 0:
+        raise ParameterError("edge count must be nonnegative")
+    if edges > count:
+        raise ParameterError(f"at most {count} edges fit on {nodes} nodes")
+    return count
+
+
 def random_dag(nodes: int, edges: int, seed: int) -> Network:
     """Random DAG on `nodes` labeled vertices with `edges` edges.
 
@@ -281,15 +296,7 @@ def random_dag(nodes: int, edges: int, seed: int) -> Network:
     by index, so it draws and moves the same), and only the kept indices
     are decoded into pairs.  At most `MAX_RANDOM_DAG_NODES` nodes.
     """
-    if nodes < 2:
-        raise ParameterError("need at least two nodes")
-    if nodes > MAX_RANDOM_DAG_NODES:
-        raise ParameterError(f"at most {MAX_RANDOM_DAG_NODES} nodes")
-    count = nodes * (nodes - 1) // 2
-    if edges < 0:
-        raise ParameterError("edge count must be nonnegative")
-    if edges > count:
-        raise ParameterError(f"at most {count} edges fit on {nodes} nodes")
+    count = check_random_dag(nodes, edges)
     order = array("q", range(count))
     random.Random(seed).shuffle(order)
     chosen = sorted(_pair(nodes, index) for index in order[:edges])

@@ -15,10 +15,10 @@ from typing import Callable, Mapping
 from .braess import braess_ratio
 from .core import ParameterError, format_scalar, transpose
 from .equilibrium import nash_flow
-from .gen import (MnParams, embed_paradox_instance, geometric_alphas, make_ladder, make_mn,
-                  random_dag)
+from .gen import (MnParams, check_random_dag, embed_paradox_instance, geometric_alphas,
+                  make_ladder, make_mn, random_dag)
 from .pwl import PiecewiseLinear
-from .topology import LADDER_FAMILY, find_subdivision, uses_only_chains
+from .topology import LADDER_FAMILY, check_search_cap, find_subdivision, uses_only_chains
 
 F = Fraction
 
@@ -153,6 +153,10 @@ def _preset_lemma3(samples: int = 500, seed: int = 1, nodes: int = 8,
     # a disagreement: a disagreement reads as a failed assertion.
     if samples < 1:
         raise ParameterError("need at least one sample")
+    # Every host has this size, so one over the search caps is refused
+    # before the first draw, after the generator's own parameter errors.
+    check_random_dag(nodes, edges)
+    check_search_cap(nodes, edges)
     agreements = 0
     for s in range(seed, seed + samples):
         net = random_dag(nodes, edges, s)

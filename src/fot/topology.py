@@ -35,6 +35,8 @@ PATTERN_IDS = ("M3", "M3T", "M3Prime", "M3DoublePrime", "Wheatstone")
 # A network holds one of these exactly when it is not a chain of parallel
 # paths (Lemma 3).
 LADDER_FAMILY = ("M3", "M3T", "M3Prime", "M3DoublePrime")
+# The largest host the subdivision search takes by default.
+NODE_CAP, EDGE_CAP = 15, 25
 
 
 def _build_patterns() -> dict[str, Network]:
@@ -122,8 +124,17 @@ def verify_embedding(host: Network, emb: Embedding) -> None:
             used_internal.add(inner)
 
 
+def check_search_cap(nodes: int, edges: int, node_cap: int = NODE_CAP,
+                     edge_cap: int = EDGE_CAP) -> None:
+    """Refuse a host of this size, as `find_subdivision` does, so a caller
+    can refuse it before it builds one."""
+    if nodes > node_cap or edges > edge_cap:
+        raise SizeCapError(
+            f"host exceeds the search cap ({node_cap} nodes / {edge_cap} edges)")
+
+
 def find_subdivision(host: Network, pattern: Union[str, Network],
-                     node_cap: int = 15, edge_cap: int = 25) -> Optional[Embedding]:
+                     node_cap: int = NODE_CAP, edge_cap: int = EDGE_CAP) -> Optional[Embedding]:
     """Exhaustive backtracking search for a subdivision of the pattern.
 
     Branch images must offer the pattern-node degrees (subdivision preserves
@@ -159,9 +170,7 @@ def find_subdivision(host: Network, pattern: Union[str, Network],
     """
     if isinstance(pattern, str):
         pattern = pattern_network(pattern)
-    if len(host.nodes) > node_cap or len(host.edges) > edge_cap:
-        raise SizeCapError(
-            f"host exceeds the search cap ({node_cap} nodes / {edge_cap} edges)")
+    check_search_cap(len(host.nodes), len(host.edges), node_cap, edge_cap)
     # Raises on a cycle: the search needs an acyclic host.  A row holds the
     # nodes its node reaches, itself included.
     reach = host.path_counts
@@ -340,7 +349,8 @@ class ClassificationReport:
     either_direction_paradox: bool
 
 
-def classify(net: Network, node_cap: int = 15, edge_cap: int = 25) -> ClassificationReport:
+def classify(net: Network, node_cap: int = NODE_CAP,
+             edge_cap: int = EDGE_CAP) -> ClassificationReport:
     """Full structural report with the cross-checks between classifiers.
 
     The chain property must coincide with the absence of all four ladder-family

@@ -158,6 +158,44 @@ def test_braess_ratio_runs_the_engine_once_per_distinct_core(monkeypatch):
     assert len(runs) == len(set(runs)) == 15
 
 
+def _phase_systems(inst):
+    """The (competitive, resetting) pair of every phase of every s-t core's
+    run, each run solving its own phases, and the number of phases."""
+    ids = inst.edge_ids
+    cores = {st_core(inst.network, [eid for eid, bit in zip(ids, mask) if bit])
+             for mask in product((0, 1), repeat=len(ids))}
+    cores.discard(None)
+    systems = []
+    for core in cores:
+        systems += [(p.active, p.resetting)
+                    for p in equilibrium.nash_flow(restrict(inst, core)).phases]
+    return set(systems), len(systems)
+
+
+_SLACK_POINT = "tau=(2, 0, 5, 1)-caps=slack-supply=3"
+
+
+@pytest.mark.parametrize("inst, solves, phases", [
+    pytest.param(make_ladder(4, F(1, 1000)), 20, 32, id="ladder-n4"),
+    pytest.param(dict(default_transpose_m3_grid())[_SLACK_POINT], 3, 7, id=_SLACK_POINT),
+])
+def test_braess_ratio_solves_each_distinct_phase_system_once(inst, solves, phases,
+                                                             monkeypatch):
+    systems, phase_count = _phase_systems(inst)
+    assert (len(systems), phase_count) == (solves, phases)
+    calls = []
+    thin_flow = equilibrium.thin_flow
+
+    def counted(net, active, resetting, *args):
+        calls.append((tuple(sorted(active)), tuple(sorted(resetting))))
+        return thin_flow(net, active, resetting, *args)
+
+    monkeypatch.setattr(equilibrium, "thin_flow", counted)
+    braess_ratio(inst)
+    assert len(calls) == len(set(calls)) == solves
+    assert set(calls) == systems
+
+
 def test_braess_report_carries_equilibrium_caveat():
     report = braess_ratio(two_link_base_instance())
     assert "canonical" in report.note

@@ -382,12 +382,33 @@ def test_lemma3_without_samples_is_an_input_error(samples, capsys):
 
 
 def test_lemma3_hosts_over_the_search_cap_are_an_input_error(capsys):
-    # The first sample already exceeds the subdivision caps, so the preset
-    # stops there rather than drawing all 500 hosts.
+    # Every host exceeds the subdivision caps, so the preset stops before
+    # it draws any of the 500.
     code, out, err = run_cli(capsys, "reproduce", "lemma3", "--nodes", "16", "--samples", "500")
     assert code == 2 and out == ""
     assert err == ("fot: input error: SizeCapError: host exceeds the search cap "
                    "(15 nodes / 25 edges)\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--nodes", "16"), "SizeCapError: host exceeds the search cap (15 nodes / 25 edges)"),
+    (("--nodes", "1000"), "SizeCapError: host exceeds the search cap (15 nodes / 25 edges)"),
+    (("--nodes", "15", "--edges", "26"),
+     "SizeCapError: host exceeds the search cap (15 nodes / 25 edges)"),
+    # The generator's own parameter errors come first.
+    (("--nodes", "1"), "need at least two nodes"),
+    (("--nodes", "1001"), "at most 1000 nodes"),
+    (("--nodes", "8", "--edges", "29"), "at most 28 edges fit on 8 nodes"),
+    (("--nodes", "16", "--edges", "-1"), "edge count must be nonnegative"),
+])
+def test_lemma3_refuses_its_hosts_before_it_draws_one(argv, message, monkeypatch, capsys):
+    def drawn(*args):
+        raise AssertionError("a host was drawn")
+
+    monkeypatch.setattr(reproduce, "random_dag", drawn)
+    code, out, err = run_cli(capsys, "reproduce", "lemma3", *argv)
+    assert code == 2 and out == ""
+    assert err == f"fot: input error: {message}\n"
 
 
 def _without(obj, *path):

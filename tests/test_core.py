@@ -181,6 +181,29 @@ def test_instance_json_roundtrip():
     assert instance_from_obj(obj) == inst
 
 
+# Keys and strings with non-ASCII and control characters, quotes and
+# backslashes; bools and ints (a bool is an int); lists and tuples, empty
+# and nested.
+json_texts = st.text(alphabet=st.characters(codec="utf-8") | st.sampled_from('"\\/\n\t\x00\x7f'))
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | json_texts,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(json_texts, inner, max_size=4)),
+    max_leaves=25)
+
+
+@given(json_values)
+def test_dumps_writes_the_text_of_json_dumps(value):
+    assert dumps(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    1.5, Fraction(1, 2), {1: "a"}, {"a": [{None: 0}]}, {"a", "b"}, [b"x"]])
+def test_dumps_refuses_what_it_does_not_write(value):
+    with pytest.raises(TypeError):
+        dumps(value)
+
+
 def test_network_json_without_attributes():
     inst = two_link_instance()
     obj = instance_to_obj(inst)

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from fot import equilibrium
 from fot.braess import braess_ratio
 from fot.core import (INF, ContractError, Edge, FotError, Instance, Network, NoPathError,
-                      SizeCapError, first_feasible_support, st_core, transpose)
+                      SizeCapError, first_feasible_support, restrict, st_core, transpose)
 from fot.dynamics import certify_nash, validate_feasible
 from fot.equilibrium import (
     MAX_ACTIVE_EDGES,
@@ -219,6 +219,37 @@ def test_forced_search_matches_the_unforced_oracle_on_engine_phases(inst):
         assert_matches_the_unforced_oracle(
             (inst.network, frozenset(phase.active), frozenset(phase.resetting),
              inst.capacity, inst.supply))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(random_instances().filter(lambda inst: len(inst.edge_ids) <= 9),
+                 tied_instances()))
+def test_a_phase_thin_flow_is_the_same_on_every_core_holding_its_edges(inst):
+    # `braess_ratio` shares one thin flow per (competitive, resetting) pair
+    # across its runs on the s-t cores of an instance.  That is exact only
+    # if the search reads no edge outside the competitive ones: so every
+    # phase of every core's run is solved again on every core that holds
+    # its competitive edges, and must give the same thin flow.
+    ids = inst.edge_ids
+    cores = {st_core(inst.network, [eid for eid, bit in zip(ids, mask) if bit])
+             for mask in product((0, 1), repeat=len(ids))}
+    cores.discard(None)
+    cores = sorted(cores, key=sorted)
+    nets = {core: restrict(inst, core).network for core in cores}
+    phases = {}
+    for core in cores:
+        try:
+            run = nash_flow(restrict(inst, core), phase_cap=400)
+        except FotError:
+            continue
+        for phase in run.phases:
+            phases.setdefault((frozenset(phase.active), frozenset(phase.resetting)), core)
+    for (active, resetting), core in phases.items():
+        expected = thin_flow(nets[core], active, resetting, inst.capacity, inst.supply)
+        for other in cores:
+            if active <= other:
+                assert thin_flow(nets[other], active, resetting,
+                                 inst.capacity, inst.supply) == expected
 
 
 @st.composite
