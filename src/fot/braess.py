@@ -1,4 +1,4 @@
-"""Braess ratio by exhaustive subgraph enumeration, plus sweep harnesses.
+"""Braess ratio by exhaustive subgraph enumeration, and the transposed-ladder sweep.
 
 The ratio of an instance is the largest factor by which deleting edges can
 shrink the equilibrium cost: max over kept-edge subsets H of cost(G)/cost(H),
@@ -40,11 +40,14 @@ from .core import (
     st_core,
     transpose,
 )
+from .equilibrium import PHASE_CAP
 from .gen import ladder_network, make_ladder
 
 CANONICAL_NOTE = ("costs are those of the canonical computed equilibrium of "
                   "each subnetwork")
 _TRANSPOSED_LADDER3 = ladder_network(3).transposed()
+# The most edges whose 2^|E| kept-edge subsets `braess_ratio` enumerates.
+SUBSET_CAP = 16
 
 
 def extended_ratio(full: Scalar, sub: Scalar) -> Scalar:
@@ -77,27 +80,18 @@ class BraessReport:
     note: str = CANONICAL_NOTE
 
 
-def _core_cost(inst: Instance, core: frozenset[str], phase_cap: int,
-               thin_flows: dict) -> tuple[Scalar, Optional[str]]:
-    """Cost of the sub-instance on an s-t core, with the error string of a
-    failed run (recorded per core, never fatal)."""
-    try:
-        run = equilibrium.nash_flow(restrict(inst, core), phase_cap=phase_cap,
-                                    thin_flows=thin_flows)
-        return run.social_cost, None
-    except FotError as exc:
-        return INF, f"{type(exc).__name__}: {exc}"
-
-
 def braess_ratio(inst: Instance, subsets: Optional[Sequence[Sequence[str]]] = None,
-                 cap: int = 16, label: str = "", phase_cap: int = 200) -> BraessReport:
+                 cap: int = SUBSET_CAP, label: str = "",
+                 phase_cap: int = PHASE_CAP) -> BraessReport:
     """Evaluate the equilibrium cost of every kept-edge subset and take the
     worst cost ratio against the full network.
 
     A subset without a source-sink path costs INF.  Every other subset takes
-    the cost of its s-t core (`st_core`), and the engine runs once per
-    distinct core in this call.  A failed run is recorded in its subsets'
-    entries, but that of the full network, which leaves no ratio, is raised.
+    the outcome of its s-t core (`st_core`): the cost of the engine's run on
+    the core, or the `FotError` that run raised.  The engine runs once per
+    distinct core in this call, the full network's core first.  A failed
+    run is recorded in its subsets' entries, but that of the full network,
+    which leaves no ratio, is raised.
 
     The runs of one call share one dict of thin flows, keyed by a phase's
     competitive and resetting edge sets (`equilibrium.nash_flow` says why
@@ -125,32 +119,39 @@ def braess_ratio(inst: Instance, subsets: Optional[Sequence[Sequence[str]]] = No
         if full not in subsets:
             subsets.append(full)
 
-    entries = []
-    full_cost: Scalar = INF
-    by_core: dict[frozenset[str], tuple[Scalar, Optional[str]]] = {}
+    by_core: dict[frozenset[str], Scalar | FotError] = {}
     thin_flows: dict = {}
-    full_core = st_core(inst.network, edge_ids)
-    if full_core is not None:  # run outside `_core_cost`, so a failure is raised
-        full_cost = equilibrium.nash_flow(restrict(inst, full_core), phase_cap=phase_cap,
-                                          thin_flows=thin_flows).social_cost
-        by_core[full_core] = full_cost, None
-    for kept in subsets:
+
+    def outcome(kept: Sequence[str]) -> Scalar | FotError:
         core = st_core(inst.network, kept)
         if core is None:
-            entry = SubgraphCost(kept, INF)  # unbounded by convention
-        else:
-            if core not in by_core:
-                by_core[core] = _core_cost(inst, core, phase_cap, thin_flows)
-            entry = SubgraphCost(kept, *by_core[core])
-        entries.append(entry)
+            return INF  # unbounded by convention
+        if core not in by_core:
+            try:
+                by_core[core] = equilibrium.nash_flow(
+                    restrict(inst, core), phase_cap=phase_cap,
+                    thin_flows=thin_flows).social_cost
+            except FotError as exc:
+                by_core[core] = exc
+        return by_core[core]
 
+    full_cost = outcome(edge_ids)
+    if isinstance(full_cost, FotError):
+        raise full_cost
+    entries = []
     ratio: Scalar = Q(0)
     argmax: tuple[str, ...] = tuple(edge_ids)
-    for entry in entries:
+    for kept in subsets:
+        cost = outcome(kept)
+        if isinstance(cost, FotError):
+            entry = SubgraphCost(kept, INF, f"{type(cost).__name__}: {cost}")
+        else:
+            entry = SubgraphCost(kept, cost)
+        entries.append(entry)
         contribution = extended_ratio(full_cost, entry.cost)
         if contribution > ratio:
             ratio = contribution
-            argmax = entry.kept
+            argmax = kept
     return BraessReport(
         label=label,
         full_cost=full_cost,
@@ -183,31 +184,6 @@ class SweepReport:
     @property
     def failures(self) -> tuple[SweepPoint, ...]:
         return tuple(p for p in self.points if p.error is not None)
-
-
-def sweep(description: str, points: Sequence[tuple[str, Instance]],
-          phase_cap: int = 200) -> SweepReport:
-    out = []
-    max_ratio: Optional[Scalar] = None
-    any_paradox = False
-    for point_label, inst in points:
-        try:
-            report = braess_ratio(inst, label=point_label, phase_cap=phase_cap)
-        except FotError as exc:
-            out.append(SweepPoint(point_label, None, False,
-                                  error=f"{type(exc).__name__}: {exc}"))
-            continue
-        broken = [e for e in report.entries if e.error is not None]
-        if broken:
-            out.append(SweepPoint(
-                point_label, None, False,
-                error=f"{len(broken)} subsets failed, first: {broken[0].error}"))
-            continue
-        out.append(SweepPoint(point_label, report.ratio, report.paradox))
-        any_paradox = any_paradox or report.paradox
-        if max_ratio is None or report.ratio > max_ratio:
-            max_ratio = report.ratio
-    return SweepReport(description, tuple(out), max_ratio, any_paradox)
 
 
 def transposed_ladder3_instance(capacity: dict[str, Fraction],
@@ -262,7 +238,7 @@ def default_transpose_m3_grid() -> list[tuple[str, Instance]]:
 
 
 def sweep_transpose_m3(points: Optional[Sequence[tuple[str, Instance]]] = None,
-                       phase_cap: int = 200) -> SweepReport:
+                       phase_cap: int = PHASE_CAP) -> SweepReport:
     """Braess ratios across instances on the transposed three-level ladder.
 
     Every point must report ratio one; a larger ratio would contradict the
@@ -276,5 +252,21 @@ def sweep_transpose_m3(points: Optional[Sequence[tuple[str, Instance]]] = None,
         got = {(e.tail, e.head) for e in inst.network.edges}
         if got != shape:
             raise ParameterError(f"point {label!r} is not on the transposed ladder")
-    return sweep("transposed three-level ladder grid", points, phase_cap=phase_cap)
+    out = []
+    for label, inst in points:
+        try:
+            report = braess_ratio(inst, label=label, phase_cap=phase_cap)
+        except FotError as exc:
+            out.append(SweepPoint(label, None, False, error=f"{type(exc).__name__}: {exc}"))
+            continue
+        broken = [e for e in report.entries if e.error is not None]
+        if broken:
+            out.append(SweepPoint(
+                label, None, False,
+                error=f"{len(broken)} subsets failed, first: {broken[0].error}"))
+        else:
+            out.append(SweepPoint(label, report.ratio, report.paradox))
+    ratios = [p.ratio for p in out if p.ratio is not None]
+    return SweepReport("transposed three-level ladder grid", tuple(out),
+                       max(ratios, default=None), any(p.paradox for p in out))
 

@@ -406,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="compute the equilibrium phase by phase")
     p.add_argument("instance")
-    p.add_argument("--phase-cap", type=_phase_cap_arg, default=200)
+    p.add_argument("--phase-cap", type=_phase_cap_arg, default=equilibrium.PHASE_CAP)
     add_output(p, formats=True)
     p.set_defaults(func=_cmd_simulate)
 
@@ -421,23 +421,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("braess", help="cost ratio over all kept-edge subsets")
     p.add_argument("instance")
-    p.add_argument("--cap", type=_nonnegative_arg, default=16)
+    p.add_argument("--cap", type=_nonnegative_arg, default=braess_mod.SUBSET_CAP)
     p.add_argument("--subsets", help="JSON file with an explicit subset list")
-    p.add_argument("--phase-cap", type=_phase_cap_arg, default=200)
+    p.add_argument("--phase-cap", type=_phase_cap_arg, default=equilibrium.PHASE_CAP)
     add_output(p)
     p.set_defaults(func=_cmd_braess)
 
     p = sub.add_parser("classify", help="structural classification of a network")
     p.add_argument("network")
-    p.add_argument("--node-cap", type=_nonnegative_arg, default=15)
-    p.add_argument("--edge-cap", type=_nonnegative_arg, default=25)
+    p.add_argument("--node-cap", type=_nonnegative_arg, default=topology.NODE_CAP)
+    p.add_argument("--edge-cap", type=_nonnegative_arg, default=topology.EDGE_CAP)
     add_output(p)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("sweep", help="evaluate a grid of instances")
     p.add_argument("--preset", required=True, choices=("transpose-m3",))
     p.add_argument("--grid", help="JSON file: [{label, instance}, ...]")
-    p.add_argument("--phase-cap", type=_phase_cap_arg, default=200)
+    p.add_argument("--phase-cap", type=_phase_cap_arg, default=equilibrium.PHASE_CAP)
     add_output(p)
     p.set_defaults(func=_cmd_sweep)
 

@@ -68,6 +68,8 @@ from .pwl import ZERO, PiecewiseLinear
 # The most free edges (competitive edges not forced into every support) of
 # one pattern search: it visits up to 2**16 supports.
 MAX_ACTIVE_EDGES = 16
+# The most phases a run may take before it is refused without a final phase.
+PHASE_CAP = 200
 
 
 # -- exact linear algebra ------------------------------------------------------
@@ -606,7 +608,7 @@ def next_event(inst: Instance, arrival: Mapping[str, Fraction],
     return best, tuple(activations), tuple(depletions)
 
 
-def nash_flow(inst: Instance, phase_cap: int = 200,
+def nash_flow(inst: Instance, phase_cap: int = PHASE_CAP,
               thin_flows: Optional[dict[tuple[frozenset[str], frozenset[str]],
                                         ThinFlow]] = None) -> EquilibriumRun:
     """Compute the equilibrium of an acyclic instance with constant supply.

@@ -9,7 +9,6 @@ from fot.braess import (
     braess_ratio,
     default_transpose_m3_grid,
     extended_ratio,
-    sweep,
     sweep_transpose_m3,
     transposed_ladder3_instance,
 )
@@ -231,12 +230,33 @@ def test_sweep_records_point_failures():
         capacity={"e1": F(2), "e2": F(1), "f1": F(1), "f2": F(1)},
         transit={"e1": F(0), "e2": F(1), "f1": F(2), "f2": F(1)},
         supply=F(1))
-    report = sweep("tiny", [("ok", inst), ("slow", inst)], phase_cap=200)
+    report = sweep_transpose_m3([("ok", inst), ("slow", inst)], phase_cap=200)
     assert not report.failures
+    assert report.description == "transposed three-level ladder grid"
     two_phase = transpose(ladder(3, F(1, 10)))
-    capped = sweep("capped", [("fails", two_phase)], phase_cap=1)
+    capped = sweep_transpose_m3([("fails", two_phase)], phase_cap=1)
     assert len(capped.failures) == 1
     assert capped.points[0].error is not None
+    # Here the full network finishes within one phase, two other cores do not.
+    point = "tau=(0, 2, 1, 1)-caps=tight-supply=2"
+    subsets_fail = sweep_transpose_m3(
+        [(point, dict(default_transpose_m3_grid())[point])], phase_cap=1)
+    assert len(subsets_fail.points) == 1
+    assert subsets_fail.points[0].ratio is None
+    assert subsets_fail.points[0].error.startswith("2 subsets failed, first: PhaseCapError:")
+    assert subsets_fail.max_ratio is None and not subsets_fail.any_paradox
+
+
+def test_failed_subset_is_recorded_while_the_full_network_succeeds():
+    inst = make_ladder(4, F(1, 100))
+    report = braess_ratio(inst, phase_cap=4)
+    assert len(report.entries) == 64
+    failed = [e for e in report.entries if e.error is not None]
+    assert [e.kept for e in failed] == [("e1", "e2", "e3", "f1", "f2")]
+    assert failed[0].cost is INF
+    assert failed[0].error.startswith("PhaseCapError: no final phase within 4 phases")
+    default = braess_ratio(inst)
+    assert (report.ratio, report.argmax) == (default.ratio, default.argmax)
 
 
 def test_failed_run_of_the_full_network_is_raised_not_a_paradox():

@@ -25,7 +25,7 @@ from fot import equilibrium
 from fot.braess import braess_ratio
 from fot.core import (INF, ContractError, Edge, FotError, Instance, Network, NoPathError,
                       SizeCapError, first_feasible_support, restrict, st_core, transpose)
-from fot.dynamics import certify_nash, validate_feasible
+from fot.dynamics import certify_nash, labels, validate_feasible
 from fot.equilibrium import (
     MAX_ACTIVE_EDGES,
     ThinFlow,
@@ -67,8 +67,31 @@ def random_instances(draw):
     return Instance(net, capacity, transit, supply)
 
 
-@settings(max_examples=40, deadline=None)
-@given(random_instances())
+@st.composite
+def tied_instances(draw):
+    """Degenerate ties: a path through every node plus parallel copies and
+    shortcuts, with transits that are potential differences (often zero) so
+    that many routes share a free-flow time, a late unit on some edges so
+    that activations coincide, and capacities and supplies from a small set."""
+    n = draw(st.integers(min_value=3, max_value=5))
+    names = tuple(f"v{i}" for i in range(n))
+    potential = sorted(draw(st.lists(st.integers(min_value=0, max_value=2),
+                                     min_size=n, max_size=n)))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = [(i, i + 1) for i in range(n - 1)]
+    chosen += draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=5))
+    edges = tuple(Edge(f"e{k}", names[i], names[j]) for k, (i, j) in enumerate(chosen))
+    few = st.sampled_from([F(1, 2), F(1), F(3, 2), F(2)])
+    late = st.sampled_from([0, 0, 1])
+    return Instance(Network(names, edges, names[0], names[-1]),
+                    {e.id: draw(few) for e in edges},
+                    {e.id: F(potential[j] - potential[i] + draw(late))
+                     for e, (i, j) in zip(edges, chosen)},
+                    draw(st.sampled_from([F(1), F(2), F(5, 2), F(4)])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(random_instances(), tied_instances()))
 def test_random_instances_produce_certified_equilibria(inst):
     try:
         run = nash_flow(inst, phase_cap=400)
@@ -77,6 +100,9 @@ def test_random_instances_produce_certified_equilibria(inst):
     assert validate_feasible(inst, run.flow).ok
     ok, report = certify_nash(inst, run.flow)
     assert ok, str(report)
+    # the labels built from phase slopes are those the certificate derives
+    # from the flow curves
+    assert dict(run.labels) == labels(inst, run.flow)[0]
     # phases partition the half-line and labels stay continuous across them
     assert run.phases[0].start == 0
     for a, b in zip(run.phases, run.phases[1:]):
@@ -99,29 +125,6 @@ def test_label_slopes_agree_across_all_solver_patterns(inst):
         reference = solutions[0].label_slopes
         for other in solutions[1:]:
             assert other.label_slopes == reference
-
-
-@st.composite
-def tied_instances(draw):
-    """Degenerate ties: a path through every node plus parallel copies and
-    shortcuts, with transits that are potential differences (often zero) so
-    that many routes share a free-flow time, a late unit on some edges so
-    that activations coincide, and capacities and supplies from a small set."""
-    n = draw(st.integers(min_value=3, max_value=5))
-    names = tuple(f"v{i}" for i in range(n))
-    potential = sorted(draw(st.lists(st.integers(min_value=0, max_value=2),
-                                     min_size=n, max_size=n)))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    chosen = [(i, i + 1) for i in range(n - 1)]
-    chosen += draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=5))
-    edges = tuple(Edge(f"e{k}", names[i], names[j]) for k, (i, j) in enumerate(chosen))
-    few = st.sampled_from([F(1, 2), F(1), F(3, 2), F(2)])
-    late = st.sampled_from([0, 0, 1])
-    return Instance(Network(names, edges, names[0], names[-1]),
-                    {e.id: draw(few) for e in edges},
-                    {e.id: F(potential[j] - potential[i] + draw(late))
-                     for e, (i, j) in zip(edges, chosen)},
-                    draw(st.sampled_from([F(1), F(2), F(5, 2), F(4)])))
 
 
 def reference_enumerate_thin_flows(net, active, resetting, capacity, supply):
