@@ -508,18 +508,22 @@ def st_core(net: Network, keep: Iterable[str]) -> Optional[frozenset[str]]:
 
 def first_feasible_support(net: Network, keep: AbstractSet[str], full: AbstractSet[str],
                            capacity: Mapping[str, Fraction], supply: Fraction,
-                           order: Sequence[str]) -> Optional[tuple[bool, ...]]:
-    """The lexicographically first support of a bounded s-t flow.
+                           order: Sequence[str]
+                           ) -> Optional[tuple[tuple[bool, ...], dict[str, Q]]]:
+    """The lexicographically first support of a bounded s-t flow, and a
+    flow on it.
 
     The flows in question have value `supply` on the kept edges; each edge
     of `full` carries exactly its capacity and every other kept edge
     between 0 and its capacity.  Returns None when there is no such flow.
-    Otherwise, for each edge of `order` in turn, it returns whether the edge
-    must carry flow, given that every earlier edge marked False carries
-    none.  Such flows stay feasible when a zero edge may carry flow again,
-    so deciding the edges greedily in this order gives the first feasible
-    pattern: every pattern that comes earlier lexicographically, with False
-    before True, has no feasible flow.
+    Otherwise the first item holds, for each edge of `order` in turn,
+    whether the edge must carry flow, given that every earlier edge marked
+    False carries none.  Such flows stay feasible when a zero edge may
+    carry flow again, so deciding the edges greedily in this order gives
+    the first feasible pattern: every pattern that comes earlier
+    lexicographically, with False before True, has no feasible flow.  The
+    second item is one such flow on that pattern: its rate on each kept
+    edge, in edge order.
 
     Every value is scaled by the lcm of the denominators, so the search
     runs on integers.  Flow moves along shortest residual paths, found by
@@ -620,7 +624,7 @@ def first_feasible_support(net: Network, keep: AbstractSet[str], full: AbstractS
                 upper[i] = cap
                 excess[tail[i]] = excess[head[i]] = 0
         marks.append(flow[i] > 0)
-    return tuple(marks)
+    return tuple(marks), {e.id: Q(x, scale) for e, x in zip(edges, flow)}
 
 
 # --- JSON interchange -------------------------------------------------------

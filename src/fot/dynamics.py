@@ -19,7 +19,10 @@ the exit map entry + transit with no arithmetic, and `validate_feasible`
 skips its link-conservation and queue-discipline tests, which that equality
 already decides.  `certify_nash` skips the gap and inflow tests of an edge
 whose head-arrival curve is its head's label, where the gap is zero; a
-falling tail label still fails in `labels`, which composes it first.
+falling tail label still fails in `labels`, which composes it first.  Node
+conservation is decided from the slope changes of a node's curves, which
+all start at (0, 0); only a node that fails sums its curves, for the
+witness.
 
 Everything here is an independent check: it never trusts the phase engine
 that produced a flow, only the curves themselves.  `validate_feasible` and
@@ -208,6 +211,28 @@ def _first_difference(f: PiecewiseLinear, g: PiecewiseLinear) -> Optional[Fracti
     return max(f.xs[-1], g.xs[-1]) + 1
 
 
+def _balanced(plus: Sequence[PiecewiseLinear], minus: Sequence[PiecewiseLinear]) -> bool:
+    """Whether the curves of `plus` sum to the curves of `minus`, all of
+    them starting at (0, 0).  One curve on each side is compared as it
+    stands.  Otherwise the sums are equal exactly when their slopes are on
+    every piece, that is, when the slope changes of all the curves cancel
+    at every breakpoint, those of `minus` counted negative (a curve's first
+    slope is its change at 0).  Breakpoints are keyed by their integer
+    ratio, which hashes faster than the rational itself."""
+    if len(plus) == 1 and len(minus) == 1:
+        return plus[0] == minus[0]
+    change: dict[tuple[int, int], Fraction] = {}
+    for curves, sign in ((plus, 1), (minus, -1)):
+        for curve in curves:
+            before = ZERO
+            for x, slope in zip(curve.xs, curve.slopes()):
+                key = x.as_integer_ratio()
+                step = slope - before if sign > 0 else before - slope
+                change[key] = change.get(key, ZERO) + step
+                before = slope
+    return not any(change.values())
+
+
 def _check_structure(inst: Instance, flow: FlowOverTime) -> None:
     ids = set(inst.edge_ids)
     if set(flow.inflow) != ids or set(flow.outflow) != ids:
@@ -242,11 +267,14 @@ def validate_feasible(inst: Instance, flow: FlowOverTime,
         outflow = flow.outflow[eid]
         inflow = flow.inflow[eid]
 
-        # (1) outflow rate never exceeds capacity
-        for a, _, _, slope in outflow.segments():
-            if slope > cap:
-                found.append(Violation(CAPACITY, eid, a, slope, cap,
-                                       "outflow rate above capacity"))
+        # (1) outflow rate never exceeds capacity; the pieces are walked
+        # only when the largest rate does
+        slopes = outflow.slopes()
+        if max(slopes) > cap:
+            for a, slope in zip(outflow.xs, slopes):
+                if slope > cap:
+                    found.append(Violation(CAPACITY, eid, a, slope, cap,
+                                           "outflow rate above capacity"))
 
         shifted_out, _, wait, exit_map = _edge_curves(inst, flow, eid)
         exit_maps[eid] = exit_map
@@ -284,17 +312,22 @@ def validate_feasible(inst: Instance, flow: FlowOverTime,
                 found.append(Violation(QUEUE_DISCIPLINE, eid, a, rate, cap,
                                        "queued edge not draining at capacity"))
 
-    # (3) node conservation, with source and sink exceptions
+    # (3) node conservation, with source and sink exceptions: decided from
+    # the slopes at each node, and only a node that fails builds its sums
+    # for the witness
     net = inst.network
+    supplied = PiecewiseLinear.affine(inst.supply, ZERO)
     for v in net.nodes:
-        into = _total(flow.outflow[e.id] for e in net.in_edges[v])
-        outof = _total(flow.inflow[e.id] for e in net.out_edges[v])
+        into = [flow.outflow[e.id] for e in net.in_edges[v]]
+        outof = [flow.inflow[e.id] for e in net.out_edges[v]]
         if v == net.source:
-            expected = into + PiecewiseLinear.affine(inst.supply, ZERO)
-        elif v == net.sink:
-            expected = into - flow.sink_cumulative
-        else:
-            expected = into
+            into.append(supplied)
+        if _balanced(outof + [flow.sink_cumulative] if v == net.sink else outof, into):
+            continue
+        expected = _total(into)
+        if v == net.sink:
+            expected = expected - flow.sink_cumulative
+        outof = _total(outof)
         witness = _first_difference(outof, expected)
         if witness is not None:
             found.append(Violation(NODE_CONSERVATION, v, witness,

@@ -38,6 +38,19 @@ the capacity of every other competitive edge; one exact integer maximum
 flow (`fot.core.first_feasible_support`) decides it.  In such a steady
 phase the search starts at the first support mask that such a flow fits,
 and skips every mask before it, which holds no solution.
+
+Where the phase's structure leaves exactly one verified solution,
+`thin_flow` builds that solution and skips the walk; being the only one, it
+is the walk's first.  A verified solution is an s-t flow of the supply, so
+on an acyclic network it carries nothing off the competitive s-t core.  (a)
+When that core is one s-t path, the flow is the supply on the path, and
+the labels follow from it in one topological pass.  (b) When the phase is
+steady and the core's queue-free edges form a forest, every solution has
+all slopes one, fills each queued edge and carries nothing off the core;
+conservation on a forest then fixes every other rate, so the maximum flow's
+own flow is the one solution.  Both are still checked by
+`verify_thin_flow`.  Later label sources (minimum cuts, series-parallel
+labels) plug in at the same place.
 """
 
 from __future__ import annotations
@@ -49,6 +62,7 @@ from typing import Mapping, Optional, Sequence
 
 from .core import (
     ContractError,
+    Edge,
     INF,
     Instance,
     InternalConsistencyError,
@@ -58,12 +72,13 @@ from .core import (
     Q,
     Scalar,
     SizeCapError,
+    as_fraction,
     first_feasible_support,
     format_scalar,
     st_core,
 )
 from .dynamics import FlowOverTime, certify_nash, derive_sink_cumulative, validate_feasible
-from .pwl import ZERO, PiecewiseLinear
+from .pwl import ONE, ZERO, PiecewiseLinear
 
 # The most free edges (competitive edges not forced into every support) of
 # one pattern search: it visits up to 2**16 supports.
@@ -270,12 +285,135 @@ def thin_flow(net: Network, active: frozenset[str], resetting: frozenset[str],
               capacity: Mapping[str, Fraction], supply: Fraction) -> ThinFlow:
     """Solve the per-phase derivative system on the competitive edge set: the
     first verified solution of `enumerate_thin_flows`, so the flow split is
-    a function of the pattern order alone."""
-    for tf in enumerate_thin_flows(net, active, resetting, capacity, supply):
+    a function of the pattern order alone.
+
+    Two structures of an acyclic phase leave exactly one verified solution,
+    which is then the walk's first one; the solution is built directly, and
+    the walk runs only when neither holds.  Both need every competitive
+    capacity positive.  A verified solution is an s-t flow of value
+    `supply`, and on an acyclic network it is the sum of s-t paths, so it
+    carries nothing off the competitive s-t core (`st_core(net, active)`).
+
+    (a) Forced path: the core is one s-t path.  The flow is then `supply`
+    on that path and 0 on every other competitive edge, and the labels
+    follow in one topological pass: l'_s = 1, and l'_w is the minimum of
+    rho_e(l'_v, x_e) over the competitive in-edges e = (v, w) of w (see
+    `enumerate_thin_flows` for rho).  So one candidate is left.
+
+    (b) Single-point steady phase: the steady test finds a flow in P(1) and
+    the queue-free edges of the core form a forest.  Every verified
+    solution has l' = 1 and lies in P(1) (`enumerate_thin_flows` has the
+    argument).  In P(1) each queued edge carries its capacity and each
+    edge off the core 0, and conservation on a forest has at most one
+    solution, so P(1) is one point: the flow the steady test found.
+
+    Each candidate is checked by `verify_thin_flow` like every solution of
+    the walk, and one that fails raises `InternalConsistencyError`.  A
+    phase outside both cases is walked, from the steady test's first mask.
+    """
+    edges, nodes, core, free = _competitive(net, active, resetting)
+    positive = all(capacity[e.id] > 0 for e in edges)
+    tf = _forced_path(net, edges, nodes, core, resetting, capacity, supply) if positive else None
+    steady = None
+    if tf is None:
+        steady = first_feasible_support(net, active, resetting, capacity, supply, free)
+        if positive and steady is not None and _forest(
+                e for e in edges if e.id in core and e.id not in resetting):
+            tf = ThinFlow(dict.fromkeys(nodes, ONE), steady[1])
+    if tf is not None:
+        reason = verify_thin_flow(net, active, resetting, capacity, supply,
+                                  tf.label_slopes, tf.edge_rates)
+        if reason is not None:
+            raise InternalConsistencyError(
+                f"the thin flow that the phase's structure decides fails: {reason}")
+        return tf
+    for tf in _walk(net, active, resetting, capacity, supply, edges, nodes, free,
+                    None if steady is None else steady[0]):
         return tf
     raise InternalConsistencyError(
         "no valid derivative pattern found (this should be impossible for a "
         "feasible competitive edge set)")
+
+
+def _competitive(net: Network, active: frozenset[str], resetting: frozenset[str]
+                 ) -> tuple[list[Edge], list[str], frozenset[str], list[str]]:
+    """The competitive edges in edge order, the nodes they reach in node
+    order, their s-t core and the free edges, after the input checks."""
+    if not resetting <= active:
+        raise ContractError("resetting edges must be competitive")
+    edges = [e for e in net.edges if e.id in active]
+
+    # Reachability inside the competitive subgraph defines the node set.
+    reach = net.reachable_from(net.source, active)
+    for e in edges:
+        if e.tail not in reach:
+            raise ContractError(f"competitive edge {e.id} is unreachable from the source")
+    if net.sink not in reach:
+        raise NoPathError("sink not reachable through competitive edges")
+
+    to_sink = net.reaching_to(net.sink, active)
+    free = [e.id for e in edges if e.id not in resetting or e.head not in to_sink]
+    if len(free) > MAX_ACTIVE_EDGES:
+        raise SizeCapError(
+            f"more than {MAX_ACTIVE_EDGES} free edges in a thin-flow pattern search")
+    # Every tail is reachable, so the core is the edges whose head reaches t.
+    core = frozenset(e.id for e in edges if e.head in to_sink)
+    return edges, [v for v in net.nodes if v in reach], core, free
+
+
+def _forced_path(net: Network, edges: list[Edge], nodes: list[str], core: frozenset[str],
+                 resetting: frozenset[str], capacity: Mapping[str, Fraction],
+                 supply: Fraction) -> Optional[ThinFlow]:
+    """Case (a) of `thin_flow`: the one candidate when the core is one s-t
+    path (no node has two core out-edges), else None.  None too when the
+    competitive edges hold a cycle, which the topological pass finds."""
+    tails = [e.tail for e in edges if e.id in core]
+    if len(set(tails)) < len(tails):
+        return None
+    rate = as_fraction(supply)
+    edge_rates = {e.id: rate if e.id in core else ZERO for e in edges}
+    pending = dict.fromkeys(nodes, 0)
+    out: dict[str, list[Edge]] = {v: [] for v in nodes}
+    for e in edges:
+        pending[e.head] += 1
+        out[e.tail].append(e)
+    if pending[net.source]:
+        return None
+    slopes = {net.source: ONE}
+    best: dict[str, Fraction] = {}
+    ready = [net.source]
+    while ready:
+        v = ready.pop()
+        for e in out[v]:
+            w = e.head
+            ratio = _drain_ratio(edge_rates[e.id], capacity[e.id], slopes[v],
+                                 e.id in resetting)
+            best[w] = ratio if w not in best else min(best[w], ratio)
+            pending[w] -= 1
+            if not pending[w]:
+                slopes[w] = best[w]
+                ready.append(w)
+    if len(slopes) < len(nodes):
+        return None
+    return ThinFlow({v: slopes[v] for v in nodes}, edge_rates)
+
+
+def _forest(edges) -> bool:
+    """Whether the edges, taken undirected, hold no cycle (a pair of
+    parallel edges is one)."""
+    parent: dict[str, str] = {}
+
+    def root(v: str) -> str:
+        while v in parent:
+            v = parent[v]
+        return v
+
+    for e in edges:
+        a, b = root(e.tail), root(e.head)
+        if a == b:
+            return False
+        parent[a] = b
+    return True
 
 
 def enumerate_thin_flows(net: Network, active: frozenset[str],
@@ -388,10 +526,22 @@ def enumerate_thin_flows(net: Network, active: frozenset[str],
             f"more than {MAX_ACTIVE_EDGES} free edges in a thin-flow pattern search")
     forced = frozenset(e.id for e in edges).difference(free)
 
+    edges, nodes, _, free = _competitive(net, active, resetting)
+    steady = first_feasible_support(net, active, resetting, capacity, supply, free)
+    yield from _walk(net, active, resetting, capacity, supply, edges, nodes, free,
+                     None if steady is None else steady[0])
+
+
+def _walk(net: Network, active: frozenset[str], resetting: frozenset[str],
+          capacity: Mapping[str, Fraction], supply: Fraction, edges: list[Edge],
+          nodes: list[str], free: list[str], marks: Optional[tuple[bool, ...]]):
+    """The pattern walk of `enumerate_thin_flows`, from the first mask that
+    `marks`, the steady test's verdict, allows."""
+    forced = frozenset(e.id for e in edges).difference(free)
+
     # Columns: node i is column i, the rate of edge i is column x0 + i.  Per
     # edge: its tail column (None when it has a queue, as its ratio then
     # ignores the tail), head column and capacity.
-    nodes = [v for v in net.nodes if v in reach]
     index = {v: i for i, v in enumerate(nodes)}
     x0 = len(nodes)
     n = x0 + len(edges)
@@ -427,10 +577,6 @@ def enumerate_thin_flows(net: Network, active: frozenset[str],
     # The edges whose local condition reads each column.
     watch = [[i for i in range(len(edges)) if c in (tail_col[i], head_col[i], x0 + i)]
              for c in range(n)]
-
-    # Labels first: when the steady test finds a flow in P(1), every mask
-    # before the first feasible one is skipped.
-    marks = first_feasible_support(net, active, resetting, capacity, supply, free)
 
     # value[c] is the value of column c once the prefix determines it;
     # `ratio` divides an edge's rate by its capacity on each call.
@@ -493,6 +639,8 @@ def enumerate_thin_flows(net: Network, active: frozenset[str],
                         yield ThinFlow(label_slopes, edge_rates)
             forget(child)
 
+    # Labels first: when the steady test finds a flow in P(1), every mask
+    # before the first feasible one is skipped.
     bits = [1 << j for j in reversed(range(len(free)))]
     start = 0 if marks is None else sum(b for b, m in zip(bits, marks) if m)
     for mask in range(start, 1 << len(free)):

@@ -20,7 +20,8 @@ adds the line to every breakpoint and its slope to every slope; `compose`
 with an inner x + c from 0 is `translate` (the outer's arrays cut at c and
 moved left, slopes kept, so no product or quotient per breakpoint; for
 c = 0 a curve that starts at 0 comes back as it is); and `compose` with an
-outer x + c adds c to the inner curve.  `compose` checks its contract before
+outer x + c adds c to the inner curve.  An outer x + 0 returns the inner
+curve itself, whatever the inner is.  `compose` checks its contract before
 choosing a path.
 
 These functions carry every curve in the package: cumulative edge in/outflows,
@@ -176,7 +177,7 @@ class PiecewiseLinear:
         return [(a, s) for a, _, _, s in self.segments()]
 
     def is_nondecreasing(self) -> bool:
-        return all(s >= 0 for s in self.slopes())
+        return min(self._slopes) >= 0
 
     def supremum(self) -> Scalar:
         """Exact supremum over the whole domain (INF if unbounded)."""
@@ -233,17 +234,19 @@ class PiecewiseLinear:
         """Exact composition self(inner(x)); inner must be nondecreasing.
         Each outer breakpoint that a rising piece of inner passes adds its
         exact preimage as a breakpoint.  Two shapes skip that walk: an inner
-        x + c from 0 is a translation, and an outer x + c adds c to inner."""
+        x + c from 0 is a translation, and an outer x + c adds c to inner.
+        An outer x + 0 is checked first, so it always returns inner itself."""
         if not inner.is_nondecreasing():
             raise ContractError("inner function of a composition must be nondecreasing")
         if inner.ys[0] < self.xs[0]:
             raise DomainError("inner function leaves the outer domain")
+        outer_shift = len(self.xs) == 1 and self.final_slope == 1
+        if outer_shift and self.ys[0] == self.xs[0]:
+            return inner
         if len(inner.xs) == 1 and inner.xs[0] == 0 and inner.final_slope == 1:
             return self.translate(inner.ys[0])
-        if len(self.xs) == 1 and self.final_slope == 1:
+        if outer_shift:
             c = self.ys[0] - self.xs[0]
-            if c == 0:
-                return inner
             return _curve(inner.xs, tuple(y + c for y in inner.ys), inner._slopes)
         xs, slopes, last = self.xs, self._slopes, len(self.xs) - 1
         k = 0  # the outer segment holding the current inner value

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -193,6 +194,39 @@ def test_braess_ratio_solves_each_distinct_phase_system_once(inst, solves, phase
     braess_ratio(inst)
     assert len(calls) == len(set(calls)) == solves
     assert set(calls) == systems
+
+
+@pytest.mark.parametrize("inst, solves, paths, walks", [
+    pytest.param(make_ladder(4, F(1, 1000)), 20, 4, 15, id="ladder-n4"),
+    pytest.param(dict(default_transpose_m3_grid())[_SLACK_POINT], 3, 3, 0, id=_SLACK_POINT),
+])
+def test_braess_ratio_walks_only_the_phases_structure_leaves_open(inst, solves, paths, walks,
+                                                                  monkeypatch):
+    # Exact counts of the thin-flow calls, of those whose core is one s-t
+    # path, and of the walks: the rest, here one call on ladder n = 4, are
+    # steady phases whose P(1) is one point.  A lost skip fails here.
+    calls = Counter()
+    wrapped = {name: getattr(equilibrium, name)
+               for name in ("thin_flow", "_forced_path", "_walk")}
+
+    def thin_flow(*args):
+        calls["thin_flow"] += 1
+        return wrapped["thin_flow"](*args)
+
+    def forced_path(*args):
+        tf = wrapped["_forced_path"](*args)
+        calls["path"] += tf is not None
+        return tf
+
+    def walk(*args):
+        calls["walk"] += 1
+        return wrapped["_walk"](*args)
+
+    for name, counted in (("thin_flow", thin_flow), ("_forced_path", forced_path),
+                          ("_walk", walk)):
+        monkeypatch.setattr(equilibrium, name, counted)
+    braess_ratio(inst)
+    assert (calls["thin_flow"], calls["path"], calls["walk"]) == (solves, paths, walks)
 
 
 def test_braess_report_carries_equilibrium_caveat():

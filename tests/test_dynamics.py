@@ -2,6 +2,8 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fot import dynamics, equilibrium
 from fot.core import INF, ContractError, FotError, Instance, MalformedFlowError
@@ -122,6 +124,21 @@ def test_validate_all_zero_flow_breaks_source_conservation():
     assert any(v.condition == NODE_CONSERVATION and v.where == "v1"
                for v in report.violations)
     assert str(report) == "NodeConservation(3) at v1, time 1: 0 vs 2 flow conservation broken"
+
+
+rate_curves = st.lists(
+    st.tuples(st.fractions(min_value=0, max_value=6, max_denominator=4),
+              st.fractions(min_value=-3, max_value=3, max_denominator=4)),
+    max_size=4).map(lambda pairs: PiecewiseLinear.from_rate_segments(sorted(pairs)))
+
+
+@settings(max_examples=200)
+@given(st.lists(rate_curves, max_size=3), st.lists(rate_curves, max_size=3), rate_curves)
+def test_a_node_balances_exactly_when_its_sums_agree(plus, minus, part):
+    # Node conservation is decided from slope changes, without the sums
+    # that a failing node builds for its witness.
+    assert dynamics._balanced(plus, minus) == (dynamics._total(plus) == dynamics._total(minus))
+    assert dynamics._balanced(plus, [dynamics._total(plus) - part, part])
 
 
 def test_validate_capacity_violation():

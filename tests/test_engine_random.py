@@ -16,6 +16,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from unittest.mock import patch
 
 import pytest
 from hypothesis import Phase, find, given, settings
@@ -23,8 +24,8 @@ from hypothesis import strategies as st
 
 from fot import equilibrium
 from fot.braess import braess_ratio
-from fot.core import (INF, ContractError, Edge, FotError, Instance, Network, NoPathError,
-                      SizeCapError, first_feasible_support, restrict, st_core, transpose)
+from fot.core import (INF, ContractError, Edge, FotError, Instance, InternalConsistencyError,
+                      Network, NoPathError, Q, SizeCapError, first_feasible_support, restrict, st_core, transpose)
 from fot.dynamics import certify_nash, labels, validate_feasible
 from fot.equilibrium import (
     MAX_ACTIVE_EDGES,
@@ -340,11 +341,67 @@ def test_pruning_bounds_the_search_on_the_steady_transposed_ladder_phase(monkeyp
             calls[name] += 1
             return call(*args)
         monkeypatch.setattr(equilibrium, name, counted)
-    tf = thin_flow(inst.network, frozenset(last.active), frozenset(last.resetting),
-                   inst.capacity, inst.supply)
+    tf = next(enumerate_thin_flows(inst.network, frozenset(last.active),
+                                   frozenset(last.resetting), inst.capacity, inst.supply))
     assert tf.label_slopes == last.label_slopes
     assert calls["verify_thin_flow"] <= 1
     assert calls["solve_exact"] <= 2976
+
+
+def _thin_flow_route(args):
+    """`thin_flow` on one phase system and how it got there: "path" when
+    the core is one s-t path, "walk" when it walked the patterns, else
+    "point" (a steady phase whose P(1) is one point)."""
+    routes = []
+    forced_path, walk = equilibrium._forced_path, equilibrium._walk
+
+    def path(*args):
+        tf = forced_path(*args)
+        if tf is not None:
+            routes.append("path")
+        return tf
+
+    def walked(*args):
+        routes.append("walk")
+        return walk(*args)
+
+    with patch.object(equilibrium, "_forced_path", path), \
+            patch.object(equilibrium, "_walk", walked):
+        tf = thin_flow(*args)
+    return tf, routes[0] if routes else "point"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(random_instances(), tied_instances()))
+def test_thin_flow_is_the_first_solution_of_the_walk_on_engine_phases(inst):
+    # A thin flow that the phase's structure decides is the one the walk
+    # finds first: the same items in the same order, all of them `Q`.
+    for args in _engine_phases(inst):
+        tf, _ = _thin_flow_route(args)
+        first = next(enumerate_thin_flows(*args))
+        assert list(tf.label_slopes.items()) == list(first.label_slopes.items())
+        assert list(tf.edge_rates.items()) == list(first.edge_rates.items())
+        assert all(type(x) is Q for x in (*tf.label_slopes.values(), *tf.edge_rates.values()))
+
+
+@pytest.mark.parametrize("route", ["path", "point", "walk"])
+def test_engine_phases_take_every_thin_flow_route(route):
+    # Both structural cases fire on engine phases, and phases outside them
+    # fall through to the walk.
+    def takes(inst):
+        return any(_thin_flow_route(args)[1] == route for args in _engine_phases(inst))
+
+    find(st.one_of(random_instances(), tied_instances()), takes, settings=settings(
+        max_examples=100, derandomize=True, database=None, phases=[Phase.generate]))
+
+
+def test_a_zero_capacity_path_is_left_to_the_walk(monkeypatch):
+    # A queued s-t link of capacity zero is a forced path, but its drain
+    # ratio would be 0/0: the walk decides, finds no pattern, and the
+    # error stays the one it raised before.
+    net = build_instance([("q", "s", "t", 1, 0)], source="s", sink="t", supply=2).network
+    with pytest.raises(InternalConsistencyError, match="^no valid derivative pattern found"):
+        thin_flow(net, frozenset({"q"}), frozenset({"q"}), {"q": F(0)}, F(2))
 
 
 def test_the_skip_bounds_the_search_of_the_transposed_ladder(monkeypatch):
@@ -372,8 +429,9 @@ def _free_edges(net, active, resetting):
 
 
 def _steady_marks(net, active, resetting, capacity, supply):
-    return first_feasible_support(net, active, resetting, capacity, supply,
-                                  _free_edges(net, active, resetting))
+    steady = first_feasible_support(net, active, resetting, capacity, supply,
+                                    _free_edges(net, active, resetting))
+    return None if steady is None else steady[0]
 
 
 def bounded_flow_exists(net, active, resetting, capacity, supply, zero):
@@ -434,16 +492,29 @@ def test_the_first_feasible_support_is_the_lexicographically_first(args):
     # Against the reduction to one maximum flow: the marked support has a
     # flow, and for each edge it marks, the masks that share the marks
     # before it and leave it out have none.  Feasibility is up-closed in
-    # the mask, so this is every earlier mask.
+    # the mask, so this is every earlier mask.  The flow that comes with
+    # the marks is one of the bounded flows, on the marked support.
     net, active, resetting, capacity, supply = args
     if net.sink not in net.reachable_from(net.source, active):
         return
     free = _free_edges(net, active, resetting)
-    marks = first_feasible_support(net, active, resetting, capacity, supply, free)
+    steady = first_feasible_support(net, active, resetting, capacity, supply, free)
     if not bounded_flow_exists(net, active, resetting, capacity, supply, frozenset()):
-        assert marks is None
+        assert steady is None
         return
-    assert marks is not None and len(marks) == len(free)
+    marks, rates = steady
+    assert len(marks) == len(free)
+    assert list(rates) == [e.id for e in net.edges if e.id in active]
+    balance = Counter()
+    for e in net.edges:
+        if e.id in active:
+            x = rates[e.id]
+            assert type(x) is Q and 0 <= x <= capacity[e.id]
+            assert e.id not in resetting or x == capacity[e.id]
+            balance[e.tail] -= x
+            balance[e.head] += x
+    assert +balance == Counter({net.sink: supply}) and -balance == Counter({net.source: supply})
+    assert marks == tuple(rates[eid] > 0 for eid in free)
     zero = {eid for eid, m in zip(free, marks) if not m}
     assert bounded_flow_exists(net, active, resetting, capacity, supply, zero)
     for j, (eid, m) in enumerate(zip(free, marks)):
