@@ -247,10 +247,10 @@ def sweep_transpose_m3(points: Optional[Sequence[tuple[str, Instance]]] = None,
     """
     if points is None:
         points = default_transpose_m3_grid()
-    shape = {(e.tail, e.head) for e in _TRANSPOSED_LADDER3.edges}
+    # Edges as a multiset of (tail, head) pairs: parallel copies count.
+    shape = sorted((e.tail, e.head) for e in _TRANSPOSED_LADDER3.edges)
     for label, inst in points:
-        got = {(e.tail, e.head) for e in inst.network.edges}
-        if got != shape:
+        if sorted((e.tail, e.head) for e in inst.network.edges) != shape:
             raise ParameterError(f"point {label!r} is not on the transposed ladder")
     out = []
     for label, inst in points:

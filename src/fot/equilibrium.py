@@ -41,15 +41,19 @@ and skips every mask before it, which holds no solution.
 
 Where the phase's structure leaves exactly one verified solution,
 `thin_flow` builds that solution and skips the walk; being the only one, it
-is the walk's first.  A verified solution is an s-t flow of the supply, so
-on an acyclic network it carries nothing off the competitive s-t core.  (a)
-When that core is one s-t path, the flow is the supply on the path, and
-the labels follow from it in one topological pass.  (b) When the phase is
+is the walk's first.  The network must be acyclic (a cycle raises
+`UnsupportedTopologyError`, as in `nash_flow`), so a verified solution, an
+s-t flow of the supply, carries nothing off the competitive s-t core.  One
+structural test, whether an edge set taken undirected is a forest, decides
+both cases.  (a) When the core is a forest it is one s-t path, since every
+core edge lies on an s-t path and two such paths close a cycle; the flow
+is the supply on the path, and one label pass along the network's
+topological order derives the labels from it.  (b) When the phase is
 steady and the core's queue-free edges form a forest, every solution has
 all slopes one, fills each queued edge and carries nothing off the core;
 conservation on a forest then fixes every other rate, so the maximum flow's
-own flow is the one solution.  Both are still checked by
-`verify_thin_flow`.  Later label sources (minimum cuts, series-parallel
+own flow, with all slopes one, is the one solution.  Both are still checked
+by `verify_thin_flow`.  Later label sources (minimum cuts, series-parallel
 labels) plug in at the same place.
 """
 
@@ -287,35 +291,44 @@ def thin_flow(net: Network, active: frozenset[str], resetting: frozenset[str],
     first verified solution of `enumerate_thin_flows`, so the flow split is
     a function of the pattern order alone.
 
-    Two structures of an acyclic phase leave exactly one verified solution,
-    which is then the walk's first one; the solution is built directly, and
-    the walk runs only when neither holds.  Both need every competitive
-    capacity positive.  A verified solution is an s-t flow of value
-    `supply`, and on an acyclic network it is the sum of s-t paths, so it
-    carries nothing off the competitive s-t core (`st_core(net, active)`).
+    Two structures of a phase leave exactly one verified solution, which is
+    then the walk's first one; the solution is built directly, and the walk
+    runs only when neither holds.  Both need every competitive capacity
+    positive, and both ask one structural question, whether a set of
+    competitive edges, taken undirected, is a forest (`_forest`).  The
+    network is acyclic (`_competitive` refuses a cycle), and a verified
+    solution is an s-t flow of value `supply`, so it is the sum of s-t paths
+    and carries nothing off the competitive s-t core (`st_core(net,
+    active)`).
 
-    (a) Forced path: the core is one s-t path.  The flow is then `supply`
-    on that path and 0 on every other competitive edge, and the labels
-    follow in one topological pass: l'_s = 1, and l'_w is the minimum of
-    rho_e(l'_v, x_e) over the competitive in-edges e = (v, w) of w (see
-    `enumerate_thin_flows` for rho).  So one candidate is left.
+    (a) Forced path: the core is a forest.  Every core edge lies on an s-t
+    path inside the core, and two distinct s-t paths close an undirected
+    cycle, so the core is then one s-t path.  The flow is `supply` on that
+    path and 0 on every other competitive edge, and `_label_pass` derives
+    the labels from those rates.  So one candidate is left.
 
     (b) Single-point steady phase: the steady test finds a flow in P(1) and
     the queue-free edges of the core form a forest.  Every verified
     solution has l' = 1 and lies in P(1) (`enumerate_thin_flows` has the
     argument).  In P(1) each queued edge carries its capacity and each
     edge off the core 0, and conservation on a forest has at most one
-    solution, so P(1) is one point: the flow the steady test found.
+    solution, so P(1) is one point: the flow the steady test found, with
+    every label slope one.
 
     Each candidate is checked by `verify_thin_flow` like every solution of
-    the walk, and one that fails raises `InternalConsistencyError`.  A
-    phase outside both cases is walked, from the steady test's first mask.
+    the walk, and one that fails raises `InternalConsistencyError`; in
+    case (b) the all-one labels make that check certify that the flow lies
+    in P(1).  A phase outside both cases is walked, from the steady test's
+    first mask.
     """
-    edges, nodes, core, free = _competitive(net, active, resetting)
+    edges, nodes, core, free, order = _competitive(net, active, resetting)
     positive = all(capacity[e.id] > 0 for e in edges)
-    tf = _forced_path(net, edges, nodes, core, resetting, capacity, supply) if positive else None
-    steady = None
-    if tf is None:
+    steady = tf = None
+    if positive and _forest(e for e in edges if e.id in core):
+        rate = as_fraction(supply)
+        rates = {e.id: rate if e.id in core else ZERO for e in edges}
+        tf = ThinFlow(_label_pass(net, nodes, order, resetting, capacity, rates), rates)
+    else:
         steady = first_feasible_support(net, active, resetting, capacity, supply, free)
         if positive and steady is not None and _forest(
                 e for e in edges if e.id in core and e.id not in resetting):
@@ -336,9 +349,10 @@ def thin_flow(net: Network, active: frozenset[str], resetting: frozenset[str],
 
 
 def _competitive(net: Network, active: frozenset[str], resetting: frozenset[str]
-                 ) -> tuple[list[Edge], list[str], frozenset[str], list[str]]:
+                 ) -> tuple[list[Edge], list[str], frozenset[str], list[str], tuple[str, ...]]:
     """The competitive edges in edge order, the nodes they reach in node
-    order, their s-t core and the free edges, after the input checks."""
+    order, their s-t core, the free edges and the network's topological
+    order, after the input checks; `UnsupportedTopologyError` on a cycle."""
     if not resetting <= active:
         raise ContractError("resetting edges must be competitive")
     edges = [e for e in net.edges if e.id in active]
@@ -356,46 +370,27 @@ def _competitive(net: Network, active: frozenset[str], resetting: frozenset[str]
     if len(free) > MAX_ACTIVE_EDGES:
         raise SizeCapError(
             f"more than {MAX_ACTIVE_EDGES} free edges in a thin-flow pattern search")
+    order = net.topological_order()
     # Every tail is reachable, so the core is the edges whose head reaches t.
     core = frozenset(e.id for e in edges if e.head in to_sink)
-    return edges, [v for v in net.nodes if v in reach], core, free
+    return edges, [v for v in net.nodes if v in reach], core, free, order
 
 
-def _forced_path(net: Network, edges: list[Edge], nodes: list[str], core: frozenset[str],
-                 resetting: frozenset[str], capacity: Mapping[str, Fraction],
-                 supply: Fraction) -> Optional[ThinFlow]:
-    """Case (a) of `thin_flow`: the one candidate when the core is one s-t
-    path (no node has two core out-edges), else None.  None too when the
-    competitive edges hold a cycle, which the topological pass finds."""
-    tails = [e.tail for e in edges if e.id in core]
-    if len(set(tails)) < len(tails):
-        return None
-    rate = as_fraction(supply)
-    edge_rates = {e.id: rate if e.id in core else ZERO for e in edges}
-    pending = dict.fromkeys(nodes, 0)
-    out: dict[str, list[Edge]] = {v: [] for v in nodes}
-    for e in edges:
-        pending[e.head] += 1
-        out[e.tail].append(e)
-    if pending[net.source]:
-        return None
+def _label_pass(net: Network, nodes: list[str], order: Sequence[str],
+                resetting: frozenset[str], capacity: Mapping[str, Fraction],
+                rates: Mapping[str, Fraction]) -> dict[str, Fraction]:
+    """The label slopes that the competitive edge rates `rates` leave, by
+    one pass along the topological `order`: l'_s = 1, and l'_w is the
+    minimum of rho_e(l'_v, x_e) over the competitive in-edges e = (v, w) of
+    w (see `enumerate_thin_flows` for rho).  Keyed in the order of
+    `nodes`."""
     slopes = {net.source: ONE}
-    best: dict[str, Fraction] = {}
-    ready = [net.source]
-    while ready:
-        v = ready.pop()
-        for e in out[v]:
-            w = e.head
-            ratio = _drain_ratio(edge_rates[e.id], capacity[e.id], slopes[v],
-                                 e.id in resetting)
-            best[w] = ratio if w not in best else min(best[w], ratio)
-            pending[w] -= 1
-            if not pending[w]:
-                slopes[w] = best[w]
-                ready.append(w)
-    if len(slopes) < len(nodes):
-        return None
-    return ThinFlow({v: slopes[v] for v in nodes}, edge_rates)
+    for w in order:
+        ratios = [_drain_ratio(rates[e.id], capacity[e.id], slopes[e.tail], e.id in resetting)
+                  for e in net.in_edges[w] if e.id in rates]
+        if ratios:
+            slopes[w] = min(ratios)
+    return {v: slopes[v] for v in nodes}
 
 
 def _forest(edges) -> bool:
@@ -420,7 +415,8 @@ def enumerate_thin_flows(net: Network, active: frozenset[str],
                          resetting: frozenset[str],
                          capacity: Mapping[str, Fraction],
                          supply: Fraction):
-    """Yield every verified pattern solution in deterministic order.
+    """Yield every verified pattern solution in deterministic order.  The
+    network must be acyclic: a cycle raises `UnsupportedTopologyError`.
 
     Patterns (which edges carry flow, a support that is its own `st_core`;
     for each flow edge whether the capacity term or the tail slope pins the
@@ -507,26 +503,7 @@ def enumerate_thin_flows(net: Network, active: frozenset[str],
     only on the set of rows, so the same subtrees are cut and the survivors
     come in the same order.
     """
-    if not resetting <= active:
-        raise ContractError("resetting edges must be competitive")
-    edges = [e for e in net.edges if e.id in active]
-
-    # Reachability inside the competitive subgraph defines the node set.
-    reach = net.reachable_from(net.source, active)
-    for e in edges:
-        if e.tail not in reach:
-            raise ContractError(f"competitive edge {e.id} is unreachable from the source")
-    if net.sink not in reach:
-        raise NoPathError("sink not reachable through competitive edges")
-
-    to_sink = net.reaching_to(net.sink, active)
-    free = [e.id for e in edges if e.id not in resetting or e.head not in to_sink]
-    if len(free) > MAX_ACTIVE_EDGES:
-        raise SizeCapError(
-            f"more than {MAX_ACTIVE_EDGES} free edges in a thin-flow pattern search")
-    forced = frozenset(e.id for e in edges).difference(free)
-
-    edges, nodes, _, free = _competitive(net, active, resetting)
+    edges, nodes, _, free, _ = _competitive(net, active, resetting)
     steady = first_feasible_support(net, active, resetting, capacity, supply, free)
     yield from _walk(net, active, resetting, capacity, supply, edges, nodes, free,
                      None if steady is None else steady[0])

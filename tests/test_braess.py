@@ -26,7 +26,7 @@ from fot.core import (
 )
 from fot.gen import MnParams, geometric_alphas, make_chain, make_ladder, make_mn, random_dag
 
-from helpers import two_link_base_instance
+from helpers import build_instance, two_link_base_instance
 
 F = Fraction
 
@@ -203,30 +203,18 @@ def test_braess_ratio_solves_each_distinct_phase_system_once(inst, solves, phase
 def test_braess_ratio_walks_only_the_phases_structure_leaves_open(inst, solves, paths, walks,
                                                                   monkeypatch):
     # Exact counts of the thin-flow calls, of those whose core is one s-t
-    # path, and of the walks: the rest, here one call on ladder n = 4, are
-    # steady phases whose P(1) is one point.  A lost skip fails here.
+    # path (the calls that never reach the steady test), and of the walks:
+    # the rest, here one call on ladder n = 4, are steady phases whose P(1)
+    # is one point.  A lost skip fails here.
     calls = Counter()
-    wrapped = {name: getattr(equilibrium, name)
-               for name in ("thin_flow", "_forced_path", "_walk")}
-
-    def thin_flow(*args):
-        calls["thin_flow"] += 1
-        return wrapped["thin_flow"](*args)
-
-    def forced_path(*args):
-        tf = wrapped["_forced_path"](*args)
-        calls["path"] += tf is not None
-        return tf
-
-    def walk(*args):
-        calls["walk"] += 1
-        return wrapped["_walk"](*args)
-
-    for name, counted in (("thin_flow", thin_flow), ("_forced_path", forced_path),
-                          ("_walk", walk)):
+    for name in ("thin_flow", "first_feasible_support", "_walk"):
+        def counted(*args, name=name, call=getattr(equilibrium, name)):
+            calls[name] += 1
+            return call(*args)
         monkeypatch.setattr(equilibrium, name, counted)
     braess_ratio(inst)
-    assert (calls["thin_flow"], calls["path"], calls["walk"]) == (solves, paths, walks)
+    path_calls = calls["thin_flow"] - calls["first_feasible_support"]
+    assert (calls["thin_flow"], path_calls, calls["_walk"]) == (solves, paths, walks)
 
 
 def test_braess_report_carries_equilibrium_caveat():
@@ -257,6 +245,25 @@ def test_default_grid_is_large_and_varied():
 def test_sweep_rejects_points_off_the_shape():
     with pytest.raises(ParameterError):
         sweep_transpose_m3([("bad", two_link_base_instance())])
+
+
+@pytest.mark.parametrize("edges", [
+    pytest.param([("e1", "v2", "v1"), ("e2", "v3", "v2"), ("f1", "v3", "v1")], id="triangle"),
+    pytest.param([("e1", "v2", "v1"), ("e2", "v3", "v2"), ("f1", "v3", "v1"),
+                  ("f2", "v3", "v2"), ("g", "v3", "v2")], id="three-v3-v2-copies"),
+])
+def test_sweep_rejects_points_whose_edge_multiset_is_off_the_shape(edges):
+    # Both have exactly the transposed ladder's set of (tail, head) pairs.
+    inst = build_instance([(eid, tail, head, 1, 1) for eid, tail, head in edges],
+                          "v3", "v1", 1, nodes=("v1", "v2", "v3"))
+    with pytest.raises(ParameterError, match="not on the transposed ladder"):
+        sweep_transpose_m3([("off", inst)])
+
+
+def test_sweep_accepts_every_default_grid_point():
+    # One phase per run: each point fails fast, but none is refused.
+    report = sweep_transpose_m3(default_transpose_m3_grid(), phase_cap=1)
+    assert len(report.points) == 80
 
 
 def test_sweep_records_point_failures():

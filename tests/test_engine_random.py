@@ -212,7 +212,12 @@ def assert_matches_the_unforced_oracle(args):
     assert thin_flow(*args) == reference[0]
 
 
-@settings(max_examples=40, deadline=None)
+# Shrinking would re-run whole `nash_flow` runs per candidate, so the tests
+# over engine phases report the first failing example as drawn.
+ENGINE_PHASES = [Phase.explicit, Phase.reuse, Phase.generate]
+
+
+@settings(max_examples=40, deadline=None, phases=ENGINE_PHASES)
 @given(st.one_of(random_instances(), tied_instances()))
 def test_forced_search_matches_the_unforced_oracle_on_engine_phases(inst):
     try:
@@ -350,28 +355,27 @@ def test_pruning_bounds_the_search_on_the_steady_transposed_ladder_phase(monkeyp
 
 def _thin_flow_route(args):
     """`thin_flow` on one phase system and how it got there: "path" when
-    the core is one s-t path, "walk" when it walked the patterns, else
-    "point" (a steady phase whose P(1) is one point)."""
+    the core is one s-t path (the call never reaches the steady test),
+    "walk" when it walked the patterns, else "point" (a steady phase whose
+    P(1) is one point)."""
     routes = []
-    forced_path, walk = equilibrium._forced_path, equilibrium._walk
+    steady, walk = equilibrium.first_feasible_support, equilibrium._walk
 
-    def path(*args):
-        tf = forced_path(*args)
-        if tf is not None:
-            routes.append("path")
-        return tf
+    def tested(*args):
+        routes.append("point")
+        return steady(*args)
 
     def walked(*args):
         routes.append("walk")
         return walk(*args)
 
-    with patch.object(equilibrium, "_forced_path", path), \
+    with patch.object(equilibrium, "first_feasible_support", tested), \
             patch.object(equilibrium, "_walk", walked):
         tf = thin_flow(*args)
-    return tf, routes[0] if routes else "point"
+    return tf, routes[-1] if routes else "path"
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, phases=ENGINE_PHASES)
 @given(st.one_of(random_instances(), tied_instances()))
 def test_thin_flow_is_the_first_solution_of_the_walk_on_engine_phases(inst):
     # A thin flow that the phase's structure decides is the one the walk
@@ -545,6 +549,26 @@ def _engine_phases(inst):
         return []
     return [(inst.network, frozenset(phase.active), frozenset(phase.resetting),
              inst.capacity, inst.supply) for phase in run.phases]
+
+
+@settings(max_examples=60, deadline=None, phases=ENGINE_PHASES)
+@given(st.one_of(random_instances().map(_engine_phases),
+                 thin_flow_systems().map(lambda args: [args])))
+def test_the_core_is_a_forest_exactly_when_it_is_one_path(phases):
+    # `thin_flow` takes a core that is a forest for one s-t path.  The
+    # oracle counts the s-t paths of the network of the core's edges.
+    for args in phases:
+        net, capacity = args[0], args[3]
+        try:
+            edges, _, core, _, _ = equilibrium._competitive(*args[:3])
+            _, route = _thin_flow_route(args)
+        except FotError:
+            continue
+        core_edges = tuple(e for e in edges if e.id in core)
+        paths = Network(net.nodes, core_edges, net.source, net.sink).path_counts[net.source]
+        one_path = paths.get(net.sink, 0) == 1
+        assert equilibrium._forest(core_edges) == one_path
+        assert (route == "path") == (one_path and all(capacity[e.id] > 0 for e in edges))
 
 
 @settings(max_examples=40, deadline=None)

@@ -305,6 +305,19 @@ def test_cyclic_network_rejected():
         nash_flow(inst)
 
 
+def test_thin_flow_refuses_a_cyclic_network():
+    # As `nash_flow` does before it: the structural shortcuts and the label
+    # pass read the network's topological order.
+    inst = build_instance(
+        [("a", "s", "x", 1, 0), ("b", "x", "s", 1, 0), ("c", "x", "t", 1, 0)],
+        "s", "t", 1)
+    args = (inst.network, frozenset({"a", "b", "c"}), frozenset(), inst.capacity, inst.supply)
+    with pytest.raises(UnsupportedTopologyError):
+        thin_flow(*args)
+    with pytest.raises(UnsupportedTopologyError):
+        list(enumerate_thin_flows(*args))
+
+
 def test_phase_cap():
     with pytest.raises(PhaseCapError):
         nash_flow(two_link_base_instance(), phase_cap=1)
