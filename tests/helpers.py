@@ -10,11 +10,18 @@ import csv
 from collections import deque
 from fractions import Fraction
 
+from hypothesis import Phase
+
 from fot.core import Edge, Instance, Network, ParameterError
 from fot.dynamics import FlowOverTime
 from fot.pwl import PiecewiseLinear
 
 F = Fraction
+
+# Property tests over whole `nash_flow` runs run without shrinking, which
+# would re-run the engine per candidate: a failure reports the first
+# failing example as drawn.
+ENGINE_PHASES = [Phase.explicit, Phase.reuse, Phase.generate]
 
 
 def build_instance(edges, source, sink, supply, nodes=None):

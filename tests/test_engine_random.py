@@ -11,6 +11,8 @@ obey the exact scaling laws of capacity and time, transposing twice is the
 identity, and an edge off every source-sink path changes nothing.
 """
 
+import hashlib
+import json
 import random
 import sys
 from collections import Counter
@@ -24,8 +26,10 @@ from hypothesis import strategies as st
 
 from fot import equilibrium
 from fot.braess import braess_ratio
+from fot.cli import main
 from fot.core import (INF, ContractError, Edge, FotError, Instance, InternalConsistencyError,
-                      Network, NoPathError, Q, SizeCapError, first_feasible_support, restrict, st_core, transpose)
+                      Network, NoPathError, Q, SizeCapError, dumps, first_feasible_support,
+                      instance_to_obj, restrict, st_core, transpose)
 from fot.dynamics import certify_nash, labels, validate_feasible
 from fot.equilibrium import (
     MAX_ACTIVE_EDGES,
@@ -39,7 +43,7 @@ from fot.equilibrium import (
 from fot.gen import make_ladder, random_dag
 from fot.topology import uses_only_chains
 
-from helpers import build_instance, max_flow_value
+from helpers import ENGINE_PHASES, build_instance, max_flow_value
 
 F = Fraction
 
@@ -212,11 +216,6 @@ def assert_matches_the_unforced_oracle(args):
     assert thin_flow(*args) == reference[0]
 
 
-# Shrinking would re-run whole `nash_flow` runs per candidate, so the tests
-# over engine phases report the first failing example as drawn.
-ENGINE_PHASES = [Phase.explicit, Phase.reuse, Phase.generate]
-
-
 @settings(max_examples=40, deadline=None, phases=ENGINE_PHASES)
 @given(st.one_of(random_instances(), tied_instances()))
 def test_forced_search_matches_the_unforced_oracle_on_engine_phases(inst):
@@ -379,13 +378,17 @@ def _thin_flow_route(args):
 @given(st.one_of(random_instances(), tied_instances()))
 def test_thin_flow_is_the_first_solution_of_the_walk_on_engine_phases(inst):
     # A thin flow that the phase's structure decides is the one the walk
-    # finds first: the same items in the same order, all of them `Q`.
+    # finds first: the same items in the same order, all of them `Q`.  It
+    # is also the only one: every later solution of the walk equals it.
     for args in _engine_phases(inst):
-        tf, _ = _thin_flow_route(args)
-        first = next(enumerate_thin_flows(*args))
+        tf, route = _thin_flow_route(args)
+        solutions = enumerate_thin_flows(*args)
+        first = next(solutions)
         assert list(tf.label_slopes.items()) == list(first.label_slopes.items())
         assert list(tf.edge_rates.items()) == list(first.edge_rates.items())
         assert all(type(x) is Q for x in (*tf.label_slopes.values(), *tf.edge_rates.values()))
+        if route != "walk":
+            assert all(other == tf for other in solutions)
 
 
 @pytest.mark.parametrize("route", ["path", "point", "walk"])
@@ -406,6 +409,64 @@ def test_a_zero_capacity_path_is_left_to_the_walk(monkeypatch):
     net = build_instance([("q", "s", "t", 1, 0)], source="s", sink="t", supply=2).network
     with pytest.raises(InternalConsistencyError, match="^no valid derivative pattern found"):
         thin_flow(net, frozenset({"q"}), frozenset({"q"}), {"q": F(0)}, F(2))
+
+
+def test_a_proposed_flow_that_fails_verification_raises(monkeypatch):
+    # A queued s-t link beside a queue-free path s-a-t: the core is no
+    # forest, so the steady test proposes the flow.  This proposal fills
+    # the queued link but breaks conservation at a.  Its labels are all
+    # one and its slack edges x, y form a forest, so only `verify_thin_flow`
+    # stands between it and the result.
+    inst = build_instance([("q", "s", "t", 1, 0), ("x", "s", "a", 4, 0), ("y", "a", "t", 4, 0)],
+                          source="s", sink="t", supply=2)
+    proposal = ((True, True), {"q": Q(1), "x": Q(1), "y": Q(2)})
+    monkeypatch.setattr(equilibrium, "first_feasible_support", lambda *args: proposal)
+    with pytest.raises(InternalConsistencyError,
+                       match="^the thin flow that the phase's structure decides fails"):
+        thin_flow(inst.network, frozenset({"q", "x", "y"}), frozenset({"q"}),
+                  inst.capacity, inst.supply)
+
+
+def test_a_steady_verdict_on_a_phase_that_is_not_steady_raises(monkeypatch):
+    # Two parallel links of capacity 1 carry supply 2 at slope one but not
+    # supply 3.  Handed the verdict for supply 2, the walk from its mask
+    # meets the one verified solution, with l'_t = 3/2, and refuses it.
+    inst = build_instance([("a", "s", "t", 1, 0), ("b", "s", "t", 1, 0)],
+                          source="s", sink="t", supply=3)
+    args = (inst.network, frozenset({"a", "b"}), frozenset(), inst.capacity)
+    assert first_feasible_support(*args, inst.supply, ["a", "b"]) is None
+    verdict = first_feasible_support(*args, Q(2), ["a", "b"])
+    monkeypatch.setattr(equilibrium, "first_feasible_support", lambda *_: verdict)
+    with pytest.raises(InternalConsistencyError, match="a label slope other than one$"):
+        thin_flow(*args, inst.supply)
+
+
+def _seed_84_instance():
+    """`random_dag(5, 10, 84)`, all ten node pairs, with its attributes
+    drawn from `random.Random(84)`: the node and edge counts first, then the
+    capacities `randint(1, 4)/randint(1, 2)` in edge order, the transits
+    `choice([0, 0, 1, 2])` and the supply `randint(1, 12)/2`."""
+    net = random_dag(5, 10, 84)
+    rng = random.Random(84)
+    nodes = rng.randint(3, 7)
+    assert (nodes, rng.randint(nodes - 1, min(12, nodes * (nodes - 1) // 2))) == (5, 10)
+    capacity = {e.id: Q(rng.randint(1, 4), rng.randint(1, 2)) for e in net.edges}
+    transit = {e.id: Q(rng.choice([0, 0, 1, 2])) for e in net.edges}
+    return Instance(net, capacity, transit, Q(rng.randint(1, 12), 2))
+
+
+def test_the_steady_phase_of_seed_84_is_pinned(tmp_path, capsys):
+    # One steady phase whose queue-free core is no forest, and whose
+    # maximum flow is not the walk's first solution: a single-point test
+    # that let it through would put 1/2, 2, 1/2 on g2, g3, g9.
+    path = tmp_path / "seed84.json"
+    path.write_text(dumps(instance_to_obj(_seed_84_instance())))
+    assert main(["simulate", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a839bb33d4dd09af531acfe7fd920836b43dcea41e997576c438d95965f835fd")
+    [phase] = json.loads(out)["phases"]
+    assert [phase["edge_rates"][eid] for eid in ("g2", "g3", "g9")] == ["1", "3/2", "1"]
 
 
 def test_the_skip_bounds_the_search_of_the_transposed_ladder(monkeypatch):
@@ -648,7 +709,7 @@ def test_ladders_are_steady_exactly_when_the_supply_fits(n, transposed):
 scale_factors = st.fractions(min_value=F(1, 3), max_value=3, max_denominator=3)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, phases=ENGINE_PHASES)
 @given(random_instances(), scale_factors)
 def test_scaling_capacities_and_supply_leaves_the_labels(inst, k):
     # Every rate, capacity and queue scales by k; waits and so the labels
@@ -694,7 +755,7 @@ def test_transposing_twice_is_the_identity(inst):
     assert transpose(transpose(inst)) == inst
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, phases=ENGINE_PHASES)
 @given(random_instances(), st.data())
 def test_a_dead_end_edge_changes_nothing(inst, data):
     # An edge from a node the source reaches to a new node lies on no
@@ -724,7 +785,7 @@ def test_a_dead_end_edge_changes_nothing(inst, data):
     assert {v: again.labels[v] for v in net.nodes} == run.labels
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, phases=ENGINE_PHASES)
 @given(random_instances(), st.data())
 def test_edges_between_nodes_off_every_path_change_nothing(inst, data):
     # A node off every source-sink path either is reached from the source

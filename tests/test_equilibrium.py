@@ -25,7 +25,7 @@ from fot.equilibrium import (
 from fot.gen import MnParams, geometric_alphas, make_chain, make_mn
 from fot.pwl import PiecewiseLinear
 
-from helpers import build_instance, two_link_base_instance
+from helpers import ENGINE_PHASES, build_instance, two_link_base_instance
 
 F = Fraction
 
@@ -362,7 +362,7 @@ sections_strategy = st.lists(
     min_size=1, max_size=3)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, phases=ENGINE_PHASES)
 @given(sections_strategy, st.fractions(min_value=F(1, 2), max_value=6, max_denominator=8))
 def test_chain_cost_matches_oracle(sections, supply):
     inst = make_chain(sections, supply)
