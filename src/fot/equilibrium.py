@@ -39,22 +39,20 @@ flow (`fot.core.first_feasible_support`) decides it.  In such a steady
 phase the search starts at the first support mask that such a flow fits,
 and skips every mask before it, which holds no solution.
 
-Where the phase's structure leaves exactly one verified solution,
-`thin_flow` builds that solution and skips the walk; being the only one, it
-is the walk's first.  The network must be acyclic (a cycle raises
-`UnsupportedTopologyError`, as in `nash_flow`), so a verified solution, an
-s-t flow of the supply, carries nothing off the competitive s-t core.  One
-structural test, whether an edge set taken undirected is a forest, decides
-both cases.  (a) When the core is a forest it is one s-t path, since every
-core edge lies on an s-t path and two such paths close a cycle; the flow
-is the supply on the path, and one label pass along the network's
-topological order derives the labels from it.  (b) When the phase is
-steady and the core's queue-free edges form a forest, every solution has
-all slopes one, fills each queued edge and carries nothing off the core;
-conservation on a forest then fixes every other rate, so the maximum flow's
-own flow, with all slopes one, is the one solution.  Both are still checked
-by `verify_thin_flow`.  Later label sources (minimum cuts, series-parallel
-labels) plug in at the same place.
+Where the phase's structure proposes a flow, `thin_flow` certifies it and
+skips the walk.  The proposal is the supply on the core when the core is a
+forest (then one s-t path), else the steady test's flow; one label pass
+along the network's topological order derives its labels l*.  One lemma
+certifies it.  Labels are unique, so every verified solution has labels
+l*, and they fix its rate on every competitive edge but the slack ones,
+queue-free with equal labels at both ends.  The network must be acyclic (a
+cycle raises `UnsupportedTopologyError`, as in `nash_flow`), so a verified
+solution, an s-t flow of the supply, carries nothing off the competitive
+s-t core.  When the proposal passes `verify_thin_flow` and the slack core
+edges, taken undirected, form a forest, conservation fixes the rest: the
+proposal is the only verified solution, hence the walk's first.  Later
+label sources (minimum cuts, series-parallel labels) plug in at the same
+place.
 """
 
 from __future__ import annotations
@@ -291,55 +289,50 @@ def thin_flow(net: Network, active: frozenset[str], resetting: frozenset[str],
     first verified solution of `enumerate_thin_flows`, so the flow split is
     a function of the pattern order alone.
 
-    Two structures of a phase leave exactly one verified solution, which is
-    then the walk's first one; the solution is built directly, and the walk
-    runs only when neither holds.  Both need every competitive capacity
-    positive, and both ask one structural question, whether a set of
-    competitive edges, taken undirected, is a forest (`_forest`).  The
-    network is acyclic (`_competitive` refuses a cycle), and a verified
-    solution is an s-t flow of value `supply`, so it is the sum of s-t paths
-    and carries nothing off the competitive s-t core (`st_core(net,
-    active)`).
+    Where the phase's structure proposes a flow, the proposal is certified
+    and returned without the walk; being the only verified solution, it is
+    the walk's first.  Both proposals need every competitive capacity
+    positive.  When the competitive s-t core (`st_core(net, active)`) is a
+    forest it is one s-t path, since every core edge lies on an s-t path
+    inside it and two distinct s-t paths close an undirected cycle; the
+    proposal is then `supply` on that path and 0 elsewhere.  Otherwise the
+    proposal is the flow the steady test finds in P(1), if any.
+    `_label_pass` derives the labels l* of either proposal.
 
-    (a) Forced path: the core is a forest.  Every core edge lies on an s-t
-    path inside the core, and two distinct s-t paths close an undirected
-    cycle, so the core is then one s-t path.  The flow is `supply` on that
-    path and 0 on every other competitive edge, and `_label_pass` derives
-    the labels from those rates.  So one candidate is left.
-
-    (b) Single-point steady phase: the steady test finds a flow in P(1) and
-    the queue-free edges of the core form a forest.  Every verified
-    solution has l' = 1 and lies in P(1) (`enumerate_thin_flows` has the
-    argument).  In P(1) each queued edge carries its capacity and each
-    edge off the core 0, and conservation on a forest has at most one
-    solution, so P(1) is one point: the flow the steady test found, with
-    every label slope one.
-
-    Each candidate is checked by `verify_thin_flow` like every solution of
-    the walk, and one that fails raises `InternalConsistencyError`; in
-    case (b) the all-one labels make that check certify that the flow lies
-    in P(1).  A phase outside both cases is walked, from the steady test's
-    first mask.
+    The certificate is one lemma.  Let (l*, x) pass `verify_thin_flow`.
+    Labels are unique (Cominetti, Correa & Larré 2015), so every verified
+    solution has labels l*, and its rates on a competitive edge e = (v, w)
+    follow from them: x_e = capacity * l*_w when e is queued or when
+    l*_w > l*_v, and x_e = 0 when e is queue-free and l*_w < l*_v.  Only
+    the slack edges, queue-free with l*_v = l*_w, are free.  The network is
+    acyclic (`_competitive` refuses a cycle) and a verified solution is an
+    s-t flow of value `supply`, so it is the sum of s-t paths and carries
+    nothing off the core.  So when the slack core edges, taken undirected,
+    form a forest (`_forest`), conservation fixes their rates too, and x is
+    the one verified solution, whatever proposed it.  A proposal whose
+    slack core edges form a forest is therefore returned once
+    `verify_thin_flow` accepts it, and one it refuses raises
+    `InternalConsistencyError`: a path flow with its own labels, or a flow
+    in P(1) with all labels one, always passes.  When the slack core edges
+    close a cycle, the walk runs from the steady test's first mask.
     """
     edges, nodes, core, free, order = _competitive(net, active, resetting)
     positive = all(capacity[e.id] > 0 for e in edges)
-    steady = tf = None
+    steady = None
     if positive and _forest(e for e in edges if e.id in core):
-        rate = as_fraction(supply)
-        rates = {e.id: rate if e.id in core else ZERO for e in edges}
-        tf = ThinFlow(_label_pass(net, nodes, order, resetting, capacity, rates), rates)
+        rates = {e.id: as_fraction(supply) if e.id in core else ZERO for e in edges}
     else:
         steady = first_feasible_support(net, active, resetting, capacity, supply, free)
-        if positive and steady is not None and _forest(
-                e for e in edges if e.id in core and e.id not in resetting):
-            tf = ThinFlow(dict.fromkeys(nodes, ONE), steady[1])
-    if tf is not None:
-        reason = verify_thin_flow(net, active, resetting, capacity, supply,
-                                  tf.label_slopes, tf.edge_rates)
-        if reason is not None:
-            raise InternalConsistencyError(
-                f"the thin flow that the phase's structure decides fails: {reason}")
-        return tf
+        rates = steady[1] if positive and steady is not None else None
+    if rates is not None:
+        slopes = _label_pass(net, nodes, order, resetting, capacity, rates)
+        if _forest(e for e in edges if e.id in core and e.id not in resetting
+                   and slopes[e.tail] == slopes[e.head]):
+            reason = verify_thin_flow(net, active, resetting, capacity, supply, slopes, rates)
+            if reason is not None:
+                raise InternalConsistencyError(
+                    f"the thin flow that the phase's structure decides fails: {reason}")
+            return ThinFlow(slopes, rates)
     for tf in _walk(net, active, resetting, capacity, supply, edges, nodes, free,
                     None if steady is None else steady[0]):
         return tf

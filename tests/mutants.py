@@ -1,0 +1,112 @@
+"""Mutation checks: each shortcut of the engine must be caught by a named test.
+
+    python3 tests/mutants.py
+
+Each row of `MUTANTS` is (file under `src/`, exact snippet, replacement,
+test ids that must fail).  The script copies `src/`, `tests/` and
+`pyproject.toml` to a temporary directory, checks that the named tests pass
+there unmutated, then makes each row's replacement in a fresh copy and
+runs its tests with pytest under a limit of `LIMIT` seconds.  A mutant is
+killed when pytest reports a failed test.  The script exits 1 when a
+snippet does not occur exactly once, when a mutant survives, when its run
+passes the limit or when pytest stops for another reason (a collection
+error, say).  pytest does not collect this file: its name does not start
+with ``test_``.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+LIMIT = 30
+
+MUTANTS = [
+    # The single-point test on the slack core edges accepts every proposal.
+    ("fot/equilibrium.py",
+     "if _forest(e for e in edges if e.id in core and e.id not in resetting\n"
+     "                   and slopes[e.tail] == slopes[e.head]):",
+     "if True:",
+     ["tests/test_engine_random.py::test_the_steady_phase_of_seed_84_is_pinned"]),
+    # `_forest` accepts every edge set: every core proposes a path flow.
+    ("fot/equilibrium.py",
+     "        if a == b:\n            return False",
+     "        if a == b:\n            continue",
+     ["tests/test_engine_random.py::test_the_steady_phase_of_seed_84_is_pinned"]),
+    # The proposal is returned whatever `verify_thin_flow` says of it.
+    ("fot/equilibrium.py",
+     "reason = verify_thin_flow(net, active, resetting, capacity, supply, slopes, rates)",
+     "reason = None",
+     ["tests/test_engine_random.py::test_a_proposed_flow_that_fails_verification_raises"]),
+    # All-one labels in place of the label pass.
+    ("fot/equilibrium.py",
+     "slopes = _label_pass(net, nodes, order, resetting, capacity, rates)",
+     "slopes = dict.fromkeys(nodes, ONE)",
+     ["tests/test_equilibrium.py::test_thin_flow_two_link_first_phase"]),
+    # No positive-capacity guard: a zero capacity reaches the label pass.
+    ("fot/equilibrium.py",
+     "positive = all(capacity[e.id] > 0 for e in edges)",
+     "positive = True",
+     ["tests/test_engine_random.py::test_a_zero_capacity_path_is_left_to_the_walk"]),
+]
+
+
+def copy_tree(target: Path) -> None:
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, target / name,
+                        ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+    shutil.copy(ROOT / "pyproject.toml", target)
+
+
+def run_tests(tree: Path, tests: list[str]) -> tuple[str, float]:
+    """pytest's verdict on `tests` in `tree`: "passed", "failed", "timeout"
+    or "error (exit N)", and the seconds it took."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    start = time.perf_counter()
+    try:
+        code = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+            cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            timeout=LIMIT).returncode
+    except subprocess.TimeoutExpired:
+        return "timeout", time.perf_counter() - start
+    verdict = {0: "passed", 1: "failed"}.get(code, f"error (exit {code})")
+    return verdict, time.perf_counter() - start
+
+
+def main() -> int:
+    bad = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        clean = Path(tmp) / "clean"
+        copy_tree(clean)
+        named = sorted({test for *_, tests in MUTANTS for test in tests})
+        verdict, seconds = run_tests(clean, named)
+        print(f"unmutated: {verdict} in {seconds:.1f} s")
+        if verdict != "passed":
+            return 1
+        for k, (name, snippet, replacement, tests) in enumerate(MUTANTS):
+            tree = Path(tmp) / f"mutant{k}"
+            copy_tree(tree)
+            path = tree / "src" / name
+            text = path.read_text()
+            if text.count(snippet) != 1:
+                print(f"mutant {k} ({name}): the snippet occurs {text.count(snippet)} times")
+                bad += 1
+                continue
+            path.write_text(text.replace(snippet, replacement))
+            verdict, seconds = run_tests(tree, tests)
+            killed = verdict == "failed"
+            bad += not killed
+            print(f"mutant {k} ({name}: {replacement!r}): "
+                  f"{'killed' if killed else verdict.upper()} in {seconds:.1f} s")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -95,7 +95,7 @@ def tied_instances(draw):
                     draw(st.sampled_from([F(1), F(2), F(5, 2), F(4)])))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, phases=ENGINE_PHASES)
 @given(st.one_of(random_instances(), tied_instances()))
 def test_random_instances_produce_certified_equilibria(inst):
     try:
@@ -115,7 +115,7 @@ def test_random_instances_produce_certified_equilibria(inst):
     assert run.phases[-1].end is not None
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, phases=ENGINE_PHASES)
 @given(random_instances())
 def test_label_slopes_agree_across_all_solver_patterns(inst):
     try:
@@ -229,7 +229,7 @@ def test_forced_search_matches_the_unforced_oracle_on_engine_phases(inst):
              inst.capacity, inst.supply))
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, phases=ENGINE_PHASES)
 @given(st.one_of(random_instances().filter(lambda inst: len(inst.edge_ids) <= 9),
                  tied_instances()))
 def test_a_phase_thin_flow_is_the_same_on_every_core_holding_its_edges(inst):
@@ -632,7 +632,7 @@ def test_the_core_is_a_forest_exactly_when_it_is_one_path(phases):
         assert (route == "path") == (one_path and all(capacity[e.id] > 0 for e in edges))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, phases=ENGINE_PHASES)
 @given(st.one_of(tied_instances().map(_engine_phases),
                  thin_flow_systems().map(lambda args: [args])))
 def test_the_first_feasible_mask_never_comes_after_the_canonical_one(phases):
@@ -662,7 +662,7 @@ def test_tied_instances_reach_steady_phases_that_skip_masks():
         max_examples=100, derandomize=True, database=None, phases=[Phase.generate]))
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, phases=ENGINE_PHASES)
 @given(random_instances())
 def test_the_steady_test_matches_the_minimum_cut_on_queue_free_phases(inst):
     # Without queues, P(1) holds the flows of value `supply` within the
@@ -687,7 +687,7 @@ def _assert_steady_exactly_when_the_supply_fits(inst):
     assert run.steady == (inst.supply <= max_flow_value(inst.network, inst.capacity))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, phases=ENGINE_PHASES)
 @given(random_instances())
 def test_steady_exactly_when_the_supply_fits_through_a_minimum_cut(inst):
     # Cominetti, Correa & Olver (2022): queues stay bounded, and every label
@@ -725,7 +725,7 @@ def test_scaling_capacities_and_supply_leaves_the_labels(inst, k):
     assert again.social_cost == run.social_cost
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, phases=ENGINE_PHASES)
 @given(random_instances(), scale_factors)
 def test_scaling_transit_times_stretches_labels_and_cost(inst, k):
     # Time runs k times slower: l'(k x) = k l(x), so every label breakpoint
