@@ -48,21 +48,39 @@ USAGE_ERROR, ASSERTION_ERROR, INTERNAL_ERROR = 2, 1, 3
 # -- serialization helpers -----------------------------------------------------
 
 
+_ATOMS = frozenset({str, int, bool, type(None)})
+
+
 def to_obj(value) -> object:
     """The JSON form of a report: strings, integers, booleans and None as
     they are, exact scalars as "p/q" strings, sequences and mappings item by
     item, curves as their breakpoints, and a dataclass as its fields
-    (without an `error` that is None); any other type raises TypeError."""
-    if value is None or isinstance(value, (str, int)):
+    (without an `error` that is None); any other type raises TypeError.
+    The exact types that reports hold are dispatched first, so a sequence
+    of strings, such as a Braess entry's kept edges, is copied whole and a
+    dataclass skips the checks for subclasses of the other types."""
+    kind = type(value)
+    if kind in _ATOMS:
         return value
-    if isinstance(value, Fraction) or value is INF:
+    if kind is Q or value is INF:
         return format_scalar(value)
-    if isinstance(value, (list, tuple)):
+    if kind is tuple or kind is list:
+        if all(type(item) is str for item in value):
+            return list(value)
         return [to_obj(item) for item in value]
-    if isinstance(value, Mapping):
+    if kind is dict:
         return {key: to_obj(item) for key, item in value.items()}
     if isinstance(value, PiecewiseLinear):
         return dynamics.pwl_to_obj(value)
+    if not dataclasses.is_dataclass(kind):
+        if isinstance(value, (str, int)):
+            return value
+        if isinstance(value, Fraction):
+            return format_scalar(value)
+        if isinstance(value, (list, tuple)):
+            return [to_obj(item) for item in value]
+        if isinstance(value, Mapping):
+            return {key: to_obj(item) for key, item in value.items()}
     obj = {f.name: to_obj(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if "error" in obj and obj["error"] is None:
         del obj["error"]

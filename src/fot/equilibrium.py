@@ -40,9 +40,13 @@ phase the search starts at the first support mask that such a flow fits,
 and skips every mask before it, which holds no solution.
 
 Where the phase's structure proposes a flow, `thin_flow` certifies it and
-skips the walk.  The proposal is the supply on the core when the core is a
-forest (then one s-t path), else the steady test's flow; one label pass
-along the network's topological order derives its labels l*.  One lemma
+skips the walk.  The proposal comes from the first of three sources that
+has one: the supply on the core when the core is a forest (then one s-t
+path), else the steady test's flow, else, when the core is two-terminal
+series-parallel, the flow that a recursion over its decomposition tree
+routes (after Kaiser, "Computation of dynamic equilibria in
+series-parallel networks", Math. Oper. Res. 2022).  One label pass along
+the network's topological order derives its labels l*.  One lemma
 certifies it.  Labels are unique, so every verified solution has labels
 l*, and they fix its rate on every competitive edge but the slack ones,
 queue-free with equal labels at both ends.  The network must be acyclic (a
@@ -50,13 +54,13 @@ cycle raises `UnsupportedTopologyError`, as in `nash_flow`), so a verified
 solution, an s-t flow of the supply, carries nothing off the competitive
 s-t core.  When the proposal passes `verify_thin_flow` and the slack core
 edges, taken undirected, form a forest, conservation fixes the rest: the
-proposal is the only verified solution, hence the walk's first.  Later
-label sources (minimum cuts, series-parallel labels) plug in at the same
-place.
+proposal is the only verified solution, hence the walk's first.  A later
+label source (minimum cuts) plugs in at the same place.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -81,6 +85,7 @@ from .core import (
 )
 from .dynamics import FlowOverTime, certify_nash, derive_sink_cumulative, validate_feasible
 from .pwl import ONE, ZERO, PiecewiseLinear
+from .topology import sp_tree
 
 # The most free edges (competitive edges not forced into every support) of
 # one pattern search: it visits up to 2**16 supports.
@@ -291,13 +296,20 @@ def thin_flow(net: Network, active: frozenset[str], resetting: frozenset[str],
 
     Where the phase's structure proposes a flow, the proposal is certified
     and returned without the walk; being the only verified solution, it is
-    the walk's first.  Both proposals need every competitive capacity
-    positive.  When the competitive s-t core (`st_core(net, active)`) is a
-    forest it is one s-t path, since every core edge lies on an s-t path
-    inside it and two distinct s-t paths close an undirected cycle; the
-    proposal is then `supply` on that path and 0 elsewhere.  Otherwise the
-    proposal is the flow the steady test finds in P(1), if any.
-    `_label_pass` derives the labels l* of either proposal.
+    the walk's first.  Every proposal needs every competitive capacity
+    positive, and the first source that has one proposes:
+
+    - the path: when the competitive s-t core (`st_core(net, active)`) is
+      a forest it is one s-t path, since every core edge lies on an s-t
+      path inside it and two distinct s-t paths close an undirected cycle;
+      the proposal is `supply` on that path and 0 elsewhere;
+    - the steady test: the flow it finds in P(1), if any;
+    - the series-parallel recursion: when the core is two-terminal
+      series-parallel (`fot.topology.sp_tree`), `_exit_maps` gives each
+      component of its tree its exit slope as a function of its inflow,
+      and `_sp_split` routes `supply` through the tree with them.
+
+    `_label_pass` derives the labels l* of any proposal.
 
     The certificate is one lemma.  Let (l*, x) pass `verify_thin_flow`.
     Labels are unique (Cominetti, Correa & Larré 2015), so every verified
@@ -311,28 +323,39 @@ def thin_flow(net: Network, active: frozenset[str], resetting: frozenset[str],
     form a forest (`_forest`), conservation fixes their rates too, and x is
     the one verified solution, whatever proposed it.  A proposal whose
     slack core edges form a forest is therefore returned once
-    `verify_thin_flow` accepts it, and one it refuses raises
-    `InternalConsistencyError`: a path flow with its own labels, or a flow
-    in P(1) with all labels one, always passes.  When the slack core edges
-    close a cycle, the walk runs from the steady test's first mask.
+    `verify_thin_flow` accepts it.  A path flow with its own labels, or a
+    flow in P(1) with all labels one, always passes, so a path or steady
+    proposal that it refuses raises `InternalConsistencyError`.  A refused
+    series-parallel proposal falls through to the walk: a fault in the
+    recursion can cost time but cannot change the result.  When the slack
+    core edges close a cycle, the walk runs from the steady test's first
+    mask.
     """
     edges, nodes, core, free, order = _competitive(net, active, resetting)
     positive = all(capacity[e.id] > 0 for e in edges)
-    steady = None
+    steady = tree = None
     if positive and _forest(e for e in edges if e.id in core):
         rates = {e.id: as_fraction(supply) if e.id in core else ZERO for e in edges}
     else:
         steady = first_feasible_support(net, active, resetting, capacity, supply, free)
-        rates = steady[1] if positive and steady is not None else None
+        rates = None
+        if positive and steady is not None:
+            rates = steady[1]
+        elif positive:
+            tree = sp_tree((e for e in edges if e.id in core), net.source, net.sink)
+            if tree is not None:
+                rates = dict.fromkeys((e.id for e in edges), ZERO)
+                _sp_split(_exit_maps(tree, capacity, resetting), ONE, as_fraction(supply), rates)
     if rates is not None:
         slopes = _label_pass(net, nodes, order, resetting, capacity, rates)
         if _forest(e for e in edges if e.id in core and e.id not in resetting
                    and slopes[e.tail] == slopes[e.head]):
             reason = verify_thin_flow(net, active, resetting, capacity, supply, slopes, rates)
-            if reason is not None:
+            if reason is None:
+                return ThinFlow(slopes, rates)
+            if tree is None:
                 raise InternalConsistencyError(
                     f"the thin flow that the phase's structure decides fails: {reason}")
-            return ThinFlow(slopes, rates)
     for tf in _walk(net, active, resetting, capacity, supply, edges, nodes, free,
                     None if steady is None else steady[0]):
         return tf
@@ -402,6 +425,131 @@ def _forest(edges) -> bool:
             return False
         parent[a] = b
     return True
+
+
+# -- series-parallel proposals ----------------------------------------------------
+#
+# An exit map (rs, ys, ss) is a continuous, nondecreasing, piecewise-linear
+# f on r >= 0: breakpoints rs[0] = 0 < rs[1] < ..., values ys[k] = f(rs[k])
+# and slopes ss[k] from rs[k] on (the last one for ever after, and
+# positive).  f(r) is the exit label slope of a component entered at slope
+# 1 with inflow r; entered at slope l with inflow x, it exits at
+# l * f(x / l).
+
+
+def _at(f, r: Fraction) -> Fraction:
+    rs, ys, ss = f
+    k = bisect_right(rs, r) - 1
+    return ys[k] + (r - rs[k]) * ss[k]
+
+
+def _lower(f, y: Fraction) -> Fraction:
+    """The least inflow at which f reaches y (0 when f(0) >= y)."""
+    rs, ys, ss = f
+    if y <= ys[0]:
+        return ZERO
+    k = bisect_left(ys, y) - 1
+    return rs[k] + (y - ys[k]) / ss[k]
+
+
+def _upper(f, y: Fraction) -> Fraction:
+    """The largest inflow at which f stays at most y (0 when f(0) > y)."""
+    rs, ys, ss = f
+    if y < ys[0]:
+        return ZERO
+    k = bisect_right(ys, y) - 1
+    return rs[k] + (y - ys[k]) / ss[k]
+
+
+def _slopes(rs: list, ys: list, last: Fraction) -> list:
+    return [(y1 - y0) / (r1 - r0) for r0, r1, y0, y1 in zip(rs, rs[1:], ys, ys[1:])] + [last]
+
+
+def _series(f1, f2):
+    """The exit map of f1 followed by f2: f(r) = f1(r) * f2(r / f1(r)).
+    q(r) = r / f1(r) is nondecreasing, so f breaks at f1's breakpoints and
+    where q meets a breakpoint of f2; on a piece f1(r) = a r + b where f2(q)
+    = c q + d, f(r) = c r + d (a r + b) is linear."""
+    rs1, ys1, ss1 = f1
+    rs2, ys2, ss2 = f2
+    # q at f1's breakpoints (its limit where f1(0) = 0), then q's limit.
+    qs = [r / y if y else 1 / s for r, y, s in zip(rs1, ys1, ss1)]
+    qs.append(1 / ss1[-1])
+    cuts = []
+    for q in rs2[1:]:
+        k = bisect_right(qs, q) - 1
+        if 0 <= k < len(rs1) and qs[k] < q:
+            a = ss1[k]
+            cuts.append(q * (ys1[k] - rs1[k] * a) / (1 - q * a))
+    rs = sorted(rs1 + cuts)
+    ys = []
+    for r in rs:
+        y = _at(f1, r)
+        ys.append(y * _at(f2, r / y) if y else ZERO)
+    j = bisect_left(rs2, qs[-1]) - 1
+    a = ss1[-1]
+    return rs, ys, _slopes(rs, ys, ss2[j] + (ys2[j] - rs2[j] * ss2[j]) * a)
+
+
+def _parallel(fs: list):
+    """The exit map of components side by side: at exit slope y each takes
+    an inflow between its `_lower` and `_upper` inverse at y, so f is the
+    inverse of their sums, which break where a part's map does."""
+    rs, ys = [], []
+    for y in sorted({y for f in fs for y in f[1]}):
+        lo = sum(_lower(f, y) for f in fs)
+        hi = sum(_upper(f, y) for f in fs)
+        rs.append(lo)
+        ys.append(y)
+        if hi > lo:
+            rs.append(hi)
+            ys.append(y)
+    return rs, ys, _slopes(rs, ys, 1 / sum(1 / f[2][-1] for f in fs))
+
+
+def _exit_maps(tree, capacity: Mapping[str, Fraction], resetting: frozenset[str]):
+    """(exit map, tree, the parts' own) for a `fot.topology.sp_tree`: an
+    edge exits at x / capacity with a queue and at max(1, x / capacity)
+    without one."""
+    if type(tree) is not tuple:
+        cap = as_fraction(capacity[tree.id])
+        if tree.id in resetting:
+            return ([ZERO], [ZERO], [1 / cap]), tree, ()
+        return ([ZERO, cap], [ONE, ONE], [ZERO, 1 / cap]), tree, ()
+    kind, parts = tree
+    parts = [_exit_maps(part, capacity, resetting) for part in parts]
+    if kind == "parallel":
+        return _parallel([f for f, _, _ in parts]), tree, parts
+    f = parts[0][0]
+    for g, _, _ in parts[1:]:
+        f = _series(f, g)
+    return f, tree, parts
+
+
+def _sp_split(node, slope: Fraction, inflow: Fraction, rates: dict) -> None:
+    """Route `inflow` through the component `node` of `_exit_maps`, entered
+    at label slope `slope`, into `rates`: a series passes it on at each
+    part's exit slope, and a parallel gives each part its lower inverse at
+    the common exit slope plus, in order, what the rest needs up to its
+    upper inverse."""
+    f, tree, parts = node
+    if not inflow:
+        return
+    if not parts:
+        rates[tree.id] = inflow
+    elif tree[0] == "series":
+        for part in parts:
+            _sp_split(part, slope, inflow, rates)
+            slope *= _at(part[0], inflow / slope)
+    else:
+        r = inflow / slope
+        y = _at(f, r)
+        lows = [_lower(part[0], y) for part in parts]
+        spare = r - sum(lows)
+        for part, low in zip(parts, lows):
+            more = min(spare, _upper(part[0], y) - low)
+            spare -= more
+            _sp_split(part, slope, (low + more) * slope, rates)
 
 
 def enumerate_thin_flows(net: Network, active: frozenset[str],

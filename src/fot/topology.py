@@ -3,8 +3,9 @@
 Decides which of the fixed four-route patterns (the three-node ladder, its
 transpose, the two four-node variants, and the classic crossover network)
 embed into a host as a subdivision; whether a network uses only chains of
-parallel paths; and whether it is two-terminal series-parallel, by link
-smoothing (the inverse of edge subdivision) and parallel merging.
+parallel paths; and whether it is two-terminal series-parallel, by series
+and parallel reductions that also give the decomposition tree
+(`sp_tree`, which the thin flows of `fot.equilibrium` read too).
 
 All searches are exact backtracking with explicit size caps; every returned
 embedding is re-checkable in isolation.  The host analysis they read, the
@@ -19,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from operator import ge
-from typing import Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
 from .core import (
     ContractError,
@@ -266,31 +267,6 @@ def _on_every_path(paths: dict[str, dict[str, int]], u: str, v: str, nodes) -> b
     return all(paths[u].get(w, 0) * paths[w].get(v, 0) == total for w in nodes)
 
 
-def _smooth_edges(nodes: list[str], edges: list[Edge], protect: set[str]):
-    """Graph-level smoothing of an acyclic graph: merge away every
-    unprotected node with exactly one in-edge and one out-edge.  Merging
-    never changes another node's degrees, so one pass follows each chain of
-    such nodes from its first edge.  A merged edge keeps the id of its first
-    (source-side) edge and that edge's position, so each original id
-    survives in at most one edge and no two ids can collide."""
-    ins = dict.fromkeys(nodes, 0)
-    outs = dict.fromkeys(nodes, 0)
-    for e in edges:
-        ins[e.head] += 1
-        outs[e.tail] += 1
-    inner = {w for w in nodes if ins[w] == outs[w] == 1 and w not in protect}
-    onward = {e.tail: e for e in edges if e.tail in inner}
-    kept: list[Edge] = []
-    for e in edges:
-        if e.tail in inner:
-            continue
-        last = e
-        while last.head in inner:
-            last = onward[last.head]
-        kept.append(e if last is e else Edge(e.id, e.tail, last.head))
-    return [w for w in nodes if w not in inner], kept
-
-
 def uses_only_chains(net: Network):
     """Decide whether every ordered node pair's path union is a chain of
     parallel paths (or empty).
@@ -321,19 +297,60 @@ def uses_only_chains(net: Network):
 # -- series-parallel recognition --------------------------------------------------
 
 
-def series_parallel(net: Network) -> bool:
-    """Two-terminal series-parallel test by exhaustive reduction: repeatedly
-    splice out internal degree-(1,1) nodes and merge parallel edges; succeed
-    iff a single source-sink edge remains.  Isolated nodes are ignored."""
+def _joined(kind: str, first, second) -> tuple:
+    """The tree of `first` and `second` joined in series or in parallel,
+    with the parts of a part of the same kind spliced in."""
+    parts = []
+    for tree in (first, second):
+        parts.extend(tree[1] if type(tree) is tuple and tree[0] == kind else (tree,))
+    return kind, tuple(parts)
+
+
+def sp_tree(edges: Iterable[Edge], source: str, sink: str):
+    """The decomposition tree of the two-terminal series-parallel graph
+    that the acyclic `edges` form from `source` to `sink`, or None when
+    they form none.
+
+    A tree is an `Edge`, or ("series", parts) with its parts in order from
+    the source side, or ("parallel", parts); no part of a series is a
+    series, and no part of a parallel a parallel.  The reduction keeps one
+    tree per (tail, head) pair, so a parallel edge merges in as it
+    arrives, and a stack holds the nodes whose neighbours changed.  A node
+    other than the terminals with one in-neighbour and one out-neighbour
+    is spliced out, and its two trees join in series.  Series and parallel
+    reductions commute, so the graph left does not depend on their order:
+    the edges are series-parallel exactly when one source-sink tree is
+    left.  Nodes without edges are ignored."""
+    trees: dict[tuple[str, str], object] = {}
+    ins: dict[str, dict[str, None]] = {}
+    outs: dict[str, dict[str, None]] = {}
+
+    def add(u: str, w: str, tree) -> None:
+        old = trees.get((u, w))
+        trees[u, w] = tree if old is None else _joined("parallel", old, tree)
+        outs.setdefault(u, {})[w] = None
+        ins.setdefault(w, {})[u] = None
+
+    for e in edges:
+        add(e.tail, e.head, e)
+    stack = list(ins)
+    while stack:
+        v = stack.pop()
+        if v in (source, sink) or len(ins.get(v, ())) != 1 or len(outs.get(v, ())) != 1:
+            continue
+        (u,), (w,) = ins.pop(v), outs.pop(v)
+        del outs[u][v], ins[w][v]
+        add(u, w, _joined("series", trees.pop((u, v)), trees.pop((v, w))))
+        stack += (u, w)
+    return trees.get((source, sink)) if len(trees) == 1 else None
+
+
+def series_parallel(net: Network):
+    """The network's two-terminal series-parallel decomposition tree
+    (`sp_tree`), or None when it is not series-parallel.  Raises
+    `UnsupportedTopologyError` on a cycle."""
     net.topological_order()  # raises on a cycle
-    s, t = net.source, net.sink
-    nodes, edges = list(net.nodes), list(net.edges)
-    while True:
-        nodes, edges = _smooth_edges(nodes, edges, {s, t})
-        merged = list({(e.tail, e.head): e for e in edges}.values())
-        if len(merged) == len(edges):
-            return [(e.tail, e.head) for e in edges] == [(s, t)]
-        edges = merged
+    return sp_tree(net.edges, net.source, net.sink)
 
 
 # -- classification -----------------------------------------------------------------
@@ -371,7 +388,7 @@ def classify(net: Network, node_cap: int = NODE_CAP,
         minors=minors,
         uses_only_chains=chains,
         chain_witness=witness,
-        series_parallel=series_parallel(net),
+        series_parallel=series_parallel(net) is not None,
         forward_paradox=forward,
         either_direction_paradox=either,
     )

@@ -54,6 +54,35 @@ MUTANTS = [
      "positive = all(capacity[e.id] > 0 for e in edges)",
      "positive = True",
      ["tests/test_engine_random.py::test_a_zero_capacity_path_is_left_to_the_walk"]),
+    # The series step drops the breakpoints of its second part.
+    ("fot/equilibrium.py",
+     "rs = sorted(rs1 + cuts)",
+     "rs = list(rs1)",
+     ["tests/test_equilibrium.py::test_exit_maps_match_hand_computed_components",
+      "tests/test_engine_random.py::test_series_parallel_systems_take_the_sp_proposal"]),
+    # The parallel split ignores each part's lower inverse.
+    ("fot/equilibrium.py",
+     "lows = [_lower(part[0], y) for part in parts]",
+     "lows = [ZERO for part in parts]",
+     ["tests/test_equilibrium.py::test_the_split_fills_each_part_to_its_lower_inverse_first",
+      "tests/test_engine_random.py::test_series_parallel_systems_take_the_sp_proposal"]),
+    # The reduction takes any source-sink tree for the whole network.
+    ("fot/topology.py",
+     "return trees.get((source, sink)) if len(trees) == 1 else None",
+     "return trees.get((source, sink))",
+     ["tests/test_topology.py::test_series_parallel_facts",
+      "tests/test_topology.py::test_cut_node_chain_test_and_the_sp_reduction_match_the_fixpoint_code"]),
+    # `st_core` keeps edges that are not kept.
+    ("fot/core.py",
+     "if e.id in keep and e.tail in from_source and e.head in to_sink)",
+     "if e.tail in from_source and e.head in to_sink)",
+     ["tests/test_core.py::test_st_core_and_filtered_reachability_on_every_edge_subset",
+      "tests/test_braess.py::test_braess_ratio_ladder3_at_hundredth"]),
+    # `_balanced` leaves out each curve's first slope, its change at 0.
+    ("fot/dynamics.py",
+     "            before = ZERO\n",
+     "            before = curve.slopes()[0]\n",
+     ["tests/test_dynamics.py::test_validate_all_zero_flow_breaks_source_conservation"]),
 ]
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -6,6 +7,7 @@ from itertools import product
 import pytest
 
 from fot import equilibrium
+from fot.cli import main
 from fot.braess import (
     braess_ratio,
     default_transpose_m3_grid,
@@ -20,6 +22,8 @@ from fot.core import (
     ParameterError,
     PhaseCapError,
     SizeCapError,
+    dumps,
+    instance_to_obj,
     restrict,
     st_core,
     transpose,
@@ -196,25 +200,45 @@ def test_braess_ratio_solves_each_distinct_phase_system_once(inst, solves, phase
     assert set(calls) == systems
 
 
-@pytest.mark.parametrize("inst, solves, paths, walks", [
-    pytest.param(make_ladder(4, F(1, 1000)), 20, 4, 15, id="ladder-n4"),
-    pytest.param(dict(default_transpose_m3_grid())[_SLACK_POINT], 3, 3, 0, id=_SLACK_POINT),
+@pytest.mark.parametrize("inst, solves, paths, proposals, walks", [
+    pytest.param(make_ladder(4, F(1, 1000)), 20, 4, 14, 2, id="ladder-n4"),
+    pytest.param(dict(default_transpose_m3_grid())[_SLACK_POINT], 3, 3, 0, 0, id=_SLACK_POINT),
 ])
-def test_braess_ratio_walks_only_the_phases_structure_leaves_open(inst, solves, paths, walks,
-                                                                  monkeypatch):
+def test_braess_ratio_walks_only_the_phases_structure_leaves_open(inst, solves, paths, proposals,
+                                                                  walks, monkeypatch):
     # Exact counts of the thin-flow calls, of those whose core is one s-t
-    # path (the calls that never reach the steady test), and of the walks:
-    # the rest, here one call on ladder n = 4, are steady phases whose P(1)
-    # is one point.  A lost skip fails here.
+    # path (the calls that never reach the steady test), of the
+    # series-parallel proposals and of the walks.  On ladder n = 4 two calls
+    # are steady, and one of them walks, as its P(1) is not one point.  The
+    # other 14 are not steady, and all their cores are series-parallel;
+    # one proposal's slack edges close a cycle, and it walks.  A lost skip
+    # fails here.
     calls = Counter()
-    for name in ("thin_flow", "first_feasible_support", "_walk"):
+    for name in ("thin_flow", "first_feasible_support", "sp_tree", "_walk"):
         def counted(*args, name=name, call=getattr(equilibrium, name)):
-            calls[name] += 1
-            return call(*args)
+            result = call(*args)
+            calls[name] += name != "sp_tree" or result is not None
+            return result
         monkeypatch.setattr(equilibrium, name, counted)
     braess_ratio(inst)
     path_calls = calls["thin_flow"] - calls["first_feasible_support"]
-    assert (calls["thin_flow"], path_calls, calls["_walk"]) == (solves, paths, walks)
+    assert (calls["thin_flow"], path_calls, calls["sp_tree"], calls["_walk"]) == (
+        solves, paths, proposals, walks)
+
+
+@pytest.mark.parametrize("transposed, digest", [
+    (False, "f773678cf7ff7e2f7233e0e954e6e8a51ab920e0c292ac0bc132cce220858c2b"),
+    (True, "6a812c308305c2e691f043200ff342c9b315c8653503a836ff1e01a0ca093bda"),
+], ids=["ladder-n5", "transposed-n5"])
+def test_braess_stdout_of_the_n5_ladders_is_pinned(transposed, digest, tmp_path, capsys):
+    # The paper's own networks, every s-t core of which is series-parallel,
+    # at a size where the series-parallel proposals settle most phases.
+    # The digests were recorded when the pattern walk settled those phases.
+    inst = make_ladder(5, F(1, 1000))
+    path = tmp_path / "ladder.json"
+    path.write_text(dumps(instance_to_obj(transpose(inst) if transposed else inst)))
+    assert main(["braess", str(path)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_braess_report_carries_equilibrium_caveat():

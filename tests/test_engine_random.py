@@ -3,12 +3,14 @@
 The engine is validated against checkers it does not share code with: the
 exact feasibility conditions, both equilibrium certificates, the uniqueness
 of per-phase label slopes across all solver patterns, the pattern search
-over every support as the oracle of the one with forced edges, the
-structural guarantee that networks using only chains of parallel paths
-never benefit from deletions, and facts the theory proves outright: a run
-ends steady exactly when the supply fits through a minimum cut, labels
-obey the exact scaling laws of capacity and time, transposing twice is the
-identity, and an edge off every source-sink path changes nothing.
+over every support as the oracle of the one with forced edges, the walk
+as the oracle of the series-parallel proposal on every phase it should
+settle, the structural guarantee that networks using only chains of
+parallel paths never benefit from deletions, and facts the theory proves
+outright: a run ends steady exactly when the supply fits through a minimum
+cut, labels obey the exact scaling laws of capacity and time, transposing
+twice is the identity, and an edge off every source-sink path changes
+nothing.
 """
 
 import hashlib
@@ -41,7 +43,7 @@ from fot.equilibrium import (
     verify_thin_flow,
 )
 from fot.gen import make_ladder, random_dag
-from fot.topology import uses_only_chains
+from fot.topology import series_parallel, uses_only_chains
 
 from helpers import ENGINE_PHASES, build_instance, max_flow_value
 
@@ -355,20 +357,26 @@ def test_pruning_bounds_the_search_on_the_steady_transposed_ladder_phase(monkeyp
 def _thin_flow_route(args):
     """`thin_flow` on one phase system and how it got there: "path" when
     the core is one s-t path (the call never reaches the steady test),
-    "walk" when it walked the patterns, else "point" (a steady phase whose
-    P(1) is one point)."""
+    "walk" when it walked the patterns, else "sp" when it tried the
+    series-parallel proposal, and "point" when it stopped at the steady
+    test's flow (a steady phase whose P(1) is one point)."""
     routes = []
-    steady, walk = equilibrium.first_feasible_support, equilibrium._walk
+    steady, tree, walk = equilibrium.first_feasible_support, equilibrium.sp_tree, equilibrium._walk
 
     def tested(*args):
         routes.append("point")
         return steady(*args)
+
+    def reduced(*args):
+        routes.append("sp")
+        return tree(*args)
 
     def walked(*args):
         routes.append("walk")
         return walk(*args)
 
     with patch.object(equilibrium, "first_feasible_support", tested), \
+            patch.object(equilibrium, "sp_tree", reduced), \
             patch.object(equilibrium, "_walk", walked):
         tf = thin_flow(*args)
     return tf, routes[-1] if routes else "path"
@@ -391,15 +399,77 @@ def test_thin_flow_is_the_first_solution_of_the_walk_on_engine_phases(inst):
             assert all(other == tf for other in solutions)
 
 
-@pytest.mark.parametrize("route", ["path", "point", "walk"])
+@pytest.mark.parametrize("route", ["path", "point", "sp", "walk"])
 def test_engine_phases_take_every_thin_flow_route(route):
-    # Both structural cases fire on engine phases, and phases outside them
+    # Each proposal source settles engine phases, and phases outside them
     # fall through to the walk.
     def takes(inst):
         return any(_thin_flow_route(args)[1] == route for args in _engine_phases(inst))
 
     find(st.one_of(random_instances(), tied_instances()), takes, settings=settings(
         max_examples=100, derandomize=True, database=None, phases=[Phase.generate]))
+
+
+@st.composite
+def series_parallel_systems(draw):
+    """Two-terminal series-parallel networks, all edges competitive and some
+    queued: from one source-sink edge, each step splits an edge in two, in
+    series or side by side; the edges come in a drawn order, which orders
+    the parts of the decomposition tree."""
+    pairs, nodes = [("s", "t")], ["s", "t"]
+    for _ in range(draw(st.integers(min_value=1, max_value=7))):
+        k = draw(st.integers(min_value=0, max_value=len(pairs) - 1))
+        u, w = pairs[k]
+        if draw(st.booleans()):
+            nodes.append(f"v{len(nodes)}")
+            pairs[k:k + 1] = [(u, nodes[-1]), (nodes[-1], w)]
+        else:
+            pairs.insert(k, (u, w))
+    edges = draw(st.permutations([Edge(f"e{k}", u, w) for k, (u, w) in enumerate(pairs)]))
+    net = Network(tuple(nodes), tuple(edges), "s", "t")
+    few = st.sampled_from([F(1, 2), F(1), F(3, 2), F(2)])
+    return (net, frozenset(e.id for e in edges),
+            frozenset(e.id for e in edges if draw(st.integers(min_value=0, max_value=2)) == 0),
+            {e.id: draw(few) for e in edges}, draw(st.sampled_from([F(1), F(2), F(5, 2), F(4)])))
+
+
+def _assert_sp_settles(args):
+    """Where `thin_flow` should settle the phase system by the
+    series-parallel proposal (no flow in P(1), positive capacities, a core
+    that is series-parallel and not one path, and slack edges of the walk's
+    first solution that form a forest), it does, with the walk's first
+    solution item for item."""
+    net, active, resetting, capacity, _ = args
+    edges, _, core, _, _ = equilibrium._competitive(*args[:3])
+    core_edges = [e for e in edges if e.id in core]
+    if (_steady_marks(*args) is not None or equilibrium._forest(core_edges)
+            or any(capacity[e.id] <= 0 for e in edges)
+            or series_parallel(Network(net.nodes, tuple(core_edges),
+                                       net.source, net.sink)) is None):
+        return
+    first = next(enumerate_thin_flows(*args))
+    slopes = first.label_slopes
+    if not equilibrium._forest(e for e in core_edges if e.id not in resetting
+                               and slopes[e.tail] == slopes[e.head]):
+        return
+    tf, route = _thin_flow_route(args)
+    assert route == "sp"
+    assert list(tf.label_slopes.items()) == list(first.label_slopes.items())
+    assert list(tf.edge_rates.items()) == list(first.edge_rates.items())
+
+
+@settings(max_examples=60, deadline=None, phases=ENGINE_PHASES)
+@given(st.one_of(random_instances(), tied_instances()))
+def test_series_parallel_phases_take_the_sp_proposal(inst):
+    # A wrong recursion cannot hide behind the walk it falls through to.
+    for args in _engine_phases(inst):
+        _assert_sp_settles(args)
+
+
+@settings(max_examples=150, deadline=None)
+@given(series_parallel_systems())
+def test_series_parallel_systems_take_the_sp_proposal(args):
+    _assert_sp_settles(args)
 
 
 def test_a_zero_capacity_path_is_left_to_the_walk(monkeypatch):

@@ -14,6 +14,7 @@ from fot.core import (
     transpose,
 )
 from fot.dynamics import certify_nash, validate_feasible
+from fot import equilibrium
 from fot.equilibrium import (
     MAX_ACTIVE_EDGES,
     enumerate_thin_flows,
@@ -24,6 +25,7 @@ from fot.equilibrium import (
 )
 from fot.gen import MnParams, geometric_alphas, make_chain, make_mn
 from fot.pwl import PiecewiseLinear
+from fot.topology import sp_tree
 
 from helpers import ENGINE_PHASES, build_instance, two_link_base_instance
 
@@ -330,6 +332,77 @@ def test_runs_pass_independent_validators():
         assert validate_feasible(inst, run.flow).ok
         ok, _ = certify_nash(inst, run.flow)
         assert ok
+
+
+# -- series-parallel exit maps -----------------------------------------------------
+
+
+def _exit_map(edges, resetting=()):
+    """The exit map of the series-parallel network of `edges`, each (id,
+    tail, head, capacity), from s to t, with the edges of `resetting`
+    queued."""
+    inst = build_instance([(eid, u, w, c, 0) for eid, u, w, c in edges], "s", "t", 1)
+    tree = sp_tree(inst.network.edges, "s", "t")
+    return equilibrium._exit_maps(tree, inst.capacity, frozenset(resetting))[0]
+
+
+@pytest.mark.parametrize("edges, resetting, exit_slope", [
+    # Both links free: slope one until the supply fills both, then r / 3.
+    ([("a", "s", "t", 1), ("b", "s", "t", 2)], (), lambda r: max(1, r / 3)),
+    # The queued link alone up to slope one, where the free link takes
+    # [0, 2] at slope one, then both.
+    ([("a", "s", "t", 1), ("b", "s", "t", 2)], ("a",), lambda r: r if r <= 1 else max(1, r / 3)),
+    # Two free edges in series: the narrow second one breaks at r = 1, where
+    # r / f1(r) meets its breakpoint, inside the first edge's flat part.
+    ([("a", "s", "m", 2), ("b", "m", "t", 1)], (), lambda r: max(1, r)),
+    # A queued edge, then a free edge it overfills: 2r.
+    ([("a", "s", "m", 1), ("b", "m", "t", F(1, 2))], ("a",), lambda r: 2 * r),
+    # A queued edge parallel to the free two-edge path above: the queued
+    # edge alone up to slope one, the path fills [0, 1] at slope one, and
+    # beyond that both take y each.
+    ([("a", "s", "m", 2), ("b", "m", "t", 1), ("c", "s", "t", 1)], ("c",),
+     lambda r: r if r <= 1 else max(1, r / 2)),
+], ids=["two-links", "queued-link", "series", "queued-series", "edge-beside-path"])
+def test_exit_maps_match_hand_computed_components(edges, resetting, exit_slope):
+    f = _exit_map(edges, resetting)
+    grid = [F(k, 4) for k in range(25)]
+    assert [equilibrium._at(f, r) for r in grid] == [exit_slope(r) for r in grid]
+
+
+def test_exit_map_inverses_bracket_the_flat_part():
+    # The queued link of capacity 1 beside a free link of capacity 2 exits
+    # at slope one for every inflow in [1, 3].
+    f = _exit_map([("a", "s", "t", 1), ("b", "s", "t", 2)], ("a",))
+    assert (equilibrium._lower(f, F(1)), equilibrium._upper(f, F(1))) == (1, 3)
+    assert (equilibrium._lower(f, F(1, 2)), equilibrium._upper(f, F(1, 2))) == (F(1, 2), F(1, 2))
+    assert (equilibrium._lower(f, F(2)), equilibrium._upper(f, F(2))) == (6, 6)
+
+
+def test_the_split_fills_each_part_to_its_lower_inverse_first():
+    # Two paths side by side, the free one (a, b) first in the tree: at
+    # inflow 3/2 the exit slope is one, where the path through the queued
+    # edge c needs 1 and the free path takes anything in [0, 1].  So the
+    # free path gets the 1/2 left over, not all it could take.
+    inst = build_instance([("c", "s", "n", 1, 0), ("d", "n", "t", 2, 0),
+                           ("a", "s", "m", 2, 0), ("b", "m", "t", 1, 0)], "s", "t", 1)
+    tree = sp_tree(inst.network.edges, "s", "t")
+    assert [part[1][0].id for part in tree[1]] == ["a", "c"]
+    rates = {}
+    equilibrium._sp_split(equilibrium._exit_maps(tree, inst.capacity, frozenset({"c"})),
+                          F(1), F(3, 2), rates)
+    assert rates == {"a": F(1, 2), "b": F(1, 2), "c": 1, "d": 1}
+
+
+def test_the_series_parallel_proposal_routes_the_edge_beside_the_path():
+    # Supply 3 exits at slope 3/2: the queued edge c takes 3/2, and so does
+    # the path, whose first edge a stays at slope one (slack, a forest).
+    # The full queued edge and the path's capacity hold 2 < 3: not steady.
+    inst = build_instance([("a", "s", "m", 2, 0), ("b", "m", "t", 1, 0), ("c", "s", "t", 1, 0)],
+                          "s", "t", 3)
+    tf = thin_flow(inst.network, frozenset({"a", "b", "c"}), frozenset({"c"}),
+                   inst.capacity, inst.supply)
+    assert tf.label_slopes == {"s": 1, "m": 1, "t": F(3, 2)}
+    assert tf.edge_rates == {"a": F(3, 2), "b": F(3, 2), "c": F(3, 2)}
 
 
 # -- independent oracle for chains of parallel links ----------------------------

@@ -15,7 +15,6 @@ from fot.topology import (
     PATTERN_IDS,
     PATTERNS,
     ClassificationReport,
-    _smooth_edges,
     Embedding,
     classify,
     find_subdivision,
@@ -447,7 +446,7 @@ def test_chain_of_parallel_paths_uses_only_chains():
     assert ok, witness
 
 
-# -- the cut-node chain test and one-pass smoothing against the fixpoint code ------
+# -- the cut-node chain test and the SP reduction against the fixpoint code ---------
 
 
 def reference_chain_walk(nodes, edges, u, v):
@@ -536,39 +535,75 @@ def subdivided_dags(count):
         yield seed, net
 
 
-def test_cut_node_chain_test_and_one_pass_smoothing_match_the_fixpoint_code():
-    verdicts = set()
+def reference_series_parallel(net):
+    """Smoothing and parallel merging to a fixpoint, one smoothing per
+    round: series-parallel exactly when one source-sink edge is left."""
+    s, t = net.source, net.sink
+    nodes, edges = list(net.nodes), list(net.edges)
+    while True:
+        nodes, edges = reference_smooth_edges(nodes, edges, {s, t})
+        merged = list({(e.tail, e.head): e for e in edges}.values())
+        if len(merged) == len(edges):
+            return [(e.tail, e.head) for e in edges] == [(s, t)]
+        edges = merged
+
+
+def assert_decomposes(tree, net):
+    """The tree holds each edge of `net` once as a leaf, each series runs
+    from tail to head, the parts of each parallel share both ends, no part
+    has its parent's kind, and the whole runs from source to sink."""
+    leaves = []
+
+    def ends(part):
+        if type(part) is not tuple:
+            leaves.append(part)
+            return part.tail, part.head
+        kind, parts = part
+        assert len(parts) > 1 and all(type(p) is not tuple or p[0] != kind for p in parts)
+        spans = [ends(p) for p in parts]
+        if kind == "series":
+            assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+            return spans[0][0], spans[-1][1]
+        assert kind == "parallel" and len(set(spans)) == 1
+        return spans[0]
+
+    assert ends(tree) == (net.source, net.sink)
+    assert sorted(leaves, key=lambda e: e.id) == sorted(net.edges, key=lambda e: e.id)
+
+
+def test_cut_node_chain_test_and_the_sp_reduction_match_the_fixpoint_code():
+    chains, sp = set(), set()
     for seed, net in subdivided_dags(400):
         got = uses_only_chains(net)
         assert got == reference_uses_only_chains(net), seed
-        verdicts.add(got[0])
-        protect = {net.source, net.sink}
-        nodes, edges = _smooth_edges(list(net.nodes), list(net.edges), protect)
-        want_nodes, want_edges = reference_smooth_edges(
-            list(net.nodes), list(net.edges), protect)
-        assert set(nodes) == set(want_nodes), seed
-        assert {(e.id, e.tail, e.head) for e in edges} == {
-            (e.id, e.tail, e.head) for e in want_edges}, seed
-    assert verdicts == {True, False}
+        chains.add(got[0])
+        tree = series_parallel(net)
+        assert (tree is not None) == reference_series_parallel(net), seed
+        if tree is not None:
+            assert_decomposes(tree, net)
+        sp.add(tree is not None)
+    assert chains == sp == {True, False}
 
 
-# -- smoothing ----------------------------------------------------------------------
+# -- the series-parallel tree --------------------------------------------------------
 
 
-@pytest.mark.parametrize("nodes, edges, smoothed", [
-    # a path whose last edge is named like the join of the first two
+@pytest.mark.parametrize("nodes, edges, tree", [
+    # a path whose last edge is named like a join of the first two
     (("s", "x", "y", "t"), (("a", "s", "x"), ("b", "x", "y"), ("a+b", "y", "t")),
-     {"a"}),
-    # a smoothed path parallel to an edge named like the join
+     ("series", ("a", "b", "a+b"))),
+    # a path beside an edge named like its join
     (("s", "x", "t"), (("a", "s", "x"), ("b", "x", "t"), ("a+b", "s", "t")),
-     {"a", "a+b"}),
+     ("parallel", ("a+b", ("series", ("a", "b"))))),
 ], ids=["path", "parallel"])
-def test_smoothing_keeps_the_first_edge_id(nodes, edges, smoothed, tmp_path, capsys):
+def test_the_sp_tree_holds_each_edge_once(nodes, edges, tree, tmp_path, capsys):
     net = Network(nodes, tuple(Edge(*e) for e in edges), "s", "t")
-    kept_nodes, kept_edges = _smooth_edges(list(nodes), list(net.edges), {"s", "t"})
-    assert kept_nodes == ["s", "t"]
-    assert {e.id: (e.tail, e.head) for e in kept_edges} == {
-        eid: ("s", "t") for eid in smoothed}
+
+    def named(part):
+        return net.edge_by_id[part] if type(part) is str else (
+            part[0], tuple(named(p) for p in part[1]))
+
+    assert series_parallel(net) == named(tree)
     assert uses_only_chains(net) == (True, None)
     path = tmp_path / "net.json"
     path.write_text(dumps(network_to_obj(net)))
@@ -583,6 +618,16 @@ def test_series_parallel_facts():
     for n in range(2, 9):
         assert series_parallel(ladder_net(n))
     assert not series_parallel(pattern_network("Wheatstone"))
+    # A source-sink edge beside the crossover leaves a source-sink pair
+    # that is not all of the network.
+    crossover = pattern_network("Wheatstone")
+    beside = Network(crossover.nodes, crossover.edges + (Edge("direct", "s", "t"),), "s", "t")
+    assert series_parallel(beside) is None
+    chain = parallel_links([3, 1, 2])
+    p = chain.edge_by_id
+    assert series_parallel(chain) == ("series", (
+        ("parallel", (p["p0_0"], p["p0_1"], p["p0_2"])), p["p1_0"],
+        ("parallel", (p["p2_0"], p["p2_1"]))))
     assert not series_parallel(pattern_network("M3DoublePrime"))
     assert series_parallel(parallel_links([3, 1, 2]))
     assert series_parallel(pattern_network("M3"))
