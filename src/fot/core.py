@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import AbstractSet, Iterable, Mapping, Optional, Sequence, Union
+from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
 
 
 class FotError(Exception):
@@ -112,75 +112,9 @@ def _q(n: int, d: int) -> Q:
     return q
 
 
-# The fast paths of `Q`: exact results from the numerators and denominators
-# of two operands in lowest terms, by the gcd formulas of CPython's
-# `Fraction._add` and `Fraction._mul`.
-
-def _sum(na: int, da: int, nb: int, db: int) -> Q:
-    g = gcd(da, db)
-    if g == 1:
-        return _q(na * db + da * nb, da * db)
-    s = da // g
-    t = na * (db // g) + nb * s
-    g2 = gcd(t, g)
-    if g2 == 1:
-        return _q(t, s * db)
-    return _q(t // g2, s * (db // g2))
-
-
-def _difference(na: int, da: int, nb: int, db: int) -> Q:
-    return _sum(na, da, -nb, db)
-
-
-def _product(na: int, da: int, nb: int, db: int) -> Q:
-    """(na/da) * (nb/db), where db may be negative (a quotient's)."""
-    g1 = gcd(na, db)
-    if g1 > 1:
-        na //= g1
-        db //= g1
-    g2 = gcd(nb, da)
-    if g2 > 1:
-        nb //= g2
-        da //= g2
-    n, d = na * nb, da * db
-    if d < 0:
-        n, d = -n, -d
-    return _q(n, d)
-
-
-def _quotient(na: int, da: int, nb: int, db: int) -> Q:
-    if nb == 0:
-        raise ZeroDivisionError("division by zero")
-    return _product(na, da, db, nb)
-
-
-def _arithmetic(op, forward_fallback, reverse_fallback):
-    """The forward and reflected methods of a `Q` operator: `op` on
-    numerators and denominators when the other operand is exactly a `Q`,
-    a `Fraction` or an int, the inherited `Fraction` method otherwise."""
-
-    def forward(a, b):
-        kind = type(b)
-        if kind is Q or kind is Fraction:
-            return op(a._numerator, a._denominator, b._numerator, b._denominator)
-        if kind is int:
-            return op(a._numerator, a._denominator, b, 1)
-        return forward_fallback(a, b)
-
-    def reverse(b, a):
-        kind = type(a)
-        if kind is Fraction or kind is Q:
-            return op(a._numerator, a._denominator, b._numerator, b._denominator)
-        if kind is int:
-            return op(a, 1, b._numerator, b._denominator)
-        return reverse_fallback(b, a)
-
-    return forward, reverse
-
-
 def _comparison(op, fallback):
-    """A `Q` order comparison, fast on the same operand types as
-    `_arithmetic`."""
+    """A `Q` order comparison, fast on the same operand types as the
+    arithmetic of `Q`."""
 
     def compare(a, b):
         kind = type(b)
@@ -207,11 +141,126 @@ class Q(Fraction):
 
     __slots__ = ()
 
-    __add__, __radd__ = _arithmetic(_sum, Fraction.__add__, Fraction.__radd__)
-    __sub__, __rsub__ = _arithmetic(_difference, Fraction.__sub__, Fraction.__rsub__)
-    __mul__, __rmul__ = _arithmetic(_product, Fraction.__mul__, Fraction.__rmul__)
-    __truediv__, __rtruediv__ = _arithmetic(_quotient, Fraction.__truediv__,
-                                            Fraction.__rtruediv__)
+    # The arithmetic: each operator reads both operands' numerators and
+    # denominators once and applies the gcd formulas of CPython's
+    # `Fraction._add` and `Fraction._mul` in its own body, so one exact
+    # operation is one Python frame.  The reflected forms compute an int on
+    # the left in place, the only left operand the engine gives them; a
+    # `Fraction` on the left goes through the forward forms.
+
+    def __add__(a, b):
+        kind = type(b)
+        if kind is Q or kind is Fraction:
+            nb, db = b._numerator, b._denominator
+        elif kind is int:
+            nb, db = b, 1
+        else:
+            return Fraction.__add__(a, b)
+        na, da = a._numerator, a._denominator
+        q = object.__new__(Q)
+        g = gcd(da, db)
+        if g == 1:
+            q._numerator = na * db + da * nb
+            q._denominator = da * db
+            return q
+        s = da // g
+        t = na * (db // g) + nb * s
+        g = gcd(t, g)
+        q._numerator = t // g
+        q._denominator = s * (db // g)
+        return q
+
+    def __sub__(a, b):
+        kind = type(b)
+        if kind is Q or kind is Fraction:
+            nb, db = b._numerator, b._denominator
+        elif kind is int:
+            nb, db = b, 1
+        else:
+            return Fraction.__sub__(a, b)
+        na, da = a._numerator, a._denominator
+        q = object.__new__(Q)
+        g = gcd(da, db)
+        if g == 1:
+            q._numerator = na * db - da * nb
+            q._denominator = da * db
+            return q
+        s = da // g
+        t = na * (db // g) - nb * s
+        g = gcd(t, g)
+        q._numerator = t // g
+        q._denominator = s * (db // g)
+        return q
+
+    def __mul__(a, b):
+        kind = type(b)
+        if kind is Q or kind is Fraction:
+            nb, db = b._numerator, b._denominator
+        elif kind is int:
+            nb, db = b, 1
+        else:
+            return Fraction.__mul__(a, b)
+        na, da = a._numerator, a._denominator
+        g1, g2 = gcd(na, db), gcd(nb, da)
+        q = object.__new__(Q)
+        q._numerator = (na // g1) * (nb // g2)
+        q._denominator = (da // g2) * (db // g1)
+        return q
+
+    def __truediv__(a, b):
+        kind = type(b)
+        if kind is Q or kind is Fraction:
+            nb, db = b._numerator, b._denominator
+        elif kind is int:
+            nb, db = b, 1
+        else:
+            return Fraction.__truediv__(a, b)
+        if nb == 0:
+            raise ZeroDivisionError("division by zero")
+        na, da = a._numerator, a._denominator
+        g1 = gcd(na, nb) if nb > 0 else -gcd(na, nb)
+        g2 = gcd(db, da)
+        q = object.__new__(Q)
+        q._numerator = (na // g1) * (db // g2)
+        q._denominator = (da // g2) * (nb // g1)
+        return q
+
+    def __radd__(b, a):
+        if type(a) is not int:
+            return b + a if isinstance(a, Fraction) else Fraction.__radd__(b, a)
+        q = object.__new__(Q)
+        q._numerator = a * b._denominator + b._numerator
+        q._denominator = b._denominator
+        return q
+
+    def __rsub__(b, a):
+        if type(a) is not int:
+            return -b + a if isinstance(a, Fraction) else Fraction.__rsub__(b, a)
+        q = object.__new__(Q)
+        q._numerator = a * b._denominator - b._numerator
+        q._denominator = b._denominator
+        return q
+
+    def __rmul__(b, a):
+        if type(a) is not int:
+            return b * a if isinstance(a, Fraction) else Fraction.__rmul__(b, a)
+        g = gcd(a, b._denominator)
+        q = object.__new__(Q)
+        q._numerator = a // g * b._numerator
+        q._denominator = b._denominator // g
+        return q
+
+    def __rtruediv__(b, a):
+        if type(a) is not int:
+            return (1 / b) * a if isinstance(a, Fraction) else Fraction.__rtruediv__(b, a)
+        nb = b._numerator
+        if nb == 0:
+            raise ZeroDivisionError("division by zero")
+        g = gcd(a, nb) if nb > 0 else -gcd(a, nb)
+        q = object.__new__(Q)
+        q._numerator = a // g * b._denominator
+        q._denominator = nb // g
+        return q
 
     __lt__ = _comparison(operator.lt, Fraction.__lt__)
     __le__ = _comparison(operator.le, Fraction.__le__)
@@ -244,7 +293,7 @@ class Q(Fraction):
         return _q(abs(a._numerator), a._denominator)
 
 
-Scalar = Union[Q, _PosInfinity]
+Scalar = Q | _PosInfinity
 
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?\Z")
@@ -349,7 +398,15 @@ class Network:
         return {v: tuple(es) for v, es in table.items()}
 
     def topological_order(self) -> tuple[str, ...]:
-        """Nodes in topological order; raises if the graph has a cycle."""
+        """Nodes in topological order, one tuple per network; raises on
+        every call if the graph has a cycle."""
+        if self._topological_order is None:
+            raise UnsupportedTopologyError("network contains a directed cycle")
+        return self._topological_order
+
+    @cached_property
+    def _topological_order(self) -> Optional[tuple[str, ...]]:
+        """Kahn's order of the nodes, or None when the graph has a cycle."""
         indeg = {v: 0 for v in self.nodes}
         for e in self.edges:
             indeg[e.head] += 1
@@ -362,9 +419,7 @@ class Network:
                 indeg[e.head] -= 1
                 if indeg[e.head] == 0:
                     ready.append(e.head)
-        if len(order) != len(self.nodes):
-            raise UnsupportedTopologyError("network contains a directed cycle")
-        return tuple(order)
+        return tuple(order) if len(order) == len(self.nodes) else None
 
     @cached_property
     def path_counts(self) -> dict[str, dict[str, int]]:

@@ -78,6 +78,17 @@ MUTANTS = [
      "if e.tail in from_source and e.head in to_sink)",
      ["tests/test_core.py::test_st_core_and_filtered_reachability_on_every_edge_subset",
       "tests/test_braess.py::test_braess_ratio_ladder3_at_hundredth"]),
+    # `Q.__add__` skips its second gcd reduction: a sum is not in lowest terms.
+    ("fot/core.py",
+     "t = na * (db // g) + nb * s\n        g = gcd(t, g)",
+     "t = na * (db // g) + nb * s\n        g = 1",
+     ["tests/test_rational.py::test_q_operators_agree_with_fraction"]),
+    # `Q.__truediv__` skips its sign fix: a negative divisor leaves a
+    # negative denominator.
+    ("fot/core.py",
+     "g1 = gcd(na, nb) if nb > 0 else -gcd(na, nb)",
+     "g1 = gcd(na, nb)",
+     ["tests/test_rational.py::test_q_operators_agree_with_fraction"]),
     # `_balanced` leaves out each curve's first slope, its change at 0.
     ("fot/dynamics.py",
      "            before = ZERO\n",

@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import fot
 from fot.core import (
     INF,
     Edge,
@@ -134,14 +139,46 @@ def test_topological_order_and_cycle_detection():
         sink="c",
     )
     assert net.topological_order() == ("a", "b", "c")
+    # Computed once per network: every call returns the same tuple.
+    assert net.topological_order() is net.topological_order()
     cyclic = Network(
         nodes=("a", "b"),
         edges=(Edge("x", "a", "b"), Edge("y", "b", "a")),
         source="a",
         sink="b",
     )
-    with pytest.raises(UnsupportedTopologyError):
-        cyclic.topological_order()
+    for _ in range(2):  # the cycle is reported on every call, not only the first
+        with pytest.raises(UnsupportedTopologyError):
+            cyclic.topological_order()
+
+
+REIMPORT = """
+import gc, importlib, sys, weakref
+from fractions import Fraction
+core = importlib.import_module("fot.core")
+gen = importlib.import_module("fot.gen")
+importlib.import_module("fot.equilibrium").nash_flow(gen.make_ladder(2, Fraction(1, 10)))
+refs = {name: weakref.ref(getattr(core, name)) for name in ("Q", "Network")}
+del core, gen
+for name in [m for m in sys.modules if m == "fot" or m.startswith("fot.")]:
+    del sys.modules[name]
+importlib.import_module("fot.cli")
+gc.collect()
+print(sorted(name for name, ref in refs.items() if ref() is not None))
+"""
+
+
+def test_a_reimport_of_fot_frees_the_old_core():
+    # Nothing outside the package, such as typing's cache of subscripted
+    # unions, may hold the first import's classes once its modules are
+    # dropped: a fresh interpreter imports fot, runs the engine, drops
+    # every fot module and imports fot again.
+    src = str(Path(fot.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", REIMPORT], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_transpose_is_involution_and_preserves_attributes():

@@ -97,6 +97,13 @@ def test_q_with_other_operand_types_behaves_as_fraction():
     assert half + 0.5 == 1.0 and type(half + 0.5) is float
     assert half + True == F(3, 2) and half * False == 0
     assert half < 1.0 and half == 0.5
+    # The reflected forms, with a float or a bool on the left.
+    assert 0.5 + half == 1.0 and type(0.5 + half) is float
+    assert 1.0 / half == 2.0 and type(1.0 / half) is float
+    assert True - half == F(1, 2) and False * half == 0
+    for zero_division in (lambda: 1 / Q(0), lambda: Q(1) / 0):
+        with pytest.raises(ZeroDivisionError):
+            zero_division()
 
 
 # -- closure of an engine run ---------------------------------------------------
