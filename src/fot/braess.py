@@ -33,7 +33,6 @@ from .core import (
     INF,
     Instance,
     ParameterError,
-    Q,
     Scalar,
     SizeCapError,
     restrict,
@@ -42,6 +41,7 @@ from .core import (
 )
 from .equilibrium import PHASE_CAP
 from .gen import ladder_network, make_ladder
+from .pwl import ONE, ZERO
 
 CANONICAL_NOTE = ("costs are those of the canonical computed equilibrium of "
                   "each subnetwork")
@@ -54,11 +54,11 @@ def extended_ratio(full: Scalar, sub: Scalar) -> Scalar:
     """Cost ratio with unbounded values: two unbounded costs compare as even,
     an unbounded numerator dominates, an unbounded denominator vanishes."""
     if full is INF:
-        return Q(1) if sub is INF else INF
+        return ONE if sub is INF else INF
     if sub is INF:
-        return Q(0)
+        return ZERO
     if sub == 0:
-        return Q(1) if full == 0 else INF
+        return ONE if full == 0 else INF
     return full / sub
 
 
@@ -139,7 +139,7 @@ def braess_ratio(inst: Instance, subsets: Optional[Sequence[Sequence[str]]] = No
     if isinstance(full_cost, FotError):
         raise full_cost
     entries = []
-    ratio: Scalar = Q(0)
+    ratio: Scalar = ZERO
     argmax: tuple[str, ...] = tuple(edge_ids)
     for kept in subsets:
         cost = outcome(kept)

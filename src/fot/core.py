@@ -133,10 +133,12 @@ class Q(Fraction):
     A `Fraction` whose ``+ - * /`` (both ways round), unary minus, `abs` and
     six comparisons skip the `numbers` ABC checks of `Fraction` when the
     other operand is exactly a `Q`, a `Fraction` or an int, and build the
-    result from coprime integers.  Results of those operations are `Q`s;
-    any other operand (`INF`, a bool, a float) gets the inherited
-    `Fraction` behaviour.  Hash, `str`, equality with `Fraction` and int,
-    pickling and copying are those of `Fraction`.
+    result from coprime integers.  Where a `Q` operand is already the
+    result (x + 0, x - 0, x * 1, x / 1, 0 * x, 0 / x), ``+ - * /`` return it
+    as it is.  Results of those operations are `Q`s; any other operand
+    (`INF`, a bool, a float) gets the inherited `Fraction` behaviour.  Hash,
+    `str`, equality with `Fraction` and int, pickling and copying are those
+    of `Fraction`.
     """
 
     __slots__ = ()
@@ -146,7 +148,10 @@ class Q(Fraction):
     # `Fraction._add` and `Fraction._mul` in its own body, so one exact
     # operation is one Python frame.  The reflected forms compute an int on
     # the left in place, the only left operand the engine gives them; a
-    # `Fraction` on the left goes through the forward forms.
+    # `Fraction` on the left goes through the forward forms.  Before any gcd
+    # the forward forms return an operand that is already the result; `b`
+    # only when it is a `Q`, so that every result is one.  n == d reads
+    # "is 1".  `Q` is immutable, so sharing an operand is safe.
 
     def __add__(a, b):
         kind = type(b)
@@ -156,7 +161,11 @@ class Q(Fraction):
             nb, db = b, 1
         else:
             return Fraction.__add__(a, b)
+        if nb == 0:
+            return a
         na, da = a._numerator, a._denominator
+        if na == 0 and kind is Q:
+            return b
         q = object.__new__(Q)
         g = gcd(da, db)
         if g == 1:
@@ -178,6 +187,8 @@ class Q(Fraction):
             nb, db = b, 1
         else:
             return Fraction.__sub__(a, b)
+        if nb == 0:
+            return a
         na, da = a._numerator, a._denominator
         q = object.__new__(Q)
         g = gcd(da, db)
@@ -201,6 +212,10 @@ class Q(Fraction):
         else:
             return Fraction.__mul__(a, b)
         na, da = a._numerator, a._denominator
+        if na == 0 or nb == db:
+            return a
+        if (nb == 0 or na == da) and kind is Q:
+            return b
         g1, g2 = gcd(na, db), gcd(nb, da)
         q = object.__new__(Q)
         q._numerator = (na // g1) * (nb // g2)
@@ -218,6 +233,8 @@ class Q(Fraction):
         if nb == 0:
             raise ZeroDivisionError("division by zero")
         na, da = a._numerator, a._denominator
+        if na == 0 or nb == db:
+            return a
         g1 = gcd(na, nb) if nb > 0 else -gcd(na, nb)
         g2 = gcd(db, da)
         q = object.__new__(Q)

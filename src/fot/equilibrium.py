@@ -78,6 +78,7 @@ from .core import (
     Q,
     Scalar,
     SizeCapError,
+    _q,
     as_fraction,
     first_feasible_support,
     format_scalar,
@@ -144,7 +145,9 @@ class Elimination:
 
     def value(self, c: int) -> Q:
         row = self.pivots[c]
-        return Q(row.get(self.n, 0), row[c])
+        p, q = row.get(self.n, 0), row[c]
+        g = gcd(p, q) if q > 0 else -gcd(p, q)
+        return _q(p // g, q // g)
 
     def extend(self, coeffs: Mapping[int, int], rhs: int) -> Optional[Elimination]:
         """The state with one more row, or None when the row contradicts

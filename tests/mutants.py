@@ -89,6 +89,20 @@ MUTANTS = [
      "g1 = gcd(na, nb) if nb > 0 else -gcd(na, nb)",
      "g1 = gcd(na, nb)",
      ["tests/test_rational.py::test_q_operators_agree_with_fraction"]),
+    # `Q.__add__` returns the zero operand for a + 0, not `a`.
+    ("fot/core.py",
+     "if nb == 0:\n            return a\n        na, da = a._numerator, a._denominator\n"
+     "        if na == 0 and kind is Q:",
+     "if nb == 0:\n            return b\n        na, da = a._numerator, a._denominator\n"
+     "        if na == 0 and kind is Q:",
+     ["tests/test_rational.py::test_q_operators_agree_with_fraction",
+      "tests/test_rational.py::test_identity_operands_return_the_other_operand"]),
+    # `Q.__mul__` returns `a` where `b` is the result: x * Q(0) gives x.
+    ("fot/core.py",
+     "if (nb == 0 or na == da) and kind is Q:\n            return b",
+     "if (nb == 0 or na == da) and kind is Q:\n            return a",
+     ["tests/test_rational.py::test_q_operators_agree_with_fraction",
+      "tests/test_rational.py::test_identity_operands_return_the_other_operand"]),
     # `_balanced` leaves out each curve's first slope, its change at 0.
     ("fot/dynamics.py",
      "            before = ZERO\n",

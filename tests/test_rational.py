@@ -92,6 +92,47 @@ def test_q_orders_below_infinity_and_refuses_arithmetic_with_it():
             op(INF, half)
 
 
+def shortcut(op, a, b):
+    """The operand that the forward `op` of a `Q` a returns as it is, or
+    None: `a` for a + 0, a - 0, a * 1, a / 1, 0 * b and 0 / b; `b` for
+    0 + b, 1 * b and a * 0 when `b` is a `Q`."""
+    if op is operator.add:
+        return a if b == 0 else b if a == 0 and type(b) is Q else None
+    if op is operator.sub:
+        return a if b == 0 else None
+    if op is operator.mul:
+        return a if a == 0 or b == 1 else b if (a == 1 or b == 0) and type(b) is Q else None
+    return a if a == 0 or b == 1 else None
+
+
+def test_identity_operands_return_the_other_operand():
+    big = Q(2 ** 129 + 2, 3)
+    assert big.numerator.bit_length() == 130
+    values = [kind(v) for v in (0, 1) for kind in (int, F, Q)] + [big]
+    shared = set()
+    for a in values:
+        for b in values:
+            if Q not in (type(a), type(b)):
+                continue
+            for op in BINARY:
+                case = (op.__name__, repr(a), repr(b))
+                if op is operator.truediv and b == 0:
+                    with pytest.raises(ZeroDivisionError):
+                        op(a, b)
+                    continue
+                result, expected = op(a, b), op(reference(a), reference(b))
+                assert result == expected and str(result) == str(expected), case
+                assert_q(result)
+                returned = shortcut(op, a, b) if type(a) is Q else None
+                if returned is not None:
+                    assert result is returned, case
+                    shared.add(op.__name__)
+    assert shared == {"add", "sub", "mul", "truediv"}
+    for zero in (0, Q(0)):
+        with pytest.raises(ZeroDivisionError):
+            Q(0) / zero
+
+
 def test_q_with_other_operand_types_behaves_as_fraction():
     half = Q(1, 2)
     assert half + 0.5 == 1.0 and type(half + 0.5) is float
