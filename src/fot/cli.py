@@ -17,7 +17,6 @@ import functools
 import io
 import json
 import sys
-from collections.abc import Mapping
 from fractions import Fraction
 
 from . import braess as braess_mod
@@ -53,12 +52,11 @@ _ATOMS = frozenset({str, int, bool, type(None)})
 
 def to_obj(value) -> object:
     """The JSON form of a report: strings, integers, booleans and None as
-    they are, exact scalars as "p/q" strings, sequences and mappings item by
-    item, curves as their breakpoints, and a dataclass as its fields
-    (without an `error` that is None); any other type raises TypeError.
-    The exact types that reports hold are dispatched first, so a sequence
-    of strings, such as a Braess entry's kept edges, is copied whole and a
-    dataclass skips the checks for subclasses of the other types."""
+    they are, `Q` and `INF` as "p/q" strings, lists, tuples and dicts item
+    by item (a sequence of strings, such as a Braess entry's kept edges, is
+    copied whole), curves as their breakpoints, and a dataclass as its
+    fields (without an `error` that is None).  Scalars and containers are
+    matched by exact type, so any other type raises TypeError."""
     kind = type(value)
     if kind in _ATOMS:
         return value
@@ -72,15 +70,6 @@ def to_obj(value) -> object:
         return {key: to_obj(item) for key, item in value.items()}
     if isinstance(value, PiecewiseLinear):
         return dynamics.pwl_to_obj(value)
-    if not dataclasses.is_dataclass(kind):
-        if isinstance(value, (str, int)):
-            return value
-        if isinstance(value, Fraction):
-            return format_scalar(value)
-        if isinstance(value, (list, tuple)):
-            return [to_obj(item) for item in value]
-        if isinstance(value, Mapping):
-            return {key: to_obj(item) for key, item in value.items()}
     obj = {f.name: to_obj(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if "error" in obj and obj["error"] is None:
         del obj["error"]
@@ -355,12 +344,12 @@ def _cmd_gen(args) -> int:
         _emit(obj, args)
         return 0
     if args.family in ("m3prime", "m3doubleprime"):
-        prime, double_prime = gen.make_m3_variants()
-        net = prime if args.family == "m3prime" else double_prime
+        pid = "M3Prime" if args.family == "m3prime" else "M3DoublePrime"
+        net = topology.pattern_network(pid)
         if args.eps is not None:
-            params = gen.MnParams(n=3, horizon=args.T,
-                                  alphas=gen.geometric_alphas(3, args.eps, args.j))
-            _emit(core.instance_to_obj(gen.instantiate_m3_variant(net, params)), args)
+            inst = gen.embed_paradox_instance(net, topology.find_subdivision(net, pid), args.T,
+                                              gen.geometric_alphas(3, args.eps, args.j))
+            _emit(core.instance_to_obj(inst), args)
         else:
             _emit(core.network_to_obj(net), args)
         return 0

@@ -29,7 +29,7 @@ checker.
 A queued edge whose head reaches the sink through competitive edges carries
 flow in every solution, so every support holds it and only the other, free,
 edges are enumerated; fixing those mask bits keeps the order of the
-patterns left (`enumerate_thin_flows` has the argument).
+patterns left (`_walk` has the argument).
 `MAX_ACTIVE_EDGES` bounds the free edges.
 
 Labels come first where they can.  All label slopes are one exactly when
@@ -294,8 +294,9 @@ def verify_thin_flow(net: Network, active: frozenset[str], resetting: frozenset[
 def thin_flow(net: Network, active: frozenset[str], resetting: frozenset[str],
               capacity: Mapping[str, Fraction], supply: Fraction) -> ThinFlow:
     """Solve the per-phase derivative system on the competitive edge set: the
-    first verified solution of `enumerate_thin_flows`, so the flow split is
-    a function of the pattern order alone.
+    first verified solution of the pattern walk `_walk`, so the flow split
+    is a function of the pattern order alone.  This is the engine's one
+    entry to the solve.
 
     Where the phase's structure proposes a flow, the proposal is certified
     and returned without the walk; being the only verified solution, it is
@@ -401,7 +402,7 @@ def _label_pass(net: Network, nodes: list[str], order: Sequence[str],
     """The label slopes that the competitive edge rates `rates` leave, by
     one pass along the topological `order`: l'_s = 1, and l'_w is the
     minimum of rho_e(l'_v, x_e) over the competitive in-edges e = (v, w) of
-    w (see `enumerate_thin_flows` for rho).  Keyed in the order of
+    w (see `_walk` for rho).  Keyed in the order of
     `nodes`."""
     slopes = {net.source: ONE}
     for w in order:
@@ -500,14 +501,14 @@ def _parallel(fs: list):
     inverse of their sums, which break where a part's map does."""
     rs, ys = [], []
     for y in sorted({y for f in fs for y in f[1]}):
-        lo = sum(_lower(f, y) for f in fs)
-        hi = sum(_upper(f, y) for f in fs)
+        lo = sum((_lower(f, y) for f in fs), ZERO)
+        hi = sum((_upper(f, y) for f in fs), ZERO)
         rs.append(lo)
         ys.append(y)
         if hi > lo:
             rs.append(hi)
             ys.append(y)
-    return rs, ys, _slopes(rs, ys, 1 / sum(1 / f[2][-1] for f in fs))
+    return rs, ys, _slopes(rs, ys, 1 / sum((1 / f[2][-1] for f in fs), ZERO))
 
 
 def _exit_maps(tree, capacity: Mapping[str, Fraction], resetting: frozenset[str]):
@@ -548,19 +549,22 @@ def _sp_split(node, slope: Fraction, inflow: Fraction, rates: dict) -> None:
         r = inflow / slope
         y = _at(f, r)
         lows = [_lower(part[0], y) for part in parts]
-        spare = r - sum(lows)
+        spare = r - sum(lows, ZERO)
         for part, low in zip(parts, lows):
             more = min(spare, _upper(part[0], y) - low)
             spare -= more
             _sp_split(part, slope, (low + more) * slope, rates)
 
 
-def enumerate_thin_flows(net: Network, active: frozenset[str],
-                         resetting: frozenset[str],
-                         capacity: Mapping[str, Fraction],
-                         supply: Fraction):
-    """Yield every verified pattern solution in deterministic order.  The
-    network must be acyclic: a cycle raises `UnsupportedTopologyError`.
+def _walk(net: Network, active: frozenset[str], resetting: frozenset[str],
+          capacity: Mapping[str, Fraction], supply: Fraction, edges: list[Edge],
+          nodes: list[str], free: list[str], marks: Optional[tuple[bool, ...]]):
+    """Yield every verified pattern solution of a phase system in
+    deterministic order, from the first mask that `marks`, the steady
+    test's verdict (`first_feasible_support`), allows.  `edges`, `nodes` and
+    `free` come from `_competitive`, which checks the input and refuses a
+    cyclic network.  `thin_flow` takes the first solution, and the tests
+    exhaust the walk as an oracle.
 
     Patterns (which edges carry flow, a support that is its own `st_core`;
     for each flow edge whether the capacity term or the tail slope pins the
@@ -647,17 +651,6 @@ def enumerate_thin_flows(net: Network, active: frozenset[str],
     only on the set of rows, so the same subtrees are cut and the survivors
     come in the same order.
     """
-    edges, nodes, _, free, _ = _competitive(net, active, resetting)
-    steady = first_feasible_support(net, active, resetting, capacity, supply, free)
-    yield from _walk(net, active, resetting, capacity, supply, edges, nodes, free,
-                     None if steady is None else steady[0])
-
-
-def _walk(net: Network, active: frozenset[str], resetting: frozenset[str],
-          capacity: Mapping[str, Fraction], supply: Fraction, edges: list[Edge],
-          nodes: list[str], free: list[str], marks: Optional[tuple[bool, ...]]):
-    """The pattern walk of `enumerate_thin_flows`, from the first mask that
-    `marks`, the steady test's verdict, allows."""
     forced = frozenset(e.id for e in edges).difference(free)
 
     # Columns: node i is column i, the rate of edge i is column x0 + i.  Per
@@ -892,14 +885,15 @@ def nash_flow(inst: Instance, phase_cap: int = PHASE_CAP,
     a miss.  Without a dict from the caller the run uses a fresh one of its
     own.  A caller may share one dict across runs on `restrict(inst, S)`
     for several edge sets S of one instance, as `fot.braess.braess_ratio`
-    does.  That is exact: `enumerate_thin_flows` reads its network only
-    through the competitive edges in edge order, the nodes they reach in
-    node order, the source and the sink, and it reads the capacities of the
-    competitive edges and the supply.  `restrict` keeps the node tuple, the
-    edge order, the terminals, the capacities and the supply, so equal keys
-    mean equal inputs, and the search is deterministic.  A run only reads
-    a `ThinFlow` and copies what its phases keep, and every run's flow is
-    still checked in full below.
+    does.  That is exact: `thin_flow` returns the first solution of
+    `_walk`, which reads its network only through the competitive edges in
+    edge order, the nodes they reach in node order, the source and the
+    sink, and it reads the capacities of the competitive edges and the
+    supply.  `restrict` keeps the node tuple, the edge order, the
+    terminals, the capacities and the supply, so equal keys mean equal
+    inputs, and the search is deterministic.  A run only reads a `ThinFlow`
+    and copies what its phases keep, and every run's flow is still checked
+    in full below.
     """
     if thin_flows is None:
         thin_flows = {}

@@ -169,22 +169,6 @@ def make_m3_variants() -> tuple[Network, Network]:
     return prime, double_prime
 
 
-def instantiate_m3_variant(net: Network, params: MnParams) -> Instance:
-    """Put the three-node ladder parameters onto a four-node variant: the
-    extra edge g gets zero transit and full supply capacity, so the instance
-    behaves exactly like the ladder instance itself."""
-    if params.n != 3:
-        raise ParameterError("variant instantiation needs a three-level ladder")
-    a0, a1, a2 = params.alphas
-    capacity = {"e1": a1, "e2": a2, "f1": a0 - a1, "f2": a1, "g": a0}
-    transit = {"e1": F(0), "e2": F(0), "f1": params.horizon,
-               "f2": params.horizon, "g": F(0)}
-    ids = {e.id for e in net.edges}
-    if ids != set(capacity):
-        raise ParameterError("network does not look like a four-node variant")
-    return Instance(net, capacity, transit, supply=a0)
-
-
 # -- host embeddings -----------------------------------------------------------
 
 
@@ -197,11 +181,15 @@ def embed_paradox_instance(host: Network, embedding, horizon: Fraction,
     alphas[2]; bypass edges `horizon` transit with capacities alphas[0] -
     alphas[1] and alphas[1]); the remaining edges of embedded paths are free
     (zero transit, supply capacity), and every other host edge is priced out
-    with transit three times the horizon.
+    with transit three times the horizon, which must be positive.  On a
+    four-node variant embedded in itself, its extra edge g is such a free
+    edge, so the instance behaves like the three-node ladder.
     """
     from .topology import verify_embedding
 
     horizon = F(horizon)
+    if horizon <= 0:
+        raise ParameterError("bypass transit time must be positive")
     a0, a1, a2 = (F(a) for a in alphas)
     if not 0 < a2 < a1 < a0:
         raise ParameterError("need 0 < alphas[2] < alphas[1] < alphas[0]")

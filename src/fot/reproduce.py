@@ -15,8 +15,8 @@ from typing import Callable, Mapping
 from .braess import braess_ratio
 from .core import ParameterError, format_scalar, transpose
 from .equilibrium import nash_flow
-from .gen import (MnParams, check_random_dag, embed_paradox_instance, geometric_alphas,
-                  make_ladder, make_mn, random_dag)
+from .gen import (check_random_dag, embed_paradox_instance, geometric_alphas, make_ladder,
+                  random_dag)
 from .pwl import PiecewiseLinear
 from .topology import LADDER_FAMILY, check_search_cap, find_subdivision, uses_only_chains
 
@@ -57,7 +57,7 @@ Outcome = tuple[list[Assertion], dict[str, str]]
 def _preset_lemma1(n: int = 3, eps: Fraction = F(1, 10), j: int = 1,
                    T: Fraction = F(1)) -> Outcome:
     alphas = geometric_alphas(n, eps, j)
-    inst = make_mn(MnParams(n=n, horizon=T, alphas=alphas))
+    inst = make_ladder(n, eps, j, T)
     run = nash_flow(inst)
     probe = T / eps ** (j + n) + 1
     latency = run.labels[inst.network.sink](probe) - probe

@@ -1,6 +1,6 @@
 """Hand-built instances and flows shared across test modules, an exact
-maximum-flow oracle, and a reader that turns `--format csv` output back
-into its JSON object.
+maximum-flow oracle, the thin-flow pattern enumerator, and a reader that
+turns `--format csv` output back into its JSON object.
 
 The fixture flows are written down from first principles (integrating the
 narrated rates by hand), never taken from the engine under test.
@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from hypothesis import Phase
 
+from fot import equilibrium
 from fot.core import Edge, Instance, Network, ParameterError
 from fot.dynamics import FlowOverTime
 from fot.pwl import PiecewiseLinear
@@ -144,6 +145,17 @@ def max_flow_value(net, capacity):
             residual[v][w] -= push
             residual[w][v] += push
         value += push
+
+
+def enumerate_thin_flows(net, active, resetting, capacity, supply):
+    """Every verified pattern solution of a phase system, in the order of
+    `fot.equilibrium._walk` (whose docstring argues it exact), walked from
+    the steady test's first mask: `thin_flow` returns the first one.  A
+    cyclic network raises `UnsupportedTopologyError`."""
+    edges, nodes, _, free, _ = equilibrium._competitive(net, active, resetting)
+    steady = equilibrium.first_feasible_support(net, active, resetting, capacity, supply, free)
+    yield from equilibrium._walk(net, active, resetting, capacity, supply, edges, nodes, free,
+                                 None if steady is None else steady[0])
 
 
 # -- reading back `fot ... --format csv` ------------------------------------------

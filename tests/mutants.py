@@ -103,6 +103,23 @@ MUTANTS = [
      "if (nb == 0 or na == da) and kind is Q:\n            return a",
      ["tests/test_rational.py::test_q_operators_agree_with_fraction",
       "tests/test_rational.py::test_identity_operands_return_the_other_operand"]),
+    # `compose` has no outer x + 0 check: the outer x + c rebuilds inner.
+    ("fot/pwl.py",
+     "        if outer_shift and self.ys[0] == self.xs[0]:\n            return inner\n",
+     "",
+     ["tests/test_pwl.py::test_composing_with_the_identity_returns_the_curve",
+      "tests/test_pwl.py::test_an_outer_x_plus_c_adds_c_to_the_inner_curve"]),
+    # The reachability closure ignores its edge filter.
+    ("fot/core.py",
+     "if w not in seen and (edge_ids is None or e.id in edge_ids):",
+     "if w not in seen:",
+     ["tests/test_core.py::test_st_core_and_filtered_reachability_on_every_edge_subset"]),
+    # `_edge_curves` trusts any memo entry, whatever flow and instance made it.
+    ("fot/dynamics.py",
+     "if (known is not None and known[0] is inflow and known[1] is outflow\n"
+     "            and known[2] == transit and known[3] == capacity):",
+     "if known is not None:",
+     ["tests/test_dynamics.py::test_memoized_edge_curves_hide_no_violation"]),
     # `_balanced` leaves out each curve's first slope, its change at 0.
     ("fot/dynamics.py",
      "            before = ZERO\n",

@@ -6,10 +6,11 @@ import pytest
 from fot.cli import flatten, main, write_csv
 from fot.core import ParameterError, dumps, instance_to_obj, network_to_obj
 from fot.dynamics import flow_to_obj
-from fot.gen import (MAX_RANDOM_DAG_NODES, MnParams, geometric_alphas,
-                     instantiate_m3_variant, make_m3_variants, make_mn)
+from fot.gen import (MAX_RANDOM_DAG_NODES, MnParams, embed_paradox_instance,
+                     geometric_alphas, make_m3_variants, make_mn)
 from fot import reproduce
 from fot.reproduce import PRESETS
+from fot.topology import find_subdivision
 
 from fractions import Fraction
 
@@ -83,9 +84,18 @@ def test_gen_m3_variant_bare_and_instantiated(family, capsys):
     assert json.loads(out) == json.loads(dumps(network_to_obj(net)))
     code, out, err = run_cli(capsys, "gen", family, "--eps", "1/7", "--j", "2", "--T", "3")
     assert code == 0 and err == ""
-    params = MnParams(n=3, horizon=F(3), alphas=geometric_alphas(3, F(1, 7), 2))
-    inst = instantiate_m3_variant(net, params)
+    pid = {"m3prime": "M3Prime", "m3doubleprime": "M3DoublePrime"}[family]
+    inst = embed_paradox_instance(net, find_subdivision(net, pid), F(3),
+                                  geometric_alphas(3, F(1, 7), 2))
     assert json.loads(out) == json.loads(dumps(instance_to_obj(inst)))
+
+
+@pytest.mark.parametrize("family", ["m3prime", "m3doubleprime"])
+@pytest.mark.parametrize("horizon", ["0", "-1"])
+def test_gen_m3_variant_refuses_a_horizon_that_is_not_positive(family, horizon, capsys):
+    code, out, err = run_cli(capsys, "gen", family, "--eps", "1/10", "--T", horizon)
+    assert (code, out) == (2, "")
+    assert err == "fot: input error: bypass transit time must be positive\n"
 
 
 def test_subcommand_output_is_deterministic(tmp_path, capsys):

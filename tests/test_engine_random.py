@@ -36,7 +36,6 @@ from fot.dynamics import certify_nash, labels, validate_feasible
 from fot.equilibrium import (
     MAX_ACTIVE_EDGES,
     ThinFlow,
-    enumerate_thin_flows,
     nash_flow,
     solve_exact,
     thin_flow,
@@ -45,7 +44,7 @@ from fot.equilibrium import (
 from fot.gen import make_ladder, random_dag
 from fot.topology import series_parallel, uses_only_chains
 
-from helpers import ENGINE_PHASES, build_instance, max_flow_value
+from helpers import ENGINE_PHASES, build_instance, enumerate_thin_flows, max_flow_value
 
 F = Fraction
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from fot.core import (
     INF,
+    ContractError,
     NoPathError,
     PhaseCapError,
     SizeCapError,
@@ -17,7 +18,6 @@ from fot.dynamics import certify_nash, validate_feasible
 from fot import equilibrium
 from fot.equilibrium import (
     MAX_ACTIVE_EDGES,
-    enumerate_thin_flows,
     nash_flow,
     next_event,
     thin_flow,
@@ -27,7 +27,7 @@ from fot.gen import MnParams, geometric_alphas, make_chain, make_mn
 from fot.pwl import PiecewiseLinear
 from fot.topology import sp_tree
 
-from helpers import ENGINE_PHASES, build_instance, two_link_base_instance
+from helpers import ENGINE_PHASES, build_instance, enumerate_thin_flows, two_link_base_instance
 
 F = Fraction
 
@@ -318,6 +318,17 @@ def test_thin_flow_refuses_a_cyclic_network():
         thin_flow(*args)
     with pytest.raises(UnsupportedTopologyError):
         list(enumerate_thin_flows(*args))
+
+
+def test_thin_flow_refuses_inconsistent_edge_sets():
+    # A resetting edge must be competitive, and a competitive edge must
+    # hang off the source through competitive edges.
+    inst = build_instance([("a", "s", "x", 1, 0), ("b", "x", "t", 1, 0)], "s", "t", 1)
+    net, capacity, supply = inst.network, inst.capacity, inst.supply
+    with pytest.raises(ContractError, match="^resetting edges must be competitive$"):
+        thin_flow(net, frozenset({"b"}), frozenset({"a"}), capacity, supply)
+    with pytest.raises(ContractError, match="^competitive edge b is unreachable from the source$"):
+        thin_flow(net, frozenset({"b"}), frozenset(), capacity, supply)
 
 
 def test_phase_cap():

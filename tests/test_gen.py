@@ -9,8 +9,8 @@ from fot.equilibrium import nash_flow
 from fot.gen import (
     MnParams,
     _pair,
+    embed_paradox_instance,
     geometric_alphas,
-    instantiate_m3_variant,
     integer_alpha_bound,
     integer_alphas,
     make_chain,
@@ -127,11 +127,18 @@ def test_m3_variant_shapes():
 
 
 def test_variant_instances_behave_like_the_ladder():
+    from fot.topology import find_subdivision
+
     params = MnParams(n=3, horizon=F(1), alphas=geometric_alphas(3, F(1, 10), 1))
     expected = nash_flow(make_mn(params)).social_cost
-    prime, double_prime = make_m3_variants()
-    assert nash_flow(instantiate_m3_variant(prime, params)).social_cost == expected
-    assert nash_flow(instantiate_m3_variant(double_prime, params)).social_cost == expected
+    a0, a1, a2 = params.alphas
+    for net, pid in zip(make_m3_variants(), ("M3Prime", "M3DoublePrime")):
+        inst = embed_paradox_instance(net, find_subdivision(net, pid), F(1), params.alphas)
+        # The ladder's parameters on e1, e2, f1, f2; the extra edge g is free.
+        assert inst.capacity == {"e1": a1, "e2": a2, "f1": a0 - a1, "f2": a1, "g": a0}
+        assert inst.transit == {"e1": 0, "e2": 0, "f1": 1, "f2": 1, "g": 0}
+        assert inst.supply == a0
+        assert nash_flow(inst).social_cost == expected
 
 
 def test_make_chain():
@@ -142,7 +149,6 @@ def test_make_chain():
 
 
 def test_embed_on_the_ladder_itself_reproduces_it():
-    from fot.gen import embed_paradox_instance
     from fot.topology import find_subdivision
 
     params = MnParams(n=3, horizon=F(1), alphas=geometric_alphas(3, F(1, 100), 1))
@@ -155,7 +161,6 @@ def test_embed_on_the_ladder_itself_reproduces_it():
 
 
 def test_embedded_instance_matches_ladder_labels_at_branch_nodes():
-    from fot.gen import embed_paradox_instance
     from fot.topology import find_subdivision
 
     eps = F(1, 10)
@@ -171,6 +176,17 @@ def test_embedded_instance_matches_ladder_labels_at_branch_nodes():
     for pattern_node in ("v1", "v2", "v3"):
         image = embedding.node_images[pattern_node]
         assert host_run.labels[image] == base_run.labels[pattern_node]
+
+
+@pytest.mark.parametrize("horizon", [F(0), F(-1)])
+def test_embed_refuses_a_horizon_that_is_not_positive(horizon):
+    # Zero would give every edge, priced-out ones included, zero transit.
+    from fot.topology import find_subdivision
+
+    prime = make_m3_variants()[0]
+    embedding = find_subdivision(prime, "M3Prime")
+    with pytest.raises(ParameterError, match="^bypass transit time must be positive$"):
+        embed_paradox_instance(prime, embedding, horizon, geometric_alphas(3, F(1, 10), 1))
 
 
 def test_random_dag_deterministic_and_forced_cases():

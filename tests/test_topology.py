@@ -163,6 +163,37 @@ def test_verify_embedding_rejects_defects():
                               dict(emb.edge_paths))
     with pytest.raises(ContractError):
         verify_embedding(host, not_injective)
+    # The M3 images are v1, v2, v4, and e2 runs v2 -> v3 -> v4.
+    images, paths = dict(emb.node_images), dict(emb.edge_paths)
+    assert (images, paths) == ({"v1": "v1", "v2": "v2", "v3": "v4"},
+                               {"e1": ("e1",), "e2": ("e2", "e3"), "f1": ("f1",), "f2": ("f2",)})
+    uncovered = {k: v for k, v in images.items() if k != "v3"}
+    defects = [
+        (uncovered, paths, "^branch map must cover the pattern nodes$"),
+        ({**images, "v3": "nowhere"}, paths, "^branch map leaves the host$"),
+        (images, {k: v for k, v in paths.items() if k != "f2"},
+         "^paths must cover the pattern edges$"),
+        (images, {**paths, "f2": ()}, "^empty path for pattern edge f2$"),
+        (images, {**paths, "f2": ("e2", "e3")}, "^host edge e2 used twice$"),
+        (images, {**paths, "e2": ("e2",)}, "^path for e2 ends at the wrong node$"),
+        # v3 is the image of v2, so e1's path v1 -> v2 -> v3 passes the
+        # image v2 of v3.
+        ({"v1": "v1", "v2": "v3", "v3": "v2"}, {**paths, "e1": ("e1", "e2")},
+         "^path for e1 passes a branch image$"),
+    ]
+    for node_images, edge_paths, message in defects:
+        with pytest.raises(ContractError, match=message):
+            verify_embedding(host, Embedding(emb.pattern, node_images, edge_paths))
+    # Two parallel two-edge routes from v2 to v3 through the one node x.
+    shared = Network(
+        nodes=("v1", "v2", "x", "v3"),
+        edges=(Edge("e1", "v1", "v2"), Edge("f1", "v1", "v3"), Edge("p", "v2", "x"),
+               Edge("q", "x", "v3"), Edge("r", "v2", "x"), Edge("u", "x", "v3")),
+        source="v1", sink="v3")
+    routes = {"e1": ("e1",), "e2": ("p", "q"), "f1": ("f1",), "f2": ("r", "u")}
+    identity = {v: v for v in ("v1", "v2", "v3")}
+    with pytest.raises(ContractError, match="^internal node x shared between paths$"):
+        verify_embedding(shared, Embedding(emb.pattern, identity, routes))
 
 
 # -- the parallel-edge cut and the neighbour filter against the unpruned search --
