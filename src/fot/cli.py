@@ -350,7 +350,9 @@ def _cmd_gen(args) -> int:
             inst = gen.embed_paradox_instance(net, topology.find_subdivision(net, pid), args.T,
                                               gen.geometric_alphas(3, args.eps, args.j))
             _emit(core.instance_to_obj(inst), args)
-        else:
+        else:  # the bare network uses neither value, but refuses what --eps refuses
+            gen.check_exponent(args.j)
+            gen.check_horizon(args.T)
             _emit(core.network_to_obj(net), args)
         return 0
     if args.family == "random":

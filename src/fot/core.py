@@ -526,7 +526,7 @@ class Instance:
         if self.supply <= 0:
             raise ParameterError("supply must be positive")
 
-    @property
+    @cached_property
     def edge_ids(self) -> tuple[str, ...]:
         return tuple(e.id for e in self.network.edges)
 

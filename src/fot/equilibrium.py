@@ -84,7 +84,8 @@ from .core import (
     format_scalar,
     st_core,
 )
-from .dynamics import FlowOverTime, certify_nash, derive_sink_cumulative, validate_feasible
+from .dynamics import (FlowOverTime, certified_labels, certify_nash, derive_sink_cumulative,
+                       validate_feasible)
 from .pwl import ONE, ZERO, PiecewiseLinear
 from .topology import sp_tree
 
@@ -878,7 +879,12 @@ def nash_flow(inst: Instance, phase_cap: int = PHASE_CAP,
     The run terminates with a final phase in which either all labels grow at
     unit speed (steady) or the sink label grows faster forever (diverging,
     unbounded cost).  The resulting flow is re-validated by the independent
-    feasibility and equilibrium checkers.
+    feasibility and equilibrium checkers, and the run's labels are the ones
+    `certify_nash` derived from that flow and accepted (labels are unique,
+    Cominetti, Correa & Larré 2015, so they are the phases' labels).  The
+    cost is read off the sink label: INF when its final slope exceeds 1,
+    else its largest y - x over its breakpoints, where the latency
+    y - x peaks.
 
     Each phase takes its thin flow from `thin_flows`, keyed by its
     competitive and resetting edge sets, and solves it with `thin_flow` on
@@ -915,8 +921,6 @@ def nash_flow(inst: Instance, phase_cap: int = PHASE_CAP,
     now = ZERO
     phases: list[Phase] = []
     events: list[Event] = []
-    label_points: dict[str, list[tuple[Fraction, Fraction]]] = {
-        v: [(ZERO, arrival[v])] for v in arrival}
     in_segments: dict[str, list[tuple[Fraction, Fraction]]] = {
         eid: [] for eid in inst.edge_ids}
     out_segments: dict[str, list[tuple[Fraction, Fraction]]] = {
@@ -975,7 +979,6 @@ def nash_flow(inst: Instance, phase_cap: int = PHASE_CAP,
         # Advance the labels to the event time.
         for v in arrival:
             arrival[v] = arrival[v] + tf.label_slopes[v] * delta
-            label_points[v].append((now + delta, arrival[v]))
         now = now + delta
         events.append(Event(
             time=now,
@@ -989,14 +992,6 @@ def nash_flow(inst: Instance, phase_cap: int = PHASE_CAP,
         raise PhaseCapError(
             f"no final phase within {phase_cap} phases; last intervals: {summary}")
 
-    labels: dict[str, object] = {}
-    for v in net.nodes:
-        if v not in arrival:
-            labels[v] = INF
-        else:
-            labels[v] = PiecewiseLinear.from_points(
-                label_points[v], final_slopes[v])
-
     inflow = {eid: PiecewiseLinear.from_rate_segments(segs)
               for eid, segs in in_segments.items()}
     outflow = {eid: PiecewiseLinear.from_rate_segments(segs)
@@ -1007,25 +1002,23 @@ def nash_flow(inst: Instance, phase_cap: int = PHASE_CAP,
         sink_cumulative=derive_sink_cumulative(inst, inflow, outflow),
     )
 
-    sink_latency = labels[net.sink] - PiecewiseLinear.identity()
-    cost = sink_latency.supremum()
-    steady = all(s == 1 for s in final_slopes.values())
-    diverging = final_slopes[net.sink] > 1
-
-    run = EquilibriumRun(
-        instance=inst,
-        phases=tuple(phases),
-        events=tuple(events),
-        labels=labels,
-        flow=flow,
-        social_cost=cost,
-        steady=steady,
-        diverging=diverging,
-    )
     report = validate_feasible(inst, flow)
     if not report.ok:
         raise InternalConsistencyError(f"engine flow is infeasible:\n{report}")
     ok, nash_report = certify_nash(inst, flow)
     if not ok:
         raise InternalConsistencyError(f"engine flow is not an equilibrium:\n{nash_report}")
-    return run
+
+    labels = certified_labels(flow)
+    sink = labels[net.sink]
+    return EquilibriumRun(
+        instance=inst,
+        phases=tuple(phases),
+        events=tuple(events),
+        labels={v: labels[v] for v in net.nodes},
+        flow=flow,
+        social_cost=(INF if sink.final_slope > 1
+                     else max(y - x for x, y in zip(sink.xs, sink.ys))),
+        steady=all(s == 1 for s in final_slopes.values()),
+        diverging=final_slopes[net.sink] > 1,
+    )

@@ -41,8 +41,7 @@ class MnParams:
     def __post_init__(self):
         if self.n < 2:
             raise ParameterError("need at least two nodes")
-        if self.horizon <= 0:
-            raise ParameterError("bypass transit time must be positive")
+        check_horizon(self.horizon)
         if len(self.alphas) != self.n:
             raise ParameterError("need exactly one capacity per level")
         for a, b in zip(self.alphas, self.alphas[1:]):
@@ -89,9 +88,22 @@ def _check_ladder(n: int, eps: Fraction, j: int = 1) -> Fraction:
     eps = F(eps)
     if not 0 < eps < F(1, 2 * n):
         raise ParameterError(f"eps must lie in (0, 1/{2 * n})")
+    check_exponent(j)
+    return eps
+
+
+def check_exponent(j: int) -> None:
+    """Refuse a ladder exponent j below 1."""
     if j < 1:
         raise ParameterError("j must be at least 1")
-    return eps
+
+
+def check_horizon(horizon: Fraction) -> Fraction:
+    """The bypass transit time as a Fraction, once it is positive."""
+    horizon = F(horizon)
+    if horizon <= 0:
+        raise ParameterError("bypass transit time must be positive")
+    return horizon
 
 
 def geometric_alphas(n: int, eps: Fraction, j: int) -> tuple[Fraction, ...]:
@@ -187,9 +199,7 @@ def embed_paradox_instance(host: Network, embedding, horizon: Fraction,
     """
     from .topology import verify_embedding
 
-    horizon = F(horizon)
-    if horizon <= 0:
-        raise ParameterError("bypass transit time must be positive")
+    horizon = check_horizon(horizon)
     a0, a1, a2 = (F(a) for a in alphas)
     if not 0 < a2 < a1 < a0:
         raise ParameterError("need 0 < alphas[2] < alphas[1] < alphas[0]")

@@ -5,14 +5,17 @@ finitely many breakpoints and a final slope that extends the last segment
 forever.  The representation is canonical (no two adjacent segments share a
 slope), so structural equality is semantic equality.  All arithmetic is over
 `fot.core.Q` rationals; crossing points and preimages are computed exactly.
-Sum, minimum and the piecewise tests in `fot.dynamics` walk two curves'
-breakpoint lists at once (`joint_segments`); `compose` walks inner segments
-and outer breakpoints at once.  Each walk knows the slope of every piece it
-yields, so results are built from their breakpoints and known slopes, with
-no division per segment.  One builder, `_from_pieces`, merges equal slopes
-into canonical form for every result and for `from_points`; points from
-outside get their slopes from one derivation (`_slopes`), which the checked
-constructor shares.
+Sum, difference, minimum and the piecewise tests in `fot.dynamics` walk
+two curves' breakpoint arrays at once (`joint_segments`), in one loop over
+an index into each array; `compose` walks inner segments and outer
+breakpoints at once.  Each walk knows the slope of every piece, so results
+are built from their breakpoints and known slopes, with no division per
+segment.  A sum or difference builds its canonical arrays in its loop and
+reads values only where the slope changes; `compose` and integration
+(`from_rate_segments`) append a piece only when its slope differs from the
+last one kept.  `_from_pieces` merges equal slopes for the minimum and
+`from_points`; points from outside get their slopes from one derivation
+(`_slopes`), which the checked constructor shares.
 
 Some shapes skip the walk, each returning the canonical curve the walk
 would return: a sum with a one-piece curve that covers the other's domain
@@ -30,8 +33,10 @@ queue sizes, node arrival-time labels, and sink arrivals.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterable, Iterator, Sequence
 
 from .core import ContractError, DomainError, INF, Q, Scalar
@@ -70,10 +75,8 @@ def _curve(xs: tuple[Fraction, ...], ys: tuple[Fraction, ...],
     """A canonical curve from arrays already checked, skipping the
     constructor's checks and its slope derivation."""
     curve = object.__new__(PiecewiseLinear)
-    object.__setattr__(curve, "xs", xs)
-    object.__setattr__(curve, "ys", ys)
-    object.__setattr__(curve, "final_slope", slopes[-1])
-    object.__setattr__(curve, "_slopes", slopes)
+    object.__setattr__(curve, "__dict__", {
+        "xs": xs, "ys": ys, "final_slope": slopes[-1], "_slopes": slopes})
     return curve
 
 
@@ -131,16 +134,21 @@ class PiecewiseLinear:
         The cumulative curve starts at ``(0, 0)``; the rate before the first
         pair is zero and the last rate extends forever.
         """
-        pieces = [(ZERO, ZERO, ZERO)]
+        xs, ys, slopes = [ZERO], [ZERO], [ZERO]
+        x = y = ZERO  # the latest start, and the value there
         for start, rate in pairs:
-            x, y, slope = pieces[-1]
             if start < x:
                 raise ContractError("rate segment starts must be nondecreasing")
             if start > x:
-                pieces.append((start, y + slope * (start - x), rate))
-            else:  # a later rate from the same start replaces the earlier one
-                pieces[-1] = (x, y, rate)
-        return _from_pieces(pieces)
+                y = y + slopes[-1] * (start - x)
+                x = start
+            elif xs[-1] == x:  # a later rate from the same start replaces the earlier one
+                del xs[-1], ys[-1], slopes[-1]
+            if not slopes or rate != slopes[-1]:
+                xs.append(x)
+                ys.append(y)
+                slopes.append(rate)
+        return _curve(tuple(xs), tuple(ys), tuple(slopes))
 
     # -- basic queries ---------------------------------------------------------
 
@@ -156,14 +164,8 @@ class PiecewiseLinear:
         return self.ys[i] + self._slopes[i] * (x - self.xs[i])
 
     def _segment_index(self, x: Fraction) -> int:
-        lo, hi = 0, len(self.xs) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.xs[mid] <= x:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
+        """The last segment starting at or before x, which must be in the domain."""
+        return bisect_right(self.xs, x) - 1
 
     def segments(self) -> Iterator[tuple[Fraction, Scalar, Fraction, Fraction]]:
         """Yield (a, b, value_at_a, slope) covering the domain; last b is INF."""
@@ -192,8 +194,7 @@ class PiecewiseLinear:
             return self._plus_line(other)
         if len(self.xs) == 1 and self.xs[0] <= other.xs[0]:
             return other._plus_line(self)
-        return _from_pieces((a, fa + ga, fs + gs)
-                            for a, _, fa, fs, ga, gs in joint_segments(self, other))
+        return _pointwise(self, other, add)
 
     def _plus_line(self, line: "PiecewiseLinear") -> "PiecewiseLinear":
         """self plus a one-piece curve defined on all of self's domain: the
@@ -208,8 +209,7 @@ class PiecewiseLinear:
         return _curve(self.xs, ys, tuple(s + slope for s in self._slopes))
 
     def __sub__(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
-        return _from_pieces((a, fa - ga, fs - gs)
-                            for a, _, fa, fs, ga, gs in joint_segments(self, other))
+        return _pointwise(self, other, sub)
 
     def scale(self, k: Fraction) -> "PiecewiseLinear":
         if k == 0:
@@ -248,20 +248,30 @@ class PiecewiseLinear:
         if outer_shift:
             c = self.ys[0] - self.xs[0]
             return _curve(inner.xs, tuple(y + c for y in inner.ys), inner._slopes)
-        xs, slopes, last = self.xs, self._slopes, len(self.xs) - 1
+        xs, ys, slopes, last = self.xs, self.ys, self._slopes, len(self.xs) - 1
         k = 0  # the outer segment holding the current inner value
-        pieces = []
-        for a, b, v, s in inner.segments():
+        rx: list[Fraction] = []
+        ry: list[Fraction] = []
+        rs: list[Fraction] = []
+        for a, b, v, s in zip(inner.xs, (*inner.xs[1:], INF), inner.ys, inner._slopes):
             while k < last and xs[k + 1] <= v:
                 k += 1
-            pieces.append((a, self._value(k, v), slopes[k] * s))
+            slope = slopes[k] * s
+            if not rs or slope != rs[-1]:
+                rx.append(a)
+                ry.append(self._value(k, v))
+                rs.append(slope)
             if s == 0:
                 continue
             end = INF if b is INF else v + s * (b - a)
             while k < last and xs[k + 1] < end:
                 k += 1
-                pieces.append((a + (xs[k] - v) / s, self.ys[k], slopes[k] * s))
-        return _from_pieces(pieces)
+                slope = slopes[k] * s
+                if slope != rs[-1]:
+                    rx.append(a + (xs[k] - v) / s)
+                    ry.append(ys[k])
+                    rs.append(slope)
+        return _curve(tuple(rx), tuple(ry), tuple(rs))
 
 
 def minimum(*funcs: PiecewiseLinear) -> PiecewiseLinear:
@@ -296,19 +306,77 @@ def joint_segments(f: PiecewiseLinear, g: PiecewiseLinear) -> Iterator[
         tuple[Fraction, Scalar, Fraction, Fraction, Fraction, Fraction]]:
     """Walk two curves together from the later start over the union of their
     breakpoints: yield (a, b, f(a), slope of f, g(a), slope of g) for each
-    piece [a, b] on which both are affine, the last b being INF.  Values and
-    slopes come from the breakpoint arrays, with no search per point."""
-    a = max(f.xs[0], g.xs[0])
-    i, j = f._segment_index(a), g._segment_index(a)
+    piece [a, b] on which both are affine, the last b being INF.  One loop
+    over an index into each breakpoint array; a curve's value is read off
+    its array at its own breakpoints and interpolated elsewhere."""
+    fx, fy, fs = f.xs, f.ys, f._slopes
+    gx, gy, gs = g.xs, g.ys, g._slopes
+    a, i, j, f_at, g_at = _start(fx, gx)
+    m, n = len(fx) - 1, len(gx) - 1
     while True:
-        f_next = f.xs[i + 1] if i + 1 < len(f.xs) else INF
-        g_next = g.xs[j + 1] if j + 1 < len(g.xs) else INF
-        b = min(f_next, g_next)
-        yield a, b, f._value(i, a), f._slopes[i], g._value(j, a), g._slopes[j]
-        if b is INF:
-            return
-        if f_next == b:
+        f_slope, g_slope = fs[i], gs[j]
+        fa = fy[i] if f_at else fy[i] + f_slope * (a - fx[i])
+        ga = gy[j] if g_at else gy[j] + g_slope * (a - gx[j])
+        if i < m and (j == n or fx[i + 1] <= gx[j + 1]):
             i += 1
-        if g_next == b:
+            b = fx[i]
+            f_at = True
+            g_at = j < n and gx[j + 1] == b
+            if g_at:
+                j += 1
+        elif j < n:
             j += 1
+            b = gx[j]
+            f_at, g_at = False, True
+        else:
+            yield a, INF, fa, f_slope, ga, g_slope
+            return
+        yield a, b, fa, f_slope, ga, g_slope
         a = b
+
+
+def _start(fx: Sequence[Fraction], gx: Sequence[Fraction]) -> tuple:
+    """Where a walk over two breakpoint arrays starts: the later first x,
+    the segment of each curve holding it, and whether it is a breakpoint
+    of each."""
+    if fx[0] >= gx[0]:
+        a = fx[0]
+        j = bisect_right(gx, a) - 1
+        return a, 0, j, True, gx[j] == a
+    a = gx[0]
+    i = bisect_right(fx, a) - 1
+    return a, i, 0, fx[i] == a, True
+
+
+def _pointwise(f: PiecewiseLinear, g: PiecewiseLinear, op) -> PiecewiseLinear:
+    """f + g or f - g (`op` is `add` or `sub`), walked as in `joint_segments`
+    and built in canonical form as it goes: a joint breakpoint is kept only
+    where the result's slope changes, and only there are values read."""
+    fx, fy, fs = f.xs, f.ys, f._slopes
+    gx, gy, gs = g.xs, g.ys, g._slopes
+    a, i, j, f_at, g_at = _start(fx, gx)
+    m, n = len(fx) - 1, len(gx) - 1
+    xs: list[Fraction] = []
+    ys: list[Fraction] = []
+    slopes: list[Fraction] = []
+    while True:
+        slope = op(fs[i], gs[j])
+        if not slopes or slope != slopes[-1]:
+            fa = fy[i] if f_at else fy[i] + fs[i] * (a - fx[i])
+            ga = gy[j] if g_at else gy[j] + gs[j] * (a - gx[j])
+            xs.append(a)
+            ys.append(op(fa, ga))
+            slopes.append(slope)
+        if i < m and (j == n or fx[i + 1] <= gx[j + 1]):
+            i += 1
+            a = fx[i]
+            f_at = True
+            g_at = j < n and gx[j + 1] == a
+            if g_at:
+                j += 1
+        elif j < n:
+            j += 1
+            a = gx[j]
+            f_at, g_at = False, True
+        else:
+            return _curve(tuple(xs), tuple(ys), tuple(slopes))

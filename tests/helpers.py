@@ -1,6 +1,7 @@
 """Hand-built instances and flows shared across test modules, an exact
-maximum-flow oracle, the thin-flow pattern enumerator, and a reader that
-turns `--format csv` output back into its JSON object.
+maximum-flow oracle, reference bodies of the two-curve `pwl` kernels, the
+thin-flow pattern enumerator, and a reader that turns `--format csv` output
+back into its JSON object.
 
 The fixture flows are written down from first principles (integrating the
 narrated rates by hand), never taken from the engine under test.
@@ -13,7 +14,7 @@ from fractions import Fraction
 from hypothesis import Phase
 
 from fot import equilibrium
-from fot.core import Edge, Instance, Network, ParameterError
+from fot.core import INF, Edge, Instance, Network, ParameterError
 from fot.dynamics import FlowOverTime
 from fot.pwl import PiecewiseLinear
 
@@ -145,6 +146,105 @@ def max_flow_value(net, capacity):
             residual[v][w] -= push
             residual[w][v] += push
         value += push
+
+
+# -- reference curve kernels ------------------------------------------------------
+#
+# The generator-based bodies `fot.pwl` used before its two-curve walks were
+# written as one loop over local indices: every piece of a walk yielded,
+# values read per piece, and the result merged into canonical form at the
+# end by the checked constructor.  The property tests hold the kernels to
+# these.
+
+
+def reference_from_pieces(pieces):
+    xs, ys, slopes = [], [], []
+    for x, y, slope in pieces:
+        if not slopes or slope != slopes[-1]:
+            xs.append(x)
+            ys.append(y)
+            slopes.append(slope)
+    return PiecewiseLinear(tuple(xs), tuple(ys), slopes[-1])
+
+
+def reference_value(f, x):
+    i = max(k for k, a in enumerate(f.xs) if a <= x)
+    return f.ys[i] + f.slopes()[i] * (x - f.xs[i])
+
+
+def reference_joint_segments(f, g):
+    a = max(f.xs[0], g.xs[0])
+    i = max(k for k, x in enumerate(f.xs) if x <= a)
+    j = max(k for k, x in enumerate(g.xs) if x <= a)
+    while True:
+        f_next = f.xs[i + 1] if i + 1 < len(f.xs) else INF
+        g_next = g.xs[j + 1] if j + 1 < len(g.xs) else INF
+        b = min(f_next, g_next)
+        yield (a, b, reference_value(f, a), f.slopes()[i],
+               reference_value(g, a), g.slopes()[j])
+        if b is INF:
+            return
+        if f_next == b:
+            i += 1
+        if g_next == b:
+            j += 1
+        a = b
+
+
+def reference_add(f, g):
+    return reference_from_pieces((a, fa + ga, fs + gs)
+                                 for a, _, fa, fs, ga, gs in reference_joint_segments(f, g))
+
+
+def reference_sub(f, g):
+    return reference_from_pieces((a, fa - ga, fs - gs)
+                                 for a, _, fa, fs, ga, gs in reference_joint_segments(f, g))
+
+
+def reference_min2(f, g):
+    pieces = []
+    for a, b, fa, f_slope, ga, g_slope in reference_joint_segments(f, g):
+        if fa < ga:
+            pieces.append((a, fa, f_slope))
+        elif ga < fa:
+            pieces.append((a, ga, g_slope))
+        else:
+            pieces.append((a, fa, min(f_slope, g_slope)))
+        if f_slope != g_slope:
+            t = a - (fa - ga) / (f_slope - g_slope)
+            if a < t and (b is INF or t < b):
+                pieces.append((t, fa + f_slope * (t - a), min(f_slope, g_slope)))
+    return reference_from_pieces(pieces)
+
+
+def reference_compose(outer, inner):
+    """outer(inner(x)) for a nondecreasing inner inside outer's domain,
+    always by the walk over inner's segments and outer's breakpoints."""
+    xs, slopes, last = outer.xs, outer.slopes(), len(outer.xs) - 1
+    k = 0
+    pieces = []
+    for a, b, v, s in inner.segments():
+        while k < last and xs[k + 1] <= v:
+            k += 1
+        pieces.append((a, reference_value(outer, v), slopes[k] * s))
+        if s == 0:
+            continue
+        end = INF if b is INF else v + s * (b - a)
+        while k < last and xs[k + 1] < end:
+            k += 1
+            pieces.append((a + (xs[k] - v) / s, outer.ys[k], slopes[k] * s))
+    return reference_from_pieces(pieces)
+
+
+def reference_from_rate_segments(pairs):
+    pieces = [(F(0), F(0), F(0))]
+    for start, rate in pairs:
+        x, y, slope = pieces[-1]
+        if start > x:
+            pieces.append((start, y + slope * (start - x), rate))
+        else:
+            pieces[-1] = (x, y, rate)
+    return reference_from_pieces(pieces)
 
 
 def enumerate_thin_flows(net, active, resetting, capacity, supply):

@@ -109,6 +109,22 @@ MUTANTS = [
      "",
      ["tests/test_pwl.py::test_composing_with_the_identity_returns_the_curve",
       "tests/test_pwl.py::test_an_outer_x_plus_c_adds_c_to_the_inner_curve"]),
+    # `__sub__` keeps every joint breakpoint: equal slopes stay unmerged.
+    ("fot/pwl.py",
+     "        if not slopes or slope != slopes[-1]:\n            fa = ",
+     "        if not slopes or slope != slopes[-1] or op is sub:\n            fa = ",
+     ["tests/test_pwl.py::test_one_loop_kernels_match_their_reference_bodies"]),
+    # At a shared breakpoint `joint_segments` advances only the first curve,
+    # so the walk yields an empty piece there.
+    ("fot/pwl.py",
+     "            g_at = j < n and gx[j + 1] == b\n            if g_at:\n                j += 1\n",
+     "            g_at = False\n",
+     ["tests/test_pwl.py::test_one_loop_kernels_match_their_reference_bodies"]),
+    # A run's cost is INF already when the sink label ends at slope 1.
+    ("fot/equilibrium.py",
+     "INF if sink.final_slope > 1",
+     "INF if sink.final_slope >= 1",
+     ["tests/test_equilibrium.py::test_two_link_run"]),
     # The reachability closure ignores its edge filter.
     ("fot/core.py",
      "if w not in seen and (edge_ids is None or e.id in edge_ids):",

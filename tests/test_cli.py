@@ -98,6 +98,24 @@ def test_gen_m3_variant_refuses_a_horizon_that_is_not_positive(family, horizon, 
     assert err == "fot: input error: bypass transit time must be positive\n"
 
 
+@pytest.mark.parametrize("family", ["m3prime", "m3doubleprime"])
+@pytest.mark.parametrize("option, message", [
+    (("--T", "-1"), "bypass transit time must be positive"),
+    (("--T", "0"), "bypass transit time must be positive"),
+    (("--j", "0"), "j must be at least 1"),
+    (("--j", "0", "--T", "-1"), "j must be at least 1"),
+])
+def test_gen_m3_variant_bare_refuses_what_the_instance_refuses(family, option, message, capsys):
+    # The bare network reads neither value, but refuses them as --eps does.
+    for eps in ((), ("--eps", "1/10")):
+        code, out, err = run_cli(capsys, "gen", family, *eps, *option)
+        assert (code, out) == (2, "")
+        assert err == f"fot: input error: {message}\n"
+    code, out, err = run_cli(capsys, "gen", family, "--j", "3", "--T", "1/2")
+    assert code == 0 and err == ""
+    assert out == run_cli(capsys, "gen", family)[1]
+
+
 def test_subcommand_output_is_deterministic(tmp_path, capsys):
     inst = make_mn(MnParams(n=3, horizon=F(1),
                             alphas=geometric_alphas(3, F(1, 10), 1)))

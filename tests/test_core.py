@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -190,6 +191,22 @@ def test_transpose_is_involution_and_preserves_attributes():
     assert sorted(flipped.capacity.values()) == sorted(inst.capacity.values())
     assert sorted(flipped.transit.values()) == sorted(inst.transit.values())
     assert flipped.supply == inst.supply
+
+
+def test_edge_ids_are_read_once_and_leave_equality_and_replace_alone():
+    inst = two_link_instance()
+    ids = inst.edge_ids
+    assert ids == ("e1", "f1") and inst.edge_ids is ids
+    fresh = two_link_instance()
+    assert fresh == inst and inst == fresh  # one side has read its ids, one not
+    assert fresh.edge_ids == ids
+    other = dataclasses.replace(inst, supply=Fraction(3))
+    assert other != inst and other.edge_ids == ids
+    shrunk = dataclasses.replace(inst, network=restrict(inst, ["f1"]).network,
+                                 capacity={"f1": Fraction(2)}, transit={"f1": Fraction(1)})
+    assert shrunk.edge_ids == ("f1",)
+    assert dataclasses.replace(inst) == inst
+    assert repr(inst) == repr(fresh)
 
 
 def test_restrict_full_set_is_identity():

@@ -42,6 +42,7 @@ from fot.equilibrium import (
     verify_thin_flow,
 )
 from fot.gen import make_ladder, random_dag
+from fot.pwl import PiecewiseLinear
 from fot.topology import series_parallel, uses_only_chains
 
 from helpers import ENGINE_PHASES, build_instance, enumerate_thin_flows, max_flow_value
@@ -106,14 +107,31 @@ def test_random_instances_produce_certified_equilibria(inst):
     assert validate_feasible(inst, run.flow).ok
     ok, report = certify_nash(inst, run.flow)
     assert ok, str(report)
-    # the labels built from phase slopes are those the certificate derives
-    # from the flow curves
+    # the run's labels are those the certificate derives from the flow curves
     assert dict(run.labels) == labels(inst, run.flow)[0]
     # phases partition the half-line and labels stay continuous across them
     assert run.phases[0].start == 0
     for a, b in zip(run.phases, run.phases[1:]):
         assert a.end == b.start
     assert run.phases[-1].end is not None
+    # The run's labels and cost come from the certificate; the engine's own
+    # phase slopes, event times and cost formula must agree with them.
+    reached = [v for v in inst.network.nodes if run.labels[v] is not INF]
+    for phase in run.phases:
+        for v in reached:
+            assert slope_on(run.labels[v], phase.start, phase.end) == phase.label_slopes[v]
+    for event in run.events:
+        for eid, when in event.tail_arrival.items():
+            assert run.labels[inst.network.edge_by_id[eid].tail](event.time) == when
+    sink = run.labels[inst.network.sink]
+    assert run.social_cost == (sink - PiecewiseLinear.identity()).supremum()
+
+
+def slope_on(curve, start, end):
+    """The slope of `curve` on [start, end), or None where it bends inside."""
+    if any(start < x < end for x in curve.xs):
+        return None
+    return curve.slopes()[max(k for k, x in enumerate(curve.xs) if x <= start)]
 
 
 @settings(max_examples=25, deadline=None, phases=ENGINE_PHASES)

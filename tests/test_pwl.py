@@ -4,9 +4,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fot.core import ContractError, DomainError, INF
+from fot.core import ContractError, DomainError, INF, Q
 from fot.dynamics import _first_difference
-from fot.pwl import PiecewiseLinear, minimum
+from fot.pwl import PiecewiseLinear, joint_segments, minimum
+
+import helpers
 
 F = Fraction
 
@@ -459,3 +461,83 @@ def test_the_shortcuts_keep_the_contract_checks(g, c, gap):
         outer.compose(falling)
     with pytest.raises(DomainError):
         outer.compose(g)
+
+
+# -- the one-loop kernels against their generator-based reference bodies -------
+
+
+huge_fractions = st.builds(lambda p, q: Q(p, q), st.integers(-2 ** 200, 2 ** 200),
+                           st.integers(1, 2 ** 200))
+kernel_values = st.one_of(small_fractions.map(Q), huge_fractions)
+
+
+@st.composite
+def kernel_curves(draw):
+    """Two canonical `Q` curves and a nondecreasing curve in the first
+    one's domain.  Breakpoints come from one shared pool, so starts differ or
+    agree and inner breakpoints coincide; curves of one piece are frequent;
+    positions, values and slopes are small or 200-bit rationals.  The second
+    curve is often the first one, or the first one plus a line, so that sums
+    and differences merge pieces."""
+    pool = sorted(set(draw(st.lists(kernel_values, min_size=1, max_size=6))))
+
+    def curve(xs, values, final):
+        xs = sorted(set(xs))
+        return PiecewiseLinear.from_points(list(zip(xs, values(len(xs)))), final)
+
+    def free_values(n):
+        return [draw(kernel_values) for _ in range(n)]
+
+    def pick(min_size=1):
+        return draw(st.lists(st.sampled_from(pool), min_size=min_size, max_size=5))
+
+    f = curve(pick(), free_values, draw(kernel_values))
+    kind = draw(st.sampled_from(["independent", "equal", "plus a line"]))
+    if kind == "independent":
+        g = curve(pick(), free_values, draw(kernel_values))
+    elif kind == "equal":
+        g = f
+    else:
+        g = f + PiecewiseLinear.affine(draw(kernel_values), draw(kernel_values), f.xs[0])
+    lands = [v for v in pool + list(f.xs) if v >= f.xs[0]] or [f.xs[0]]
+    inner_xs = pick()
+    rising = sorted(draw(st.sampled_from(lands)) for _ in inner_xs)
+    inner = curve(inner_xs, lambda n: rising[:n],
+                  draw(st.sampled_from([Q(0), Q(1), Q(1, 3), abs(draw(huge_fractions))])))
+    return f, g, inner
+
+
+def kernel_arrays(curve):
+    return curve.xs, curve.ys, curve.slopes()
+
+
+SHARED = (PiecewiseLinear.from_points([(Q(0), Q(0)), (Q(1), Q(2)), (Q(3), Q(3))], Q(1)),
+          PiecewiseLinear.from_points([(Q(0), Q(1)), (Q(1), Q(1)), (Q(2), Q(4))], Q(0)),
+          PiecewiseLinear.from_points([(Q(0), Q(0)), (Q(2), Q(1))], Q(1)))
+
+
+@settings(max_examples=300)
+@given(kernel_curves())
+@example(SHARED)  # an inner breakpoint of both curves
+@example((SHARED[0], SHARED[0], SHARED[2]))  # a difference that is one piece
+def test_one_loop_kernels_match_their_reference_bodies(curves):
+    f, g, inner = curves
+    for a, b in ((f, g), (g, f)):
+        assert list(joint_segments(a, b)) == list(helpers.reference_joint_segments(a, b))
+        assert kernel_arrays(a + b) == kernel_arrays(helpers.reference_add(a, b))
+        assert kernel_arrays(a - b) == kernel_arrays(helpers.reference_sub(a, b))
+        assert kernel_arrays(minimum(a, b)) == kernel_arrays(helpers.reference_min2(a, b))
+    assert kernel_arrays(f.compose(inner)) == kernel_arrays(helpers.reference_compose(f, inner))
+
+
+@settings(max_examples=150)
+@given(st.lists(st.tuples(st.one_of(st.sampled_from([Q(0), Q(1), Q(5, 2)]),
+                                    huge_fractions.map(abs)),
+                          st.one_of(st.sampled_from([Q(0), Q(1), Q(1, 2)]), kernel_values)),
+                max_size=7))
+def test_integration_matches_its_reference_body(pairs):
+    # Repeated starts (a later rate replaces an earlier one) and repeated
+    # rates (pieces merge) are frequent.
+    pairs = sorted(pairs, key=lambda pair: pair[0])
+    assert (kernel_arrays(PiecewiseLinear.from_rate_segments(pairs))
+            == kernel_arrays(helpers.reference_from_rate_segments(pairs)))
