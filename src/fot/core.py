@@ -146,12 +146,13 @@ class Q(Fraction):
     # The arithmetic: each operator reads both operands' numerators and
     # denominators once and applies the gcd formulas of CPython's
     # `Fraction._add` and `Fraction._mul` in its own body, so one exact
-    # operation is one Python frame.  The reflected forms compute an int on
-    # the left in place, the only left operand the engine gives them; a
-    # `Fraction` on the left goes through the forward forms.  Before any gcd
-    # the forward forms return an operand that is already the result; `b`
-    # only when it is a `Q`, so that every result is one.  n == d reads
-    # "is 1".  `Q` is immutable, so sharing an operand is safe.
+    # operation is one Python frame.  The reflected sum and product are the
+    # forward ones, which commute.  The reflected difference and quotient
+    # compute an int on the left in place, the only left operand the engine
+    # gives them; a `Fraction` on the left goes through the forward forms.
+    # Before any gcd the forward forms return an operand that is already
+    # the result; `b` only when it is a `Q`, so that every result is one.
+    # n == d reads "is 1".  `Q` is immutable, so sharing an operand is safe.
 
     def __add__(a, b):
         kind = type(b)
@@ -242,13 +243,8 @@ class Q(Fraction):
         q._denominator = (da // g2) * (nb // g1)
         return q
 
-    def __radd__(b, a):
-        if type(a) is not int:
-            return b + a if isinstance(a, Fraction) else Fraction.__radd__(b, a)
-        q = object.__new__(Q)
-        q._numerator = a * b._denominator + b._numerator
-        q._denominator = b._denominator
-        return q
+    __radd__ = __add__
+    __rmul__ = __mul__
 
     def __rsub__(b, a):
         if type(a) is not int:
@@ -256,15 +252,6 @@ class Q(Fraction):
         q = object.__new__(Q)
         q._numerator = a * b._denominator - b._numerator
         q._denominator = b._denominator
-        return q
-
-    def __rmul__(b, a):
-        if type(a) is not int:
-            return b * a if isinstance(a, Fraction) else Fraction.__rmul__(b, a)
-        g = gcd(a, b._denominator)
-        q = object.__new__(Q)
-        q._numerator = a // g * b._numerator
-        q._denominator = b._denominator // g
         return q
 
     def __rtruediv__(b, a):

@@ -29,9 +29,9 @@ that produced a flow, only the curves themselves.  `validate_feasible` and
 `certify_nash` share only the memoized derivation of edge curves from the
 flow (`_edge_curves`, a pure function of an edge's inflow and outflow curves,
 transit and capacity); everything else each derives from the flow given.
-A passing `certify_nash` leaves the labels it derived in the same memo, and
-`nash_flow` takes its run's labels from there (`certified_labels`), so a
-run's labels are derived once, by the certificate.
+A passing `certify_nash` returns the labels it derived on its report, and
+`nash_flow` takes its run's labels from there, so a run's labels are
+derived once, by the certificate.
 """
 
 from __future__ import annotations
@@ -64,14 +64,9 @@ class FlowOverTime:
     inflow: Mapping[str, PiecewiseLinear]
     outflow: Mapping[str, PiecewiseLinear]
     sink_cumulative: PiecewiseLinear
-    # `_edge_curves` results for this flow, by edge id, and the labels of a
-    # passing `certify_nash`; every new flow, `replace`d ones included,
-    # starts empty.
+    # `_edge_curves` results for this flow, by edge id; every new flow,
+    # `replace`d ones included, starts empty.
     _edge_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-
-
-# The memo key of the certified labels: not a string, so no edge id.
-_CERTIFIED_LABELS = ("labels",)
 
 
 def derive_sink_cumulative(inst: Instance,
@@ -193,6 +188,8 @@ class Violation:
 @dataclass(frozen=True)
 class ViolationReport:
     violations: tuple[Violation, ...] = ()
+    # The labels that a passing `certify_nash` derived; None otherwise.
+    labels: Optional[dict] = field(default=None, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -380,8 +377,10 @@ def certify_nash(inst: Instance, flow: FlowOverTime) -> tuple[bool, ViolationRep
     (b) No flow overtakes any other flow: cumulative sink arrivals evaluated
         at the sink label equal supply times entry time, identically.
 
-    The flow must be feasible.  The two verdicts must coincide for feasible
-    flows; a disagreement is an internal bug, not a property of the input.
+    A passing flow's report carries the labels that `labels` derived for
+    the check, in `ViolationReport.labels`.  The flow must be feasible.
+    The two verdicts must coincide for feasible flows; a disagreement is an
+    internal bug, not a property of the input.
     When the check fails on an infeasible flow, whether the verdicts
     disagree or a curve cannot be composed, a `ContractError` names the
     first violation `validate_feasible` finds; only this failure path runs
@@ -443,15 +442,7 @@ def _certify_nash(inst: Instance, flow: FlowOverTime) -> tuple[bool, ViolationRe
         raise InternalConsistencyError(
             "shortest-path and no-overtaking characterizations disagree: "
             f"{sent_shortest} vs {overtake_free}")
-    if sent_shortest:
-        flow._edge_memo[_CERTIFIED_LABELS] = lab
-    return sent_shortest, ViolationReport(tuple(found))
-
-
-def certified_labels(flow: FlowOverTime) -> dict:
-    """Take out of the flow's memo the labels that the last passing
-    `certify_nash` on it derived."""
-    return flow._edge_memo.pop(_CERTIFIED_LABELS)
+    return sent_shortest, ViolationReport(tuple(found), lab if sent_shortest else None)
 
 
 # -- JSON / CSV interchange ---------------------------------------------------

@@ -84,8 +84,7 @@ from .core import (
     format_scalar,
     st_core,
 )
-from .dynamics import (FlowOverTime, certified_labels, certify_nash, derive_sink_cumulative,
-                       validate_feasible)
+from .dynamics import FlowOverTime, certify_nash, derive_sink_cumulative, validate_feasible
 from .pwl import ONE, ZERO, PiecewiseLinear
 from .topology import sp_tree
 
@@ -184,8 +183,9 @@ class Elimination:
 
 
 def solve_exact(rows: list[tuple[Mapping[int, int], int]], n: int,
-                prefix: Optional[Elimination] = None):
-    """Fraction-free Gauss-Jordan elimination on sparse integer rows.
+                prefix: Elimination) -> tuple[str, Optional[Elimination]]:
+    """Fraction-free Gauss-Jordan elimination on sparse integer rows, from
+    `prefix`, the state that earlier rows left (`Elimination(n)` for none).
 
     Each row is ``(coeffs, rhs)``: ``coeffs`` maps a column in ``range(n)``
     to an integer coefficient (absent columns are zero) and ``rhs`` is an
@@ -195,19 +195,16 @@ def solve_exact(rows: list[tuple[Mapping[int, int], int]], n: int,
     left as its pivot and clears that column from the pivot rows holding
     it.  Rows combine by cross-multiplication and are divided by the gcd of
     their entries, so no rational arises until the single division per
-    unknown at the end.
+    unknown that `Elimination.value` makes.
 
-    Returns ("unique", vector of Fractions) when rank A = rank [A|b] = n,
-    otherwise ("inconsistent", None) when rank [A|b] > rank A, otherwise
-    ("underdetermined", None).  The input rows are not modified.
-
-    Given `prefix`, the state that earlier rows left, the rows extend it
-    and the second item is the extended `Elimination` (None when
-    inconsistent), whose `determined` lists the columns these rows
-    determined; the status is that of the earlier rows and these together.
-    The pattern search extends its states this way.
+    Returns ("inconsistent", None) when rank [A|b] > rank A for the earlier
+    rows and these together, otherwise ("unique", state) when rank A = n
+    and ("underdetermined", state) when it is less.  The state is the
+    extended `Elimination`, whose `determined` lists the columns these rows
+    determined.  The input rows are not modified.  The pattern search
+    extends its states this way.
     """
-    state = Elimination(n) if prefix is None else prefix
+    state = prefix
     determined = []
     for coeffs, rhs in rows:
         state = state.extend(coeffs, rhs)
@@ -215,11 +212,7 @@ def solve_exact(rows: list[tuple[Mapping[int, int], int]], n: int,
             return "inconsistent", None
         determined += state.determined
     status = "unique" if len(state.pivots) == n else "underdetermined"
-    if prefix is not None:
-        return status, Elimination(n, state.pivots, determined)
-    if status != "unique":
-        return status, None
-    return status, [state.value(c) for c in range(n)]
+    return status, Elimination(n, state.pivots, determined)
 
 
 # -- per-phase derivative system ----------------------------------------------
@@ -301,8 +294,9 @@ def thin_flow(net: Network, active: frozenset[str], resetting: frozenset[str],
 
     Where the phase's structure proposes a flow, the proposal is certified
     and returned without the walk; being the only verified solution, it is
-    the walk's first.  Every proposal needs every competitive capacity
-    positive, and the first source that has one proposes:
+    the walk's first.  Every competitive capacity must be positive (a
+    `ContractError` otherwise), and the first source that has a proposal
+    makes it:
 
     - the path: when the competitive s-t core (`st_core(net, active)`) is
       a forest it is one s-t path, since every core edge lies on an s-t
@@ -337,16 +331,17 @@ def thin_flow(net: Network, active: frozenset[str], resetting: frozenset[str],
     mask.
     """
     edges, nodes, core, free, order = _competitive(net, active, resetting)
-    positive = all(capacity[e.id] > 0 for e in edges)
+    if any(capacity[e.id] <= 0 for e in edges):
+        raise ContractError("competitive capacities must be positive")
     steady = tree = None
-    if positive and _forest(e for e in edges if e.id in core):
+    if _forest(e for e in edges if e.id in core):
         rates = {e.id: as_fraction(supply) if e.id in core else ZERO for e in edges}
     else:
         steady = first_feasible_support(net, active, resetting, capacity, supply, free)
         rates = None
-        if positive and steady is not None:
+        if steady is not None:
             rates = steady[1]
-        elif positive:
+        else:
             tree = sp_tree((e for e in edges if e.id in core), net.source, net.sink)
             if tree is not None:
                 rates = dict.fromkeys((e.id for e in edges), ZERO)
@@ -605,10 +600,10 @@ def _walk(net: Network, active: frozenset[str], resetting: frozenset[str],
     option takes no part in the order, so it joins the base rows.  The
     search walks the product depth first, in the same order, with one
     recursive generator: each level extends its parent's elimination state
-    by one option (`solve_exact` with a prefix), the base rows at once and
-    then one row per level, so each prefix is eliminated once and not once
-    per pattern below it.  It cuts a subtree when the new rows make the
-    prefix inconsistent, or when a variable they determine fails one of
+    by one option (`solve_exact`), the base rows at once and then one row
+    per level, so each prefix is eliminated once and not once per pattern
+    below it.  It cuts a subtree when the new rows make the prefix
+    inconsistent, or when a variable they determine fails one of
     `verify_thin_flow`'s local conditions: a negative slope or rate,
     l'_w > rho_e(l'_v, x_e) on a competitive edge, or a flow edge that
     does not attain its head's minimum.  Whether a node's slope is the
@@ -880,11 +875,11 @@ def nash_flow(inst: Instance, phase_cap: int = PHASE_CAP,
     unit speed (steady) or the sink label grows faster forever (diverging,
     unbounded cost).  The resulting flow is re-validated by the independent
     feasibility and equilibrium checkers, and the run's labels are the ones
-    `certify_nash` derived from that flow and accepted (labels are unique,
-    Cominetti, Correa & Larré 2015, so they are the phases' labels).  The
-    cost is read off the sink label: INF when its final slope exceeds 1,
-    else its largest y - x over its breakpoints, where the latency
-    y - x peaks.
+    `certify_nash` derived from that flow, accepted and returned on its
+    report (labels are unique, Cominetti, Correa & Larré 2015, so they are
+    the phases' labels).  The cost is read off the sink label: INF when its
+    final slope exceeds 1, else its largest y - x over its breakpoints,
+    where the latency y - x peaks.
 
     Each phase takes its thin flow from `thin_flows`, keyed by its
     competitive and resetting edge sets, and solves it with `thin_flow` on
@@ -1009,7 +1004,7 @@ def nash_flow(inst: Instance, phase_cap: int = PHASE_CAP,
     if not ok:
         raise InternalConsistencyError(f"engine flow is not an equilibrium:\n{nash_report}")
 
-    labels = certified_labels(flow)
+    labels = nash_report.labels
     sink = labels[net.sink]
     return EquilibriumRun(
         instance=inst,

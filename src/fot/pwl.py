@@ -118,9 +118,8 @@ class PiecewiseLinear:
         return _curve((start,), (value,), (ZERO,))
 
     @classmethod
-    def affine(cls, slope: Fraction, intercept: Fraction,
-               start: Fraction = ZERO) -> "PiecewiseLinear":
-        return _curve((start,), (intercept + slope * start,), (slope,))
+    def affine(cls, slope: Fraction, intercept: Fraction) -> "PiecewiseLinear":
+        return _curve((ZERO,), (intercept,), (slope,))
 
     @classmethod
     def identity(cls) -> "PiecewiseLinear":
@@ -180,12 +179,6 @@ class PiecewiseLinear:
 
     def is_nondecreasing(self) -> bool:
         return min(self._slopes) >= 0
-
-    def supremum(self) -> Scalar:
-        """Exact supremum over the whole domain (INF if unbounded)."""
-        if self.final_slope > 0:
-            return INF
-        return max(self.ys)
 
     # -- arithmetic ------------------------------------------------------------
 

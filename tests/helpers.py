@@ -1,7 +1,7 @@
 """Hand-built instances and flows shared across test modules, an exact
 maximum-flow oracle, reference bodies of the two-curve `pwl` kernels, the
-thin-flow pattern enumerator, and a reader that turns `--format csv` output
-back into its JSON object.
+whole-system form of the exact solver, the thin-flow pattern enumerator,
+and a reader that turns `--format csv` output back into its JSON object.
 
 The fixture flows are written down from first principles (integrating the
 narrated rates by hand), never taken from the engine under test.
@@ -16,6 +16,7 @@ from hypothesis import Phase
 from fot import equilibrium
 from fot.core import INF, Edge, Instance, Network, ParameterError
 from fot.dynamics import FlowOverTime
+from fot.equilibrium import Elimination, solve_exact
 from fot.pwl import PiecewiseLinear
 
 F = Fraction
@@ -245,6 +246,18 @@ def reference_from_rate_segments(pairs):
         else:
             pieces[-1] = (x, y, rate)
     return reference_from_pieces(pieces)
+
+
+def solve_system(rows, n):
+    """A whole system of sparse integer rows by `solve_exact` from no
+    earlier rows: ("unique", the vector of its values) when rank A =
+    rank [A|b] = n, otherwise ("inconsistent", None) or
+    ("underdetermined", None).  `solve_exact` is bound here at import, so a
+    test that wraps `equilibrium.solve_exact` sees only the walk's calls."""
+    status, state = solve_exact(rows, n, Elimination(n))
+    if status != "unique":
+        return status, None
+    return status, [state.value(c) for c in range(n)]
 
 
 def enumerate_thin_flows(net, active, resetting, capacity, supply):

@@ -49,11 +49,12 @@ MUTANTS = [
      "slopes = _label_pass(net, nodes, order, resetting, capacity, rates)",
      "slopes = dict.fromkeys(nodes, ONE)",
      ["tests/test_equilibrium.py::test_thin_flow_two_link_first_phase"]),
-    # No positive-capacity guard: a zero capacity reaches the label pass.
+    # The positive-capacity precondition dropped: a zero capacity reaches
+    # the proposals and the walk.
     ("fot/equilibrium.py",
-     "positive = all(capacity[e.id] > 0 for e in edges)",
-     "positive = True",
-     ["tests/test_engine_random.py::test_a_zero_capacity_path_is_left_to_the_walk"]),
+     "if any(capacity[e.id] <= 0 for e in edges):",
+     "if False:",
+     ["tests/test_engine_random.py::test_thin_flow_refuses_a_nonpositive_competitive_capacity"]),
     # The series step drops the breakpoints of its second part.
     ("fot/equilibrium.py",
      "rs = sorted(rs1 + cuts)",
@@ -88,6 +89,11 @@ MUTANTS = [
     ("fot/core.py",
      "g1 = gcd(na, nb) if nb > 0 else -gcd(na, nb)",
      "g1 = gcd(na, nb)",
+     ["tests/test_rational.py::test_q_operators_agree_with_fraction"]),
+    # The reflected sum is the difference: 2 + q gives q - 2.
+    ("fot/core.py",
+     "__radd__ = __add__",
+     "__radd__ = __sub__",
      ["tests/test_rational.py::test_q_operators_agree_with_fraction"]),
     # `Q.__add__` returns the zero operand for a + 0, not `a`.
     ("fot/core.py",

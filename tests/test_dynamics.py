@@ -179,6 +179,22 @@ def test_certify_nash_accepts_equilibrium():
     assert ok and report.ok
 
 
+def test_certify_nash_returns_its_labels_and_leaves_only_edge_curves_in_the_memo():
+    # The labels a passing check derived come back on its report and stay
+    # out of the flow's memo, which holds one curve entry per edge id; a
+    # failing check returns no labels, and the report compares without them.
+    inst = two_link_base_instance()
+    flow = two_link_equilibrium_flow()
+    ok, report = certify_nash(inst, flow)
+    assert ok and set(flow._edge_memo) <= set(inst.edge_ids)
+    assert report.labels == labels(inst, flow)[0]
+    assert report == dynamics.ViolationReport()
+    slow = two_link_all_on_slow_flow()
+    ok, report = certify_nash(inst, slow)
+    assert not ok and report.labels is None
+    assert set(slow._edge_memo) <= set(inst.edge_ids)
+
+
 def test_certify_nash_accepts_reduced_ladder_even_split():
     inst = ladder3_minus_middle_instance()
     ok, _ = certify_nash(inst, ladder3_minus_middle_flow())

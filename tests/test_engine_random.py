@@ -37,7 +37,6 @@ from fot.equilibrium import (
     MAX_ACTIVE_EDGES,
     ThinFlow,
     nash_flow,
-    solve_exact,
     thin_flow,
     verify_thin_flow,
 )
@@ -45,7 +44,8 @@ from fot.gen import make_ladder, random_dag
 from fot.pwl import PiecewiseLinear
 from fot.topology import series_parallel, uses_only_chains
 
-from helpers import ENGINE_PHASES, build_instance, enumerate_thin_flows, max_flow_value
+from helpers import (ENGINE_PHASES, build_instance, enumerate_thin_flows, max_flow_value,
+                     solve_system)
 
 F = Fraction
 
@@ -123,8 +123,9 @@ def test_random_instances_produce_certified_equilibria(inst):
     for event in run.events:
         for eid, when in event.tail_arrival.items():
             assert run.labels[inst.network.edge_by_id[eid].tail](event.time) == when
-    sink = run.labels[inst.network.sink]
-    assert run.social_cost == (sink - PiecewiseLinear.identity()).supremum()
+    # the cost is the latency's supremum: INF when it grows on its last ray
+    latency = run.labels[inst.network.sink] - PiecewiseLinear.identity()
+    assert run.social_cost == (INF if latency.final_slope > 0 else max(latency.ys))
 
 
 def slope_on(curve, start, end):
@@ -208,7 +209,7 @@ def reference_solutions(net, active, resetting, capacity, supply):
             if v != net.source and not any(e.head == v for e in support):
                 options.append([idle_row(e) for e in edges if e.head == v])
         for pattern in product(*options):
-            status, sol = solve_exact(rows + list(pattern), len(nodes) + len(support))
+            status, sol = solve_system(rows + list(pattern), len(nodes) + len(support))
             if status != "unique":
                 continue
             slopes = dict(zip(nodes, sol))
@@ -308,18 +309,18 @@ def test_forced_search_matches_the_unforced_oracle_on_arbitrary_systems(args):
     assert_matches_the_unforced_oracle(args)
 
 
-def _recording_statuses(monkeypatch, module):
-    """Replace `module.solve_exact` by a wrapper that lists the status of
-    every call."""
+def _recording_statuses(monkeypatch, module, name):
+    """Replace the solver `module.<name>` by a wrapper that lists the
+    status of every call."""
     statuses = []
-    solve = module.solve_exact
+    solve = getattr(module, name)
 
     def recorded(*args):
         status, result = solve(*args)
         statuses.append(status)
         return status, result
 
-    monkeypatch.setattr(module, "solve_exact", recorded)
+    monkeypatch.setattr(module, name, recorded)
     return statuses
 
 
@@ -332,7 +333,7 @@ def test_search_cuts_an_inconsistent_prefix_as_the_oracle_skips_it(monkeypatch):
     # need its drain ratio 0/0, so no pattern survives either search.
     net = build_instance([("q", "s", "t", 1, 0)], source="s", sink="t", supply=2).network
     args = (net, frozenset({"q"}), frozenset({"q"}), {"q": F(0)}, F(2))
-    statuses = _recording_statuses(monkeypatch, equilibrium)
+    statuses = _recording_statuses(monkeypatch, equilibrium, "solve_exact")
     assert list(enumerate_thin_flows(*args)) == list(reference_enumerate_thin_flows(*args))
     assert "inconsistent" in statuses
 
@@ -344,7 +345,7 @@ def test_search_skips_an_underdetermined_pattern_as_the_oracle_does(monkeypatch)
     inst = build_instance([("a", "s", "t", 1, 0), ("b", "s", "t", 2, 0)],
                           source="s", sink="t", supply=2)
     args = (inst.network, frozenset({"a", "b"}), frozenset(), inst.capacity, inst.supply)
-    statuses = _recording_statuses(monkeypatch, sys.modules[__name__])
+    statuses = _recording_statuses(monkeypatch, sys.modules[__name__], "solve_system")
     reference = list(reference_enumerate_thin_flows(*args))
     assert "underdetermined" in statuses
     assert list(enumerate_thin_flows(*args)) == reference
@@ -452,15 +453,14 @@ def series_parallel_systems(draw):
 
 def _assert_sp_settles(args):
     """Where `thin_flow` should settle the phase system by the
-    series-parallel proposal (no flow in P(1), positive capacities, a core
-    that is series-parallel and not one path, and slack edges of the walk's
-    first solution that form a forest), it does, with the walk's first
-    solution item for item."""
-    net, active, resetting, capacity, _ = args
+    series-parallel proposal (no flow in P(1), a core that is
+    series-parallel and not one path, and slack edges of the walk's first
+    solution that form a forest), it does, with the walk's first solution
+    item for item."""
+    net, _, resetting, _, _ = args
     edges, _, core, _, _ = equilibrium._competitive(*args[:3])
     core_edges = [e for e in edges if e.id in core]
     if (_steady_marks(*args) is not None or equilibrium._forest(core_edges)
-            or any(capacity[e.id] <= 0 for e in edges)
             or series_parallel(Network(net.nodes, tuple(core_edges),
                                        net.source, net.sink)) is None):
         return
@@ -489,13 +489,18 @@ def test_series_parallel_systems_take_the_sp_proposal(args):
     _assert_sp_settles(args)
 
 
-def test_a_zero_capacity_path_is_left_to_the_walk(monkeypatch):
-    # A queued s-t link of capacity zero is a forced path, but its drain
-    # ratio would be 0/0: the walk decides, finds no pattern, and the
-    # error stays the one it raised before.
-    net = build_instance([("q", "s", "t", 1, 0)], source="s", sink="t", supply=2).network
-    with pytest.raises(InternalConsistencyError, match="^no valid derivative pattern found"):
-        thin_flow(net, frozenset({"q"}), frozenset({"q"}), {"q": F(0)}, F(2))
+def test_thin_flow_refuses_a_nonpositive_competitive_capacity():
+    # A queued s-t link of capacity zero is a forced path whose drain ratio
+    # would be 0/0; an `Instance` refuses such a capacity, and so does
+    # `thin_flow`, before any proposal or walk.  An edge off the competitive
+    # set may have any capacity.
+    net = build_instance([("q", "s", "t", 1, 0), ("r", "s", "t", 1, 0)],
+                         source="s", sink="t", supply=2).network
+    for cap in (F(0), F(-1)):
+        with pytest.raises(ContractError, match="^competitive capacities must be positive$"):
+            thin_flow(net, frozenset({"q"}), frozenset({"q"}), {"q": cap, "r": F(1)}, F(2))
+    tf = thin_flow(net, frozenset({"r"}), frozenset(), {"q": F(0), "r": F(1)}, F(2))
+    assert tf.edge_rates == {"r": 2}
 
 
 def test_a_proposed_flow_that_fails_verification_raises(monkeypatch):
@@ -881,8 +886,8 @@ def test_edges_between_nodes_off_every_path_change_nothing(inst, data):
     # from B into A keep both groups so: no edge leaves A, none enters B.
     # Drawn along a topological order, they keep the network acyclic.  The
     # run is the same, and so is every label but those of A nodes that a
-    # new edge from A enters; every Braess cost is that of the subset
-    # without the new edges.
+    # new edge from A enters and of the nodes below them, all in A; every
+    # Braess cost is that of the subset without the new edges.
     net = inst.network
     from_source = net.reachable_from(net.source)
     on_paths = from_source & net.reaching_to(net.sink)
@@ -910,7 +915,9 @@ def test_edges_between_nodes_off_every_path_change_nothing(inst, data):
         return
     assert (again.social_cost, again.steady, again.diverging) == (
         run.social_cost, run.steady, run.diverging)
-    entered = {e.head for e in new if e.tail in group_a}
+    entered = set().union(*(grown.network.reachable_from(e.head)
+                            for e in new if e.tail in group_a))
+    assert entered <= set(group_a)
     assert {v: again.labels[v] for v in net.nodes if v not in entered} == {
         v: label for v, label in run.labels.items() if v not in entered}
     assert again.labels["x0"] is INF and again.labels["x1"] is INF

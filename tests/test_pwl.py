@@ -52,6 +52,11 @@ def add_constant(f, c):
     return PiecewiseLinear(f.xs, tuple(y + c for y in f.ys), f.final_slope)
 
 
+def line_from(start, slope, intercept):
+    """The one-piece curve slope * x + intercept on [start, infinity)."""
+    return PiecewiseLinear.from_points([(start, intercept + slope * start)], slope)
+
+
 # -- frozen examples ---------------------------------------------------------
 
 
@@ -141,10 +146,8 @@ def test_from_points_matches_the_checked_constructor(steps, y0, final):
             PiecewiseLinear.from_points(points[::-1], final)
 
 
-def test_supremum_and_rate_pairs():
+def test_rate_pairs():
     f = PiecewiseLinear.from_points([(F(0), F(0)), (F(1), F(2))], F(-1))
-    assert f.supremum() == F(2)
-    assert PiecewiseLinear.identity().supremum() is INF
     assert f.rate_pairs() == [(F(0), F(2)), (F(1), F(-1))]
     assert PiecewiseLinear.from_rate_segments(f.rate_pairs()) == f
 
@@ -282,7 +285,7 @@ def curve_pairs(draw):
         # f plus a V-shaped bump k|x - c|, which is zero only at c
         c = draw(st.sampled_from(f.xs)) + draw(st.sampled_from([F(0), F(1, 2)]))
         k = draw(positive_fractions)
-        bump = PiecewiseLinear.affine(k, -k * c, start)  # rises through zero at c
+        bump = line_from(start, k, -k * c)  # rises through zero at c
         if c > start:
             bump = PiecewiseLinear.from_points([(start, k * (c - start)), (c, F(0))], k)
         g = f + bump.scale(draw(st.sampled_from([F(1), F(-1)])))
@@ -293,7 +296,7 @@ def curve_pairs(draw):
         else:
             c = f.xs[-1] + draw(positive_fractions)
         k = draw(nonzero_fractions)
-        g = f + PiecewiseLinear.affine(k, -k * c, start)
+        g = f + line_from(start, k, -k * c)
     return (g, f) if draw(st.booleans()) else (f, g)
 
 
@@ -412,7 +415,7 @@ def test_composing_with_x_plus_c_is_the_translation(pair):
 @given(pwl_functions(monotone=True), small_fractions, st.one_of(st.just(F(0)), positive_fractions))
 @example(PiecewiseLinear.identity(), F(0), F(0))
 def test_an_outer_x_plus_c_adds_c_to_the_inner_curve(g, c, room):
-    outer = PiecewiseLinear.affine(F(1), c, g.ys[0] - room)  # x + c from at or below g's start
+    outer = line_from(g.ys[0] - room, F(1), c)  # x + c from at or below g's start
     got = outer.compose(g)
     assert got == add_constant(g, c) == reference_compose(outer, g)
     assert_canonical(got)
@@ -436,7 +439,7 @@ def test_composing_with_the_identity_returns_the_curve(f):
 @given(pwl_functions(), pwl_functions(), st.one_of(st.just(F(0)), positive_fractions))
 def test_adding_a_line_matches_the_pointwise_reference(f, line, room):
     # A one-piece curve that starts at or before f, on either side of the sum.
-    line = PiecewiseLinear.affine(line.final_slope, line.ys[0], f.xs[0] - room)
+    line = line_from(f.xs[0] - room, line.final_slope, line.ys[0])
     for got in (f + line, line + f):
         assert got == reference_add(f, line)
         assert_canonical(got)
@@ -447,16 +450,16 @@ def test_adding_a_line_matches_the_pointwise_reference(f, line, room):
 def test_the_shortcuts_keep_the_contract_checks(g, c, gap):
     falling = PiecewiseLinear.affine(F(-1), g.ys[0])
     # An inner x + c below the outer domain.
-    f = PiecewiseLinear.affine(F(2), F(0), c + gap)
+    f = line_from(c + gap, F(2), F(0))
     with pytest.raises(DomainError):
         f.compose(PiecewiseLinear.affine(F(1), c))
     with pytest.raises(DomainError):
         f.translate(c)
     # The identity below the domain of an outer curve that starts after 0.
     with pytest.raises(DomainError):
-        PiecewiseLinear.affine(F(3), F(1), gap).compose(PiecewiseLinear.identity())
+        line_from(gap, F(3), F(1)).compose(PiecewiseLinear.identity())
     # An outer x + c: a decreasing inner, and one that starts below its domain.
-    outer = PiecewiseLinear.affine(F(1), c, g.ys[0] + gap)
+    outer = line_from(g.ys[0] + gap, F(1), c)
     with pytest.raises(ContractError):
         outer.compose(falling)
     with pytest.raises(DomainError):
@@ -498,7 +501,7 @@ def kernel_curves(draw):
     elif kind == "equal":
         g = f
     else:
-        g = f + PiecewiseLinear.affine(draw(kernel_values), draw(kernel_values), f.xs[0])
+        g = f + line_from(f.xs[0], draw(kernel_values), draw(kernel_values))
     lands = [v for v in pool + list(f.xs) if v >= f.xs[0]] or [f.xs[0]]
     inner_xs = pick()
     rising = sorted(draw(st.sampled_from(lands)) for _ in inner_xs)

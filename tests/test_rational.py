@@ -123,11 +123,17 @@ def test_identity_operands_return_the_other_operand():
                 result, expected = op(a, b), op(reference(a), reference(b))
                 assert result == expected and str(result) == str(expected), case
                 assert_q(result)
-                returned = shortcut(op, a, b) if type(a) is Q else None
+                # The reflected sum and product are the forward ones, so
+                # 0 + q and 1 * q return q too.
+                returned = (shortcut(op, a, b) if type(a) is Q
+                            else shortcut(op, b, a) if op in (operator.add, operator.mul)
+                            else None)
                 if returned is not None:
                     assert result is returned, case
                     shared.add(op.__name__)
     assert shared == {"add", "sub", "mul", "truediv"}
+    q = Q(2, 3)
+    assert 0 + q is q and 1 * q is q and q + 0 is q and q * 1 is q
     for zero in (0, Q(0)):
         with pytest.raises(ZeroDivisionError):
             Q(0) / zero
