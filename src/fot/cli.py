@@ -264,6 +264,8 @@ _phase_cap_arg = _int_at_least(1)
 
 
 def _cmd_simulate(args) -> int:
+    if args.decimal is not None and args.format != "csv":
+        raise ParameterError("--decimal adds a CSV column and needs --format csv")
     inst = _load_instance(args.instance)
     run = equilibrium.nash_flow(inst, phase_cap=args.phase_cap)
     _emit(run_to_obj(run), args)

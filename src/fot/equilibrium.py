@@ -305,8 +305,9 @@ def thin_flow(net: Network, active: frozenset[str], resetting: frozenset[str],
     - the steady test: the flow it finds in P(1), if any;
     - the series-parallel recursion: when the core is two-terminal
       series-parallel (`fot.topology.sp_tree`), `_exit_maps` gives each
-      component of its tree its exit slope as a function of its inflow,
-      and `_sp_split` routes `supply` through the tree with them.
+      component of its tree its exit slope as a function of its inflow, a
+      `PiecewiseLinear` curve, and `_sp_split` routes `supply` through the
+      tree with them and their `_inverse`s.
 
     `_label_pass` derives the labels l* of any proposal.
 
@@ -429,49 +430,28 @@ def _forest(edges) -> bool:
 
 # -- series-parallel proposals ----------------------------------------------------
 #
-# An exit map (rs, ys, ss) is a continuous, nondecreasing, piecewise-linear
-# f on r >= 0: breakpoints rs[0] = 0 < rs[1] < ..., values ys[k] = f(rs[k])
-# and slopes ss[k] from rs[k] on (the last one for ever after, and
-# positive).  f(r) is the exit label slope of a component entered at slope
-# 1 with inflow r; entered at slope l with inflow x, it exits at
-# l * f(x / l).
+# An exit map is a `PiecewiseLinear` f on r >= 0: a component entered at slope
+# 1 with inflow r exits at f(r); entered at slope l with inflow x, at l * f(x / l).
 
 
-def _at(f, r: Fraction) -> Fraction:
-    rs, ys, ss = f
-    k = bisect_right(rs, r) - 1
-    return ys[k] + (r - rs[k]) * ss[k]
-
-
-def _lower(f, y: Fraction) -> Fraction:
-    """The least inflow at which f reaches y (0 when f(0) >= y)."""
-    rs, ys, ss = f
-    if y <= ys[0]:
+def _inverse(f: PiecewiseLinear, y: Fraction, side) -> Fraction:
+    """An inverse of the nondecreasing exit map f at y: with `side` =
+    `bisect_left` the least inflow at which f reaches y (0 when f(0) >= y),
+    with `bisect_right` the largest at which f stays at most y (0 when
+    f(0) > y)."""
+    k = side(f.ys, y) - 1
+    if k < 0:
         return ZERO
-    k = bisect_left(ys, y) - 1
-    return rs[k] + (y - ys[k]) / ss[k]
+    return f.xs[k] + (y - f.ys[k]) / f.slopes()[k]
 
 
-def _upper(f, y: Fraction) -> Fraction:
-    """The largest inflow at which f stays at most y (0 when f(0) > y)."""
-    rs, ys, ss = f
-    if y < ys[0]:
-        return ZERO
-    k = bisect_right(ys, y) - 1
-    return rs[k] + (y - ys[k]) / ss[k]
-
-
-def _slopes(rs: list, ys: list, last: Fraction) -> list:
-    return [(y1 - y0) / (r1 - r0) for r0, r1, y0, y1 in zip(rs, rs[1:], ys, ys[1:])] + [last]
-
-
-def _series(f1, f2):
+def _series(f1: PiecewiseLinear, f2: PiecewiseLinear) -> PiecewiseLinear:
     """The exit map of f1 followed by f2: f(r) = f1(r) * f2(r / f1(r)).
     q(r) = r / f1(r) is nondecreasing, so f breaks at f1's breakpoints and
     where q meets a breakpoint of f2; on a piece f1(r) = a r + b where f2(q)
     = c q + d, f(r) = c r + d (a r + b) is linear."""
-    rs1, ys1, ss1 = f1
-    rs2, ys2, ss2 = f2
+    rs1, ys1, ss1 = f1.xs, f1.ys, f1.slopes()
+    rs2, ys2, ss2 = f2.xs, f2.ys, f2.slopes()
     # q at f1's breakpoints (its limit where f1(0) = 0), then q's limit.
     qs = [r / y if y else 1 / s for r, y, s in zip(rs1, ys1, ss1)]
     qs.append(1 / ss1[-1])
@@ -481,41 +461,37 @@ def _series(f1, f2):
         if 0 <= k < len(rs1) and qs[k] < q:
             a = ss1[k]
             cuts.append(q * (ys1[k] - rs1[k] * a) / (1 - q * a))
-    rs = sorted(rs1 + cuts)
-    ys = []
-    for r in rs:
-        y = _at(f1, r)
-        ys.append(y * _at(f2, r / y) if y else ZERO)
+    points = []
+    for r in sorted((*rs1, *cuts)):
+        y = f1(r)
+        points.append((r, y * f2(r / y) if y else ZERO))
     j = bisect_left(rs2, qs[-1]) - 1
-    a = ss1[-1]
-    return rs, ys, _slopes(rs, ys, ss2[j] + (ys2[j] - rs2[j] * ss2[j]) * a)
+    return PiecewiseLinear.from_points(points, ss2[j] + (ys2[j] - rs2[j] * ss2[j]) * ss1[-1])
 
 
-def _parallel(fs: list):
+def _parallel(fs: list[PiecewiseLinear]) -> PiecewiseLinear:
     """The exit map of components side by side: at exit slope y each takes
-    an inflow between its `_lower` and `_upper` inverse at y, so f is the
-    inverse of their sums, which break where a part's map does."""
-    rs, ys = [], []
-    for y in sorted({y for f in fs for y in f[1]}):
-        lo = sum((_lower(f, y) for f in fs), ZERO)
-        hi = sum((_upper(f, y) for f in fs), ZERO)
-        rs.append(lo)
-        ys.append(y)
+    an inflow between its two `_inverse`s at y, so f is the inverse of
+    their sums, which break where a part's map does."""
+    points = []
+    for y in sorted({y for f in fs for y in f.ys}):
+        lo = sum((_inverse(f, y, bisect_left) for f in fs), ZERO)
+        hi = sum((_inverse(f, y, bisect_right) for f in fs), ZERO)
+        points.append((lo, y))
         if hi > lo:
-            rs.append(hi)
-            ys.append(y)
-    return rs, ys, _slopes(rs, ys, 1 / sum((1 / f[2][-1] for f in fs), ZERO))
+            points.append((hi, y))
+    return PiecewiseLinear.from_points(points, 1 / sum((1 / f.final_slope for f in fs), ZERO))
 
 
 def _exit_maps(tree, capacity: Mapping[str, Fraction], resetting: frozenset[str]):
-    """(exit map, tree, the parts' own) for a `fot.topology.sp_tree`: an
-    edge exits at x / capacity with a queue and at max(1, x / capacity)
-    without one."""
+    """(exit map, tree, the parts' own) for a `fot.topology.sp_tree`, each
+    map a `PiecewiseLinear` curve: an edge exits at x / capacity with a
+    queue and at max(1, x / capacity) without one."""
     if type(tree) is not tuple:
         cap = as_fraction(capacity[tree.id])
         if tree.id in resetting:
-            return ([ZERO], [ZERO], [1 / cap]), tree, ()
-        return ([ZERO, cap], [ONE, ONE], [ZERO, 1 / cap]), tree, ()
+            return PiecewiseLinear.affine(1 / cap, ZERO), tree, ()
+        return PiecewiseLinear.from_points([(ZERO, ONE), (cap, ONE)], 1 / cap), tree, ()
     kind, parts = tree
     parts = [_exit_maps(part, capacity, resetting) for part in parts]
     if kind == "parallel":
@@ -540,14 +516,14 @@ def _sp_split(node, slope: Fraction, inflow: Fraction, rates: dict) -> None:
     elif tree[0] == "series":
         for part in parts:
             _sp_split(part, slope, inflow, rates)
-            slope *= _at(part[0], inflow / slope)
+            slope *= part[0](inflow / slope)
     else:
         r = inflow / slope
-        y = _at(f, r)
-        lows = [_lower(part[0], y) for part in parts]
+        y = f(r)
+        lows = [_inverse(part[0], y, bisect_left) for part in parts]
         spare = r - sum(lows, ZERO)
         for part, low in zip(parts, lows):
-            more = min(spare, _upper(part[0], y) - low)
+            more = min(spare, _inverse(part[0], y, bisect_right) - low)
             spare -= more
             _sp_split(part, slope, (low + more) * slope, rates)
 

@@ -57,16 +57,22 @@ MUTANTS = [
      ["tests/test_engine_random.py::test_thin_flow_refuses_a_nonpositive_competitive_capacity"]),
     # The series step drops the breakpoints of its second part.
     ("fot/equilibrium.py",
-     "rs = sorted(rs1 + cuts)",
-     "rs = list(rs1)",
+     "for r in sorted((*rs1, *cuts)):",
+     "for r in sorted(rs1):",
      ["tests/test_equilibrium.py::test_exit_maps_match_hand_computed_components",
       "tests/test_engine_random.py::test_series_parallel_systems_take_the_sp_proposal"]),
     # The parallel split ignores each part's lower inverse.
     ("fot/equilibrium.py",
-     "lows = [_lower(part[0], y) for part in parts]",
+     "lows = [_inverse(part[0], y, bisect_left) for part in parts]",
      "lows = [ZERO for part in parts]",
      ["tests/test_equilibrium.py::test_the_split_fills_each_part_to_its_lower_inverse_first",
       "tests/test_engine_random.py::test_series_parallel_systems_take_the_sp_proposal"]),
+    # `_inverse` ignores its side and always bisects right: the lower
+    # inverse at a flat part's value is its upper end.
+    ("fot/equilibrium.py",
+     "k = side(f.ys, y) - 1",
+     "k = bisect_right(f.ys, y) - 1",
+     ["tests/test_equilibrium.py::test_exit_map_inverses_bracket_the_flat_part"]),
     # The reduction takes any source-sink tree for the whole network.
     ("fot/topology.py",
      "return trees.get((source, sink)) if len(trees) == 1 else None",

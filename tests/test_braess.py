@@ -226,15 +226,19 @@ def test_braess_ratio_walks_only_the_phases_structure_leaves_open(inst, solves, 
         solves, paths, proposals, walks)
 
 
-@pytest.mark.parametrize("transposed, digest", [
-    (False, "f773678cf7ff7e2f7233e0e954e6e8a51ab920e0c292ac0bc132cce220858c2b"),
-    (True, "6a812c308305c2e691f043200ff342c9b315c8653503a836ff1e01a0ca093bda"),
-], ids=["ladder-n5", "transposed-n5"])
-def test_braess_stdout_of_the_n5_ladders_is_pinned(transposed, digest, tmp_path, capsys):
+@pytest.mark.parametrize("n, transposed, digest", [
+    (5, False, "f773678cf7ff7e2f7233e0e954e6e8a51ab920e0c292ac0bc132cce220858c2b"),
+    (5, True, "6a812c308305c2e691f043200ff342c9b315c8653503a836ff1e01a0ca093bda"),
+    (6, False, "d61c96759feb563cb5457256af736c41dbdaec13da1812f8a6e0555de4110110"),
+    (6, True, "888a569613e033900314afade8985560e9cd4b0423f94dcbef49f2d7b799f848"),
+], ids=["ladder-n5", "transposed-n5", "ladder-n6", "transposed-n6"])
+def test_braess_stdout_of_the_ladders_is_pinned(n, transposed, digest, tmp_path, capsys):
     # The paper's own networks, every s-t core of which is series-parallel,
-    # at a size where the series-parallel proposals settle most phases.
-    # The digests were recorded when the pattern walk settled those phases.
-    inst = make_ladder(5, F(1, 1000))
+    # at sizes where the series-parallel proposals settle most phases and,
+    # at n = 6, compose deeper series of exit maps.  The n = 5 digests were
+    # recorded when the pattern walk settled those phases, the n = 6 ones
+    # before the exit maps became `PiecewiseLinear` curves.
+    inst = make_ladder(n, F(1, 1000))
     path = tmp_path / "ladder.json"
     path.write_text(dumps(instance_to_obj(transpose(inst) if transposed else inst)))
     assert main(["braess", str(path)]) == 0

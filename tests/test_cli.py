@@ -167,6 +167,16 @@ def test_negative_decimal_places_are_a_usage_error(tmp_path, capsys):
     assert "--decimal" in err and "nonnegative" in err
 
 
+def test_decimal_places_without_csv_are_an_input_error(tmp_path, capsys):
+    # The decimal column exists only in CSV, so JSON output refuses the
+    # option instead of dropping it, before any simulation.
+    path = write_instance(tmp_path, two_link_base_instance())
+    for fmt in ((), ("--format", "json")):
+        code, out, err = run_cli(capsys, "simulate", path, *fmt, "--decimal", "3")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "--decimal" in err and "--format csv" in err
+
+
 def test_validate_cli(tmp_path, capsys):
     inst = two_link_base_instance()
     inst_path = write_instance(tmp_path, inst)

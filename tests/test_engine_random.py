@@ -5,7 +5,8 @@ exact feasibility conditions, both equilibrium certificates, the uniqueness
 of per-phase label slopes across all solver patterns, the pattern search
 over every support as the oracle of the one with forced edges, the walk
 as the oracle of the series-parallel proposal on every phase it should
-settle, the structural guarantee that networks using only chains of
+settle, the flat-or-proportional shape of every series-parallel exit map,
+the structural guarantee that networks using only chains of
 parallel paths never benefit from deletions, and facts the theory proves
 outright: a run ends steady exactly when the supply fits through a minimum
 cut, labels obey the exact scaling laws of capacity and time, transposing
@@ -42,7 +43,7 @@ from fot.equilibrium import (
 )
 from fot.gen import make_ladder, random_dag
 from fot.pwl import PiecewiseLinear
-from fot.topology import series_parallel, uses_only_chains
+from fot.topology import series_parallel, sp_tree, uses_only_chains
 
 from helpers import (ENGINE_PHASES, build_instance, enumerate_thin_flows, max_flow_value,
                      solve_system)
@@ -487,6 +488,22 @@ def test_series_parallel_phases_take_the_sp_proposal(inst):
 @given(series_parallel_systems())
 def test_series_parallel_systems_take_the_sp_proposal(args):
     _assert_sp_settles(args)
+
+
+@settings(max_examples=150, deadline=None)
+@given(series_parallel_systems())
+def test_exit_maps_are_curves_of_flat_and_proportional_pieces(args):
+    # Each component's exit map is a nondecreasing curve from inflow 0 that
+    # rises for ever, and each piece is flat (a slope entered) or y = s * x
+    # (a bottleneck of capacity 1 / s).
+    net, _, resetting, capacity, _ = args
+    nodes = [equilibrium._exit_maps(sp_tree(net.edges, "s", "t"), capacity, resetting)]
+    while nodes:
+        f, _, parts = nodes.pop()
+        nodes.extend(parts)
+        assert type(f) is PiecewiseLinear and f.xs[0] == 0
+        assert f.is_nondecreasing() and f.final_slope > 0
+        assert all(s == 0 or y == s * x for x, y, s in zip(f.xs, f.ys, f.slopes()))
 
 
 def test_thin_flow_refuses_a_nonpositive_competitive_capacity():

@@ -1,3 +1,4 @@
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import pytest
@@ -377,16 +378,19 @@ def _exit_map(edges, resetting=()):
 def test_exit_maps_match_hand_computed_components(edges, resetting, exit_slope):
     f = _exit_map(edges, resetting)
     grid = [F(k, 4) for k in range(25)]
-    assert [equilibrium._at(f, r) for r in grid] == [exit_slope(r) for r in grid]
+    assert [f(r) for r in grid] == [exit_slope(r) for r in grid]
 
 
 def test_exit_map_inverses_bracket_the_flat_part():
     # The queued link of capacity 1 beside a free link of capacity 2 exits
     # at slope one for every inflow in [1, 3].
     f = _exit_map([("a", "s", "t", 1), ("b", "s", "t", 2)], ("a",))
-    assert (equilibrium._lower(f, F(1)), equilibrium._upper(f, F(1))) == (1, 3)
-    assert (equilibrium._lower(f, F(1, 2)), equilibrium._upper(f, F(1, 2))) == (F(1, 2), F(1, 2))
-    assert (equilibrium._lower(f, F(2)), equilibrium._upper(f, F(2))) == (6, 6)
+    def inverses(y):
+        return tuple(equilibrium._inverse(f, y, side) for side in (bisect_left, bisect_right))
+
+    assert inverses(F(1)) == (1, 3)
+    assert inverses(F(1, 2)) == (F(1, 2), F(1, 2))
+    assert inverses(F(2)) == (6, 6)
 
 
 def test_the_split_fills_each_part_to_its_lower_inverse_first():
