@@ -54,8 +54,12 @@ cycle raises `UnsupportedTopologyError`, as in `nash_flow`), so a verified
 solution, an s-t flow of the supply, carries nothing off the competitive
 s-t core.  When the proposal passes `verify_thin_flow` and the slack core
 edges, taken undirected, form a forest, conservation fixes the rest: the
-proposal is the only verified solution, hence the walk's first.  A later
-label source (minimum cuts) plugs in at the same place.
+proposal is the only verified solution, hence the walk's first.  When
+they close a cycle, the walk still runs, but with the labels pinned where
+they are known: all one in a steady phase, and l* where a
+series-parallel proposal verifies.  The label rows cut the walk and change
+none of its solutions.  A later label source (minimum cuts) plugs in at the
+same place.
 """
 
 from __future__ import annotations
@@ -85,7 +89,7 @@ from .core import (
     st_core,
 )
 from .dynamics import FlowOverTime, certify_nash, derive_sink_cumulative, validate_feasible
-from .pwl import ONE, ZERO, PiecewiseLinear
+from .pwl import ONE, ZERO, PiecewiseLinear, _curve
 from .topology import sp_tree
 
 # The most free edges (competitive edges not forced into every support) of
@@ -327,14 +331,21 @@ def thin_flow(net: Network, active: frozenset[str], resetting: frozenset[str],
     flow in P(1) with all labels one, always passes, so a path or steady
     proposal that it refuses raises `InternalConsistencyError`.  A refused
     series-parallel proposal falls through to the walk: a fault in the
-    recursion can cost time but cannot change the result.  When the slack
-    core edges close a cycle, the walk runs from the steady test's first
-    mask.
+    recursion can cost time but cannot change the result.
+
+    When the slack core edges close a cycle, the walk runs from the steady
+    test's first mask, with the labels pinned where they are known
+    (`_walk`'s label rows): to one when the steady test found a flow
+    in P(1), and to l* when a series-parallel proposal passes
+    `verify_thin_flow`.  A refused proposal pins nothing.  A walk that the
+    steady test pinned to one and that ends without a solution shows a
+    wrong verdict, and raises `InternalConsistencyError` naming the steady
+    test.
     """
     edges, nodes, core, free, order = _competitive(net, active, resetting)
     if any(capacity[e.id] <= 0 for e in edges):
         raise ContractError("competitive capacities must be positive")
-    steady = tree = None
+    steady = tree = pinned = None
     if _forest(e for e in edges if e.id in core):
         rates = {e.id: as_fraction(supply) if e.id in core else ZERO for e in edges}
     else:
@@ -342,6 +353,7 @@ def thin_flow(net: Network, active: frozenset[str], resetting: frozenset[str],
         rates = None
         if steady is not None:
             rates = steady[1]
+            pinned = dict.fromkeys(nodes, ONE)
         else:
             tree = sp_tree((e for e in edges if e.id in core), net.source, net.sink)
             if tree is not None:
@@ -357,9 +369,16 @@ def thin_flow(net: Network, active: frozenset[str], resetting: frozenset[str],
             if tree is None:
                 raise InternalConsistencyError(
                     f"the thin flow that the phase's structure decides fails: {reason}")
+        elif tree is not None and verify_thin_flow(net, active, resetting, capacity, supply,
+                                                   slopes, rates) is None:
+            pinned = slopes
     for tf in _walk(net, active, resetting, capacity, supply, edges, nodes, free,
-                    None if steady is None else steady[0]):
+                    None if steady is None else steady[0], pinned):
         return tf
+    if steady is not None:
+        raise InternalConsistencyError(
+            "the steady test found a flow in P(1), but no verified thin flow has "
+            "every label slope one")
     raise InternalConsistencyError(
         "no valid derivative pattern found (this should be impossible for a "
         "feasible competitive edge set)")
@@ -486,12 +505,14 @@ def _parallel(fs: list[PiecewiseLinear]) -> PiecewiseLinear:
 def _exit_maps(tree, capacity: Mapping[str, Fraction], resetting: frozenset[str]):
     """(exit map, tree, the parts' own) for a `fot.topology.sp_tree`, each
     map a `PiecewiseLinear` curve: an edge exits at x / capacity with a
-    queue and at max(1, x / capacity) without one."""
+    queue and at max(1, x / capacity) without one.  A leaf's map is built
+    as the canonical curve it is (one piece, or flat at 1 up to the
+    capacity and then of slope 1 / capacity)."""
     if type(tree) is not tuple:
         cap = as_fraction(capacity[tree.id])
         if tree.id in resetting:
             return PiecewiseLinear.affine(1 / cap, ZERO), tree, ()
-        return PiecewiseLinear.from_points([(ZERO, ONE), (cap, ONE)], 1 / cap), tree, ()
+        return _curve((ZERO, cap), (ONE, ONE), (ZERO, 1 / cap)), tree, ()
     kind, parts = tree
     parts = [_exit_maps(part, capacity, resetting) for part in parts]
     if kind == "parallel":
@@ -530,13 +551,17 @@ def _sp_split(node, slope: Fraction, inflow: Fraction, rates: dict) -> None:
 
 def _walk(net: Network, active: frozenset[str], resetting: frozenset[str],
           capacity: Mapping[str, Fraction], supply: Fraction, edges: list[Edge],
-          nodes: list[str], free: list[str], marks: Optional[tuple[bool, ...]]):
+          nodes: list[str], free: list[str], marks: Optional[tuple[bool, ...]],
+          pinned: Optional[Mapping[str, Fraction]]):
     """Yield every verified pattern solution of a phase system in
     deterministic order, from the first mask that `marks`, the steady
     test's verdict (`first_feasible_support`), allows.  `edges`, `nodes` and
     `free` come from `_competitive`, which checks the input and refuses a
-    cyclic network.  `thin_flow` takes the first solution, and the tests
-    exhaust the walk as an oracle.
+    cyclic network.  `pinned`, when given, holds the phase's labels l*;
+    the walk then adds their rows to the base rows, which yields the same
+    list sooner (see "Label rows" below).
+    `thin_flow` takes the first solution, and the tests exhaust the walk as
+    an oracle.
 
     Patterns (which edges carry flow, a support that is its own `st_core`;
     for each flow edge whether the capacity term or the tail slope pins the
@@ -608,9 +633,39 @@ def _walk(net: Network, active: frozenset[str], resetting: frozenset[str],
     lexicographically first mask M0 for which it does.  No mask before M0
     holds a verified solution, so the walk starts at M0 and yields exactly
     the list that the walk from mask 0 yields.  When P(1) is empty the walk
-    starts at mask 0.  A steady verdict is checked on every solution that
-    follows from it: each is verified as always, and one with a slope other
-    than 1 raises `InternalConsistencyError`.
+    starts at mask 0.
+
+    Label rows.  Given labels l* that every verified solution has (labels
+    are unique, so any verified solution's labels will do, and in a steady
+    phase l* = 1), the base rows also take the rows l_v = l*_v for every
+    node v other than s, ahead of the others.  They determine values early,
+    so the walk cuts dead prefixes sooner, and it yields the same list in
+    the same order.  Two facts make this exact.  A verified solution
+    satisfies the label rows, so a prefix that they make inconsistent, or
+    whose values they determine so that a local condition fails, has no
+    verified completion.  And they add no rank to a whole pattern: its own
+    rows already determine its labels, so a pattern is unique with the
+    label rows exactly when it is unique without them, and no pattern that
+    the walk without them skips as underdetermined gets through.  So the
+    walk needs no test at its leaves beyond the full rank it already
+    checks.  Proof of the second fact: take (dl, dx) in the null space of
+    a pattern's own rows.  Then dl_s = 0; dx is a circulation (the
+    conservation rows); dx_e = 0 off the support; a support edge
+    e = (v, w) gives dx_e = capacity * dl_w on its capacity row and
+    dl_w = dl_v on its idle row (only queue-free support edges have one);
+    and a flow-free node w has dl_w = dl_v for an in-edge (v, w), or
+    dl_w = 0 when that edge has a queue.  Let Z be the nodes with dl > 0,
+    and z the first of them in topological order.  z is not s, and it is
+    not flow-free (that would tie dl_z to an earlier node or to 0), so it
+    has support in-edges.  A support edge on its idle row has both ends in
+    Z or neither.  So every support edge that enters Z, and z has one, is
+    on its capacity row and carries dx > 0 into Z, and every support edge
+    that leaves Z is on its capacity row and carries dx <= 0.  More of dx
+    then enters Z than leaves it, which no circulation does: Z is empty,
+    and by the same argument no node has dl < 0.  The proof needs
+    positive capacities, which `thin_flow` requires.  Given wrong labels,
+    the walk yields nothing, since every solution it yields is still
+    verified; `thin_flow` turns that into an error.
 
     Rows are sparse integer rows (column -> coefficient, rhs).  The columns
     are fixed for the whole call: the node labels, then the rate of every
@@ -703,6 +758,10 @@ def _walk(net: Network, active: frozenset[str], resetting: frozenset[str],
         for c in state.determined:
             value[c] = None
 
+    # The label rows l_v = l*_v (v != s) of the pinned labels l*.
+    label_rows = [] if pinned is None else [
+        ({index[v]: pinned[v].denominator}, pinned[v].numerator) for v in nodes if v != net.source]
+
     def walk(state: Elimination, levels: list, d: int):
         # Depth first below `state`, the elimination of the first d levels:
         # each option of level d extends it, and the last level verifies.
@@ -718,10 +777,6 @@ def _walk(net: Network, active: frozenset[str], resetting: frozenset[str],
                     edge_rates = {e.id: value[x0 + i] for i, e in enumerate(edges)}
                     if verify_thin_flow(net, active, resetting, capacity, supply,
                                         label_slopes, edge_rates) is None:
-                        if marks is not None and any(s != 1 for s in value[:x0]):
-                            raise InternalConsistencyError(
-                                "the steady test found a flow in P(1), but a verified "
-                                "thin flow has a label slope other than one")
                         yield ThinFlow(label_slopes, edge_rates)
             forget(child)
 
@@ -743,7 +798,7 @@ def _walk(net: Network, active: frozenset[str], resetting: frozenset[str],
         options = [rows for rows, k in zip(edge_options, kept) if k]
         options.extend(argmin_options[w] for w, terms in enumerate(in_terms)
                        if w != source_col and not any(kept[i] for i in terms))
-        base = [row for row, k in zip(zero_rows, kept) if not k]
+        base = label_rows + [row for row, k in zip(zero_rows, kept) if not k]
         base += fixed_rows
         base.extend(rows[0] for rows in options if len(rows) == 1)
         levels = [[base]] + [[[row] for row in rows] for rows in options if len(rows) > 1]

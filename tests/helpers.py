@@ -260,15 +260,16 @@ def solve_system(rows, n):
     return status, [state.value(c) for c in range(n)]
 
 
-def enumerate_thin_flows(net, active, resetting, capacity, supply):
+def enumerate_thin_flows(net, active, resetting, capacity, supply, pinned=None):
     """Every verified pattern solution of a phase system, in the order of
     `fot.equilibrium._walk` (whose docstring argues it exact), walked from
-    the steady test's first mask: `thin_flow` returns the first one.  A
-    cyclic network raises `UnsupportedTopologyError`."""
+    the steady test's first mask, with the label rows of `pinned` when
+    given: `thin_flow` returns the first one.  A cyclic network raises
+    `UnsupportedTopologyError`."""
     edges, nodes, _, free, _ = equilibrium._competitive(net, active, resetting)
     steady = equilibrium.first_feasible_support(net, active, resetting, capacity, supply, free)
     yield from equilibrium._walk(net, active, resetting, capacity, supply, edges, nodes, free,
-                                 None if steady is None else steady[0])
+                                 None if steady is None else steady[0], pinned)
 
 
 # -- reading back `fot ... --format csv` ------------------------------------------

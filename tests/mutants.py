@@ -44,6 +44,32 @@ MUTANTS = [
      "reason = verify_thin_flow(net, active, resetting, capacity, supply, slopes, rates)",
      "reason = None",
      ["tests/test_engine_random.py::test_a_proposed_flow_that_fails_verification_raises"]),
+    # A series-parallel proposal pins its labels in the walk whatever
+    # `verify_thin_flow` says of it.
+    ("fot/equilibrium.py",
+     "elif tree is not None and verify_thin_flow(net, active, resetting, capacity, supply,\n"
+     "                                                   slopes, rates) is None:",
+     "elif tree is not None:",
+     ["tests/test_engine_random.py::test_only_a_verified_series_parallel_proposal_pins_its_labels"]),
+    # The label rows pin each label to its reciprocal.
+    ("fot/equilibrium.py",
+     "({index[v]: pinned[v].denominator}, pinned[v].numerator)",
+     "({index[v]: pinned[v].numerator}, pinned[v].denominator)",
+     ["tests/test_engine_random.py::test_only_a_verified_series_parallel_proposal_pins_its_labels",
+      "tests/test_braess.py::test_braess_ratio_walks_only_the_phases_structure_leaves_open"]),
+    # A steady verdict pins nothing: the walk from its mask takes whatever
+    # it meets first, and a wrong verdict goes unnoticed.
+    ("fot/equilibrium.py",
+     "            pinned = dict.fromkeys(nodes, ONE)\n",
+     "",
+     ["tests/test_engine_random.py::test_a_steady_verdict_on_a_phase_that_is_not_steady_raises",
+      "tests/test_braess.py::test_braess_ratio_walks_only_the_phases_structure_leaves_open"]),
+    # A pinned walk that a wrong steady verdict leaves empty raises the
+    # generic error, which does not name the steady test.
+    ("fot/equilibrium.py",
+     "    if steady is not None:\n        raise InternalConsistencyError(",
+     "    if False:\n        raise InternalConsistencyError(",
+     ["tests/test_engine_random.py::test_a_steady_verdict_on_a_phase_that_is_not_steady_raises"]),
     # All-one labels in place of the label pass.
     ("fot/equilibrium.py",
      "slopes = _label_pass(net, nodes, order, resetting, capacity, rates)",

@@ -5,7 +5,9 @@ exact feasibility conditions, both equilibrium certificates, the uniqueness
 of per-phase label slopes across all solver patterns, the pattern search
 over every support as the oracle of the one with forced edges, the walk
 as the oracle of the series-parallel proposal on every phase it should
-settle, the flat-or-proportional shape of every series-parallel exit map,
+settle and of the walk with pinned labels, the rank lemma that makes
+pinning exact, the flat-or-proportional shape of every series-parallel
+exit map,
 the structural guarantee that networks using only chains of
 parallel paths never benefit from deletions, and facts the theory proves
 outright: a run ends steady exactly when the supply fits through a minimum
@@ -36,8 +38,10 @@ from fot.core import (INF, ContractError, Edge, FotError, Instance, InternalCons
 from fot.dynamics import certify_nash, labels, validate_feasible
 from fot.equilibrium import (
     MAX_ACTIVE_EDGES,
+    Elimination,
     ThinFlow,
     nash_flow,
+    solve_exact,
     thin_flow,
     verify_thin_flow,
 )
@@ -166,6 +170,22 @@ def reference_enumerate_thin_flows(net, active, resetting, capacity, supply):
 def reference_solutions(net, active, resetting, capacity, supply):
     """Each solution of `reference_enumerate_thin_flows` with its support
     mask: a bit per competitive edge, in edge order."""
+    for mask, nodes, support, rows in reference_patterns(net, active, resetting, capacity, supply):
+        status, sol = solve_system(rows, len(nodes) + len(support))
+        if status != "unique":
+            continue
+        slopes = dict(zip(nodes, sol))
+        rates = {e.id: F(0) for e in net.edges if e.id in active}
+        rates.update((e.id, sol[len(nodes) + i]) for i, e in enumerate(support))
+        if verify_thin_flow(net, active, resetting, capacity, supply,
+                            slopes, rates) is None:
+            yield mask, ThinFlow(slopes, rates)
+
+
+def reference_patterns(net, active, resetting, capacity, supply):
+    """Every pattern of the search over all supports, in its order: the
+    support mask, the nodes (columns 0, 1, ...), the support edges (the
+    rate columns after them) and the pattern's rows."""
     if not resetting <= active:
         raise ContractError("resetting edges must be competitive")
     edges = [e for e in net.edges if e.id in active]
@@ -210,15 +230,7 @@ def reference_solutions(net, active, resetting, capacity, supply):
             if v != net.source and not any(e.head == v for e in support):
                 options.append([idle_row(e) for e in edges if e.head == v])
         for pattern in product(*options):
-            status, sol = solve_system(rows + list(pattern), len(nodes) + len(support))
-            if status != "unique":
-                continue
-            slopes = dict(zip(nodes, sol))
-            rates = {e.id: F(0) for e in edges}
-            rates.update((e.id, sol[x[e.id]]) for e in support)
-            if verify_thin_flow(net, active, resetting, capacity, supply,
-                                slopes, rates) is None:
-                yield mask, ThinFlow(slopes, rates)
+            yield mask, nodes, support, rows + list(pattern)
 
 
 def assert_matches_the_unforced_oracle(args):
@@ -538,16 +550,89 @@ def test_a_proposed_flow_that_fails_verification_raises(monkeypatch):
 
 def test_a_steady_verdict_on_a_phase_that_is_not_steady_raises(monkeypatch):
     # Two parallel links of capacity 1 carry supply 2 at slope one but not
-    # supply 3.  Handed the verdict for supply 2, the walk from its mask
-    # meets the one verified solution, with l'_t = 3/2, and refuses it.
+    # supply 3.  Handed the verdict for supply 2, the walk pins every label
+    # slope to one, so it finds no verified solution: the one there is has
+    # l'_t = 3/2.
     inst = build_instance([("a", "s", "t", 1, 0), ("b", "s", "t", 1, 0)],
                           source="s", sink="t", supply=3)
     args = (inst.network, frozenset({"a", "b"}), frozenset(), inst.capacity)
     assert first_feasible_support(*args, inst.supply, ["a", "b"]) is None
     verdict = first_feasible_support(*args, Q(2), ["a", "b"])
     monkeypatch.setattr(equilibrium, "first_feasible_support", lambda *_: verdict)
-    with pytest.raises(InternalConsistencyError, match="a label slope other than one$"):
+    with pytest.raises(InternalConsistencyError, match=r"^the steady test found a flow in P\(1\), "
+                       "but no verified thin flow has every label slope one$"):
         thin_flow(*args, inst.supply)
+
+
+def _walk_pins(args):
+    """The labels that `thin_flow` pins in its walk on one phase system,
+    or None when it pins none or does not walk."""
+    pins = []
+    walk = equilibrium._walk
+
+    def walked(*args):
+        pins.append(args[-1])
+        return walk(*args)
+
+    with patch.object(equilibrium, "_walk", walked):
+        thin_flow(*args)
+    return pins[0] if pins else None
+
+
+@settings(max_examples=60, deadline=None, phases=ENGINE_PHASES)
+@given(st.one_of(random_instances(), tied_instances()))
+def test_pinned_labels_leave_the_walk_unchanged_on_engine_phases(inst):
+    # The walk with label rows yields the list of the walk without them,
+    # item for item, whether the labels are those `thin_flow` pins (of a
+    # series-parallel proposal that passes `verify_thin_flow`, or all one
+    # after a steady verdict) or those of the walk's own first solution.
+    for args in _engine_phases(inst):
+        unpinned = list(enumerate_thin_flows(*args))
+        pins = [unpinned[0].label_slopes, _walk_pins(args)]
+        for pinned in filter(None, pins):
+            walked = list(enumerate_thin_flows(*args, pinned=pinned))
+            assert [list(tf.edge_rates.items()) for tf in walked] == [
+                list(tf.edge_rates.items()) for tf in unpinned]
+            assert walked == unpinned
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(thin_flow_systems(), series_parallel_systems()))
+def test_label_rows_add_no_rank_to_a_whole_pattern(args):
+    # The lemma that lets the walk pin labels with no test at its leaves
+    # (see `_walk`): with positive capacities a pattern's own rows fix its
+    # labels, so the rows l_v = c (v other than s) add no rank to any
+    # pattern of any support.  Rank is a matter of the coefficients, so
+    # the rows are taken homogeneous.
+    net = args[0]
+    try:
+        patterns = list(reference_patterns(*args))
+    except FotError:
+        return
+    for _, nodes, support, rows in patterns:
+        n = len(nodes) + len(support)
+        own = [(coeffs, 0) for coeffs, _ in rows]
+        pinned = [({c: 1}, 0) for c, v in enumerate(nodes) if v != net.source]
+        rank = len(solve_exact(own, n, Elimination(n))[1].pivots)
+        assert len(solve_exact(own + pinned, n, Elimination(n))[1].pivots) == rank
+
+
+def test_only_a_verified_series_parallel_proposal_pins_its_labels(monkeypatch):
+    # Two parallel links into a, then one link a-t that the supply
+    # overloads: no flow in P(1), a series-parallel core, and slack links
+    # s-a that close a cycle, so the walk runs.  The verified proposal pins
+    # its labels (1, 1, 2).  A proposal that `verify_thin_flow` refuses, here
+    # no flow at all, pins nothing: pinned labels of its own, all one, would
+    # leave the walk with no solution.
+    inst = build_instance([("x", "s", "a", 2, 0), ("y", "s", "a", 2, 0), ("z", "a", "t", 1, 0)],
+                          source="s", sink="t", supply=2)
+    args = (inst.network, frozenset({"x", "y", "z"}), frozenset(), inst.capacity, inst.supply)
+    first = next(enumerate_thin_flows(*args))
+    assert _walk_pins(args) == {"s": 1, "a": 1, "t": 2} == first.label_slopes
+    assert thin_flow(*args) == first
+    monkeypatch.setattr(equilibrium, "_sp_split", lambda *_: None)
+    assert _walk_pins(args) is None
+    assert thin_flow(*args) == first
 
 
 def _seed_84_instance():
