@@ -3,9 +3,10 @@
 Subcommands: simulate, validate, braess, classify, gen, sweep, reproduce,
 export-plotdata.  All numeric input and output is exact ("p/q" strings);
 JSON output is deterministic byte-for-byte.  Exit codes: 0 success / checks
-pass, 1 an assertion or validation failed, 2 usage or input error (including
-a cyclic input, one with no source-sink path or one beyond a size or phase
-cap, and a path that cannot be read or written), 3 internal error.
+pass, 1 an assertion or validation failed (or failed subsets leave the Braess
+verdict undetermined), 2 usage or input error (including a cyclic input, one
+with no source-sink path or one beyond a size or phase cap, and a path that
+cannot be read or written), 3 internal error.
 """
 
 from __future__ import annotations
@@ -309,6 +310,14 @@ def _cmd_braess(args) -> int:
     report = braess_mod.braess_ratio(inst, subsets=subsets, cap=args.cap,
                                      phase_cap=args.phase_cap)
     _emit(to_obj(report), args)
+    # A ratio above 1 over the subsets that ran bounds the true one from
+    # below; one at most 1 says nothing of the subsets that failed.
+    failed = sum(entry.error is not None for entry in report.entries)
+    if failed and report.ratio <= 1:
+        print(f"UNDETERMINED: {failed} of {len(report.entries)} subsets failed, and the "
+              f"others give ratio {report.ratio}, so the paradox verdict is unknown",
+              file=sys.stderr)
+        return ASSERTION_ERROR
     return 0
 
 

@@ -35,31 +35,30 @@ patterns left (`_walk` has the argument).
 Labels come first where they can.  All label slopes are one exactly when
 the supply fits into a flow that fills every queued edge and stays within
 the capacity of every other competitive edge; one exact integer maximum
-flow (`fot.core.first_feasible_support`) decides it.  In such a steady
-phase the search starts at the first support mask that such a flow fits,
-and skips every mask before it, which holds no solution.
+flow (`fot.core.first_feasible_support`) decides it.
 
-Where the phase's structure proposes a flow, `thin_flow` certifies it and
-skips the walk.  The proposal comes from the first of three sources that
-has one: the supply on the core when the core is a forest (then one s-t
-path), else the steady test's flow, else, when the core is two-terminal
+Where the phase's structure proposes a flow, `thin_flow` runs one
+sequence.  The proposal comes from the first of three sources that has
+one: the supply on the core when the core is a forest (then one s-t path),
+else the steady test's flow, else, when the core is two-terminal
 series-parallel, the flow that a recursion over its decomposition tree
 routes (after Kaiser, "Computation of dynamic equilibria in
 series-parallel networks", Math. Oper. Res. 2022).  One label pass along
-the network's topological order derives its labels l*.  One lemma
-certifies it.  Labels are unique, so every verified solution has labels
-l*, and they fix its rate on every competitive edge but the slack ones,
-queue-free with equal labels at both ends.  The network must be acyclic (a
-cycle raises `UnsupportedTopologyError`, as in `nash_flow`), so a verified
-solution, an s-t flow of the supply, carries nothing off the competitive
-s-t core.  When the proposal passes `verify_thin_flow` and the slack core
-edges, taken undirected, form a forest, conservation fixes the rest: the
-proposal is the only verified solution, hence the walk's first.  When
-they close a cycle, the walk still runs, but with the labels pinned where
-they are known: all one in a steady phase, and l* where a
-series-parallel proposal verifies.  The label rows cut the walk and change
-none of its solutions.  A later label source (minimum cuts) plugs in at the
-same place.
+the network's topological order derives its labels l*, and
+`verify_thin_flow` checks it once.  Labels are unique, so every verified
+solution has labels l*, and they fix its rate on every competitive edge
+but the slack ones, queue-free with equal labels at both ends.  The
+network must be acyclic (a cycle raises `UnsupportedTopologyError`, as in
+`nash_flow`), so a verified solution, an s-t flow of the supply, carries
+nothing off the competitive s-t core.  When the slack core edges, taken
+undirected, form a forest, conservation fixes the rest: the proposal is
+the only verified solution, hence the walk's first, and the walk is
+skipped.  When they close a cycle, the walk runs with l* pinned, from
+M0(l*): the first support mask that holds a flow with labels l*, which one
+more maximum flow finds (in a steady phase, the steady test's own mask).
+Every mask before it holds no solution, and the label rows cut the walk
+and change none of its solutions.  A later label source (minimum cuts)
+plugs in at the same place.
 """
 
 from __future__ import annotations
@@ -296,89 +295,85 @@ def thin_flow(net: Network, active: frozenset[str], resetting: frozenset[str],
     is a function of the pattern order alone.  This is the engine's one
     entry to the solve.
 
-    Where the phase's structure proposes a flow, the proposal is certified
-    and returned without the walk; being the only verified solution, it is
-    the walk's first.  Every competitive capacity must be positive (a
-    `ContractError` otherwise), and the first source that has a proposal
-    makes it:
+    Every competitive capacity must be positive (a `ContractError`
+    otherwise).  Then one sequence runs, whatever proposes the flow:
 
-    - the path: when the competitive s-t core (`st_core(net, active)`) is
-      a forest it is one s-t path, since every core edge lies on an s-t
-      path inside it and two distinct s-t paths close an undirected cycle;
-      the proposal is `supply` on that path and 0 elsewhere;
-    - the steady test: the flow it finds in P(1), if any;
-    - the series-parallel recursion: when the core is two-terminal
-      series-parallel (`fot.topology.sp_tree`), `_exit_maps` gives each
-      component of its tree its exit slope as a function of its inflow, a
-      `PiecewiseLinear` curve, and `_sp_split` routes `supply` through the
-      tree with them and their `_inverse`s.
+    1. Propose.  The first source that has a proposal gives the rates:
 
-    `_label_pass` derives the labels l* of any proposal.
+       - the path: when the competitive s-t core (`st_core(net, active)`)
+         is a forest it is one s-t path, since every core edge lies on an
+         s-t path inside it and two distinct s-t paths close an undirected
+         cycle; the proposal is `supply` on that path and 0 elsewhere;
+       - the steady test: the flow it finds in P(1), if any;
+       - the series-parallel recursion: when the core is two-terminal
+         series-parallel (`fot.topology.sp_tree`), `_exit_maps` gives each
+         component of its tree its exit slope as a function of its inflow,
+         a `PiecewiseLinear` curve, and `_sp_split` routes `supply` through
+         the tree with them and their `_inverse`s.
 
-    The certificate is one lemma.  Let (l*, x) pass `verify_thin_flow`.
-    Labels are unique (Cominetti, Correa & Larré 2015), so every verified
-    solution has labels l*, and its rates on a competitive edge e = (v, w)
-    follow from them: x_e = capacity * l*_w when e is queued or when
-    l*_w > l*_v, and x_e = 0 when e is queue-free and l*_w < l*_v.  Only
-    the slack edges, queue-free with l*_v = l*_w, are free.  The network is
-    acyclic (`_competitive` refuses a cycle) and a verified solution is an
-    s-t flow of value `supply`, so it is the sum of s-t paths and carries
-    nothing off the core.  So when the slack core edges, taken undirected,
-    form a forest (`_forest`), conservation fixes their rates too, and x is
-    the one verified solution, whatever proposed it.  A proposal whose
-    slack core edges form a forest is therefore returned once
-    `verify_thin_flow` accepts it.  A path flow with its own labels, or a
-    flow in P(1) with all labels one, always passes, so a path or steady
-    proposal that it refuses raises `InternalConsistencyError`.  A refused
-    series-parallel proposal falls through to the walk: a fault in the
-    recursion can cost time but cannot change the result.
+    2. Label and verify.  `_label_pass` derives the proposal's labels l*,
+       and `verify_thin_flow` checks the proposal once.  A path flow with
+       its own labels, or a flow in P(1) with all labels one, always
+       passes, so a path or steady proposal that it refuses raises one
+       `InternalConsistencyError` that names the source and the checker's
+       reason.  A refused series-parallel proposal walks from mask 0 with
+       no labels pinned: a fault in the recursion can cost time but cannot
+       change the result.
 
-    When the slack core edges close a cycle, the walk runs from the steady
-    test's first mask, with the labels pinned where they are known
-    (`_walk`'s label rows): to one when the steady test found a flow
-    in P(1), and to l* when a series-parallel proposal passes
-    `verify_thin_flow`.  A refused proposal pins nothing.  A walk that the
-    steady test pinned to one and that ends without a solution shows a
-    wrong verdict, and raises `InternalConsistencyError` naming the steady
-    test.
+    3. Return or walk.  Labels are unique (Cominetti, Correa & Larré
+       2015), so every verified solution has labels l*, and its rates on a
+       competitive edge e = (v, w) follow from them: x_e = capacity * l*_w
+       when e is queued or when l*_w > l*_v, and x_e = 0 when e is
+       queue-free and l*_w < l*_v.  Only the slack edges, queue-free with
+       l*_v = l*_w, are free.  The network is acyclic (`_competitive`
+       refuses a cycle) and a verified solution is an s-t flow of value
+       `supply`, so it is the sum of s-t paths and carries nothing off the
+       core.  So when the slack core edges, taken undirected, form a forest
+       (`_forest`), conservation fixes their rates too: the proposal is the
+       one verified solution, hence the walk's first, and it is returned.
+       Otherwise the walk runs with l* pinned (`_walk`'s label rows) from
+       M0(l*), the first mask whose support holds a flow in P(l*), the
+       flows that rates as above allow.  `first_feasible_support` finds it
+       with each slack core edge bounded by capacity * l*_w and every other
+       competitive edge fixed at the proposal's rate, which every verified
+       solution has there.  After a steady verdict l* is all one and P(l*)
+       is P(1), so the steady test's mask is M0(l*) and no second search
+       runs.
     """
     edges, nodes, core, free, order = _competitive(net, active, resetting)
     if any(capacity[e.id] <= 0 for e in edges):
         raise ContractError("competitive capacities must be positive")
-    steady = tree = pinned = None
+    source, marks, rates, pinned = "s-t path", None, None, None
     if _forest(e for e in edges if e.id in core):
         rates = {e.id: as_fraction(supply) if e.id in core else ZERO for e in edges}
     else:
         steady = first_feasible_support(net, active, resetting, capacity, supply, free)
-        rates = None
         if steady is not None:
-            rates = steady[1]
-            pinned = dict.fromkeys(nodes, ONE)
+            source, (marks, rates) = "steady test", steady
         else:
+            source = None  # a refused series-parallel proposal walks instead
             tree = sp_tree((e for e in edges if e.id in core), net.source, net.sink)
             if tree is not None:
                 rates = dict.fromkeys((e.id for e in edges), ZERO)
                 _sp_split(_exit_maps(tree, capacity, resetting), ONE, as_fraction(supply), rates)
     if rates is not None:
         slopes = _label_pass(net, nodes, order, resetting, capacity, rates)
-        if _forest(e for e in edges if e.id in core and e.id not in resetting
-                   and slopes[e.tail] == slopes[e.head]):
-            reason = verify_thin_flow(net, active, resetting, capacity, supply, slopes, rates)
-            if reason is None:
+        reason = verify_thin_flow(net, active, resetting, capacity, supply, slopes, rates)
+        if reason is None:
+            slack = frozenset(e.id for e in edges if e.id in core and e.id not in resetting
+                              and slopes[e.tail] == slopes[e.head])
+            if _forest(e for e in edges if e.id in slack):
                 return ThinFlow(slopes, rates)
-            if tree is None:
-                raise InternalConsistencyError(
-                    f"the thin flow that the phase's structure decides fails: {reason}")
-        elif tree is not None and verify_thin_flow(net, active, resetting, capacity, supply,
-                                                   slopes, rates) is None:
             pinned = slopes
-    for tf in _walk(net, active, resetting, capacity, supply, edges, nodes, free,
-                    None if steady is None else steady[0], pinned):
+            if marks is None:
+                bound = {e.id: capacity[e.id] * slopes[e.head] if e.id in slack else rates[e.id]
+                         for e in edges}
+                marks = first_feasible_support(net, active, active - slack, bound, supply, free)[0]
+        elif source is not None:
+            raise InternalConsistencyError(
+                f"the thin flow that the {source} proposes fails: {reason}")
+    for tf in _walk(net, active, resetting, capacity, supply, edges, nodes, free, marks, pinned):
         return tf
-    if steady is not None:
-        raise InternalConsistencyError(
-            "the steady test found a flow in P(1), but no verified thin flow has "
-            "every label slope one")
     raise InternalConsistencyError(
         "no valid derivative pattern found (this should be impossible for a "
         "feasible competitive edge set)")
@@ -554,14 +549,14 @@ def _walk(net: Network, active: frozenset[str], resetting: frozenset[str],
           nodes: list[str], free: list[str], marks: Optional[tuple[bool, ...]],
           pinned: Optional[Mapping[str, Fraction]]):
     """Yield every verified pattern solution of a phase system in
-    deterministic order, from the first mask that `marks`, the steady
-    test's verdict (`first_feasible_support`), allows.  `edges`, `nodes` and
-    `free` come from `_competitive`, which checks the input and refuses a
-    cyclic network.  `pinned`, when given, holds the phase's labels l*;
-    the walk then adds their rows to the base rows, which yields the same
-    list sooner (see "Label rows" below).
-    `thin_flow` takes the first solution, and the tests exhaust the walk as
-    an oracle.
+    deterministic order, from the first mask that `marks` allows: M0(l*)
+    for labels l* that every verified solution has (see "Labels first"
+    below), or mask 0 when it is None.  `edges`, `nodes` and `free` come
+    from `_competitive`, which checks the input and refuses a cyclic
+    network.  `pinned`, when given, holds the phase's labels l*; the walk
+    then adds their rows to the base rows, which yields the same list
+    sooner (see "Label rows" below).  `thin_flow` takes the first
+    solution, and the tests exhaust the walk as an oracle.
 
     Patterns (which edges carry flow, a support that is its own `st_core`;
     for each flow edge whether the capacity term or the tail slope pins the
@@ -619,21 +614,27 @@ def _walk(net: Network, active: frozenset[str], resetting: frozenset[str],
     order.  Each solution found is still checked by `verify_thin_flow`
     before it is yielded.
 
-    Labels first.  Write P(1) for the flows x of value `supply` on the
-    competitive edges with x_e = capacity on each queued edge and 0 <= x_e
-    <= capacity on the others.  Any x in P(1) with l' = 1 everywhere meets
-    every condition `verify_thin_flow` checks: every drain ratio is 1 (a
-    queued edge is full, the others are at most full), each reachable node
-    other than s has a competitive in-edge, and conservation holds.
-    Conversely, labels are unique (Cominetti, Correa & Larré 2015), so when
-    P(1) is nonempty every verified solution has l' = 1, hence lies in
-    P(1), and is zero on the free edges its mask leaves out.  Whether P(1)
-    holds a flow that is zero on the free edges outside a mask M is
-    up-closed in M, and `fot.core.first_feasible_support` returns the
-    lexicographically first mask M0 for which it does.  No mask before M0
-    holds a verified solution, so the walk starts at M0 and yields exactly
-    the list that the walk from mask 0 yields.  When P(1) is empty the walk
-    starts at mask 0.
+    Labels first.  Take labels l* that every verified solution has (labels
+    are unique, Cominetti, Correa & Larré 2015, so those of any verified
+    solution will do), and write P(l*) for the flows x of value `supply`
+    on the competitive edges whose rate on each edge e = (v, w) is one that
+    l* allows: capacity * l*_w when e is queued or l*_w > l*_v, 0 when e is
+    queue-free and l*_w < l*_v, and between 0 and capacity * l*_w on a
+    slack edge, queue-free with l*_v = l*_w (a flow edge attains
+    l*_w >= rate / capacity).  Every verified solution lies in P(l*) and
+    is zero on the free edges its mask leaves out.  Whether P(l*) holds a
+    flow that is zero on the free edges outside a mask M is up-closed in
+    M, and `fot.core.first_feasible_support` returns the lexicographically
+    first mask M0(l*) for which it does.  No mask before M0(l*) holds a
+    verified solution, so the walk that starts there, `marks`, yields
+    exactly the list that the walk from mask 0 yields.  The steady test's
+    P(1), the flows that fill every queued edge and keep within every
+    other capacity, is the case l* = 1.  Any x in P(1) with l' = 1
+    everywhere meets every condition `verify_thin_flow` checks: every
+    drain ratio is 1, each reachable node other than s has a competitive
+    in-edge, and conservation holds.  So a nonempty P(1) shows l* = 1,
+    and its first mask is M0(1), whether labels are pinned or not.  With
+    no `marks` the walk starts at mask 0.
 
     Label rows.  Given labels l* that every verified solution has (labels
     are unique, so any verified solution's labels will do, and in a steady
@@ -780,8 +781,7 @@ def _walk(net: Network, active: frozenset[str], resetting: frozenset[str],
                         yield ThinFlow(label_slopes, edge_rates)
             forget(child)
 
-    # Labels first: when the steady test finds a flow in P(1), every mask
-    # before the first feasible one is skipped.
+    # Labels first: every mask before M0(l*) is skipped.
     bits = [1 << j for j in reversed(range(len(free)))]
     start = 0 if marks is None else sum(b for b, m in zip(bits, marks) if m)
     for mask in range(start, 1 << len(free)):

@@ -30,8 +30,7 @@ LIMIT = 30
 MUTANTS = [
     # The single-point test on the slack core edges accepts every proposal.
     ("fot/equilibrium.py",
-     "if _forest(e for e in edges if e.id in core and e.id not in resetting\n"
-     "                   and slopes[e.tail] == slopes[e.head]):",
+     "if _forest(e for e in edges if e.id in slack):",
      "if True:",
      ["tests/test_engine_random.py::test_the_steady_phase_of_seed_84_is_pinned"]),
     # `_forest` accepts every edge set: every core proposes a path flow.
@@ -47,29 +46,43 @@ MUTANTS = [
     # A series-parallel proposal pins its labels in the walk whatever
     # `verify_thin_flow` says of it.
     ("fot/equilibrium.py",
-     "elif tree is not None and verify_thin_flow(net, active, resetting, capacity, supply,\n"
-     "                                                   slopes, rates) is None:",
-     "elif tree is not None:",
+     "        if reason is None:\n            slack = ",
+     "        if reason is None or source is None:\n            slack = ",
      ["tests/test_engine_random.py::test_only_a_verified_series_parallel_proposal_pins_its_labels"]),
+    # M0(l*) is searched with the slack edges bounded at 0, not at
+    # capacity * l*_head: P(l*) loses the proposal itself.
+    ("fot/equilibrium.py",
+     "bound = {e.id: capacity[e.id] * slopes[e.head] if e.id in slack",
+     "bound = {e.id: ZERO if e.id in slack",
+     ["tests/test_engine_random.py::test_only_a_verified_series_parallel_proposal_pins_its_labels",
+      "tests/test_engine_random.py::test_a_pinned_walk_from_m0_yields_the_walk_from_mask_0"]),
+    # The marks of M0(l*) are computed over the free edges in reverse, and
+    # read in their own order: the walk starts at another mask.
+    ("fot/equilibrium.py",
+     "first_feasible_support(net, active, active - slack, bound, supply, free)",
+     "first_feasible_support(net, active, active - slack, bound, supply, free[::-1])",
+     ["tests/test_engine_random.py::test_only_a_verified_series_parallel_proposal_pins_its_labels",
+      "tests/test_engine_random.py::test_a_pinned_walk_from_m0_yields_the_walk_from_mask_0"]),
     # The label rows pin each label to its reciprocal.
     ("fot/equilibrium.py",
      "({index[v]: pinned[v].denominator}, pinned[v].numerator)",
      "({index[v]: pinned[v].numerator}, pinned[v].denominator)",
      ["tests/test_engine_random.py::test_only_a_verified_series_parallel_proposal_pins_its_labels",
       "tests/test_braess.py::test_braess_ratio_walks_only_the_phases_structure_leaves_open"]),
-    # A steady verdict pins nothing: the walk from its mask takes whatever
-    # it meets first, and a wrong verdict goes unnoticed.
+    # No walk pins its labels: from M0(l*), or the steady test's mask, it
+    # takes whatever it meets first.
     ("fot/equilibrium.py",
-     "            pinned = dict.fromkeys(nodes, ONE)\n",
+     "            pinned = slopes\n",
      "",
-     ["tests/test_engine_random.py::test_a_steady_verdict_on_a_phase_that_is_not_steady_raises",
+     ["tests/test_engine_random.py::test_only_a_verified_series_parallel_proposal_pins_its_labels",
       "tests/test_braess.py::test_braess_ratio_walks_only_the_phases_structure_leaves_open"]),
-    # A pinned walk that a wrong steady verdict leaves empty raises the
-    # generic error, which does not name the steady test.
+    # A refused path or steady proposal walks unpinned, as a refused
+    # series-parallel one does: a wrong steady verdict goes unnoticed.
     ("fot/equilibrium.py",
-     "    if steady is not None:\n        raise InternalConsistencyError(",
-     "    if False:\n        raise InternalConsistencyError(",
-     ["tests/test_engine_random.py::test_a_steady_verdict_on_a_phase_that_is_not_steady_raises"]),
+     "        elif source is not None:\n            raise InternalConsistencyError(",
+     "        elif False:\n            raise InternalConsistencyError(",
+     ["tests/test_engine_random.py::test_a_steady_verdict_on_a_phase_that_is_not_steady_raises",
+      "tests/test_engine_random.py::test_a_proposed_flow_that_fails_verification_raises"]),
     # All-one labels in place of the label pass.
     ("fot/equilibrium.py",
      "slopes = _label_pass(net, nodes, order, resetting, capacity, rates)",

@@ -200,23 +200,43 @@ def test_braess_ratio_solves_each_distinct_phase_system_once(inst, solves, phase
     assert set(calls) == systems
 
 
-@pytest.mark.parametrize("inst, solves, paths, proposals, walks, pinned", [
-    pytest.param(make_ladder(4, F(1, 1000)), 20, 4, 14, 2, 2, id="ladder-n4"),
-    pytest.param(dict(default_transpose_m3_grid())[_SLACK_POINT], 3, 3, 0, 0, 0, id=_SLACK_POINT),
+@pytest.mark.parametrize("inst, solves, paths, proposals, walks, pinned, searches", [
+    pytest.param(make_ladder(4, F(1, 1000)), 20, 4, 14, 2, 2, 1, id="ladder-n4"),
+    pytest.param(dict(default_transpose_m3_grid())[_SLACK_POINT], 3, 3, 0, 0, 0, 0,
+                 id=_SLACK_POINT),
 ])
 def test_braess_ratio_walks_only_the_phases_structure_leaves_open(inst, solves, paths, proposals,
-                                                                  walks, pinned, monkeypatch):
+                                                                  walks, pinned, searches,
+                                                                  monkeypatch):
     # Exact counts of the thin-flow calls, of those whose core is one s-t
-    # path (the calls that never reach the steady test), of the
-    # series-parallel proposals, of the walks and of the walks with pinned
-    # labels.  On ladder n = 4 two calls are steady, and one of them walks,
-    # as its P(1) is not one point.  The other 14 are not steady, and all
-    # their cores are series-parallel; one proposal's slack edges close a
-    # cycle, and it walks.  Both walks have their labels pinned: to one by
-    # the steady test, and to the verified proposal's.  A lost skip or a
-    # lost pin fails here.
+    # path (the calls during which `first_feasible_support` never runs), of
+    # the series-parallel proposals, of the walks, of the walks with pinned
+    # labels and of the searches for M0(l*), the walk's first mask, past
+    # the steady test.  On ladder n = 4 two calls are steady, and one of
+    # them walks, as its P(1) is not one point; it starts at the steady
+    # test's mask.  The other 14 are not steady, and all their cores are
+    # series-parallel; one proposal's slack edges close a cycle, and it
+    # walks from the mask that one search of P(l*) gives.  Both walks have
+    # their labels pinned: to one by the steady test, and to the verified
+    # proposal's.  A lost skip or a lost pin fails here.
     calls = Counter()
-    for name in ("thin_flow", "first_feasible_support", "sp_tree", "_walk"):
+    supports = []  # per thin-flow call, its `first_feasible_support` calls
+
+    def solve(*args, call=equilibrium.thin_flow):
+        supports.append(0)
+        result = call(*args)
+        calls["thin_flow"] += 1
+        calls["path"] += supports[-1] == 0
+        calls["search"] += supports[-1] > 1
+        return result
+
+    def search(*args, call=equilibrium.first_feasible_support):
+        supports[-1] += 1
+        return call(*args)
+
+    monkeypatch.setattr(equilibrium, "thin_flow", solve)
+    monkeypatch.setattr(equilibrium, "first_feasible_support", search)
+    for name in ("sp_tree", "_walk"):
         def counted(*args, name=name, call=getattr(equilibrium, name)):
             result = call(*args)
             calls[name] += name != "sp_tree" or result is not None
@@ -224,9 +244,8 @@ def test_braess_ratio_walks_only_the_phases_structure_leaves_open(inst, solves, 
             return result
         monkeypatch.setattr(equilibrium, name, counted)
     braess_ratio(inst)
-    path_calls = calls["thin_flow"] - calls["first_feasible_support"]
-    assert (calls["thin_flow"], path_calls, calls["sp_tree"], calls["_walk"], calls["pinned"]) == (
-        solves, paths, proposals, walks, pinned)
+    assert (calls["thin_flow"], calls["path"], calls["sp_tree"], calls["_walk"], calls["pinned"],
+            calls["search"]) == (solves, paths, proposals, walks, pinned, searches)
 
 
 @pytest.mark.parametrize("n, transposed, digest", [
@@ -236,7 +255,9 @@ def test_braess_ratio_walks_only_the_phases_structure_leaves_open(inst, solves, 
     (6, True, "888a569613e033900314afade8985560e9cd4b0423f94dcbef49f2d7b799f848"),
     (7, False, "e893a47a3ceb6cac77949dd277dba2c7c2dab415de052568260517229d36c39d"),
     (7, True, "b11451639c08483e250102a98766adaedb5eb7b014d973820260df28e95e783b"),
-], ids=["ladder-n5", "transposed-n5", "ladder-n6", "transposed-n6", "ladder-n7", "transposed-n7"])
+    (8, False, "8108f12e9ce6b6ba1297dade015c7b1918d9de989148e74046d97fe8e79bd191"),
+], ids=["ladder-n5", "transposed-n5", "ladder-n6", "transposed-n6", "ladder-n7", "transposed-n7",
+        "ladder-n8"])
 def test_braess_stdout_of_the_ladders_is_pinned(n, transposed, digest, tmp_path, capsys):
     # The paper's own networks, every s-t core of which is series-parallel,
     # at sizes where the series-parallel proposals settle most phases and,
@@ -244,8 +265,8 @@ def test_braess_stdout_of_the_ladders_is_pinned(n, transposed, digest, tmp_path,
     # 15 walks with the labels of a verified series-parallel proposal
     # pinned.  The n = 5 digests were recorded when the pattern walk
     # settled those phases, the n = 6 ones before the exit maps became
-    # `PiecewiseLinear` curves, and the n = 7 ones before walks pinned
-    # labels.
+    # `PiecewiseLinear` curves, the n = 7 ones before walks pinned labels,
+    # and the n = 8 one before pinned walks started at M0(l*).
     inst = make_ladder(n, F(1, 1000))
     path = tmp_path / "ladder.json"
     path.write_text(dumps(instance_to_obj(transpose(inst) if transposed else inst)))

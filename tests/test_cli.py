@@ -4,7 +4,7 @@ import json
 import pytest
 
 from fot.cli import flatten, main, write_csv
-from fot.core import ParameterError, dumps, instance_to_obj, network_to_obj
+from fot.core import ParameterError, SizeCapError, dumps, instance_to_obj, network_to_obj
 from fot.dynamics import flow_to_obj
 from fot.gen import (MAX_RANDOM_DAG_NODES, MnParams, embed_paradox_instance,
                      geometric_alphas, make_m3_variants, make_mn)
@@ -336,6 +336,43 @@ def test_braess_cli(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "braess", path, "--subsets", str(subsets))
     assert code == 0
     assert len(json.loads(out)["entries"]) == 2  # given subset plus the full set
+
+
+def test_a_failed_witness_subset_leaves_the_braess_verdict_undetermined(tmp_path, capsys,
+                                                                        monkeypatch):
+    # On ladder n = 3 only the core e1, f1, f2 (every edge but e2) costs
+    # less than the full network.  When its run fails, the other subsets
+    # give ratio 1: the report is written as it is, with the failure on its
+    # entries, and the exit code and one stderr line say that the verdict
+    # is open.  A failure elsewhere leaves a ratio above 1, which stands.
+    from fot import equilibrium
+
+    path = write_instance(tmp_path, make_mn(MnParams(
+        n=3, horizon=F(1), alphas=geometric_alphas(3, F(1, 1000), 1))))
+    code, out, err = run_cli(capsys, "braess", path)
+    assert code == 0 and err == ""
+    full = json.loads(out)
+    assert full["paradox"] is True and full["argmax"] == ["e1", "f1", "f2"]
+    nash_flow = equilibrium.nash_flow
+
+    def failing(inst, *args, **kwargs):
+        if sorted(inst.edge_ids) == failing.core:
+            raise SizeCapError("the engine refuses this core")
+        return nash_flow(inst, *args, **kwargs)
+
+    monkeypatch.setattr(equilibrium, "nash_flow", failing)
+    for failing.core, expected in ((["e1", "f1", "f2"], 1), (["e1", "e2", "f2"], 0)):
+        code, out, err = run_cli(capsys, "braess", path)
+        report = json.loads(out)
+        errors = sum("error" in entry for entry in report["entries"])
+        assert errors > 0 and code == expected
+        if expected:
+            assert (report["ratio"], report["paradox"]) == ("1", False)
+            assert err == (f"UNDETERMINED: {errors} of 16 subsets failed, and the others "
+                           "give ratio 1, so the paradox verdict is unknown\n")
+        else:
+            assert (report["ratio"], report["argmax"]) == (full["ratio"], full["argmax"])
+            assert err == ""
 
 
 def test_classify_cli(tmp_path, capsys):

@@ -535,65 +535,65 @@ def test_thin_flow_refuses_a_nonpositive_competitive_capacity():
 def test_a_proposed_flow_that_fails_verification_raises(monkeypatch):
     # A queued s-t link beside a queue-free path s-a-t: the core is no
     # forest, so the steady test proposes the flow.  This proposal fills
-    # the queued link but breaks conservation at a.  Its labels are all
-    # one and its slack edges x, y form a forest, so only `verify_thin_flow`
-    # stands between it and the result.
+    # the queued link but breaks conservation at a and t.  Its labels are
+    # all one and its slack edges x, y form a forest, so only
+    # `verify_thin_flow` stands between it and the result.  The error names
+    # the proposal's source and the checker's reason, which names the first
+    # node in label order that it finds unbalanced.
     inst = build_instance([("q", "s", "t", 1, 0), ("x", "s", "a", 4, 0), ("y", "a", "t", 4, 0)],
                           source="s", sink="t", supply=2)
     proposal = ((True, True), {"q": Q(1), "x": Q(1), "y": Q(2)})
     monkeypatch.setattr(equilibrium, "first_feasible_support", lambda *args: proposal)
-    with pytest.raises(InternalConsistencyError,
-                       match="^the thin flow that the phase's structure decides fails"):
+    with pytest.raises(InternalConsistencyError, match="^the thin flow that the steady test "
+                       "proposes fails: conservation fails at t$"):
         thin_flow(inst.network, frozenset({"q", "x", "y"}), frozenset({"q"}),
                   inst.capacity, inst.supply)
 
 
 def test_a_steady_verdict_on_a_phase_that_is_not_steady_raises(monkeypatch):
     # Two parallel links of capacity 1 carry supply 2 at slope one but not
-    # supply 3.  Handed the verdict for supply 2, the walk pins every label
-    # slope to one, so it finds no verified solution: the one there is has
-    # l'_t = 3/2.
+    # supply 3.  Handed the verdict for supply 2, `thin_flow` checks the
+    # verdict's flow before any walk, and `verify_thin_flow` refuses it: it
+    # carries 2 out of s, not 3.  The error names the steady test.
     inst = build_instance([("a", "s", "t", 1, 0), ("b", "s", "t", 1, 0)],
                           source="s", sink="t", supply=3)
     args = (inst.network, frozenset({"a", "b"}), frozenset(), inst.capacity)
     assert first_feasible_support(*args, inst.supply, ["a", "b"]) is None
     verdict = first_feasible_support(*args, Q(2), ["a", "b"])
     monkeypatch.setattr(equilibrium, "first_feasible_support", lambda *_: verdict)
-    with pytest.raises(InternalConsistencyError, match=r"^the steady test found a flow in P\(1\), "
-                       "but no verified thin flow has every label slope one$"):
+    with pytest.raises(InternalConsistencyError, match="^the thin flow that the steady test "
+                       "proposes fails: conservation fails at s$"):
         thin_flow(*args, inst.supply)
 
 
-def _walk_pins(args):
-    """The labels that `thin_flow` pins in its walk on one phase system,
-    or None when it pins none or does not walk."""
-    pins = []
+def _walk_start(args):
+    """(marks, pinned), the first mask and the labels that `thin_flow`
+    hands its walk on one phase system, or None when it does not walk."""
+    starts = []
     walk = equilibrium._walk
 
     def walked(*args):
-        pins.append(args[-1])
+        starts.append(args[-2:])
         return walk(*args)
 
     with patch.object(equilibrium, "_walk", walked):
         thin_flow(*args)
-    return pins[0] if pins else None
+    return starts[0] if starts else None
 
 
 @settings(max_examples=60, deadline=None, phases=ENGINE_PHASES)
 @given(st.one_of(random_instances(), tied_instances()))
 def test_pinned_labels_leave_the_walk_unchanged_on_engine_phases(inst):
-    # The walk with label rows yields the list of the walk without them,
-    # item for item, whether the labels are those `thin_flow` pins (of a
-    # series-parallel proposal that passes `verify_thin_flow`, or all one
-    # after a steady verdict) or those of the walk's own first solution.
+    # The walk with the label rows of its own first solution yields the
+    # list of the walk without them, item for item.  The labels that
+    # `thin_flow` pins are checked, with the mask it starts at, by
+    # `test_a_pinned_walk_from_m0_yields_the_walk_from_mask_0`.
     for args in _engine_phases(inst):
         unpinned = list(enumerate_thin_flows(*args))
-        pins = [unpinned[0].label_slopes, _walk_pins(args)]
-        for pinned in filter(None, pins):
-            walked = list(enumerate_thin_flows(*args, pinned=pinned))
-            assert [list(tf.edge_rates.items()) for tf in walked] == [
-                list(tf.edge_rates.items()) for tf in unpinned]
-            assert walked == unpinned
+        walked = list(enumerate_thin_flows(*args, pinned=unpinned[0].label_slopes))
+        assert [list(tf.edge_rates.items()) for tf in walked] == [
+            list(tf.edge_rates.items()) for tf in unpinned]
+        assert walked == unpinned
 
 
 @settings(max_examples=60, deadline=None)
@@ -621,17 +621,23 @@ def test_only_a_verified_series_parallel_proposal_pins_its_labels(monkeypatch):
     # Two parallel links into a, then one link a-t that the supply
     # overloads: no flow in P(1), a series-parallel core, and slack links
     # s-a that close a cycle, so the walk runs.  The verified proposal pins
-    # its labels (1, 1, 2).  A proposal that `verify_thin_flow` refuses, here
-    # no flow at all, pins nothing: pinned labels of its own, all one, would
-    # leave the walk with no solution.
+    # its labels (1, 1, 2), and the walk starts at M0(l*), the first mask
+    # whose support holds a flow with those labels: z carries 2 = 1 * 2,
+    # and x may carry nothing if y carries all, so the mask over x, y, z is
+    # (0, 1, 1), where the walk's first solution lies.  A proposal that
+    # `verify_thin_flow` refuses, here no flow at all, pins nothing and
+    # walks from mask 0: pinned labels of its own, all one, would leave the
+    # walk with no solution.
     inst = build_instance([("x", "s", "a", 2, 0), ("y", "s", "a", 2, 0), ("z", "a", "t", 1, 0)],
                           source="s", sink="t", supply=2)
     args = (inst.network, frozenset({"x", "y", "z"}), frozenset(), inst.capacity, inst.supply)
     first = next(enumerate_thin_flows(*args))
-    assert _walk_pins(args) == {"s": 1, "a": 1, "t": 2} == first.label_slopes
+    assert first.edge_rates == {"x": 0, "y": 2, "z": 2}
+    assert _walk_start(args) == ((False, True, True), {"s": 1, "a": 1, "t": 2})
+    assert first.label_slopes == {"s": 1, "a": 1, "t": 2}
     assert thin_flow(*args) == first
     monkeypatch.setattr(equilibrium, "_sp_split", lambda *_: None)
-    assert _walk_pins(args) is None
+    assert _walk_start(args) == (None, None)
     assert thin_flow(*args) == first
 
 
@@ -838,6 +844,29 @@ def test_the_first_feasible_mask_never_comes_after_the_canonical_one(phases):
         if masks is not None:
             first, canonical = masks
             assert first <= canonical
+
+
+@settings(max_examples=60, deadline=None, phases=ENGINE_PHASES)
+@given(st.one_of(random_instances().map(_engine_phases), tied_instances().map(_engine_phases),
+                 series_parallel_systems().map(lambda args: [args])))
+def test_a_pinned_walk_from_m0_yields_the_walk_from_mask_0(phases):
+    # Where `thin_flow` walks with labels l* pinned, from M0(l*) (the steady
+    # test's mask when l* is all one), the walk yields, item for item, the
+    # list of the walk from mask 0 with no labels pinned: no mask before
+    # M0(l*) holds a verified solution, and the label rows cut none.
+    for args in phases:
+        try:
+            start = _walk_start(args)
+        except FotError:
+            continue
+        if start is None or start[1] is None:
+            continue
+        edges, nodes, _, free, _ = equilibrium._competitive(*args[:3])
+        pinned, unpinned = (list(equilibrium._walk(*args, edges, nodes, free, *walk))
+                            for walk in (start, (None, None)))
+        assert [list(tf.edge_rates.items()) for tf in pinned] == [
+            list(tf.edge_rates.items()) for tf in unpinned]
+        assert pinned == unpinned
 
 
 def test_tied_instances_reach_steady_phases_that_skip_masks():
