@@ -30,7 +30,9 @@ A queued edge whose head reaches the sink through competitive edges carries
 flow in every solution, so every support holds it and only the other, free,
 edges are enumerated; fixing those mask bits keeps the order of the
 patterns left (`_walk` has the argument).
-`MAX_ACTIVE_EDGES` bounds the free edges.
+`MAX_WALK_MASKS` bounds the masks that one walk visits from its start, not
+the free edges: a walk that finds its solution early runs however many
+free edges the phase has.
 
 Labels come first where they can.  All label slopes are one exactly when
 the supply fits into a flow that fills every queued edge and stays within
@@ -91,9 +93,9 @@ from .dynamics import FlowOverTime, certify_nash, derive_sink_cumulative, valida
 from .pwl import ONE, ZERO, PiecewiseLinear, _curve
 from .topology import sp_tree
 
-# The most free edges (competitive edges not forced into every support) of
-# one pattern search: it visits up to 2**16 supports.
-MAX_ACTIVE_EDGES = 16
+# The most support masks one pattern walk visits from its start mask; 16 free
+# edges (competitive edges not forced into every support) give that many.
+MAX_WALK_MASKS = 2 ** 16
 # The most phases a run may take before it is refused without a final phase.
 PHASE_CAP = 200
 
@@ -398,9 +400,6 @@ def _competitive(net: Network, active: frozenset[str], resetting: frozenset[str]
 
     to_sink = net.reaching_to(net.sink, active)
     free = [e.id for e in edges if e.id not in resetting or e.head not in to_sink]
-    if len(free) > MAX_ACTIVE_EDGES:
-        raise SizeCapError(
-            f"more than {MAX_ACTIVE_EDGES} free edges in a thin-flow pattern search")
     order = net.topological_order()
     # Every tail is reachable, so the core is the edges whose head reaches t.
     core = frozenset(e.id for e in edges if e.head in to_sink)
@@ -574,10 +573,10 @@ def _walk(net: Network, active: frozenset[str], resetting: frozenset[str],
 
     Every support holds the forced edges: the resetting edges whose head
     reaches the sink through competitive edges.  Only the other, free,
-    edges are enumerated, and `MAX_ACTIVE_EDGES` bounds them.  Skipping the
-    supports that leave out a forced edge skips no verified solution.  Write
-    rho_e(l_v, x) for the drain ratio of edge e = (v, w): x / capacity when
-    e is resetting, the larger of l_v and x / capacity otherwise.  Suppose a
+    edges are enumerated.  Skipping the supports that leave out a forced
+    edge skips no verified solution.  Write rho_e(l_v, x) for the drain
+    ratio of edge e = (v, w): x / capacity when e is resetting, the larger
+    of l_v and x / capacity otherwise.  Suppose a
     verified solution has x_e = 0 on a forced edge e = (v, w).  Then
     l'_w <= rho_e(l'_v, 0) = 0.  A node u other than s with l'_u = 0 has
     no inflow, because a flow edge into u attains u's minimum with a ratio
@@ -634,7 +633,9 @@ def _walk(net: Network, active: frozenset[str], resetting: frozenset[str],
     drain ratio is 1, each reachable node other than s has a competitive
     in-edge, and conservation holds.  So a nonempty P(1) shows l* = 1,
     and its first mask is M0(1), whether labels are pinned or not.  With
-    no `marks` the walk starts at mask 0.
+    no `marks` the walk starts at mask 0.  A walk that would visit more
+    than `MAX_WALK_MASKS` masks from its start raises `SizeCapError` in
+    place of the next one.
 
     Label rows.  Given labels l* that every verified solution has (labels
     are unique, so any verified solution's labels will do, and in a steady
@@ -785,6 +786,9 @@ def _walk(net: Network, active: frozenset[str], resetting: frozenset[str],
     bits = [1 << j for j in reversed(range(len(free)))]
     start = 0 if marks is None else sum(b for b, m in zip(bits, marks) if m)
     for mask in range(start, 1 << len(free)):
+        if mask - start == MAX_WALK_MASKS:
+            raise SizeCapError(
+                f"a thin-flow pattern walk would visit more than {MAX_WALK_MASKS} support masks")
         chosen = forced.union(eid for eid, b in zip(free, bits) if mask & b)
         if st_core(net, chosen) != chosen:
             continue

@@ -6,26 +6,25 @@ forever.  The representation is canonical (no two adjacent segments share a
 slope), so structural equality is semantic equality.  All arithmetic is over
 `fot.core.Q` rationals; crossing points and preimages are computed exactly.
 Sum, difference, minimum and the piecewise tests in `fot.dynamics` walk
-two curves' breakpoint arrays at once (`joint_segments`), in one loop over
-an index into each array; `compose` walks inner segments and outer
-breakpoints at once.  Each walk knows the slope of every piece, so results
-are built from their breakpoints and known slopes, with no division per
-segment.  A sum or difference builds its canonical arrays in its loop and
-reads values only where the slope changes; `compose` and integration
-(`from_rate_segments`) append a piece only when its slope differs from the
-last one kept.  `_from_pieces` merges equal slopes for the minimum and
-`from_points`; points from outside get their slopes from one derivation
-(`_slopes`), which the checked constructor shares.
+two curves' breakpoint arrays at once by one generator, `joint_segments`:
+one loop over an index into each array.  `compose` walks inner segments
+and outer breakpoints at once.  Each walk knows the slope of every piece,
+so results are built from their breakpoints and known slopes, with no
+division per segment.  A sum or difference keeps a joint piece only where
+its slope changes, and `compose` and integration (`from_rate_segments`)
+append a piece only when its slope differs from the last one kept.
+`_from_pieces` merges equal slopes for the minimum and `from_points`;
+points from outside get their slopes from one derivation (`_slopes`),
+which the checked constructor shares.
 
-Some shapes skip the walk, each returning the canonical curve the walk
-would return: a sum with a one-piece curve that covers the other's domain
-adds the line to every breakpoint and its slope to every slope; `compose`
-with an inner x + c from 0 is `translate` (the outer's arrays cut at c and
-moved left, slopes kept, so no product or quotient per breakpoint; for
-c = 0 a curve that starts at 0 comes back as it is); and `compose` with an
-outer x + c adds c to the inner curve.  An outer x + 0 returns the inner
-curve itself, whatever the inner is.  `compose` checks its contract before
-choosing a path.
+Every sum and difference runs the one two-curve walk, whatever the shapes
+of its curves.  Only `compose` skips its walk for some shapes, each
+returning the canonical curve the walk would return: an inner x + c from
+0 is `translate` (the outer's arrays cut at c and moved left, slopes
+kept, so no product or quotient per breakpoint; for c = 0 a curve that
+starts at 0 comes back as it is), and an outer x + c adds c to the inner
+curve.  An outer x + 0 returns the inner curve itself, whatever the inner
+is.  `compose` checks its contract before choosing a path.
 
 These functions carry every curve in the package: cumulative edge in/outflows,
 queue sizes, node arrival-time labels, and sink arrivals.
@@ -166,16 +165,12 @@ class PiecewiseLinear:
         """The last segment starting at or before x, which must be in the domain."""
         return bisect_right(self.xs, x) - 1
 
-    def segments(self) -> Iterator[tuple[Fraction, Scalar, Fraction, Fraction]]:
-        """Yield (a, b, value_at_a, slope) covering the domain; last b is INF."""
-        yield from zip(self.xs, (*self.xs[1:], INF), self.ys, self._slopes)
-
     def slopes(self) -> tuple[Fraction, ...]:
         return self._slopes
 
     def rate_pairs(self) -> list[tuple[Fraction, Fraction]]:
         """The derivative as (start_time, rate) pairs; inverse of integration."""
-        return [(a, s) for a, _, _, s in self.segments()]
+        return list(zip(self.xs, self._slopes))
 
     def is_nondecreasing(self) -> bool:
         return min(self._slopes) >= 0
@@ -183,23 +178,7 @@ class PiecewiseLinear:
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
-        if len(other.xs) == 1 and other.xs[0] <= self.xs[0]:
-            return self._plus_line(other)
-        if len(self.xs) == 1 and self.xs[0] <= other.xs[0]:
-            return other._plus_line(self)
         return _pointwise(self, other, add)
-
-    def _plus_line(self, line: "PiecewiseLinear") -> "PiecewiseLinear":
-        """self plus a one-piece curve defined on all of self's domain: the
-        breakpoints stay, and adding one slope to every slope keeps adjacent
-        slopes apart, so the result is canonical as it stands."""
-        slope = line.final_slope
-        if slope == 1:  # the line is x + c: no product per breakpoint
-            c = line.ys[0] - line.xs[0]
-            ys = tuple(y + x + c for x, y in zip(self.xs, self.ys))
-        else:
-            ys = tuple(y + line._value(0, x) for x, y in zip(self.xs, self.ys))
-        return _curve(self.xs, ys, tuple(s + slope for s in self._slopes))
 
     def __sub__(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
         return _pointwise(self, other, sub)
@@ -304,7 +283,14 @@ def joint_segments(f: PiecewiseLinear, g: PiecewiseLinear) -> Iterator[
     its array at its own breakpoints and interpolated elsewhere."""
     fx, fy, fs = f.xs, f.ys, f._slopes
     gx, gy, gs = g.xs, g.ys, g._slopes
-    a, i, j, f_at, g_at = _start(fx, gx)
+    # The later start, the segment of each curve holding it, and whether it
+    # is a breakpoint of each.
+    if fx[0] >= gx[0]:
+        a, i, j = fx[0], 0, bisect_right(gx, fx[0]) - 1
+        f_at, g_at = True, gx[j] == a
+    else:
+        a, i, j = gx[0], bisect_right(fx, gx[0]) - 1, 0
+        f_at, g_at = fx[i] == a, True
     m, n = len(fx) - 1, len(gx) - 1
     while True:
         f_slope, g_slope = fs[i], gs[j]
@@ -328,48 +314,15 @@ def joint_segments(f: PiecewiseLinear, g: PiecewiseLinear) -> Iterator[
         a = b
 
 
-def _start(fx: Sequence[Fraction], gx: Sequence[Fraction]) -> tuple:
-    """Where a walk over two breakpoint arrays starts: the later first x,
-    the segment of each curve holding it, and whether it is a breakpoint
-    of each."""
-    if fx[0] >= gx[0]:
-        a = fx[0]
-        j = bisect_right(gx, a) - 1
-        return a, 0, j, True, gx[j] == a
-    a = gx[0]
-    i = bisect_right(fx, a) - 1
-    return a, i, 0, fx[i] == a, True
-
-
 def _pointwise(f: PiecewiseLinear, g: PiecewiseLinear, op) -> PiecewiseLinear:
-    """f + g or f - g (`op` is `add` or `sub`), walked as in `joint_segments`
-    and built in canonical form as it goes: a joint breakpoint is kept only
-    where the result's slope changes, and only there are values read."""
-    fx, fy, fs = f.xs, f.ys, f._slopes
-    gx, gy, gs = g.xs, g.ys, g._slopes
-    a, i, j, f_at, g_at = _start(fx, gx)
-    m, n = len(fx) - 1, len(gx) - 1
-    xs: list[Fraction] = []
-    ys: list[Fraction] = []
-    slopes: list[Fraction] = []
-    while True:
-        slope = op(fs[i], gs[j])
+    """f + g or f - g (`op` is `add` or `sub`) over `joint_segments`, built
+    in canonical form as it goes: a joint piece is kept only where the
+    result's slope changes."""
+    xs, ys, slopes = [], [], []
+    for a, _, fa, f_slope, ga, g_slope in joint_segments(f, g):
+        slope = op(f_slope, g_slope)
         if not slopes or slope != slopes[-1]:
-            fa = fy[i] if f_at else fy[i] + fs[i] * (a - fx[i])
-            ga = gy[j] if g_at else gy[j] + gs[j] * (a - gx[j])
             xs.append(a)
             ys.append(op(fa, ga))
             slopes.append(slope)
-        if i < m and (j == n or fx[i + 1] <= gx[j + 1]):
-            i += 1
-            a = fx[i]
-            f_at = True
-            g_at = j < n and gx[j + 1] == a
-            if g_at:
-                j += 1
-        elif j < n:
-            j += 1
-            a = gx[j]
-            f_at, g_at = False, True
-        else:
-            return _curve(tuple(xs), tuple(ys), tuple(slopes))
+    return _curve(tuple(xs), tuple(ys), tuple(slopes))

@@ -62,6 +62,20 @@ def two_link_base_instance():
         source="v1", sink="v2", supply=2)
 
 
+def walk_budget_instance():
+    """A bridge s -> u into a Wheatstone network on u, a, b, t with parallel
+    copies (5 u -> a, 4 u -> b, 2 a -> b, 3 a -> t, 3 b -> t): 18 edges of
+    capacity 1 and transit 0, supply 100.  Its first phase is neither
+    steady nor series-parallel, so its pattern walk starts at mask 0; the
+    bridge is the first free edge, so the first 2**17 masks hold no s-t
+    path."""
+    arcs = [("s", "u", 1), ("u", "a", 5), ("u", "b", 4), ("a", "b", 2),
+            ("a", "t", 3), ("b", "t", 3)]
+    ends = [(tail, head) for tail, head, copies in arcs for _ in range(copies)]
+    return build_instance([(f"e{k}", tail, head, 1, 0) for k, (tail, head) in enumerate(ends)],
+                          source="s", sink="t", supply=100)
+
+
 def zero_flow(inst):
     """No flow anywhere, not even at the source."""
     zero = PiecewiseLinear.constant(F(0))
@@ -224,7 +238,7 @@ def reference_compose(outer, inner):
     xs, slopes, last = outer.xs, outer.slopes(), len(outer.xs) - 1
     k = 0
     pieces = []
-    for a, b, v, s in inner.segments():
+    for a, b, v, s in zip(inner.xs, (*inner.xs[1:], INF), inner.ys, inner.slopes()):
         while k < last and xs[k + 1] <= v:
             k += 1
         pieces.append((a, reference_value(outer, v), slopes[k] * s))

@@ -83,6 +83,12 @@ MUTANTS = [
      "        elif False:\n            raise InternalConsistencyError(",
      ["tests/test_engine_random.py::test_a_steady_verdict_on_a_phase_that_is_not_steady_raises",
       "tests/test_engine_random.py::test_a_proposed_flow_that_fails_verification_raises"]),
+    # The walk never reaches its budget of masks: a walk that finds no
+    # support for 2**17 masks runs on.
+    ("fot/equilibrium.py",
+     "if mask - start == MAX_WALK_MASKS:",
+     "if False:",
+     ["tests/test_equilibrium.py::test_a_walk_past_the_mask_budget_is_refused"]),
     # All-one labels in place of the label pass.
     ("fot/equilibrium.py",
      "slopes = _label_pass(net, nodes, order, resetting, capacity, rates)",
@@ -160,13 +166,14 @@ MUTANTS = [
      "",
      ["tests/test_pwl.py::test_composing_with_the_identity_returns_the_curve",
       "tests/test_pwl.py::test_an_outer_x_plus_c_adds_c_to_the_inner_curve"]),
-    # `__sub__` keeps every joint breakpoint: equal slopes stay unmerged.
+    # `__sub__` keeps every joint piece: equal slopes stay unmerged.
     ("fot/pwl.py",
-     "        if not slopes or slope != slopes[-1]:\n            fa = ",
-     "        if not slopes or slope != slopes[-1] or op is sub:\n            fa = ",
+     "        if not slopes or slope != slopes[-1]:\n            xs.append(a)",
+     "        if not slopes or slope != slopes[-1] or op is sub:\n            xs.append(a)",
      ["tests/test_pwl.py::test_one_loop_kernels_match_their_reference_bodies"]),
     # At a shared breakpoint `joint_segments` advances only the first curve,
-    # so the walk yields an empty piece there.
+    # so the walk yields an empty piece there, in a minimum, sum or
+    # difference.
     ("fot/pwl.py",
      "            g_at = j < n and gx[j + 1] == b\n            if g_at:\n                j += 1\n",
      "            g_at = False\n",

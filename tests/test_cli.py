@@ -15,7 +15,7 @@ from fot.topology import find_subdivision
 from fractions import Fraction
 
 from helpers import (build_instance, read_csv, two_link_all_on_slow_flow,
-                     two_link_base_instance, unflatten)
+                     two_link_base_instance, unflatten, walk_budget_instance)
 
 F = Fraction
 
@@ -615,12 +615,18 @@ def test_size_cap_is_an_input_error(tmp_path, capsys):
         code, out, err = run_cli(capsys, command, path, flag, "-1")
         assert code == 2 and out == ""
         assert f"argument {flag}: expected a nonnegative integer, got '-1'" in err
-    # 17 parallel links of equal transit: all 17 edges are free in the
-    # thin-flow pattern search.
+    # A pattern walk that would visit more than its budget of masks.
+    budget = write_instance(tmp_path, walk_budget_instance(), "budget.json")
+    code, out, err = run_cli(capsys, "simulate", budget)
+    assert code == 2 and out == ""
+    assert err == ("fot: input error: SizeCapError: a thin-flow pattern walk would visit "
+                   "more than 65536 support masks\n")
+    # 17 parallel links of equal transit: all 17 edges are free, but the
+    # walk finds its solution at its start mask.
     links = build_instance([(f"e{k}", "s", "t", 1, 1) for k in range(17)], "s", "t", 1)
     code, out, err = run_cli(capsys, "simulate", write_instance(tmp_path, links, "links.json"))
-    assert code == 2 and out == ""
-    assert "input error" in err and "SizeCapError" in err and "free edges" in err
+    assert code == 0 and err == ""
+    assert json.loads(out)["social_cost"] == "1"
 
 
 def test_phase_cap_is_an_input_error(tmp_path, capsys):

@@ -37,7 +37,7 @@ from fot.core import (INF, ContractError, Edge, FotError, Instance, InternalCons
                       instance_to_obj, restrict, st_core, transpose)
 from fot.dynamics import certify_nash, labels, validate_feasible
 from fot.equilibrium import (
-    MAX_ACTIVE_EDGES,
+    MAX_WALK_MASKS,
     Elimination,
     ThinFlow,
     nash_flow,
@@ -53,6 +53,11 @@ from helpers import (ENGINE_PHASES, build_instance, enumerate_thin_flows, max_fl
                      solve_system)
 
 F = Fraction
+# The exhaustive reference search keeps a cap of its own: it visits 2**k
+# supports for k competitive edges.
+REFERENCE_EDGE_CAP = 16
+WALK_BUDGET_MESSAGE = (
+    f"a thin-flow pattern walk would visit more than {MAX_WALK_MASKS} support masks")
 
 small_caps = st.fractions(min_value=F(1, 3), max_value=6, max_denominator=6)
 small_taus = st.fractions(min_value=0, max_value=4, max_denominator=3)
@@ -195,9 +200,8 @@ def reference_patterns(net, active, resetting, capacity, supply):
             raise ContractError(f"competitive edge {e.id} is unreachable from the source")
     if net.sink not in reach:
         raise NoPathError("sink not reachable through competitive edges")
-    if len(edges) > MAX_ACTIVE_EDGES:
-        raise SizeCapError(
-            f"more than {MAX_ACTIVE_EDGES} free edges in a thin-flow pattern search")
+    if len(edges) > REFERENCE_EDGE_CAP:
+        raise SizeCapError(f"more than {REFERENCE_EDGE_CAP} edges in the reference search")
     nodes = [v for v in net.nodes if v in reach]
     col = {v: i for i, v in enumerate(nodes)}
 
@@ -998,9 +1002,9 @@ def test_a_dead_end_edge_changes_nothing(inst, data):
         inst.supply)
     try:
         again = nash_flow(grown, phase_cap=400)
-    except SizeCapError:
-        # The cap counts free edges, and the new edge can be one more.
-        assert len(net.edges) == MAX_ACTIVE_EDGES
+    except SizeCapError as exc:
+        # The new edge can double the masks a walk visits.
+        assert str(exc) == WALK_BUDGET_MESSAGE
         return
     assert again.social_cost == run.social_cost
     assert again.steady == run.steady
@@ -1040,9 +1044,9 @@ def test_edges_between_nodes_off_every_path_change_nothing(inst, data):
         return
     try:
         again = nash_flow(grown, phase_cap=400)
-    except SizeCapError:
-        # The cap counts free edges, and the new edges can add some.
-        assert len(grown.network.edges) > MAX_ACTIVE_EDGES
+    except SizeCapError as exc:
+        # The new edges can multiply the masks a walk visits.
+        assert str(exc) == WALK_BUDGET_MESSAGE
         return
     assert (again.social_cost, again.steady, again.diverging) == (
         run.social_cost, run.steady, run.diverging)

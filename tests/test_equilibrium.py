@@ -18,7 +18,7 @@ from fot.core import (
 from fot.dynamics import certify_nash, validate_feasible
 from fot import equilibrium
 from fot.equilibrium import (
-    MAX_ACTIVE_EDGES,
+    MAX_WALK_MASKS,
     nash_flow,
     next_event,
     thin_flow,
@@ -28,7 +28,8 @@ from fot.gen import MnParams, geometric_alphas, make_chain, make_mn
 from fot.pwl import PiecewiseLinear
 from fot.topology import sp_tree
 
-from helpers import ENGINE_PHASES, build_instance, enumerate_thin_flows, two_link_base_instance
+from helpers import (ENGINE_PHASES, build_instance, enumerate_thin_flows, two_link_base_instance,
+                     walk_budget_instance)
 
 F = Fraction
 
@@ -218,18 +219,26 @@ def test_ladder4_bypass_arrival_times_match_closed_form():
 
 @pytest.mark.parametrize("n", [10, 12])
 def test_long_ladders_meet_the_lemma1_bound(n):
-    # More competitive edges than the cap, but the label slopes leave at
-    # most n - 1 of them free.
+    # More competitive edges than a walk over all of them could visit within
+    # the budget, but the label slopes leave at most n - 1 of them free.
     eps = F(1, 1000)
     run = nash_flow(ladder(n, eps))
-    assert max(len(p.active) for p in run.phases) > MAX_ACTIVE_EDGES
+    assert 2 ** max(len(p.active) for p in run.phases) > MAX_WALK_MASKS
     assert run.social_cost > (1 - 2 * n * eps) * (n - 1)
 
 
-def test_seventeen_parallel_links_exceed_the_free_edge_cap():
+def test_seventeen_parallel_links_run_within_the_walk_budget():
+    # 17 free edges, but the walk pinned at the steady labels starts at the
+    # mask of the last link alone, which holds the solution.
     inst = build_instance([(f"e{k}", "s", "t", 1, 1) for k in range(17)], "s", "t", 1)
-    with pytest.raises(SizeCapError, match="free edges"):
-        nash_flow(inst)
+    run = nash_flow(inst)
+    assert run.steady and run.social_cost == 1
+
+
+def test_a_walk_past_the_mask_budget_is_refused():
+    with pytest.raises(SizeCapError, match=r"^a thin-flow pattern walk would visit more "
+                                           rf"than {MAX_WALK_MASKS} support masks$"):
+        nash_flow(walk_budget_instance())
 
 
 def test_ladder_chain_queues_never_drain():

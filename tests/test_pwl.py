@@ -241,7 +241,7 @@ def reference_minimum(f, g):
 
 def reference_compose(outer, inner):
     candidates = set(inner.xs)
-    for a, b, v, s in inner.segments():
+    for a, b, v, s in zip(inner.xs, (*inner.xs[1:], INF), inner.ys, inner.slopes()):
         if s == 0:
             continue
         for bp in outer.xs:
